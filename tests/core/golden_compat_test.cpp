@@ -10,6 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -112,6 +115,65 @@ TEST(GoldenCompatTest, PackedV04DirectedGoldenLoadsAndSurvivesV5RoundTrip) {
   const auto mapped = load_directed_oracle_file(tmp.string(), g);
   expect_identical(legacy, mapped, g, 9124, 100);
   std::filesystem::remove(tmp);
+}
+
+TEST(GoldenCompatTest, FlatV04DirectedGoldenLoadsAndAnswersExactly) {
+  // The directed hash-body stream: out- and in-vicinity records interleave
+  // per slot, a layout no other fixture pins.
+  const auto g = testing::random_connected_directed(160, 1100, 9121);
+  const auto legacy =
+      load_directed_oracle_file(golden("flat_v04_directed.idx"), g);
+  expect_matches_reference(legacy, g, 9125, 120);
+}
+
+/// Reads a whole file as bytes.
+std::string file_bytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(f), {});
+}
+
+TEST(GoldenCompatTest, PackedV05GoldensOpenBothWaysAndMatchTheWriter) {
+  // VCNIDX05 fixtures written before the stream writer was retired: each
+  // must open mapped and on the heap with BFS-exact answers, and a fresh
+  // build of the recorded graph and options must serialize to the very
+  // same bytes (the writer is deterministic across build_threads).
+  OracleOptions opt;
+  opt.alpha = 3.0;
+  opt.fallback = Fallback::kBidirectionalBfs;
+  opt.store_landmark_parents = true;
+  OpenOptions heap_opts;
+  heap_opts.mode = OpenMode::kHeap;
+  {
+    const auto g = testing::random_connected(140, 460, 9111);
+    const auto path = golden("packed_v05_undirected.idx");
+    const auto mapped = load_oracle_file(path, g);
+    const auto heap = load_oracle_file(path, g, heap_opts);
+    EXPECT_TRUE(mapped.store().mapped());
+    EXPECT_FALSE(heap.store().mapped());
+    expect_matches_reference(mapped, g, 9115, 80);
+    expect_identical(mapped, heap, g, 9116, 80);
+    opt.seed = 9112;
+    std::ostringstream out(std::ios::binary);
+    save_oracle(VicinityOracle::build(g, opt), out);
+    EXPECT_TRUE(out.str() == file_bytes(path))
+        << "fresh undirected build differs from the golden bytes";
+  }
+  {
+    const auto g = testing::random_connected_directed(160, 1100, 9121);
+    const auto path = golden("packed_v05_directed.idx");
+    const auto mapped = load_directed_oracle_file(path, g);
+    const auto heap = load_directed_oracle_file(path, g, heap_opts);
+    EXPECT_TRUE(mapped.out_store().mapped());
+    EXPECT_FALSE(heap.out_store().mapped());
+    expect_matches_reference(mapped, g, 9126, 80);
+    expect_identical(mapped, heap, g, 9127, 80);
+    opt.seed = 9122;
+    opt.build_threads = 4;
+    std::ostringstream out(std::ios::binary);
+    save_oracle(DirectedVicinityOracle::build(g, opt), out);
+    EXPECT_TRUE(out.str() == file_bytes(path))
+        << "fresh directed build differs from the golden bytes";
+  }
 }
 
 TEST(GoldenCompatTest, MappedAndHeapOpensAreBitIdentical) {

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <new>
 #include <sstream>
 #include <stdexcept>
@@ -29,22 +30,21 @@ struct Fixture {
   std::string bytes;  ///< a valid serialized index for g
 };
 
+std::string golden_bytes(const char* name) {
+  const std::string path =
+      std::string(VICINITY_TEST_DATA_DIR) + "/golden/" + name;
+  std::ifstream f(path, std::ios::binary);
+  if (!f) throw std::runtime_error("missing golden fixture " + path);
+  return std::string(std::istreambuf_iterator<char>(f), {});
+}
+
+// The VCNIDX02-04 stream cases read checked-in hash-backend VCNIDX04 files
+// (tests/data/golden/README.md), so they exercise the legacy reader
+// whatever the writer emits. The hash-body layout is byte-identical across
+// versions 2-4, which the version-2/3 rewrites below rely on.
 Fixture make_fixture() {
-  Fixture f;
-  f.g = testing::random_connected(200, 700, 1201);
-  OracleOptions opt;
-  opt.alpha = 3.0;
-  opt.seed = 1202;
-  opt.fallback = Fallback::kBidirectionalBfs;
-  // The version-2 rewrite below only exists for hash-backend bodies (their
-  // store layout is byte-identical across versions 2-4); the packed body is
-  // fuzzed separately.
-  opt.backend = StoreBackend::kFlatHash;
-  const auto oracle = VicinityOracle::build(f.g, opt);
-  std::ostringstream out(std::ios::binary);
-  save_oracle(oracle, out);
-  f.bytes = out.str();
-  return f;
+  return {testing::random_connected(140, 460, 9101),
+          golden_bytes("flat_v04_undirected.idx")};
 }
 
 // Packed backends persist as VCNIDX05 region containers, so this fixture's
@@ -65,18 +65,8 @@ Fixture make_packed_fixture() {
 }
 
 Fixture make_directed_fixture() {
-  Fixture f;
-  f.g = testing::random_connected_directed(250, 1800, 1301);
-  OracleOptions opt;
-  opt.alpha = 3.0;
-  opt.seed = 1302;
-  opt.fallback = Fallback::kBidirectionalBfs;
-  opt.backend = StoreBackend::kFlatHash;
-  const auto oracle = DirectedVicinityOracle::build(f.g, opt);
-  std::ostringstream out(std::ios::binary);
-  save_oracle(oracle, out);
-  f.bytes = out.str();
-  return f;
+  return {testing::random_connected_directed(160, 1100, 9121),
+          golden_bytes("flat_v04_directed.idx")};
 }
 
 // Header layout: magic(6) + version(2) + backend tag(1).
@@ -115,9 +105,13 @@ constexpr std::size_t entry_off(std::size_t i) {
   return v5::kSectionTableOffset + i * sizeof(v5::SectionEntry);
 }
 
+/// Writes `bytes` to a temp file named after the running test: ctest runs
+/// each case as its own process, so a shared name would let one case
+/// truncate a file another case still has mapped (SIGBUS).
 std::filesystem::path write_temp(const std::string& bytes) {
-  const auto p =
-      std::filesystem::temp_directory_path() / "vicinity_fuzz_v5.idx";
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  const auto p = std::filesystem::temp_directory_path() /
+                 (std::string("vicinity_fuzz_") + info->name() + ".idx");
   std::ofstream f(p, std::ios::binary | std::ios::trunc);
   f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   f.close();
