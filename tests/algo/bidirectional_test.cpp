@@ -2,6 +2,8 @@
 // across graph families (parameterized property sweep).
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "algo/bfs.h"
 #include "algo/bidirectional_bfs.h"
 #include "algo/bidirectional_dijkstra.h"
@@ -91,6 +93,9 @@ struct SweepParam {
   int kind;  // 0 ER, 1 BA, 2 WS, 3 powerlaw-cluster
   std::uint64_t seed;
 };
+
+// Stable ctest names: print the case name, not the struct's raw bytes.
+void PrintTo(const SweepParam& p, std::ostream* os) { *os << p.name; }
 
 class BidirSweep : public ::testing::TestWithParam<SweepParam> {
  protected:

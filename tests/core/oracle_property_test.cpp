@@ -4,6 +4,8 @@
 // monotone-ish in alpha.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "algo/bfs.h"
 #include "gen/affiliation.h"
 #include "core/oracle.h"
@@ -19,6 +21,11 @@ struct PropertyParam {
   double alpha;
   std::uint64_t seed;
 };
+
+// Without a PrintTo, gtest prints a parameter as its raw bytes (pointer and
+// padding included), which gtest_discover_tests copies into the ctest
+// names; printing the case name keeps them stable across builds.
+void PrintTo(const PropertyParam& p, std::ostream* os) { *os << p.name; }
 
 graph::Graph make_graph(const PropertyParam& p) {
   util::Rng rng(p.seed);
