@@ -25,14 +25,8 @@
 //   bench_throughput [--scale N] [--edges-per-node K] [--queries Q]
 //                    [--threads 1,2,4,8] [--alpha A] [--seed S] [--reps R]
 //                    [--directed] [--backend vicinity|tz|sketch|landmarks]
-//                    [--store-backend packed|flat|std] [--zipf THETA]
-//                    [--cache-mb MB] [--cache-ways W]
+//                    [--zipf THETA] [--cache-mb MB] [--cache-ways W]
 //                    [--json PATH|-] [--quick]
-//
-// --store-backend selects the vicinity-storage layout for the vicinity
-// backends (core::StoreBackend): the packed sorted-slice arena (default),
-// the flat open-addressing tables, or the paper's std::unordered_map — the
-// three-way serving ablation behind BENCH_pr5.json.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -76,7 +70,6 @@ struct Options {
   unsigned reps = 3;
   bool directed = false;
   std::string backend = "vicinity";       ///< vicinity|tz|sketch|landmarks
-  std::string store_backend = "packed";   ///< packed|flat|std
   double zipf = 0.0;                      ///< workload skew; 0 = uniform
   std::size_t cache_mb = 0;               ///< 0 = no cache section
   unsigned cache_ways = 8;
@@ -88,9 +81,8 @@ struct Options {
             << " [--scale N] [--edges-per-node K] [--queries Q]\n"
                "       [--threads 1,2,4,8] [--alpha A] [--seed S] [--reps R]\n"
                "       [--directed] [--backend vicinity|tz|sketch|landmarks]\n"
-               "       [--store-backend packed|flat|std] [--zipf THETA]\n"
-               "       [--cache-mb MB] [--cache-ways W] [--json PATH|-]\n"
-               "       [--quick]\n";
+               "       [--zipf THETA] [--cache-mb MB] [--cache-ways W]\n"
+               "       [--json PATH|-] [--quick]\n";
   std::exit(2);
 }
 
@@ -131,13 +123,6 @@ Options parse_args(int argc, char** argv) {
         std::cerr << "unknown backend: " << o.backend << "\n";
         usage_and_exit(argv[0]);
       }
-    } else if (arg == "--store-backend") {
-      o.store_backend = next_value(i);
-      if (o.store_backend != "packed" && o.store_backend != "flat" &&
-          o.store_backend != "std") {
-        std::cerr << "unknown store backend: " << o.store_backend << "\n";
-        usage_and_exit(argv[0]);
-      }
     } else if (arg == "--zipf") {
       o.zipf = std::stod(next_value(i));
     } else if (arg == "--cache-mb") {
@@ -157,10 +142,6 @@ Options parse_args(int argc, char** argv) {
   }
   if (o.directed && o.backend != "vicinity") {
     std::cerr << "--directed supports only the vicinity backend\n";
-    usage_and_exit(argv[0]);
-  }
-  if (o.backend != "vicinity" && o.store_backend != "packed") {
-    std::cerr << "--store-backend applies only to the vicinity backends\n";
     usage_and_exit(argv[0]);
   }
   return o;
@@ -234,12 +215,6 @@ struct BuiltBackend {
   std::size_t landmarks = 0;  ///< 0 for backends without landmark sets
 };
 
-core::StoreBackend parse_store_backend(const std::string& name) {
-  if (name == "flat") return core::StoreBackend::kFlatHash;
-  if (name == "std") return core::StoreBackend::kStdUnorderedMap;
-  return core::StoreBackend::kPacked;
-}
-
 BuiltBackend build_backend(const Options& opt, const graph::Graph& g) {
   BuiltBackend b;
   if (opt.directed) {
@@ -247,7 +222,6 @@ BuiltBackend build_backend(const Options& opt, const graph::Graph& g) {
     oracle_opt.alpha = opt.alpha;
     oracle_opt.seed = opt.seed + 1;
     oracle_opt.fallback = core::Fallback::kBidirectionalBfs;
-    oracle_opt.backend = parse_store_backend(opt.store_backend);
     auto o = core::DirectedVicinityOracle::build(g, oracle_opt);
     b.landmarks = o.build_stats().num_landmarks;
     b.oracle = core::make_any_oracle(std::move(o));
@@ -256,7 +230,6 @@ BuiltBackend build_backend(const Options& opt, const graph::Graph& g) {
     oracle_opt.alpha = opt.alpha;
     oracle_opt.seed = opt.seed + 1;
     oracle_opt.fallback = core::Fallback::kBidirectionalBfs;
-    oracle_opt.backend = parse_store_backend(opt.store_backend);
     oracle_opt.build_threads = 0;  // hardware concurrency
     auto o = core::VicinityOracle::build(g, oracle_opt);
     b.landmarks = o.build_stats().num_landmarks;
@@ -300,15 +273,14 @@ int main(int argc, char** argv) {
   const BuiltBackend built = build_backend(opt, g);
   const double build_seconds = build_timer.elapsed_seconds();
   std::printf(
-      "backend '%s' [%s] store=%s: alpha=%.1f, %zu landmarks, built in %.1fs\n",
+      "backend '%s' [%s]: alpha=%.1f, %zu landmarks, built in %.1fs\n",
       built.oracle->backend_name(),
-      built.oracle->capabilities().to_string().c_str(),
-      opt.store_backend.c_str(), opt.alpha, built.landmarks, build_seconds);
+      built.oracle->capabilities().to_string().c_str(), opt.alpha,
+      built.landmarks, build_seconds);
 
-  // Open-path bench: only the vicinity backends persist, and only the
-  // packed store writes the mappable VCNIDX05 region container.
+  // Open-path bench: only the vicinity backends persist an index.
   OpenBench open_bench;
-  if (opt.backend == "vicinity" && opt.store_backend == "packed") {
+  if (opt.backend == "vicinity") {
     open_bench = bench_index_open(built.oracle, g, opt.reps);
     std::printf(
         "index open (%s file): mmap %.2fms (+%s RSS) vs heap %.1fms "
@@ -517,7 +489,6 @@ int main(int argc, char** argv) {
        << ", \"nodes\": " << g.num_nodes() << ", \"arcs\": " << g.num_arcs()
        << ", \"directed\": " << (opt.directed ? "true" : "false") << "},\n"
        << "  \"backend\": \"" << built.oracle->backend_name() << "\",\n"
-       << "  \"store_backend\": \"" << opt.store_backend << "\",\n"
        << "  \"oracle\": {\"alpha\": " << opt.alpha
        << ", \"landmarks\": " << built.landmarks
        << ", \"build_seconds\": " << build_seconds << "},\n"

@@ -2,8 +2,7 @@
 """bench-smoke gate: merge bench JSON outputs and fail on perf regressions.
 
 Reads the JSON emitted by `bench_throughput --json` (undirected and,
-optionally, `--directed` and `--store-backend packed`) and
-`bench_updates --json`, extracts the headline metrics, writes the combined
+optionally, `--directed`) and `bench_updates --json`, extracts the headline metrics, writes the combined
 BENCH report (the repo's perf-trajectory record, uploaded as a CI
 artifact), and exits non-zero when any metric regresses more than the
 tolerance against the checked-in baseline.
@@ -21,7 +20,7 @@ hot path — rather than runner-to-runner noise.
 
 Usage:
   check_bench_regression.py --throughput tp.json --updates up.json \
-      [--directed-throughput tpd.json] [--packed-throughput tpp.json] \
+      [--directed-throughput tpd.json] \
       [--server srv.json] [--cached-server srv_cached.json] \
       [--overload-server srv_overload.json] \
       --baseline bench/baselines/bench_smoke_baseline.json \
@@ -45,9 +44,8 @@ def throughput_metrics(throughput, prefix=""):
     for pct in ("p50", "p99"):
         if pct in latency:
             metrics[f"{prefix}query_{pct}_us"] = latency[pct]
-    # Index open-path metrics (packed store only: the VCNIDX05 region
-    # container is the only mappable format, so flat-store runs simply
-    # don't emit the object).
+    # Index open-path metrics (vicinity backends only: the baselines have
+    # no index file, so their runs simply don't emit the object).
     index_open = throughput.get("index_open", {})
     if "speedup" in index_open:
         metrics[f"{prefix}index_open_speedup"] = index_open["speedup"]
@@ -144,9 +142,6 @@ def main():
     ap.add_argument("--directed-throughput", default=None,
                     help="bench_throughput --directed output; metrics gain "
                          "a directed_ prefix")
-    ap.add_argument("--packed-throughput", default=None,
-                    help="bench_throughput --store-backend packed output; "
-                         "metrics gain a packed_ prefix")
     ap.add_argument("--server", default=None,
                     help="bench_server --json output; contributes "
                          "server_qps / server_p50_us / server_p99_us")
@@ -179,10 +174,6 @@ def main():
     if args.directed_throughput:
         directed = load_json(args.directed_throughput)
         metrics.update(throughput_metrics(directed, prefix="directed_"))
-    packed = None
-    if args.packed_throughput:
-        packed = load_json(args.packed_throughput)
-        metrics.update(throughput_metrics(packed, prefix="packed_"))
     server = None
     if args.server:
         server = load_json(args.server)
@@ -255,8 +246,6 @@ def main():
     }
     if directed is not None:
         report["directed_throughput"] = directed
-    if packed is not None:
-        report["packed_throughput"] = packed
     if server is not None:
         report["server"] = server
     if cached_server is not None:

@@ -4,10 +4,10 @@
 Checks invariants no generic tool knows about:
 
   core-no-std-unordered-map  src/core hot paths must not use
-                             std::unordered_map (the paper's §3.2 result is
-                             that per-node GNU-STL tables lose to the flat
-                             and packed backends; the one sanctioned use is
-                             the ablation backend inside VicinityStore).
+                             std::unordered_map (per-node GNU-STL tables,
+                             the paper's §3.2 layout, lose to the packed
+                             arena; the comparison lives bench-side in
+                             bench/bench_ablation_hash.cpp).
   core-no-raw-new            src/core must not allocate with raw `new`
                              (ownership goes through containers and
                              make_unique; raw new broke exception safety in
@@ -152,8 +152,8 @@ def check_core_containers(root: Path) -> list[Finding]:
         findings += scan_pattern(
             path, "core-no-std-unordered-map", pattern,
             "std::unordered_map in a core hot path (use util::FlatHashMap "
-            "or the packed arena; the §3.2 ablation backend is the only "
-            "sanctioned use)")
+            "or the packed arena; the §3.2 hash-table comparison lives in "
+            "bench/bench_ablation_hash.cpp)")
     return findings
 
 

@@ -51,8 +51,8 @@ DirectedVicinityOracle DirectedVicinityOracle::build_impl(
   o.nearest_out_ = nearest_landmarks(g, o.landmarks_, Direction::kOut);
   o.nearest_in_ = nearest_landmarks(g, o.landmarks_, Direction::kIn);
 
-  o.out_store_ = VicinityStore(g.num_nodes(), options.backend);
-  o.in_store_ = VicinityStore(g.num_nodes(), options.backend);
+  o.out_store_ = VicinityStore(g.num_nodes());
+  o.in_store_ = VicinityStore(g.num_nodes());
   {
     util::BitVector seen(g.num_nodes());
     for (const NodeId u : nodes) {
@@ -102,7 +102,7 @@ DirectedVicinityOracle DirectedVicinityOracle::build_impl(
     }
     stats.construction_arcs_scanned += vo.arcs_scanned + vi.arcs_scanned;
   }
-  // Packed backend: stitch the per-slot staged slices into the arenas.
+  // Stitch the per-slot staged slices into the arenas.
   o.out_store_.pack();
   o.in_store_.pack();
 
@@ -147,7 +147,7 @@ void DirectedVicinityOracle::rebuild_vicinities(
           u, builder.build(u, nearest_in_.dist[u], nearest_in_.landmark[u]));
     }
   }
-  // Occasional compaction of repair-staged slices (packed backend).
+  // Occasional compaction of repair-staged slices.
   out_store_.pack_if_needed();
   in_store_.pack_if_needed();
 }

@@ -15,19 +15,15 @@ enum class SamplingStrategy {
   kTopDegree,           ///< deterministic: the |L| highest-degree nodes
 };
 
-/// Vicinity-storage backend. kStdUnorderedMap matches the paper's GNU C++
-/// STL implementation (§3.2); kFlatHash is one open-addressing table per
-/// node; kPacked answers the §5 "more customized data structures" challenge
-/// outright — every vicinity lives as a sorted slice of one shared arena
-/// (boundary members grouped first), membership is a binary search, and the
-/// intersection is a cache-local merge/galloping kernel instead of N
-/// dependent hash probes. All three answer queries identically; the hash
-/// backends remain as the paper-faithful ablation baselines
-/// (bench_ablation_hash).
+/// Vicinity-storage layout. The store has one: every vicinity is a sorted
+/// slice of one shared arena (core/vicinity_store.h), the answer to the
+/// paper's §5 "more customized data structures" challenge; its §3.2
+/// GNU-STL hash tables live on only as bench_ablation_hash's baseline.
+/// The enumerator keeps value 2, the store-layout byte every index file
+/// records; the VCNIDX02-04 readers accept the retired hash-layout bytes 0
+/// and 1 and load those files into this layout.
 enum class StoreBackend {
-  kFlatHash,
-  kStdUnorderedMap,
-  kPacked,
+  kPacked = 2,
 };
 
 /// What to do when vicinities do not intersect (the <0.1% of queries the
@@ -51,6 +47,8 @@ struct OracleOptions {
   double sampling_constant = 0.25;
 
   SamplingStrategy strategy = SamplingStrategy::kDegreeProportional;
+  /// Kept for source compatibility with callers that assign it: the store
+  /// has one layout, and nothing reads this field.
   StoreBackend backend = StoreBackend::kPacked;
 
   /// Store per-landmark distance tables so conditions (1)-(2) of

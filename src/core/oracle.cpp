@@ -72,7 +72,7 @@ VicinityOracle VicinityOracle::build_impl(const graph::Graph& g,
   o.nearest_ = nearest_landmarks(g, o.landmarks_);
 
   // Deduplicate the index set, preserving order.
-  o.store_ = VicinityStore(g.num_nodes(), options.backend);
+  o.store_ = VicinityStore(g.num_nodes());
   o.indexed_.clear();
   {
     util::BitVector seen(g.num_nodes());
@@ -143,8 +143,8 @@ VicinityOracle VicinityOracle::build_impl(const graph::Graph& g,
   } else {
     build_range(0, o.indexed_.size());
   }
-  // Packed backend: the parallel loop parked every slice in its slot-local
-  // sub-arena; stitch them into the one contiguous arena now.
+  // The parallel loop parked every slice in its slot-local sub-arena;
+  // stitch them into the one contiguous arena now.
   {
     const util::RoleGuard role(o.store_.mutation_role());
     o.store_.pack();
@@ -363,10 +363,9 @@ QueryResult VicinityOracle::intersect(NodeId s, NodeId t) const {
   const Distance accept_limit = dist_add(store_.radius(s), store_.radius(t));
   // Pick the iteration side (Lemma 1 holds symmetrically, so the answer is
   // side-invariant) by estimated kernel cost: the iterated boundary size
-  // times the per-element probe cost — constant for the hash backends
-  // (reducing to the smaller-boundary rule), logarithmic/merge for the
-  // packed kernel. Comparing boundary sizes alone while the probe pays
-  // log2(len(probe)) picked the wrong side on skewed pairs.
+  // against the probe slice, min(merge, gallop). Comparing boundary sizes
+  // alone while the probe pays log2(len(probe)) picked the wrong side on
+  // skewed pairs.
   NodeId iter = s, probe = t;
   if (opt_.use_boundary_optimization) {
     if (opt_.iterate_smaller_side &&

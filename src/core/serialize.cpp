@@ -23,19 +23,18 @@ namespace {
 // Container header: 6-byte magic + 2 ASCII-digit format version + (since
 // version 3) one backend-tag byte. Version 2 added
 // OracleOptions::update_rebuild_fraction (dynamic updates); version 3 added
-// the backend tag and the directed-oracle body; version 4 added the
-// StoreBackend::kPacked stream body. Version 5 switches packed-backend
-// indexes to the region container of core/index_format.h (fixed header +
-// section table + 64-byte-aligned sections), which loads zero-copy via
-// mmap. Hash-backend indexes keep the version-4 stream layout — their
-// per-node hash tables have no flat representation to map — and versions
-// 2-4 keep loading via the stream path unchanged. Version-1 files predate
-// the options field and are rejected up front with a versioned error
-// rather than misparsed.
+// the backend tag and the directed-oracle body; version 4 added the packed
+// stream body. Version 5 is the region container of core/index_format.h
+// (fixed header + section table + 64-byte-aligned sections), which loads
+// zero-copy via mmap; it is the only version the writer emits. Versions 2-4
+// are read-only stream containers: their store body is either the packed
+// blobs (store byte 2, version 4) or per-slot member records (store bytes
+// 0 and 1, the retired §3.2 hash layouts), and both load into the packed
+// store. Version-1 files predate the options field and are rejected up
+// front with a versioned error rather than misparsed.
 constexpr char kMagic[6] = {'V', 'C', 'N', 'I', 'D', 'X'};
 constexpr int kFormatVersion = 5;        // newest readable version
 constexpr int kRegionFormatVersion = 5;  // first region-container version
-constexpr int kStreamFormatVersion = 4;  // what the stream writer emits
 constexpr int kMinFormatVersion = 2;
 constexpr int kMinPackedVersion = 4;
 
@@ -66,13 +65,6 @@ T read_pod(std::istream& in) {
 }
 
 template <typename T>
-void write_vec(std::ostream& out, const std::vector<T>& v) {
-  write_pod<std::uint64_t>(out, v.size());
-  out.write(reinterpret_cast<const char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * sizeof(T)));
-}
-
-template <typename T>
 std::vector<T> read_vec(std::istream& in) {
   const auto n = read_pod<std::uint64_t>(in);
   if (n > std::numeric_limits<std::size_t>::max() / sizeof(T)) {
@@ -100,14 +92,6 @@ std::vector<T> read_vec(std::istream& in) {
 /// Untrusted-input guard used throughout the loaders.
 void require(bool ok, const char* what) {
   if (!ok) throw std::runtime_error(std::string("oracle index: ") + what);
-}
-
-void write_header(std::ostream& out, BackendTag tag, int version) {
-  out.write(kMagic, sizeof(kMagic));
-  const char digits[2] = {static_cast<char>('0' + version / 10),
-                          static_cast<char>('0' + version % 10)};
-  out.write(digits, sizeof(digits));
-  write_pod<std::uint8_t>(out, static_cast<std::uint8_t>(tag));
 }
 
 struct Header {
@@ -159,13 +143,6 @@ Header read_header(std::istream& in) {
       std::to_string(kRegionFormatVersion) + " region container");
 }
 
-void write_graph_shape(std::ostream& out, const graph::Graph& g) {
-  write_pod<std::uint64_t>(out, g.num_nodes());
-  write_pod<std::uint64_t>(out, g.num_arcs());
-  write_pod<std::uint8_t>(out, g.directed() ? 1 : 0);
-  write_pod<std::uint8_t>(out, g.weighted() ? 1 : 0);
-}
-
 void check_graph_shape(std::istream& in, const graph::Graph& g) {
   const auto n = read_pod<std::uint64_t>(in);
   const auto arcs = read_pod<std::uint64_t>(in);
@@ -177,19 +154,11 @@ void check_graph_shape(std::istream& in, const graph::Graph& g) {
   }
 }
 
-void write_options(std::ostream& out, const OracleOptions& opt) {
-  write_pod(out, opt.alpha);
-  write_pod(out, opt.sampling_constant);
-  write_pod<std::uint8_t>(out, static_cast<std::uint8_t>(opt.strategy));
-  write_pod<std::uint8_t>(out, static_cast<std::uint8_t>(opt.backend));
-  write_pod<std::uint8_t>(out, opt.use_boundary_optimization ? 1 : 0);
-  write_pod<std::uint8_t>(out, opt.iterate_smaller_side ? 1 : 0);
-  write_pod<std::uint8_t>(out, static_cast<std::uint8_t>(opt.fallback));
-  write_pod(out, opt.update_rebuild_fraction);
-  write_pod(out, opt.seed);
-}
-
-OracleOptions read_options(std::istream& in, int version) {
+/// The stream options block. `packed_body` reports which store body
+/// follows: the packed blobs (store byte 2) or per-slot member records
+/// (bytes 0 and 1, the retired hash layouts). Either loads into the packed
+/// store, so the returned options always name it.
+OracleOptions read_options(std::istream& in, int version, bool& packed_body) {
   OracleOptions opt;
   opt.alpha = read_pod<double>(in);
   opt.sampling_constant = read_pod<double>(in);
@@ -201,8 +170,8 @@ OracleOptions read_options(std::istream& in, int version) {
   const auto backend_raw = read_pod<std::uint8_t>(in);
   require(backend_raw <= static_cast<std::uint8_t>(StoreBackend::kPacked),
           "corrupt store backend");
-  if (backend_raw == static_cast<std::uint8_t>(StoreBackend::kPacked) &&
-      version < kMinPackedVersion) {
+  packed_body = backend_raw == static_cast<std::uint8_t>(StoreBackend::kPacked);
+  if (packed_body && version < kMinPackedVersion) {
     // A packed store body only exists from version 4 on; an older file
     // claiming it is corrupt, and misreading its body as per-slot records
     // would shift every later field.
@@ -211,7 +180,6 @@ OracleOptions read_options(std::istream& in, int version) {
         std::to_string(kMinPackedVersion) + " (file is version " +
         std::to_string(version) + "; rebuild the index)");
   }
-  opt.backend = static_cast<StoreBackend>(backend_raw);
   opt.use_boundary_optimization = read_pod<std::uint8_t>(in) != 0;
   opt.iterate_smaller_side = read_pod<std::uint8_t>(in) != 0;
   const auto fallback_raw = read_pod<std::uint8_t>(in);
@@ -229,10 +197,12 @@ OracleOptions read_options(std::istream& in, int version) {
 }
 
 const char* store_backend_name(std::uint8_t b) {
-  switch (static_cast<StoreBackend>(b)) {
-    case StoreBackend::kFlatHash: return "flat-hash";
-    case StoreBackend::kStdUnorderedMap: return "std-unordered-map";
-    case StoreBackend::kPacked: return "packed";
+  // Bytes 0 and 1 are the retired hash layouts, still recorded by
+  // VCNIDX02-04 files.
+  switch (b) {
+    case 0: return "flat-hash";
+    case 1: return "std-unordered-map";
+    case static_cast<std::uint8_t>(StoreBackend::kPacked): return "packed";
   }
   return "?";
 }
@@ -255,28 +225,8 @@ struct MemberRecord {
 };
 static_assert(sizeof(MemberRecord) == 16);
 
-/// One vicinity slot: radius, nearest landmark, member records.
-void write_store_slot(std::ostream& out, const VicinityStore& store,
-                      NodeId u) {
-  write_pod<Distance>(out, store.radius(u));
-  write_pod<NodeId>(out, store.nearest_landmark(u));
-  std::vector<MemberRecord> members;
-  members.reserve(store.vicinity_size(u));
-  const Distance radius = store.radius(u);
-  store.for_each_member(u, [&](NodeId v, const StoredEntry& e) {
-    MemberRecord rec{v, e.dist, e.parent, 0, {0, 0, 0}};
-    if (e.dist < radius) rec.flags |= 1;
-    members.push_back(rec);
-  });
-  const auto bview = store.boundary(u);
-  util::FlatHashSet<NodeId> on_boundary(bview.nodes.size());
-  for (const NodeId b : bview.nodes) on_boundary.insert(b);
-  for (auto& rec : members) {
-    if (on_boundary.contains(rec.node)) rec.flags |= 2;
-  }
-  write_vec(out, members);
-}
-
+/// One per-slot record of a hash-layout stream body: radius, nearest
+/// landmark, member records. Loaded slots are staged; the caller packs.
 void read_store_slot(std::istream& in, std::uint64_t n, NodeId u,
                      VicinityStore& store) {
   Vicinity v;
@@ -303,10 +253,8 @@ void read_store_slot(std::istream& in, std::uint64_t n, NodeId u,
   store.set(u, v);
 }
 
-/// Packed-arena store body (version-4 stream files, StoreBackend::kPacked):
-/// the slot table and the three parallel arena blobs in prepare() order.
-/// Only the reader survives — packed indexes are written as version-5
-/// region containers now — but version-4 files keep loading.
+/// Packed-arena store body (version-4 stream files, store byte 2): the slot
+/// table and the three parallel arena blobs in prepare() order.
 void read_packed_store(std::istream& in, VicinityStore& store) {
   VicinityStore::PackedBlob blob;
   blob.radius = read_vec<Distance>(in);
@@ -318,12 +266,6 @@ void read_packed_store(std::istream& in, VicinityStore& store) {
   blob.parents = read_vec<NodeId>(in);
   const util::RoleGuard role(store.mutation_role());
   store.adopt_packed(std::move(blob));  // validates the untrusted blobs
-}
-
-void write_landmark_rows(std::ostream& out,
-                         const std::vector<std::vector<Distance>>& rows) {
-  write_pod<std::uint64_t>(out, rows.size());
-  for (const auto& row : rows) write_vec(out, row);
 }
 
 LandmarkSet read_landmark_set(std::istream& in, const OracleOptions& opt,
@@ -482,11 +424,9 @@ OracleOptions read_v5_options(const v5::FileHeader& h) {
   require(h.strategy <= static_cast<std::uint8_t>(SamplingStrategy::kTopDegree),
           "corrupt sampling strategy");
   opt.strategy = static_cast<SamplingStrategy>(h.strategy);
-  // Only the packed backend has a mappable flat representation; the hash
-  // backends stay on the version-4 stream container.
+  // Version 5 has only ever recorded the packed layout.
   require(h.store_backend == static_cast<std::uint8_t>(StoreBackend::kPacked),
           "version 5 container requires the packed store backend");
-  opt.backend = StoreBackend::kPacked;
   opt.use_boundary_optimization = h.use_boundary_optimization != 0;
   opt.iterate_smaller_side = h.iterate_smaller_side != 0;
   require(h.fallback <= static_cast<std::uint8_t>(Fallback::kLandmarkEstimate),
@@ -644,22 +584,8 @@ void write_zeros(std::ostream& out, std::uint64_t count) {
 /// full member access.
 class OracleSerializer {
  public:
-  // ---- Landmark tables, version-4 stream layout (the directed variant
+  // ---- Landmark tables, version-2-4 stream layout (the directed variant
   // appends the reverse rows and the from-landmark subset matrix) ---------
-  static void save_tables(const LandmarkTables& t, bool directed,
-                          std::ostream& out) {
-    write_pod<std::uint8_t>(out, static_cast<std::uint8_t>(t.mode()));
-    if (t.mode() == LandmarkTables::Mode::kNone) return;
-    write_vec(out, t.landmark_nodes_);
-    write_landmark_rows(out, t.dist_rows_);
-    if (directed) write_landmark_rows(out, t.rev_rows_);
-    write_pod<std::uint64_t>(out, t.parent_rows_.size());
-    for (const auto& row : t.parent_rows_) write_vec(out, row);
-    write_vec(out, t.subset_nodes_);
-    write_vec(out, t.to_lm_);
-    if (directed) write_vec(out, t.from_lm_);
-  }
-
   static void load_tables(std::istream& in, const graph::Graph& g,
                           bool directed, LandmarkTables& t) {
     const auto n = g.num_nodes();
@@ -834,7 +760,7 @@ class OracleSerializer {
     t.from_lm_.assign(from_lm.begin(), from_lm.end());
   }
 
-  // ---- Version-5 region writer (packed backend, both tags) --------------
+  // ---- Version-5 region writer (both tags) ------------------------------
   static void save_v5(BackendTag tag, const graph::Graph& g,
                       const OracleOptions& opt,
                       const std::vector<NodeId>& landmark_nodes,
@@ -908,7 +834,7 @@ class OracleSerializer {
     h.update_rebuild_fraction = opt.update_rebuild_fraction;
     h.seed = opt.seed;
     h.strategy = static_cast<std::uint8_t>(opt.strategy);
-    h.store_backend = static_cast<std::uint8_t>(opt.backend);
+    h.store_backend = static_cast<std::uint8_t>(StoreBackend::kPacked);
     h.use_boundary_optimization = opt.use_boundary_optimization ? 1 : 0;
     h.iterate_smaller_side = opt.iterate_smaller_side ? 1 : 0;
     h.fallback = static_cast<std::uint8_t>(opt.fallback);
@@ -945,7 +871,7 @@ class OracleSerializer {
                                  v5::SectionId::kNearestOutLandmark,
                                  g.num_nodes());
     o.indexed_ = read_v5_indexed(r, g);
-    o.store_ = VicinityStore(g.num_nodes(), o.opt_.backend);
+    o.store_ = VicinityStore(g.num_nodes());
     {
       const util::RoleGuard role(o.store_.mutation_role());
       o.store_.prepare(o.indexed_);
@@ -978,8 +904,8 @@ class OracleSerializer {
                                     v5::SectionId::kNearestInLandmark,
                                     g.num_nodes());
     o.indexed_ = read_v5_indexed(r, g);
-    o.out_store_ = VicinityStore(g.num_nodes(), o.opt_.backend);
-    o.in_store_ = VicinityStore(g.num_nodes(), o.opt_.backend);
+    o.out_store_ = VicinityStore(g.num_nodes());
+    o.in_store_ = VicinityStore(g.num_nodes());
     {
       const util::RoleGuard out_role(o.out_store_.mutation_role());
       const util::RoleGuard in_role(o.in_store_.mutation_role());
@@ -996,25 +922,9 @@ class OracleSerializer {
 
   // ---- Undirected oracle -------------------------------------------------
   static void save(const VicinityOracle& o, std::ostream& out) {
-    if (o.opt_.backend == StoreBackend::kPacked) {
-      save_v5(BackendTag::kUndirected, o.graph(), o.opt_, o.landmarks_.nodes,
-              o.nearest_, nullptr, o.indexed_, o.store_, nullptr, o.tables_,
-              out);
-      return;
-    }
-    write_header(out, BackendTag::kUndirected, kStreamFormatVersion);
-    write_graph_shape(out, o.graph());
-    write_options(out, o.opt_);
-
-    write_vec(out, o.landmarks_.nodes);
-    write_vec(out, o.nearest_.dist);
-    write_vec(out, o.nearest_.landmark);
-
-    write_vec(out, o.indexed_);
-    for (const NodeId u : o.indexed_) write_store_slot(out, o.store_, u);
-
-    save_tables(o.tables_, /*directed=*/false, out);
-    if (!out) throw std::runtime_error("oracle index: write failed");
+    save_v5(BackendTag::kUndirected, o.graph(), o.opt_, o.landmarks_.nodes,
+            o.nearest_, nullptr, o.indexed_, o.store_, nullptr, o.tables_,
+            out);
   }
 
   static VicinityOracle load_body(std::istream& in, const graph::Graph& g,
@@ -1022,22 +932,25 @@ class OracleSerializer {
     check_graph_shape(in, g);
     VicinityOracle o;
     o.g_ = &g;
-    o.opt_ = read_options(in, version);
+    bool packed_body = false;
+    o.opt_ = read_options(in, version, packed_body);
     o.landmarks_ = read_landmark_set(in, o.opt_, g);
     o.nearest_ = read_nearest(in, g.num_nodes());
 
     o.indexed_ = read_indexed(in, g);
-    o.store_ = VicinityStore(g.num_nodes(), o.opt_.backend);
+    o.store_ = VicinityStore(g.num_nodes());
     {
       const util::RoleGuard role(o.store_.mutation_role());
       o.store_.prepare(o.indexed_);
     }
-    if (o.opt_.backend == StoreBackend::kPacked) {
+    if (packed_body) {
       read_packed_store(in, o.store_);
     } else {
       for (const NodeId u : o.indexed_) {
         read_store_slot(in, g.num_nodes(), u, o.store_);
       }
+      const util::RoleGuard role(o.store_.mutation_role());
+      o.store_.pack();
     }
 
     load_tables(in, g, /*directed=*/false, o.tables_);
@@ -1050,30 +963,9 @@ class OracleSerializer {
 
   // ---- Directed oracle ---------------------------------------------------
   static void save(const DirectedVicinityOracle& o, std::ostream& out) {
-    if (o.opt_.backend == StoreBackend::kPacked) {
-      save_v5(BackendTag::kDirected, o.graph(), o.opt_, o.landmarks_.nodes,
-              o.nearest_out_, &o.nearest_in_, o.indexed_, o.out_store_,
-              &o.in_store_, o.tables_, out);
-      return;
-    }
-    write_header(out, BackendTag::kDirected, kStreamFormatVersion);
-    write_graph_shape(out, o.graph());
-    write_options(out, o.opt_);
-
-    write_vec(out, o.landmarks_.nodes);
-    write_vec(out, o.nearest_out_.dist);
-    write_vec(out, o.nearest_out_.landmark);
-    write_vec(out, o.nearest_in_.dist);
-    write_vec(out, o.nearest_in_.landmark);
-
-    write_vec(out, o.indexed_);
-    for (const NodeId u : o.indexed_) {
-      write_store_slot(out, o.out_store_, u);
-      write_store_slot(out, o.in_store_, u);
-    }
-
-    save_tables(o.tables_, /*directed=*/true, out);
-    if (!out) throw std::runtime_error("oracle index: write failed");
+    save_v5(BackendTag::kDirected, o.graph(), o.opt_, o.landmarks_.nodes,
+            o.nearest_out_, &o.nearest_in_, o.indexed_, o.out_store_,
+            &o.in_store_, o.tables_, out);
   }
 
   static DirectedVicinityOracle load_directed_body(std::istream& in,
@@ -1082,21 +974,22 @@ class OracleSerializer {
     check_graph_shape(in, g);
     DirectedVicinityOracle o;
     o.g_ = &g;
-    o.opt_ = read_options(in, version);
+    bool packed_body = false;
+    o.opt_ = read_options(in, version, packed_body);
     o.landmarks_ = read_landmark_set(in, o.opt_, g);
     o.nearest_out_ = read_nearest(in, g.num_nodes());
     o.nearest_in_ = read_nearest(in, g.num_nodes());
 
     o.indexed_ = read_indexed(in, g);
-    o.out_store_ = VicinityStore(g.num_nodes(), o.opt_.backend);
-    o.in_store_ = VicinityStore(g.num_nodes(), o.opt_.backend);
+    o.out_store_ = VicinityStore(g.num_nodes());
+    o.in_store_ = VicinityStore(g.num_nodes());
     {
       const util::RoleGuard out_role(o.out_store_.mutation_role());
       const util::RoleGuard in_role(o.in_store_.mutation_role());
       o.out_store_.prepare(o.indexed_);
       o.in_store_.prepare(o.indexed_);
     }
-    if (o.opt_.backend == StoreBackend::kPacked) {
+    if (packed_body) {
       read_packed_store(in, o.out_store_);
       read_packed_store(in, o.in_store_);
     } else {
@@ -1104,6 +997,10 @@ class OracleSerializer {
         read_store_slot(in, g.num_nodes(), u, o.out_store_);
         read_store_slot(in, g.num_nodes(), u, o.in_store_);
       }
+      const util::RoleGuard out_role(o.out_store_.mutation_role());
+      const util::RoleGuard in_role(o.in_store_.mutation_role());
+      o.out_store_.pack();
+      o.in_store_.pack();
     }
 
     load_tables(in, g, /*directed=*/true, o.tables_);

@@ -7,16 +7,17 @@
 // directed vicinity oracle):
 //
 //  * Versions 2-4 are STREAM containers: a length-prefixed field sequence
-//    copied into owned vectors on load. Hash-backend indexes are still
-//    written this way (version 4), and versions 2-4 keep loading via the
-//    legacy stream path unchanged.
+//    copied into owned vectors on load. Nothing writes them any more; they
+//    keep loading via the legacy stream path, including files whose store
+//    body is one of the retired per-node hash layouts (those are rebuilt
+//    into the packed store and pack()ed on load).
 //  * Version 5 is a REGION container (core/index_format.h): fixed header,
 //    section table, 64-byte-aligned sections whose file bytes equal the
-//    in-memory arrays. Packed-backend indexes are written as version 5,
-//    and load either zero-copy via util::MappedFile — the oracle's spans
-//    alias the mapping, so a multi-GB index opens in milliseconds and
-//    server processes share one physical copy — or into owned heap
-//    storage (OpenMode::kHeap). Mutating a mapped oracle (apply_update)
+//    in-memory arrays. Every save writes version 5, which loads either
+//    zero-copy via util::MappedFile — the oracle's spans alias the
+//    mapping, so a multi-GB index opens in milliseconds and server
+//    processes share one physical copy — or into owned heap storage
+//    (OpenMode::kHeap). Mutating a mapped oracle (apply_update)
 //    transparently copies on write.
 //
 // Loaders refuse an index built for a different graph, a different backend
@@ -113,7 +114,9 @@ struct IndexFileInfo {
   bool directed = false;
   bool weighted = false;
   double alpha = 0.0;
-  std::string store_backend;  ///< "flat-hash" | "std-unordered-map" | "packed"
+  /// "packed"; VCNIDX02-04 files may also record the retired hash layouts
+  /// "flat-hash" | "std-unordered-map".
+  std::string store_backend;
   std::string table_mode;     ///< "none" | "full" | "subset" (version >= 5)
   std::vector<IndexSectionInfo> sections;  ///< version >= 5 only
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 namespace vicinity::core {
@@ -107,15 +106,12 @@ inline void atomic_add(std::uint64_t& counter, std::uint64_t delta) {
 
 }  // namespace
 
-VicinityStore::VicinityStore(NodeId num_nodes, StoreBackend backend)
-    : backend_(backend) {
-  slot_of_.assign(num_nodes, kInvalidNode);
-}
+VicinityStore::VicinityStore(NodeId num_nodes)
+    : slot_of_(num_nodes, kInvalidNode) {}
 
 void VicinityStore::prepare(std::span<const NodeId> nodes) {
-  // PerNode is heavyweight (two hash tables + five vectors), so growth
-  // reallocations move real state; one reservation keeps bulk prepare —
-  // the mapped-open hot path — to a single allocation.
+  // One reservation keeps bulk prepare — the mapped-open hot path — to a
+  // single allocation instead of repeated growth moves of the slot vector.
   slots_.reserve(slots_.size() + nodes.size());
   for (const NodeId u : nodes) {
     if (u >= slot_of_.size()) {
@@ -131,73 +127,15 @@ void VicinityStore::set(NodeId u, const Vicinity& v) {
   if (!has(u)) throw std::logic_error("VicinityStore::set: node not prepared");
   if (v.origin != u) throw std::logic_error("VicinityStore::set: origin mismatch");
   for (const VicinityMember& m : v.members) {
-    // kInvalidNode is the flat backend's empty-key sentinel; storing it
-    // would corrupt that table, so every backend rejects it uniformly.
+    // kInvalidNode is the store's not-a-node sentinel (find() rejects it as
+    // a probe), so it can never be a member.
     if (m.node == kInvalidNode) {
       throw std::invalid_argument(
           "VicinityStore::set: member is the invalid-node sentinel");
     }
   }
   PerNode& p = slots_[slot_of_[u]];
-  if (backend_ == StoreBackend::kPacked) {
-    set_packed(p, v);
-    return;
-  }
-  // Replacing a slot (dynamic-update repair): retire the old contents first
-  // so totals stay exact. clear() keeps hash capacity, so repeated repairs
-  // of the same node do not re-allocate.
-  const std::uint64_t old_entries = p.gamma_size;
-  const std::uint64_t old_boundary = p.boundary_nodes.size();
-  p.flat.clear();
-  p.std.clear();
-  p.radius = v.radius;
-  p.nearest_landmark = v.nearest_landmark;
-  p.gamma_size = static_cast<std::uint32_t>(v.members.size());
-
-  if (backend_ == StoreBackend::kFlatHash) {
-    p.flat.reserve(v.members.size());
-  } else {
-    p.std.reserve(v.members.size());
-  }
-  p.boundary_nodes.clear();
-  p.boundary_dists.clear();
-  p.boundary_nodes.reserve(v.boundary_size);
-  p.boundary_dists.reserve(v.boundary_size);
-  for (const VicinityMember& m : v.members) {
-    const StoredEntry e{m.dist, m.parent};
-    if (backend_ == StoreBackend::kFlatHash) {
-      p.flat.insert_or_assign(m.node, e);
-    } else {
-      p.std.emplace(m.node, e);
-    }
-    if (m.on_boundary) {
-      p.boundary_nodes.push_back(m.node);
-      p.boundary_dists.push_back(m.dist);
-    }
-  }
-  // Canonical boundary order (ascending node id): makes tie-breaking in the
-  // intersection loop deterministic and stable across serialization.
-  {
-    std::vector<std::size_t> order(p.boundary_nodes.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return p.boundary_nodes[a] < p.boundary_nodes[b];
-    });
-    std::vector<NodeId> nodes(order.size());
-    std::vector<Distance> dists(order.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      nodes[i] = p.boundary_nodes[order[i]];
-      dists[i] = p.boundary_dists[order[i]];
-    }
-    p.boundary_nodes = std::move(nodes);
-    p.boundary_dists = std::move(dists);
-  }
-  atomic_add(total_entries_, v.members.size() - old_entries);
-  atomic_add(total_boundary_, p.boundary_nodes.size() - old_boundary);
-}
-
-void VicinityStore::set_packed(PerNode& p, const Vicinity& v) {
-  const std::uint64_t old_entries = p.gamma_size;
+  const std::uint64_t old_entries = p.len;
   const std::uint64_t old_boundary = p.boundary_len;
   const std::size_t n = v.members.size();
 
@@ -261,7 +199,6 @@ void VicinityStore::set_packed(PerNode& p, const Vicinity& v) {
   }
   p.len = static_cast<std::uint32_t>(n);
   p.boundary_len = bcount;
-  p.gamma_size = static_cast<std::uint32_t>(n);
   p.radius = v.radius;
   p.nearest_landmark = v.nearest_landmark;
   atomic_add(total_entries_, n - old_entries);
@@ -271,14 +208,6 @@ void VicinityStore::set_packed(PerNode& p, const Vicinity& v) {
 Distance VicinityStore::intersect_min(const BoundaryView& iter, NodeId probe_u,
                                       std::uint32_t& lookups) const {
   lookups += static_cast<std::uint32_t>(iter.nodes.size());
-  if (backend_ != StoreBackend::kPacked) {
-    Distance best = kInfDistance;
-    for (std::size_t i = 0; i < iter.nodes.size(); ++i) {
-      const ProbeResult e = find(probe_u, iter.nodes[i]);
-      if (e.found) best = std::min(best, dist_add(iter.dists[i], e.dist));
-    }
-    return best;
-  }
   const PerNode& p = slots_[slot_of_[probe_u]];
   const ConstSlice s = slice(p);
   const std::size_t blen = p.boundary_len;
@@ -293,8 +222,7 @@ Distance VicinityStore::intersect_min(const BoundaryView& iter, NodeId probe_u,
 double VicinityStore::intersect_cost(std::size_t iter_elems,
                                      NodeId probe_u) const {
   const auto a = static_cast<double>(iter_elems);
-  if (backend_ != StoreBackend::kPacked || a == 0.0) return a;
-  // The packed kernel pays min(merge, gallop) against the probe slice.
+  if (a == 0.0) return a;
   const auto b = static_cast<double>(vicinity_size(probe_u));
   return std::min(a + b, a * std::log2(std::max(2.0, b)));
 }
@@ -302,7 +230,7 @@ double VicinityStore::intersect_cost(std::size_t iter_elems,
 double VicinityStore::scan_probe_cost(std::size_t iter_elems,
                                       NodeId probe_u) const {
   const auto a = static_cast<double>(iter_elems);
-  if (backend_ != StoreBackend::kPacked || a == 0.0) return a;
+  if (a == 0.0) return a;
   const auto b = static_cast<double>(vicinity_size(probe_u));
   return a * std::log2(std::max(2.0, b));
 }
@@ -327,53 +255,33 @@ void VicinityStore::refresh_boundary_flag(NodeId u, NodeId member,
     }
   }
 
-  if (backend_ == StoreBackend::kPacked) {
-    // Rotate the member between the boundary and interior groups of its
-    // slice; both groups stay sorted. A slice still aliasing a read-only
-    // mapping is copied into its slot-local staging buffers first
-    // (copy-on-write); otherwise no allocation happens.
-    if (backing_ != nullptr && !p.staged) stage_packed_copy(p);
-    const MutableSlice s = mutable_slice(p);
-    const std::size_t bpos = lower_bound_idx(s.members, 0, p.boundary_len,
-                                             member);
-    const bool present = bpos < p.boundary_len && s.members[bpos] == member;
-    if (on == present) return;
-    const auto rotate3 = [&](std::size_t first, std::size_t middle,
-                             std::size_t last) {
-      std::rotate(s.members + first, s.members + middle, s.members + last);
-      std::rotate(s.dists + first, s.dists + middle, s.dists + last);
-      std::rotate(s.parents + first, s.parents + middle, s.parents + last);
-    };
-    if (on) {
-      const std::size_t ipos =
-          lower_bound_idx(s.members, p.boundary_len, p.len, member);
-      rotate3(bpos, ipos, ipos + 1);  // member moves down to bpos
-      ++p.boundary_len;
-      atomic_add(total_boundary_, 1);
-    } else {
-      const std::size_t dst =
-          lower_bound_idx(s.members, p.boundary_len, p.len, member);
-      rotate3(bpos, bpos + 1, dst);  // member moves up to dst - 1
-      --p.boundary_len;
-      atomic_add(total_boundary_, std::uint64_t{0} - 1);
-    }
-    return;
-  }
-
-  const auto it = std::lower_bound(p.boundary_nodes.begin(),
-                                   p.boundary_nodes.end(), member);
-  const bool present = it != p.boundary_nodes.end() && *it == member;
+  // Rotate the member between the boundary and interior groups of its
+  // slice; both groups stay sorted. A slice still aliasing a read-only
+  // mapping is copied into its slot-local staging buffers first
+  // (copy-on-write); otherwise no allocation happens.
+  if (backing_ != nullptr && !p.staged) stage_packed_copy(p);
+  const MutableSlice s = mutable_slice(p);
+  const std::size_t bpos = lower_bound_idx(s.members, 0, p.boundary_len,
+                                           member);
+  const bool present = bpos < p.boundary_len && s.members[bpos] == member;
   if (on == present) return;
-  const auto idx = static_cast<std::size_t>(it - p.boundary_nodes.begin());
+  const auto rotate3 = [&](std::size_t first, std::size_t middle,
+                           std::size_t last) {
+    std::rotate(s.members + first, s.members + middle, s.members + last);
+    std::rotate(s.dists + first, s.dists + middle, s.dists + last);
+    std::rotate(s.parents + first, s.parents + middle, s.parents + last);
+  };
   if (on) {
-    p.boundary_nodes.insert(it, member);
-    p.boundary_dists.insert(
-        p.boundary_dists.begin() + static_cast<std::ptrdiff_t>(idx), e.dist);
+    const std::size_t ipos =
+        lower_bound_idx(s.members, p.boundary_len, p.len, member);
+    rotate3(bpos, ipos, ipos + 1);  // member moves down to bpos
+    ++p.boundary_len;
     atomic_add(total_boundary_, 1);
   } else {
-    p.boundary_nodes.erase(it);
-    p.boundary_dists.erase(p.boundary_dists.begin() +
-                           static_cast<std::ptrdiff_t>(idx));
+    const std::size_t dst =
+        lower_bound_idx(s.members, p.boundary_len, p.len, member);
+    rotate3(bpos, bpos + 1, dst);  // member moves up to dst - 1
+    --p.boundary_len;
     atomic_add(total_boundary_, std::uint64_t{0} - 1);
   }
 }
@@ -394,7 +302,6 @@ void VicinityStore::stage_packed_copy(PerNode& p) {
 }
 
 void VicinityStore::pack() {
-  if (backend_ != StoreBackend::kPacked) return;
   if (staged_slots_ == 0 && arena_members_.size() == total_entries_ &&
       backing_ == nullptr) {
     return;  // already contiguous, hole-free, slack-free and owned
@@ -433,15 +340,11 @@ void VicinityStore::pack() {
 }
 
 void VicinityStore::pack_if_needed() {
-  if (backend_ != StoreBackend::kPacked) return;
   const std::uint64_t loose = wasted_entries_ + staged_entries_;
   if (loose > std::max<std::uint64_t>(1024, total_entries_ / 4)) pack();
 }
 
 VicinityStore::PackedBlob VicinityStore::export_packed() const {
-  if (backend_ != StoreBackend::kPacked) {
-    throw std::logic_error("VicinityStore::export_packed: not a packed store");
-  }
   PackedBlob blob;
   blob.radius.reserve(slots_.size());
   blob.nearest.reserve(slots_.size());
@@ -465,9 +368,6 @@ VicinityStore::PackedBlob VicinityStore::export_packed() const {
 
 void VicinityStore::validate_and_index_packed(const PackedView& v,
                                               bool deep) {
-  if (backend_ != StoreBackend::kPacked) {
-    throw std::logic_error("VicinityStore::adopt_packed: not a packed store");
-  }
   const auto fail = [](const char* what) {
     throw std::runtime_error(std::string("oracle index: packed store: ") +
                              what);
@@ -507,8 +407,7 @@ void VicinityStore::validate_and_index_packed(const PackedView& v,
         }
       }
       // ... and disjoint: a member in both groups would make find() and
-      // intersect_min() see two entries for one node (the hash loaders
-      // dedup the same corruption via insert_or_assign).
+      // intersect_min() see two entries for one node.
       for (std::uint32_t bi = 0, ii = blen; bi < blen && ii < len;) {
         const NodeId bv = v.members[off + bi];
         const NodeId iv = v.members[off + ii];
@@ -526,7 +425,6 @@ void VicinityStore::validate_and_index_packed(const PackedView& v,
     p.cap = len;
     p.boundary_len = blen;
     p.staged = false;
-    p.gamma_size = len;
     p.radius = v.radius[slot];
     p.nearest_landmark = v.nearest[slot];
     off += len;
@@ -568,9 +466,6 @@ void VicinityStore::adopt_packed_view(const PackedView& view,
 
 VicinityStore::PackedView VicinityStore::export_view(
     PackedBlob& scratch) const {
-  if (backend_ != StoreBackend::kPacked) {
-    throw std::logic_error("VicinityStore::export_view: not a packed store");
-  }
   scratch.radius.clear();
   scratch.nearest.clear();
   scratch.len.clear();
@@ -634,13 +529,6 @@ std::uint64_t VicinityStore::memory_bytes() const {
            arena_parents_.capacity() * sizeof(NodeId);
   for (const PerNode& p : slots_) {
     bytes += sizeof(PerNode);
-    bytes += p.flat.memory_bytes();
-    // unordered_map approximation: bucket pointers + one heap node per
-    // entry (key, value, next pointer, allocator overhead).
-    bytes += p.std.bucket_count() * sizeof(void*) +
-             p.std.size() * (sizeof(std::pair<NodeId, StoredEntry>) + 16);
-    bytes += p.boundary_nodes.capacity() * sizeof(NodeId) +
-             p.boundary_dists.capacity() * sizeof(Distance);
     bytes += p.staged_members.capacity() * sizeof(NodeId) +
              p.staged_dists.capacity() * sizeof(Distance) +
              p.staged_parents.capacity() * sizeof(NodeId);

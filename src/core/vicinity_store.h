@@ -7,29 +7,25 @@
 //     Algorithm 1's loop is a linear scan;
 //   * metadata (radius, nearest landmark, sizes).
 //
-// Three interchangeable backends (§5 challenge):
-//   * kStdUnorderedMap — the GNU-STL hash table the paper used (§3.2);
-//   * kFlatHash        — one open-addressing flat table per node;
-//   * kPacked          — a single shared arena holding every vicinity as a
-//     CSR-style slice: one contiguous members[] array with parallel
-//     dists[]/parents[] arrays and a per-node (offset, len, boundary_len)
-//     slot. Boundary members are grouped at the front of each slice (both
-//     groups sorted ascending by NodeId), so boundary() stays a zero-copy
-//     span, find() is a binary search, and intersect_min() merge/gallops
-//     two sorted slices instead of issuing N dependent hash probes — the
-//     cache-local hot path the hash backends ablate against.
+// The paper keeps each vicinity in a GNU-STL hash table (§3.2) and leaves
+// "more customized data structures" open (§5). This store answers that
+// with one shared arena holding every vicinity as a CSR-style slice: one
+// contiguous members[] array with parallel dists[]/parents[] arrays and a
+// per-node (offset, len, boundary_len) slot. Boundary members are grouped
+// at the front of each slice (both groups sorted ascending by NodeId), so
+// boundary() is a zero-copy span, find() is a binary search, and
+// intersect_min() merge/gallops two sorted slices instead of issuing N
+// dependent hash probes. bench_ablation_hash times the paper's hash-table
+// probe loop against this kernel.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <stdexcept>
-#include <unordered_map>  // vicinity-lint: allow(core-no-std-unordered-map) — §3.2 ablation backend
 #include <vector>
 
-#include "core/options.h"
 #include "core/vicinity_builder.h"
-#include "util/flat_hash.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 #include "util/types.h"
@@ -41,8 +37,8 @@ struct StoredEntry {
   NodeId parent = kInvalidNode;
 };
 
-/// Value-semantics probe result (the packed backend stores entries as
-/// parallel arrays, so there is no StoredEntry object to point at).
+/// Value-semantics probe result (the store keeps entries as parallel
+/// arrays, so there is no StoredEntry object to point at).
 /// found == false leaves dist/parent at their sentinels.
 struct ProbeResult {
   Distance dist = kInfDistance;
@@ -53,7 +49,7 @@ struct ProbeResult {
 
 namespace detail {
 
-/// Sorted-array intersection kernels (packed backend hot path; exposed for
+/// Sorted-array intersection kernels (the query hot path; exposed for
 /// bench_micro and direct unit tests). All inputs are strictly-ascending
 /// NodeId arrays with parallel distances; the result is the minimum of
 /// dist_add(a_dist, b_dist) over common nodes, or kInfDistance when the
@@ -85,9 +81,7 @@ Distance intersect_sorted_min(std::span<const NodeId> a_nodes,
 class VicinityStore {
  public:
   VicinityStore() = default;
-  VicinityStore(NodeId num_nodes, StoreBackend backend);
-
-  StoreBackend backend() const { return backend_; }
+  explicit VicinityStore(NodeId num_nodes);
 
   /// The store's mutation capability (a phantom role, util/mutex.h): no
   /// runtime lock exists — mutation phases are synchronized by program
@@ -116,11 +110,11 @@ class VicinityStore {
   /// set() again for the same node replaces the previous vicinity — the
   /// dynamic-update repair path; totals are adjusted by the delta.
   ///
-  /// Thread-safety: concurrent set() calls for DISTINCT nodes are safe on
-  /// every backend. The packed backend writes in place when the slice fits
-  /// its arena region and otherwise parks the slice in a slot-local staging
-  /// buffer (a per-slot sub-arena); pack() — not thread-safe — stitches the
-  /// staged slices back into one contiguous arena.
+  /// Thread-safety: concurrent set() calls for DISTINCT nodes are safe.
+  /// set() writes in place when the slice fits its arena region and
+  /// otherwise parks the slice in a slot-local staging buffer (a per-slot
+  /// sub-arena); pack() — not thread-safe — stitches the staged slices back
+  /// into one contiguous arena.
   void set(NodeId u, const Vicinity& v)
       VICINITY_REQUIRES_SHARED(mutation_role_);
 
@@ -130,30 +124,20 @@ class VicinityStore {
   }
 
   /// Γ(u) probe: the entry for v, or found == false. Requires has(u).
-  /// Probing the invalid-node sentinel is a checked error on every backend
-  /// (the flat backend reserves it as its empty key; the others mirror the
-  /// contract so behavior doesn't depend on the StoreBackend switch).
+  /// Probing the invalid-node sentinel is a checked error. Branch-light
+  /// binary search over the two sorted groups of u's slice.
   ProbeResult find(NodeId u, NodeId v) const {
-    const PerNode& p = slots_[slot_of_[u]];
-    switch (backend_) {
-      case StoreBackend::kFlatHash: {
-        const StoredEntry* e = p.flat.find(v);
-        return e ? ProbeResult{e->dist, e->parent, true} : ProbeResult{};
-      }
-      case StoreBackend::kStdUnorderedMap: {
-        if (v == kInvalidNode) {
-          throw std::invalid_argument(
-              "VicinityStore: probing the invalid node");
-        }
-        const auto it = p.std.find(v);
-        return it == p.std.end()
-                   ? ProbeResult{}
-                   : ProbeResult{it->second.dist, it->second.parent, true};
-      }
-      case StoreBackend::kPacked:
-        return find_packed(p, v);
+    if (v == kInvalidNode) {
+      throw std::invalid_argument("VicinityStore: probing the invalid node");
     }
-    return ProbeResult{};
+    const PerNode& p = slots_[slot_of_[u]];
+    const ConstSlice s = slice(p);
+    std::size_t i = lower_bound_idx(s.members, 0, p.boundary_len, v);
+    if (i >= p.boundary_len || s.members[i] != v) {
+      i = lower_bound_idx(s.members, p.boundary_len, p.len, v);
+      if (i >= p.len || s.members[i] != v) return ProbeResult{};
+    }
+    return ProbeResult{s.dists[i], s.parents[i], true};
   }
 
   struct BoundaryView {
@@ -161,56 +145,41 @@ class VicinityStore {
     std::span<const Distance> dists;
   };
   /// ∂Γ(u) as parallel arrays sorted ascending by node. Requires has(u).
-  /// Zero-copy on every backend; on kPacked the spans alias the front of
-  /// u's arena slice.
+  /// Zero-copy: the spans alias the front of u's arena slice.
   BoundaryView boundary(NodeId u) const {
     const PerNode& p = slots_[slot_of_[u]];
-    if (backend_ != StoreBackend::kPacked) {
-      return BoundaryView{p.boundary_nodes, p.boundary_dists};
-    }
     const ConstSlice s = slice(p);
     return BoundaryView{{s.members, p.boundary_len}, {s.dists, p.boundary_len}};
   }
 
-  /// All members of Γ(u) with entries, via callback: fn(node, entry).
+  /// All members of Γ(u) with entries, via callback: fn(node, entry), in
+  /// slice order (boundary group, then interior group).
   template <typename Fn>
   void for_each_member(NodeId u, Fn&& fn) const {
     const PerNode& p = slots_[slot_of_[u]];
-    switch (backend_) {
-      case StoreBackend::kFlatHash:
-        p.flat.for_each([&](NodeId v, const StoredEntry& e) { fn(v, e); });
-        break;
-      case StoreBackend::kStdUnorderedMap:
-        for (const auto& [v, e] : p.std) fn(v, e);
-        break;
-      case StoreBackend::kPacked: {
-        const ConstSlice s = slice(p);
-        for (std::uint32_t i = 0; i < p.len; ++i) {
-          fn(s.members[i], StoredEntry{s.dists[i], s.parents[i]});
-        }
-        break;
-      }
+    const ConstSlice s = slice(p);
+    for (std::uint32_t i = 0; i < p.len; ++i) {
+      fn(s.members[i], StoredEntry{s.dists[i], s.parents[i]});
     }
   }
 
-  /// Algorithm 1's intersection step as a backend-resident kernel: the
+  /// Algorithm 1's intersection step as a store-resident kernel: the
   /// minimum of iter.dists[i] + d(probe_u, iter.nodes[i]) over the members
   /// of `iter` present in Γ(probe_u), or kInfDistance. `iter` must be
   /// sorted ascending by node (boundary() views are). `lookups` counts one
-  /// probe per iterated element on every backend, keeping the Table-3
-  /// statistic comparable across the ablation.
+  /// probe per iterated element — the paper's Table-3 hash-lookup
+  /// statistic.
   Distance intersect_min(const BoundaryView& iter, NodeId probe_u,
                          std::uint32_t& lookups) const;
 
   /// Estimated cost of intersect_min with `iter_elems` iterated elements
-  /// against Γ(probe_u) in this store — the side-selection model. Hash
-  /// backends probe in O(1), so the cost is just iter_elems; the packed
-  /// kernel pays min(merge, gallop) against the probe slice length.
+  /// against Γ(probe_u) — the side-selection model: the kernel pays
+  /// min(merge, gallop) against the probe slice length.
   double intersect_cost(std::size_t iter_elems, NodeId probe_u) const;
 
   /// Side-selection model for the full-iteration ablation path, which
-  /// performs one membership probe per iterated member (binary search on
-  /// packed — no merge variant exists there, so no a+b term).
+  /// performs one membership probe (a binary search) per iterated member —
+  /// no merge variant exists there, so no a+b term.
   double scan_probe_cost(std::size_t iter_elems, NodeId probe_u) const;
 
   Distance radius(NodeId u) const { return slots_[slot_of_[u]].radius; }
@@ -224,27 +193,22 @@ class VicinityStore {
       VICINITY_REQUIRES_SHARED(mutation_role_) {
     slots_[slot_of_[u]].nearest_landmark = l;
   }
-  std::size_t vicinity_size(NodeId u) const {
-    return slots_[slot_of_[u]].gamma_size;
-  }
+  std::size_t vicinity_size(NodeId u) const { return slots_[slot_of_[u]].len; }
   std::size_t boundary_size(NodeId u) const {
-    const PerNode& p = slots_[slot_of_[u]];
-    return backend_ == StoreBackend::kPacked ? p.boundary_len
-                                             : p.boundary_nodes.size();
+    return slots_[slot_of_[u]].boundary_len;
   }
 
   /// Dynamic repair: recomputes whether `member` (∈ Γ(u)) has a
   /// `direction` neighbor outside Γ(u) and updates its flag in place
-  /// (early-exits on the first outside neighbor). On the packed backend
-  /// the member is rotated between the boundary and interior groups of its
-  /// slice, preserving both sort orders without any allocation. Ball
-  /// members stay interior by construction. Requires has(u) and
-  /// member ∈ Γ(u).
+  /// (early-exits on the first outside neighbor). The member is rotated
+  /// between the boundary and interior groups of its slice, preserving both
+  /// sort orders without any allocation. Ball members stay interior by
+  /// construction. Requires has(u) and member ∈ Γ(u).
   void refresh_boundary_flag(NodeId u, NodeId member, const graph::Graph& g,
                              Direction direction)
       VICINITY_REQUIRES_SHARED(mutation_role_);
 
-  // ---- Packed-arena lifecycle (no-ops on the hash backends) -------------
+  // ---- Arena lifecycle ---------------------------------------------------
 
   /// Stitches every staged slice into one contiguous arena (slot order) and
   /// reclaims holes left by replacements. Called by the oracle build after
@@ -260,10 +224,10 @@ class VicinityStore {
   /// True when every slice lives in the arena (no staged slots).
   bool fully_packed() const { return staged_slots_ == 0; }
 
-  /// Bulk import/export of the packed arena — the VCNIDX04 serialization
-  /// fast path (load is three blob reads + validation instead of per-node
-  /// hash rebuilds). Slices appear in slot (prepare) order; each slice is
-  /// its boundary group then its interior group, both strictly ascending.
+  /// Bulk import/export of the arena (the VCNIDX04 packed body and heap
+  /// VCNIDX05 loads: three blob reads + validation). Slices appear in slot
+  /// (prepare) order; each slice is its boundary group then its interior
+  /// group, both strictly ascending.
   struct PackedBlob {
     std::vector<Distance> radius;             ///< per slot
     std::vector<NodeId> nearest;              ///< per slot
@@ -274,11 +238,10 @@ class VicinityStore {
     std::vector<NodeId> parents;
   };
   /// Compact copy of the store contents (works from any packing state).
-  /// Requires backend() == kPacked.
   PackedBlob export_packed() const;
   /// Adopts `blob` wholesale after prepare(). Validates shape, ranges and
   /// per-group sort order against untrusted input, throwing
-  /// std::runtime_error on any violation. Requires backend() == kPacked.
+  /// std::runtime_error on any violation.
   void adopt_packed(PackedBlob&& blob) VICINITY_REQUIRES(mutation_role_);
 
   /// Borrowed view of a packed store region — the spans alias external
@@ -305,7 +268,7 @@ class VicinityStore {
   /// member/parent range + per-group sort + disjointness scan that
   /// adopt_packed always performs — skipping it is what makes an mmap open
   /// O(slots), and the query kernels only compare arena values, so corrupt
-  /// members yield wrong answers, not UB. Requires backend() == kPacked.
+  /// members yield wrong answers, not UB.
   void adopt_packed_view(const PackedView& view,
                          std::shared_ptr<const void> backing,
                          bool deep_validate) VICINITY_REQUIRES(mutation_role_);
@@ -315,7 +278,7 @@ class VicinityStore {
   /// spans that alias the live arenas when the store is contiguous in slot
   /// order, falling back to a compact copy into `scratch` otherwise.
   /// The view is valid while the store and `scratch` are alive and
-  /// unmutated. Requires backend() == kPacked.
+  /// unmutated.
   PackedView export_view(PackedBlob& scratch) const;
 
   /// True when the arenas alias external read-only storage (a mapped file
@@ -326,7 +289,7 @@ class VicinityStore {
   /// Total Γ entries across indexed nodes (the paper's per-node ~α√n cost).
   std::uint64_t total_entries() const { return total_entries_; }
   std::uint64_t total_boundary_entries() const { return total_boundary_; }
-  /// Approximate heap bytes of the backend structures + slot index.
+  /// Approximate heap bytes of the arenas, slots and slot index.
   std::uint64_t memory_bytes() const;
   /// Bytes aliased from external storage (0 unless mapped()). File-backed
   /// (shared through the page cache), so kept out of memory_bytes()'s heap
@@ -339,30 +302,22 @@ class VicinityStore {
 
  private:
   struct PerNode {
-    // Hash backends: one table per node + boundary arrays. The
-    // std::unordered_map member IS the paper's §3.2 GNU-STL backend — the
-    // thing the other two ablate against — so the core-wide hot-path ban is
-    // waived here.
-    util::FlatHashMap<NodeId, StoredEntry> flat{0};
-    std::unordered_map<NodeId, StoredEntry> std;  // vicinity-lint: allow(core-no-std-unordered-map)
-    std::vector<NodeId> boundary_nodes;
-    std::vector<Distance> boundary_dists;
-    // Packed backend: an arena region [offset, offset+cap) holding `len`
-    // live entries, or (staged == true) slot-local staging vectors awaiting
-    // the next pack().
+    // An arena region [offset, offset+cap) holding `len` = |Γ(u)| live
+    // entries, or (staged == true) slot-local staging vectors awaiting the
+    // next pack().
     std::uint64_t offset = 0;
     std::uint32_t len = 0;
     std::uint32_t cap = 0;
     std::uint32_t boundary_len = 0;
+    Distance radius = kInfDistance;
+    NodeId nearest_landmark = kInvalidNode;
     bool staged = false;
     std::vector<NodeId> staged_members;
     std::vector<Distance> staged_dists;
     std::vector<NodeId> staged_parents;
-    // Shared metadata.
-    Distance radius = kInfDistance;
-    NodeId nearest_landmark = kInvalidNode;
-    std::uint32_t gamma_size = 0;
   };
+  // Every indexed node pays for one slot (104 bytes on LP64 libstdc++).
+  static_assert(sizeof(PerNode) <= 112, "per-node slot outgrew its budget");
 
   struct ConstSlice {
     const NodeId* members;
@@ -412,20 +367,6 @@ class VicinityStore {
   void stage_packed_copy(PerNode& p)
       VICINITY_REQUIRES_SHARED(mutation_role_);
 
-  /// Branch-light binary search over the two sorted groups of p's slice.
-  ProbeResult find_packed(const PerNode& p, NodeId v) const {
-    if (v == kInvalidNode) {
-      throw std::invalid_argument("VicinityStore: probing the invalid node");
-    }
-    const ConstSlice s = slice(p);
-    std::size_t i = lower_bound_idx(s.members, 0, p.boundary_len, v);
-    if (i >= p.boundary_len || s.members[i] != v) {
-      i = lower_bound_idx(s.members, p.boundary_len, p.len, v);
-      if (i >= p.len || s.members[i] != v) return ProbeResult{};
-    }
-    return ProbeResult{s.dists[i], s.parents[i], true};
-  }
-
   /// Branch-free lower bound on arr[lo, hi): first index with arr[i] >= v.
   static std::size_t lower_bound_idx(const NodeId* arr, std::size_t lo,
                                      std::size_t hi, NodeId v) {
@@ -440,9 +381,6 @@ class VicinityStore {
            ((n == 1 && base[0] < v) ? 1 : 0);
   }
 
-  void set_packed(PerNode& p, const Vicinity& v)
-      VICINITY_REQUIRES_SHARED(mutation_role_);
-
   /// Shared validation + slot indexing behind adopt_packed and
   /// adopt_packed_view: checks the slot table against the arena lengths
   /// (always) and, when `deep`, every member/parent id plus the per-group
@@ -454,7 +392,6 @@ class VicinityStore {
   /// the role carries no state, only a static identity per store object.
   mutable util::ExclusiveRole mutation_role_;
 
-  StoreBackend backend_ = StoreBackend::kFlatHash;
   std::vector<NodeId> slot_of_;  ///< node -> slot or kInvalidNode
   std::vector<PerNode> slots_;
   // Packed arena (parallel arrays; SoA keeps parents off the intersection

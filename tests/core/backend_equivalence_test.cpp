@@ -1,12 +1,10 @@
-// Cross-backend equivalence: the three StoreBackends are one oracle with
-// three physical layouts. For identical build inputs they must produce
-// bit-identical (dist, method, exact) query streams — on undirected,
-// grid-structured, and directed graphs, through dynamic-update streams,
-// and regardless of which side the intersection iterates — while the
-// packed layout undercuts the per-node hash tables on memory.
+// Ground-truth equivalence for the packed vicinity store: every answer of
+// an oracle with the exact fallback must equal the BFS distance
+// (testing::ref_distance) — on undirected, grid-structured and directed
+// graphs, through dynamic-update streams — and the answer must not depend
+// on which side the intersection iterates.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <vector>
 
 #include "core/directed_oracle.h"
@@ -18,10 +16,6 @@
 
 namespace vicinity::core {
 namespace {
-
-constexpr std::array<StoreBackend, 3> kAllBackends = {
-    StoreBackend::kFlatHash, StoreBackend::kStdUnorderedMap,
-    StoreBackend::kPacked};
 
 // Sanitizer builds run the randomized streams at reduced size.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -54,80 +48,49 @@ OracleOptions base_options() {
   return o;
 }
 
+/// Every query answers, and answers the exact BFS distance.
 template <typename Oracle>
-void expect_identical_streams(std::vector<Oracle>& oracles,
-                              const graph::Graph& g, int queries,
-                              std::uint64_t seed, const char* label) {
-  std::vector<QueryContext> ctx(oracles.size());
+void expect_exact_stream(const Oracle& oracle, const graph::Graph& g,
+                         int queries, std::uint64_t seed, const char* label) {
+  QueryContext ctx;
   util::Rng rng(seed);
   for (int i = 0; i < queries; ++i) {
     const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const QueryResult ref = oracles.front().distance(s, t, ctx.front());
-    for (std::size_t k = 1; k < oracles.size(); ++k) {
-      const QueryResult r = oracles[k].distance(s, t, ctx[k]);
-      ASSERT_EQ(r.dist, ref.dist) << label << " backend " << k << " " << s
-                                  << "->" << t;
-      ASSERT_EQ(r.method, ref.method) << label << " backend " << k;
-      ASSERT_EQ(r.exact, ref.exact) << label << " backend " << k;
-    }
+    const QueryResult r = oracle.distance(s, t, ctx);
+    ASSERT_NE(r.method, QueryMethod::kNotFound) << label << " " << s << "->"
+                                                << t;
+    ASSERT_EQ(r.dist, testing::ref_distance(g, s, t))
+        << label << " " << s << "->" << t << " via " << to_string(r.method);
   }
 }
 
 TEST(BackendEquivalence, RmatGraphBitIdenticalQueryStreams) {
   const auto g = rmat_lcc(kSanitized ? 10 : 12, 501);
-  std::vector<VicinityOracle> oracles;
-  for (const auto backend : kAllBackends) {
-    OracleOptions o = base_options();
-    o.backend = backend;
-    oracles.push_back(VicinityOracle::build(g, o));
-  }
-  expect_identical_streams(oracles, g, kSanitized ? 400 : 2000, 502, "rmat");
-  // Packed stays within the flat-hash footprint (satellite memory sanity).
-  EXPECT_LE(oracles[2].store().memory_bytes(),
-            oracles[0].store().memory_bytes());
-  EXPECT_EQ(oracles[2].store().total_entries(),
-            oracles[0].store().total_entries());
+  const auto oracle = VicinityOracle::build(g, base_options());
+  expect_exact_stream(oracle, g, kSanitized ? 400 : 2000, 502, "rmat");
 }
 
 TEST(BackendEquivalence, GridGraphBitIdenticalQueryStreams) {
   // Grids maximize boundary size relative to vicinity size — the packed
   // kernel's merge-heavy regime.
   const auto g = testing::grid_graph(40, 40);
-  std::vector<VicinityOracle> oracles;
-  for (const auto backend : kAllBackends) {
-    OracleOptions o = base_options();
-    o.backend = backend;
-    oracles.push_back(VicinityOracle::build(g, o));
-  }
-  expect_identical_streams(oracles, g, 1500, 503, "grid");
+  const auto oracle = VicinityOracle::build(g, base_options());
+  expect_exact_stream(oracle, g, 1500, 503, "grid");
 }
 
 TEST(BackendEquivalence, DirectedGraphBitIdenticalQueryStreams) {
   const auto g = testing::random_connected_directed(800, 6400, 504);
-  std::vector<DirectedVicinityOracle> oracles;
-  for (const auto backend : kAllBackends) {
-    OracleOptions o = base_options();
-    o.backend = backend;
-    oracles.push_back(DirectedVicinityOracle::build(g, o));
-  }
-  expect_identical_streams(oracles, g, 1500, 505, "directed");
-  EXPECT_LE(oracles[2].out_store().memory_bytes(),
-            oracles[0].out_store().memory_bytes());
+  const auto oracle = DirectedVicinityOracle::build(g, base_options());
+  expect_exact_stream(oracle, g, 1500, 505, "directed");
 }
 
 TEST(BackendEquivalence, EquivalentAfterUpdateStream) {
-  // A stream of insert/delete repairs must keep all three backends
-  // bit-identical — this drives the packed slot-replacement path (in-place
-  // rewrites, staging, occasional compaction) against the hash baselines.
-  auto g0 = rmat_lcc(kSanitized ? 9 : 10, 506);
-  std::vector<graph::Graph> graphs(kAllBackends.size(), g0);
-  std::vector<VicinityOracle> oracles;
-  for (std::size_t k = 0; k < kAllBackends.size(); ++k) {
-    OracleOptions o = base_options();
-    o.backend = kAllBackends[k];
-    oracles.push_back(VicinityOracle::build(graphs[k], o));
-  }
+  // A stream of insert/delete repairs must keep every answer exact on the
+  // updated graph — this drives the packed slot-replacement path (in-place
+  // rewrites, staging, occasional compaction) against BFS ground truth.
+  auto g = rmat_lcc(kSanitized ? 9 : 10, 506);
+  auto oracle = VicinityOracle::build(g, base_options());
 
   util::Rng rng(507);
   std::vector<std::pair<NodeId, NodeId>> inserted;
@@ -142,56 +105,54 @@ TEST(BackendEquivalence, EquivalentAfterUpdateStream) {
     } else {
       NodeId a = 0, b = 0;
       do {
-        a = static_cast<NodeId>(rng.next_below(graphs[0].num_nodes()));
-        b = static_cast<NodeId>(rng.next_below(graphs[0].num_nodes()));
-      } while (a == b || graphs[0].has_edge(a, b));
+        a = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+        b = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+      } while (a == b || g.has_edge(a, b));
       upd = GraphUpdate::insert(a, b);
       inserted.emplace_back(a, b);
     }
-    for (std::size_t k = 0; k < oracles.size(); ++k) {
-      oracles[k].apply_update(graphs[k], upd);
-    }
+    oracle.apply_update(g, upd);
     if (step % 10 == 0 || step + 1 == updates) {
-      expect_identical_streams(oracles, graphs[0], kSanitized ? 60 : 200,
-                               508 + static_cast<std::uint64_t>(step),
-                               "update-stream");
+      expect_exact_stream(oracle, g, kSanitized ? 60 : 200,
+                          508 + static_cast<std::uint64_t>(step),
+                          "update-stream");
     }
   }
-  // Totals still agree entry for entry after the whole stream.
-  EXPECT_EQ(oracles[2].store().total_entries(),
-            oracles[0].store().total_entries());
-  EXPECT_EQ(oracles[2].store().total_boundary_entries(),
-            oracles[0].store().total_boundary_entries());
+  // The running totals still match a recount of the stored vicinities.
+  std::uint64_t entries = 0, boundary = 0;
+  for (const NodeId u : oracle.indexed_nodes()) {
+    entries += oracle.store().vicinity_size(u);
+    boundary += oracle.store().boundary_size(u);
+  }
+  EXPECT_EQ(oracle.store().total_entries(), entries);
+  EXPECT_EQ(oracle.store().total_boundary_entries(), boundary);
 }
 
 TEST(BackendEquivalence, IntersectionSideChoiceIsResultInvariant) {
   // Satellite regression for the side-selection fix: whichever side the
   // intersection iterates (cost-model choice, forced s-side, or forced
   // t-side via swapped queries on an undirected graph), the (dist, method,
-  // exact) answer must be identical on every backend. Lemma 1 holds
-  // symmetrically; only the probe count may differ.
+  // exact) answer must be identical. Lemma 1 holds symmetrically; only the
+  // probe count may differ.
   const auto g = rmat_lcc(kSanitized ? 9 : 11, 509);
-  for (const auto backend : kAllBackends) {
-    OracleOptions chosen = base_options();
-    chosen.backend = backend;
-    OracleOptions forced = chosen;
-    forced.iterate_smaller_side = false;  // always iterate ∂Γ(s)
-    auto a = VicinityOracle::build(g, chosen);
-    auto b = VicinityOracle::build(g, forced);
-    QueryContext ca, cb, cc;
-    util::Rng rng(510);
-    for (int i = 0; i < (kSanitized ? 300 : 1200); ++i) {
-      const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-      const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-      const auto rc = a.distance(s, t, ca);
-      const auto rf = b.distance(s, t, cb);   // forced ∂Γ(s)
-      const auto rr = b.distance(t, s, cc);   // forced ∂Γ(t) (undirected)
-      ASSERT_EQ(rc.dist, rf.dist) << s << "->" << t;
-      ASSERT_EQ(rc.method, rf.method);
-      ASSERT_EQ(rc.exact, rf.exact);
-      ASSERT_EQ(rc.dist, rr.dist) << s << "->" << t;
-      ASSERT_EQ(rc.exact, rr.exact);
-    }
+  const OracleOptions chosen = base_options();
+  OracleOptions forced = chosen;
+  forced.iterate_smaller_side = false;  // always iterate ∂Γ(s)
+  auto a = VicinityOracle::build(g, chosen);
+  auto b = VicinityOracle::build(g, forced);
+  QueryContext ca, cb, cc;
+  util::Rng rng(510);
+  for (int i = 0; i < (kSanitized ? 300 : 1200); ++i) {
+    const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+    const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+    const auto rc = a.distance(s, t, ca);
+    const auto rf = b.distance(s, t, cb);   // forced ∂Γ(s)
+    const auto rr = b.distance(t, s, cc);   // forced ∂Γ(t) (undirected)
+    ASSERT_EQ(rc.dist, rf.dist) << s << "->" << t;
+    ASSERT_EQ(rc.method, rf.method);
+    ASSERT_EQ(rc.exact, rf.exact);
+    ASSERT_EQ(rc.dist, rr.dist) << s << "->" << t;
+    ASSERT_EQ(rc.exact, rr.exact);
   }
 }
 

@@ -1,12 +1,14 @@
 // Backward-compatibility goldens + open-mode equivalence.
 //
-// The fixtures under tests/data/golden/ were produced by the pre-v5 writer
-// (see tests/data/golden/README.md for the exact generation parameters) and
-// pin the legacy stream decode paths: once the writer only emits VCNIDX05
-// region containers, these files are the only way to prove VCNIDX02-04
-// files still load. The second half of the suite proves the two v5 open
-// modes — zero-copy mmap and owned heap buffers — are observationally
-// indistinguishable, including after COW-triggering updates.
+// The stream fixtures under tests/data/golden/ were produced by the retired
+// VCNIDX02-04 writer (see tests/data/golden/README.md for the exact
+// generation parameters) and pin the legacy stream decode paths: the writer
+// only emits VCNIDX05 region containers, so these files are the only way to
+// prove VCNIDX02-04 files still load. The packed_v05_* fixtures pin the
+// region writer byte for byte. The second half of the suite proves the two
+// v5 open modes — zero-copy mmap and owned heap buffers — are
+// observationally indistinguishable, including after COW-triggering
+// updates.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -69,15 +71,26 @@ void expect_matches_reference(const Oracle& oracle, const graph::Graph& g,
 TEST(GoldenCompatTest, FlatGoldensAcrossVersionsAnswerIdentically) {
   // The three flat goldens share one body (the hash-backend layout never
   // changed between VCNIDX02 and 04); loading each through its version's
-  // decode path must give bit-identical answers and exact distances.
+  // decode path must give bit-identical answers and exact distances. The
+  // retired hash layout loads into a fully packed store, and re-saving it
+  // writes a VCNIDX05 file that maps and answers identically.
   const auto g = testing::random_connected(140, 460, 9101);
   const auto v4 = load_oracle_file(golden("flat_v04_undirected.idx"), g);
   const auto v3 = load_oracle_file(golden("flat_v03_undirected.idx"), g);
   const auto v2 = load_oracle_file(golden("flat_v02_undirected.idx"), g);
-  EXPECT_EQ(v4.options().backend, StoreBackend::kFlatHash);
+  EXPECT_EQ(v4.options().backend, StoreBackend::kPacked);
+  EXPECT_TRUE(v4.store().fully_packed());
   expect_identical(v4, v3, g, 9103, 80);
   expect_identical(v4, v2, g, 9104, 80);
   expect_matches_reference(v4, g, 9105, 80);
+
+  const auto tmp = std::filesystem::temp_directory_path() /
+                   "vicinity_golden_flat_roundtrip.idx";
+  save_oracle_file(v4, tmp.string());
+  const auto mapped = load_oracle_file(tmp.string(), g);
+  EXPECT_TRUE(mapped.store().mapped());
+  expect_identical(v4, mapped, g, 9106, 100);
+  std::filesystem::remove(tmp);
 }
 
 TEST(GoldenCompatTest, PackedV04GoldenLoadsAndSurvivesV5RoundTrip) {
@@ -117,13 +130,24 @@ TEST(GoldenCompatTest, PackedV04DirectedGoldenLoadsAndSurvivesV5RoundTrip) {
   std::filesystem::remove(tmp);
 }
 
-TEST(GoldenCompatTest, FlatV04DirectedGoldenLoadsAndAnswersExactly) {
+TEST(GoldenCompatTest, FlatV04DirectedGoldenLoadsAndSurvivesV5RoundTrip) {
   // The directed hash-body stream: out- and in-vicinity records interleave
-  // per slot, a layout no other fixture pins.
+  // per slot, a layout no other fixture pins. Both stores load fully
+  // packed, and the VCNIDX05 re-save maps and answers identically.
   const auto g = testing::random_connected_directed(160, 1100, 9121);
   const auto legacy =
       load_directed_oracle_file(golden("flat_v04_directed.idx"), g);
+  EXPECT_TRUE(legacy.out_store().fully_packed());
+  EXPECT_TRUE(legacy.in_store().fully_packed());
   expect_matches_reference(legacy, g, 9125, 120);
+
+  const auto tmp = std::filesystem::temp_directory_path() /
+                   "vicinity_golden_flat_roundtrip_dir.idx";
+  save_oracle_file(legacy, tmp.string());
+  const auto mapped = load_directed_oracle_file(tmp.string(), g);
+  EXPECT_TRUE(mapped.out_store().mapped());
+  expect_identical(legacy, mapped, g, 9128, 100);
+  std::filesystem::remove(tmp);
 }
 
 /// Reads a whole file as bytes.

@@ -307,20 +307,5 @@ TEST(OracleTest, OutOfRangeQueryThrows) {
   EXPECT_THROW(oracle.path(999, 0), std::out_of_range);
 }
 
-TEST(OracleTest, StdBackendBehavesIdentically) {
-  const auto g = testing::random_connected(500, 2000, 174);
-  auto flat_opt = defaults();
-  auto std_opt = defaults();
-  std_opt.backend = StoreBackend::kStdUnorderedMap;
-  auto a = VicinityOracle::build(g, flat_opt);
-  auto b = VicinityOracle::build(g, std_opt);
-  util::Rng rng(175);
-  for (int i = 0; i < 200; ++i) {
-    const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    EXPECT_EQ(a.distance(s, t).dist, b.distance(s, t).dist);
-  }
-}
-
 }  // namespace
 }  // namespace vicinity::core

@@ -2,9 +2,10 @@
 // corrupt array lengths, wrong backend tags and truncated files must fail
 // with the intended "oracle index: ..." runtime_error — never a multi-GB
 // allocation, bad_alloc, or out-of-bounds write. Covers both generations of
-// the container: VCNIDX02-04 length-prefixed streams (hash backends) and the
-// VCNIDX05 region container (packed backends), the latter through both the
-// stream-slurp path and the memory-mapped file path.
+// the container: VCNIDX02-04 length-prefixed streams (read from the
+// checked-in hash-layout goldens) and the VCNIDX05 region container (what
+// the writer emits), the latter through both the stream-slurp path and the
+// memory-mapped file path.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -38,17 +39,17 @@ std::string golden_bytes(const char* name) {
   return std::string(std::istreambuf_iterator<char>(f), {});
 }
 
-// The VCNIDX02-04 stream cases read checked-in hash-backend VCNIDX04 files
-// (tests/data/golden/README.md), so they exercise the legacy reader
-// whatever the writer emits. The hash-body layout is byte-identical across
-// versions 2-4, which the version-2/3 rewrites below rely on.
+// The VCNIDX02-04 stream cases read checked-in hash-layout VCNIDX04 files
+// (tests/data/golden/README.md): the writer emits only VCNIDX05. The
+// hash-body layout is byte-identical across versions 2-4, which the
+// version-2/3 rewrites below rely on.
 Fixture make_fixture() {
   return {testing::random_connected(140, 460, 9101),
           golden_bytes("flat_v04_undirected.idx")};
 }
 
-// Packed backends persist as VCNIDX05 region containers, so this fixture's
-// bytes are a FileHeader + section table + 64-byte-aligned sections.
+// The writer's VCNIDX05 region container: a FileHeader + section table +
+// 64-byte-aligned sections.
 Fixture make_packed_fixture() {
   Fixture f;
   f.g = testing::random_connected(200, 700, 1211);
@@ -56,7 +57,6 @@ Fixture make_packed_fixture() {
   opt.alpha = 3.0;
   opt.seed = 1212;
   opt.fallback = Fallback::kBidirectionalBfs;
-  opt.backend = StoreBackend::kPacked;
   const auto oracle = VicinityOracle::build(f.g, opt);
   std::ostringstream out(std::ios::binary);
   save_oracle(oracle, out);

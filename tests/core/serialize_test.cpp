@@ -107,34 +107,27 @@ TEST(SerializeTest, FileHelpers) {
 }
 
 TEST(SerializeTest, AllStoreBackendsRoundTrip) {
-  // The VCNIDX04 container carries hash backends as per-slot records and
-  // the packed backend as bulk arena blobs; every backend must round-trip
-  // to bit-identical answers with its StoreBackend preserved.
+  // The packed arena is the one store layout and VCNIDX05 the one format
+  // the writer emits: a round trip must keep the store fully packed and the
+  // answers bit-identical.
   const auto g = testing::random_connected(400, 1600, 419);
-  for (const auto backend :
-       {StoreBackend::kFlatHash, StoreBackend::kStdUnorderedMap,
-        StoreBackend::kPacked}) {
-    OracleOptions o = opts();
-    o.backend = backend;
-    auto oracle = VicinityOracle::build(g, o);
-    std::stringstream buf;
-    save_oracle(oracle, buf);
-    auto loaded = load_oracle(buf, g);
-    EXPECT_EQ(loaded.options().backend, backend);
-    EXPECT_EQ(loaded.store().total_entries(), oracle.store().total_entries());
-    if (backend == StoreBackend::kPacked) {
-      EXPECT_TRUE(loaded.store().fully_packed());
-    }
-    util::Rng rng(420);
-    for (int i = 0; i < 120; ++i) {
-      const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-      const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-      const auto a = oracle.distance(s, t);
-      const auto b = loaded.distance(s, t);
-      ASSERT_EQ(a.dist, b.dist) << s << "->" << t;
-      ASSERT_EQ(a.method, b.method);
-      ASSERT_EQ(a.hash_lookups, b.hash_lookups);
-    }
+  auto oracle = VicinityOracle::build(g, opts());
+  std::stringstream buf;
+  save_oracle(oracle, buf);
+  EXPECT_EQ(buf.str().substr(0, 8), "VCNIDX05");
+  auto loaded = load_oracle(buf, g);
+  EXPECT_EQ(loaded.options().backend, StoreBackend::kPacked);
+  EXPECT_EQ(loaded.store().total_entries(), oracle.store().total_entries());
+  EXPECT_TRUE(loaded.store().fully_packed());
+  util::Rng rng(420);
+  for (int i = 0; i < 120; ++i) {
+    const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+    const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+    const auto a = oracle.distance(s, t);
+    const auto b = loaded.distance(s, t);
+    ASSERT_EQ(a.dist, b.dist) << s << "->" << t;
+    ASSERT_EQ(a.method, b.method);
+    ASSERT_EQ(a.hash_lookups, b.hash_lookups);
   }
 }
 

@@ -1,4 +1,5 @@
-// VicinityStore: all three backends must behave identically.
+// VicinityStore: the packed arena layout, checked against the builder's
+// Vicinity members by brute force.
 #include "core/vicinity_store.h"
 
 #include <gtest/gtest.h>
@@ -14,13 +15,10 @@
 namespace vicinity::core {
 namespace {
 
-const char* backend_name(StoreBackend b) {
-  switch (b) {
-    case StoreBackend::kFlatHash: return "FlatHash";
-    case StoreBackend::kStdUnorderedMap: return "StdUnorderedMap";
-    case StoreBackend::kPacked: return "Packed";
-  }
-  return "Unknown";
+// The parameterized suites predate the single layout; they keep their
+// StoreBackend parameter (one value) so their test names stay stable.
+std::string backend_name(const ::testing::TestParamInfo<StoreBackend>&) {
+  return "Packed";
 }
 
 class StoreTest : public ::testing::TestWithParam<StoreBackend> {
@@ -33,7 +31,7 @@ class StoreTest : public ::testing::TestWithParam<StoreBackend> {
 
 TEST_P(StoreTest, FindReturnsStoredEntries) {
   const auto g = testing::karate_club();
-  VicinityStore store(g.num_nodes(), GetParam());
+  VicinityStore store(g.num_nodes());
   const util::RoleGuard role(store.mutation_role());
   const std::vector<NodeId> nodes = {0, 5};
   store.prepare(nodes);
@@ -60,7 +58,7 @@ TEST_P(StoreTest, FindReturnsStoredEntries) {
 
 TEST_P(StoreTest, BoundaryViewMatchesFlags) {
   const auto g = testing::random_connected(200, 700, 141);
-  VicinityStore store(g.num_nodes(), GetParam());
+  VicinityStore store(g.num_nodes());
   const util::RoleGuard role(store.mutation_role());
   const std::vector<NodeId> nodes = {3};
   store.prepare(nodes);
@@ -78,7 +76,7 @@ TEST_P(StoreTest, BoundaryViewMatchesFlags) {
 
 TEST_P(StoreTest, MetadataAccessors) {
   const auto g = testing::karate_club();
-  VicinityStore store(g.num_nodes(), GetParam());
+  VicinityStore store(g.num_nodes());
   const util::RoleGuard role(store.mutation_role());
   store.prepare(std::vector<NodeId>{7});
   const Vicinity v = make_vicinity(g, 7, 3);
@@ -92,7 +90,7 @@ TEST_P(StoreTest, MetadataAccessors) {
 
 TEST_P(StoreTest, ForEachMemberVisitsAll) {
   const auto g = testing::karate_club();
-  VicinityStore store(g.num_nodes(), GetParam());
+  VicinityStore store(g.num_nodes());
   const util::RoleGuard role(store.mutation_role());
   store.prepare(std::vector<NodeId>{0});
   const Vicinity v = make_vicinity(g, 0, 2);
@@ -104,7 +102,7 @@ TEST_P(StoreTest, ForEachMemberVisitsAll) {
 
 TEST_P(StoreTest, SetValidatesUsage) {
   const auto g = testing::karate_club();
-  VicinityStore store(g.num_nodes(), GetParam());
+  VicinityStore store(g.num_nodes());
   const util::RoleGuard role(store.mutation_role());
   store.prepare(std::vector<NodeId>{0});
   Vicinity v = make_vicinity(g, 1, 2);
@@ -115,27 +113,21 @@ TEST_P(StoreTest, SetValidatesUsage) {
 
 TEST_P(StoreTest, DuplicatePrepareIsIdempotent) {
   const auto g = testing::karate_club();
-  VicinityStore store(g.num_nodes(), GetParam());
+  VicinityStore store(g.num_nodes());
   const util::RoleGuard role(store.mutation_role());
   store.prepare(std::vector<NodeId>{0, 0, 1, 0});
   EXPECT_EQ(store.indexed_nodes(), 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, StoreTest,
-                         ::testing::Values(StoreBackend::kFlatHash,
-                                           StoreBackend::kStdUnorderedMap,
-                                           StoreBackend::kPacked),
-                         [](const auto& info) {
-                           return std::string(backend_name(info.param));
-                         });
+                         ::testing::Values(StoreBackend::kPacked),
+                         backend_name);
 
 TEST_P(StoreTest, ProbingInvalidNodeIsCheckedError) {
-  // Regression: the flat backend reserves kInvalidNode as its empty-key
-  // sentinel; in Release builds a sentinel probe used to "find" the first
-  // free slot. Every backend must reject it identically, in every build
-  // type, so behavior does not depend on the StoreBackend switch.
+  // kInvalidNode is the not-a-node sentinel; probing it is a checked error
+  // in every build type, never a silent miss.
   const auto g = testing::karate_club();
-  VicinityStore store(g.num_nodes(), GetParam());
+  VicinityStore store(g.num_nodes());
   const util::RoleGuard role(store.mutation_role());
   const std::vector<NodeId> nodes = {0};
   store.prepare(nodes);
@@ -145,7 +137,7 @@ TEST_P(StoreTest, ProbingInvalidNodeIsCheckedError) {
 
 TEST_P(StoreTest, StoringInvalidNodeMemberIsCheckedError) {
   const auto g = testing::karate_club();
-  VicinityStore store(g.num_nodes(), GetParam());
+  VicinityStore store(g.num_nodes());
   const util::RoleGuard role(store.mutation_role());
   const std::vector<NodeId> nodes = {0};
   store.prepare(nodes);
@@ -158,7 +150,7 @@ TEST_P(StoreTest, ReplacingASlotAdjustsTotalsAndContents) {
   // Dynamic updates overwrite slots via set(); the old entries must vanish
   // and the global totals must track the delta, not accumulate.
   const auto g = testing::karate_club();
-  VicinityStore store(g.num_nodes(), GetParam());
+  VicinityStore store(g.num_nodes());
   const util::RoleGuard role(store.mutation_role());
   const std::vector<NodeId> nodes = {0};
   store.prepare(nodes);
@@ -192,7 +184,7 @@ TEST_P(StoreTest, ReplacingASlotAdjustsTotalsAndContents) {
 
 TEST_P(StoreTest, RefreshBoundaryFlagInsertsAndRemovesSortedEntries) {
   const auto g = testing::karate_club();
-  VicinityStore store(g.num_nodes(), GetParam());
+  VicinityStore store(g.num_nodes());
   const util::RoleGuard role(store.mutation_role());
   const std::vector<NodeId> nodes = {0};
   store.prepare(nodes);
@@ -216,61 +208,70 @@ TEST_P(StoreTest, RefreshBoundaryFlagInsertsAndRemovesSortedEntries) {
   EXPECT_EQ(after.dists[0], dist);
 }
 
+/// Brute-force reference: the member of `v` with node x, or nullptr.
+const VicinityMember* member_of(const Vicinity& v, NodeId x) {
+  for (const VicinityMember& m : v.members) {
+    if (m.node == x) return &m;
+  }
+  return nullptr;
+}
+
 TEST(StoreBackendTest, BackendsAgreeProbeForProbe) {
+  // Every probe, boundary view and total agrees with a linear scan of the
+  // builder's Vicinity members.
   const auto g = testing::random_connected(300, 1200, 142);
-  VicinityStore flat(g.num_nodes(), StoreBackend::kFlatHash);
-  VicinityStore stdm(g.num_nodes(), StoreBackend::kStdUnorderedMap);
-  VicinityStore packed(g.num_nodes(), StoreBackend::kPacked);
-  const util::RoleGuard flat_role(flat.mutation_role());
-  const util::RoleGuard stdm_role(stdm.mutation_role());
+  VicinityStore packed(g.num_nodes());
   const util::RoleGuard packed_role(packed.mutation_role());
   const std::vector<NodeId> nodes = {1, 2, 3, 4, 5};
-  flat.prepare(nodes);
-  stdm.prepare(nodes);
   packed.prepare(nodes);
   VicinityBuilder builder(g);
+  std::vector<Vicinity> built;
   for (const NodeId u : nodes) {
-    const Vicinity v = builder.build(u, 2, kInvalidNode);
-    flat.set(u, v);
-    stdm.set(u, v);
-    packed.set(u, v);
+    built.push_back(builder.build(u, 2, kInvalidNode));
+    packed.set(u, built.back());
   }
   packed.pack();
-  for (const NodeId u : nodes) {
+  std::uint64_t entries = 0, boundary = 0;
+  for (std::size_t k = 0; k < nodes.size(); ++k) {
+    const NodeId u = nodes[k];
+    const Vicinity& v = built[k];
     for (NodeId x = 0; x < g.num_nodes(); ++x) {
-      const ProbeResult a = flat.find(u, x);
-      const ProbeResult b = stdm.find(u, x);
+      const VicinityMember* m = member_of(v, x);
       const ProbeResult c = packed.find(u, x);
-      ASSERT_EQ(a.found, b.found);
-      ASSERT_EQ(a.found, c.found);
-      if (a.found) {
-        EXPECT_EQ(a.dist, b.dist);
-        EXPECT_EQ(a.parent, b.parent);
-        EXPECT_EQ(a.dist, c.dist);
-        EXPECT_EQ(a.parent, c.parent);
+      ASSERT_EQ(c.found, m != nullptr) << u << " probes " << x;
+      if (m != nullptr) {
+        EXPECT_EQ(c.dist, m->dist);
+        EXPECT_EQ(c.parent, m->parent);
       }
     }
-    // Boundary views agree element for element (both sorted by node).
-    const auto bf = flat.boundary(u);
-    const auto bp = packed.boundary(u);
-    ASSERT_EQ(bf.nodes.size(), bp.nodes.size());
-    for (std::size_t i = 0; i < bf.nodes.size(); ++i) {
-      EXPECT_EQ(bf.nodes[i], bp.nodes[i]);
-      EXPECT_EQ(bf.dists[i], bp.dists[i]);
+    // The boundary view is exactly the on_boundary members, by node.
+    std::vector<VicinityMember> expect;
+    for (const VicinityMember& m : v.members) {
+      if (m.on_boundary) expect.push_back(m);
     }
+    std::sort(expect.begin(), expect.end(),
+              [](const VicinityMember& a, const VicinityMember& b) {
+                return a.node < b.node;
+              });
+    const auto bp = packed.boundary(u);
+    ASSERT_EQ(bp.nodes.size(), expect.size());
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+      EXPECT_EQ(bp.nodes[i], expect[i].node);
+      EXPECT_EQ(bp.dists[i], expect[i].dist);
+    }
+    EXPECT_EQ(packed.vicinity_size(u), v.members.size());
+    entries += v.members.size();
+    boundary += expect.size();
   }
-  EXPECT_EQ(flat.total_entries(), stdm.total_entries());
-  EXPECT_EQ(flat.total_entries(), packed.total_entries());
-  EXPECT_EQ(flat.total_boundary_entries(), packed.total_boundary_entries());
-  // The packed layout strictly undercuts the per-node hash tables.
-  EXPECT_LE(packed.memory_bytes(), flat.memory_bytes());
+  EXPECT_EQ(packed.total_entries(), entries);
+  EXPECT_EQ(packed.total_boundary_entries(), boundary);
 }
 
 // ---- Packed-backend specifics ------------------------------------------
 
 TEST(PackedStoreTest, SlicesAreGroupSortedAndBoundaryIsAPrefix) {
   const auto g = testing::random_connected(300, 1100, 143);
-  VicinityStore store(g.num_nodes(), StoreBackend::kPacked);
+  VicinityStore store(g.num_nodes());
   const util::RoleGuard role(store.mutation_role());
   const std::vector<NodeId> nodes = {0, 1, 2, 3};
   store.prepare(nodes);
@@ -302,7 +303,7 @@ TEST(PackedStoreTest, SlicesAreGroupSortedAndBoundaryIsAPrefix) {
 
 TEST(PackedStoreTest, InPlaceReplacementDoesNotFragment) {
   const auto g = testing::random_connected(400, 1600, 144);
-  VicinityStore store(g.num_nodes(), StoreBackend::kPacked);
+  VicinityStore store(g.num_nodes());
   const util::RoleGuard role(store.mutation_role());
   const std::vector<NodeId> nodes = {0, 1, 2};
   store.prepare(nodes);
@@ -332,7 +333,7 @@ TEST(PackedStoreTest, InPlaceReplacementDoesNotFragment) {
 
 TEST(PackedStoreTest, AdoptExportRoundTripAndValidation) {
   const auto g = testing::random_connected(250, 900, 145);
-  VicinityStore store(g.num_nodes(), StoreBackend::kPacked);
+  VicinityStore store(g.num_nodes());
   const util::RoleGuard role(store.mutation_role());
   const std::vector<NodeId> nodes = {0, 5, 9};
   store.prepare(nodes);
@@ -341,7 +342,7 @@ TEST(PackedStoreTest, AdoptExportRoundTripAndValidation) {
   store.pack();
 
   auto blob = store.export_packed();
-  VicinityStore copy(g.num_nodes(), StoreBackend::kPacked);
+  VicinityStore copy(g.num_nodes());
   const util::RoleGuard copy_role(copy.mutation_role());
   copy.prepare(nodes);
   copy.adopt_packed(std::move(blob));
@@ -361,7 +362,7 @@ TEST(PackedStoreTest, AdoptExportRoundTripAndValidation) {
   // Corrupt blobs are rejected, not installed.
   auto bad = store.export_packed();
   bad.members.pop_back();
-  VicinityStore reject(g.num_nodes(), StoreBackend::kPacked);
+  VicinityStore reject(g.num_nodes());
   const util::RoleGuard reject_role(reject.mutation_role());
   reject.prepare(nodes);
   EXPECT_THROW(reject.adopt_packed(std::move(bad)), std::runtime_error);
@@ -369,7 +370,7 @@ TEST(PackedStoreTest, AdoptExportRoundTripAndValidation) {
   auto unsorted = store.export_packed();
   if (unsorted.members.size() >= 2 && unsorted.boundary_len[0] >= 2) {
     std::swap(unsorted.members[0], unsorted.members[1]);
-    VicinityStore reject2(g.num_nodes(), StoreBackend::kPacked);
+    VicinityStore reject2(g.num_nodes());
     const util::RoleGuard reject2_role(reject2.mutation_role());
     reject2.prepare(nodes);
     EXPECT_THROW(reject2.adopt_packed(std::move(unsorted)),
@@ -382,7 +383,7 @@ TEST(PackedStoreTest, AdoptRejectsMemberInBothGroups) {
   // node — a corrupt VCNIDX04 body that must not load as a slice with two
   // entries for one member.
   const auto g = testing::karate_club();
-  VicinityStore store(g.num_nodes(), StoreBackend::kPacked);
+  VicinityStore store(g.num_nodes());
   const util::RoleGuard role(store.mutation_role());
   store.prepare(std::vector<NodeId>{0});
   VicinityStore::PackedBlob blob;
@@ -407,7 +408,7 @@ TEST(PackedStoreTest, ShrinkingRepairsTriggerCompaction) {
   // Delete-heavy repair streams shrink slices in place; the dead tails
   // must count as waste so pack_if_needed() eventually reclaims them.
   const auto g = testing::random_connected(3000, 12000, 148);
-  VicinityStore store(g.num_nodes(), StoreBackend::kPacked);
+  VicinityStore store(g.num_nodes());
   const util::RoleGuard role(store.mutation_role());
   std::vector<NodeId> nodes;
   for (NodeId u = 0; u < 30; ++u) nodes.push_back(u);
@@ -433,30 +434,39 @@ TEST(PackedStoreTest, ShrinkingRepairsTriggerCompaction) {
 }
 
 TEST(PackedStoreTest, IntersectionKernelsAgreeWithHashProbes) {
+  // intersect_min(∂Γ(s), t) against a brute-force scan of the builder's
+  // members: min over boundary members b of Γ(s) that are also in Γ(t) of
+  // d(s,b) + d(b,t), with one counted probe per iterated member.
   const auto g = testing::random_connected(500, 2200, 146);
-  VicinityStore flat(g.num_nodes(), StoreBackend::kFlatHash);
-  VicinityStore packed(g.num_nodes(), StoreBackend::kPacked);
-  const util::RoleGuard flat_role(flat.mutation_role());
+  VicinityStore packed(g.num_nodes());
   const util::RoleGuard packed_role(packed.mutation_role());
   std::vector<NodeId> nodes;
   for (NodeId u = 0; u < 40; ++u) nodes.push_back(u);
-  flat.prepare(nodes);
   packed.prepare(nodes);
   VicinityBuilder builder(g);
+  std::vector<Vicinity> built;
   for (const NodeId u : nodes) {
-    const Vicinity v = builder.build(u, 3, kInvalidNode);
-    flat.set(u, v);
-    packed.set(u, v);
+    built.push_back(builder.build(u, 3, kInvalidNode));
+    packed.set(u, built.back());
   }
   packed.pack();
-  for (const NodeId s : nodes) {
-    for (const NodeId t : nodes) {
-      if (s == t) continue;
-      std::uint32_t lf = 0, lp = 0;
-      const Distance a = flat.intersect_min(flat.boundary(s), t, lf);
-      const Distance b = packed.intersect_min(packed.boundary(s), t, lp);
-      ASSERT_EQ(a, b) << s << "->" << t;
-      ASSERT_EQ(lf, lp);  // one probe per iterated boundary member
+  for (std::size_t si = 0; si < nodes.size(); ++si) {
+    for (std::size_t ti = 0; ti < nodes.size(); ++ti) {
+      if (si == ti) continue;
+      Distance expect = kInfDistance;
+      std::uint32_t expect_lookups = 0;
+      for (const VicinityMember& b : built[si].members) {
+        if (!b.on_boundary) continue;
+        ++expect_lookups;
+        if (const VicinityMember* m = member_of(built[ti], b.node)) {
+          expect = std::min(expect, dist_add(b.dist, m->dist));
+        }
+      }
+      std::uint32_t lookups = 0;
+      const Distance got =
+          packed.intersect_min(packed.boundary(nodes[si]), nodes[ti], lookups);
+      ASSERT_EQ(got, expect) << nodes[si] << "->" << nodes[ti];
+      ASSERT_EQ(lookups, expect_lookups);
     }
   }
 }
@@ -501,7 +511,7 @@ TEST(PackedStoreTest, RefreshBoundaryFlagRotatesWithinTheSlice) {
   // Force both directions of the flag flip on a path graph, where boundary
   // membership is easy to reason about: 0-1-2-3-4-..., Γ(2) with radius 2.
   const auto g = testing::path_graph(9);
-  VicinityStore store(g.num_nodes(), StoreBackend::kPacked);
+  VicinityStore store(g.num_nodes());
   const util::RoleGuard role(store.mutation_role());
   store.prepare(std::vector<NodeId>{2});
   VicinityBuilder builder(g);
@@ -535,7 +545,7 @@ TEST_P(VicinityStoreConcurrencyTest, ParallelFlagRefreshKeepsGlobalTotals) {
   // from the graph in parallel; the global counter must land exactly on
   // the true total, not on a lost-update approximation.
   const auto g = testing::random_connected(400, 1600, 149);
-  VicinityStore store(g.num_nodes(), GetParam());
+  VicinityStore store(g.num_nodes());
   std::vector<NodeId> nodes;
   for (NodeId u = 0; u < 48; ++u) nodes.push_back(u);
   {
@@ -558,7 +568,7 @@ TEST_P(VicinityStoreConcurrencyTest, ParallelFlagRefreshKeepsGlobalTotals) {
       }
       store.set(nodes[i], v);
     }
-    store.pack();  // no-op on hash backends
+    store.pack();
   }
   ASSERT_NE(store.total_boundary_entries(), true_boundary);
 
@@ -581,12 +591,8 @@ TEST_P(VicinityStoreConcurrencyTest, ParallelFlagRefreshKeepsGlobalTotals) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, VicinityStoreConcurrencyTest,
-                         ::testing::Values(StoreBackend::kFlatHash,
-                                           StoreBackend::kStdUnorderedMap,
-                                           StoreBackend::kPacked),
-                         [](const auto& info) {
-                           return std::string(backend_name(info.param));
-                         });
+                         ::testing::Values(StoreBackend::kPacked),
+                         backend_name);
 
 }  // namespace
 }  // namespace vicinity::core
