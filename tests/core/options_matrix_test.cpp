@@ -1,35 +1,87 @@
 // Exhaustive option-matrix sweep: every combination of boundary
 // optimization, side selection and fallback must preserve exactness of
 // answered queries against BFS ground truth (methods may differ only
-// between fallback flavors). The store-layout slot of the parameter tuple
-// has one value since the packed arena became the only layout.
+// between fallback flavors), both for a fresh build and for a legacy
+// VCNIDX04 stream index that records one of the retired hash layouts.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <fstream>
+#include <iterator>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/oracle.h"
+#include "core/serialize.h"
 #include "test_support.h"
 
 namespace vicinity::core {
 namespace {
 
+/// Where the oracle under test comes from. kBuild is a fresh build. The
+/// other two load the checked-in stream golden flat_v04_undirected.idx
+/// with its store byte set to one of the retired hash layouts a VCNIDX02-04
+/// file may record (0 flat hash, 1 std::unordered_map); its per-slot
+/// records load into the packed store like any other legacy file.
+enum class Source : std::uint8_t {
+  kFlatStream = 0,
+  kStdMapStream = 1,
+  kBuild = 2,
+};
+
 using MatrixParam =
-    std::tuple<StoreBackend, bool /*boundary*/, bool /*smaller*/, Fallback>;
+    std::tuple<Source, bool /*boundary*/, bool /*smaller*/, Fallback>;
+
+// Offset of the store byte in a stream index: header(9) + graph shape(18) +
+// alpha(8) + sampling_constant(8) + strategy(1). The boundary-optimization,
+// side-selection and fallback bytes follow it.
+constexpr std::size_t kStoreByteOffset = 44;
+
+/// The stream golden with its store byte and query options rewritten,
+/// loaded through the VCNIDX04 reader.
+VicinityOracle load_stream_golden(const graph::Graph& g, Source source,
+                                  bool boundary, bool smaller,
+                                  Fallback fallback) {
+  const std::string path =
+      std::string(VICINITY_TEST_DATA_DIR) + "/golden/flat_v04_undirected.idx";
+  std::ifstream f(path, std::ios::binary);
+  std::string bytes(std::istreambuf_iterator<char>(f), {});
+  if (bytes.size() <= kStoreByteOffset + 3) {
+    throw std::runtime_error("missing golden fixture " + path);
+  }
+  bytes[kStoreByteOffset] = static_cast<char>(source);
+  bytes[kStoreByteOffset + 1] = boundary ? 1 : 0;
+  bytes[kStoreByteOffset + 2] = smaller ? 1 : 0;
+  bytes[kStoreByteOffset + 3] = static_cast<char>(fallback);
+  std::istringstream in(bytes, std::ios::binary);
+  return load_oracle(in, g);
+}
 
 class OptionsMatrix : public ::testing::TestWithParam<MatrixParam> {};
 
 TEST_P(OptionsMatrix, AnsweredQueriesExactUnderAnyConfiguration) {
-  const auto [backend, boundary, smaller, fallback] = GetParam();
-  const auto g = testing::random_connected(700, 2800, 1001);
+  const auto [source, boundary, smaller, fallback] = GetParam();
+  const bool built = source == Source::kBuild;
+  // The stream golden's graph: tests/data/golden/README.md.
+  const auto g = built ? testing::random_connected(700, 2800, 1001)
+                       : testing::random_connected(140, 460, 9101);
   OracleOptions opt;
   opt.alpha = 2.0;
   opt.seed = 1002;
-  opt.backend = backend;
   opt.use_boundary_optimization = boundary;
   opt.iterate_smaller_side = smaller;
   opt.fallback = fallback;
   opt.store_landmark_parents = true;
-  auto oracle = VicinityOracle::build(g, opt);
+  auto oracle =
+      built ? VicinityOracle::build(g, opt)
+            : load_stream_golden(g, source, boundary, smaller, fallback);
+  ASSERT_EQ(oracle.options().use_boundary_optimization, boundary);
+  ASSERT_EQ(oracle.options().iterate_smaller_side, smaller);
+  ASSERT_EQ(oracle.options().fallback, fallback);
 
   util::Rng rng(1003);
   for (int i = 0; i < 120; ++i) {
@@ -59,8 +111,13 @@ TEST_P(OptionsMatrix, AnsweredQueriesExactUnderAnyConfiguration) {
 
 std::string matrix_name(
     const ::testing::TestParamInfo<MatrixParam>& info) {
-  const auto [backend, boundary, smaller, fallback] = info.param;
-  std::string s = backend == StoreBackend::kPacked ? "packed" : "?";
+  const auto [source, boundary, smaller, fallback] = info.param;
+  std::string s;
+  switch (source) {
+    case Source::kFlatStream: s += "flat"; break;
+    case Source::kStdMapStream: s += "stdmap"; break;
+    case Source::kBuild: s += "packed"; break;
+  }
   s += boundary ? "_boundary" : "_full";
   s += smaller ? "_smaller" : "_fixed";
   switch (fallback) {
@@ -73,7 +130,9 @@ std::string matrix_name(
 
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, OptionsMatrix,
-    ::testing::Combine(::testing::Values(StoreBackend::kPacked),
+    ::testing::Combine(::testing::Values(Source::kFlatStream,
+                                         Source::kStdMapStream,
+                                         Source::kBuild),
                        ::testing::Bool(), ::testing::Bool(),
                        ::testing::Values(Fallback::kNone,
                                          Fallback::kBidirectionalBfs,
