@@ -8,7 +8,7 @@
 #include "algo/bfs.h"
 #include "algo/bidirectional_bfs.h"
 #include "common.h"
-#include "core/directed_oracle.h"
+#include "core/oracle.h"
 #include "util/stats.h"
 
 using namespace vicinity;
@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     core::OracleOptions oopt;
     oopt.alpha = alpha;
     oopt.seed = opt.seed;
-    auto oracle = core::DirectedVicinityOracle::build_for(g, oopt, sample);
+    auto oracle = core::VicinityOracle::build_for(g, oopt, sample);
 
     // Directed R-MAT graphs have a limited strongly-connected core: restrict
     // the census to pairs with a finite true distance, otherwise coverage

@@ -8,7 +8,7 @@
 // per ~microsecond from one thread (§3.2); this bench shows the same index
 // scaling across cores with zero shared mutable state.
 //
-// --directed serves a DirectedVicinityOracle over a directed RMAT (the §5
+// --directed serves the vicinity oracle over a directed RMAT (the §5
 // challenge); --backend tz|sketch|landmarks serves a related-work baseline
 // through the identical engine — the apples-to-apples serving comparison
 // (same workload, same batching, same stats).
@@ -43,7 +43,7 @@
 #include <vector>
 
 #include "baselines/baseline_adapters.h"
-#include "core/directed_oracle.h"
+#include "core/oracle.h"
 #include "core/query_engine.h"
 #include "core/serialize.h"
 #include "gen/rmat.h"
@@ -217,15 +217,7 @@ struct BuiltBackend {
 
 BuiltBackend build_backend(const Options& opt, const graph::Graph& g) {
   BuiltBackend b;
-  if (opt.directed) {
-    core::OracleOptions oracle_opt;
-    oracle_opt.alpha = opt.alpha;
-    oracle_opt.seed = opt.seed + 1;
-    oracle_opt.fallback = core::Fallback::kBidirectionalBfs;
-    auto o = core::DirectedVicinityOracle::build(g, oracle_opt);
-    b.landmarks = o.build_stats().num_landmarks;
-    b.oracle = core::make_any_oracle(std::move(o));
-  } else if (opt.backend == "vicinity") {
+  if (opt.backend == "vicinity") {
     core::OracleOptions oracle_opt;
     oracle_opt.alpha = opt.alpha;
     oracle_opt.seed = opt.seed + 1;

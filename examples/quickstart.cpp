@@ -18,8 +18,8 @@ int main(int argc, char** argv) {
   graph::Graph g = gen::powerlaw_cluster(n, 8, 0.5, rng);
   std::cout << "graph: " << g.summary() << "\n";
 
-  // 2. Build the index. Index::build picks the right oracle for the graph
-  //    (this one is undirected). alpha controls the vicinity size (paper
+  // 2. Build the index. The oracle reads the graph kind from g (this one
+  //    is undirected). alpha controls the vicinity size (paper
   //    §2.2); the exact bidirectional-BFS fallback covers the rare pairs
   //    whose vicinities do not intersect, making every answer exact.
   core::OracleOptions options;

@@ -23,9 +23,9 @@ int main(int argc, char** argv) {
   const unsigned threads = std::max(
       argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 4, 1u);
 
-  // 1. Offline phase: build the index and persist it. Index::build picks
-  //    the right oracle for the graph (directed graphs get the directed
-  //    oracle automatically).
+  // 1. Offline phase: build the index and persist it. The oracle reads
+  //    the graph kind from g (a directed graph gets out- and
+  //    in-vicinities automatically).
   util::Rng rng(11);
   graph::Graph g = gen::powerlaw_cluster(n, 6, 0.4, rng);
   std::cout << "graph: " << g.summary() << "\n";

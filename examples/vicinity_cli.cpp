@@ -80,7 +80,7 @@ int cmd_build(int argc, char** argv) {
   options.store_landmark_parents = true;
   const std::string out = flag_value(argc, argv, "out", "index.idx");
   util::Timer t;
-  // Index::build picks the undirected or directed oracle from the graph;
+  // The oracle reads the graph kind (undirected or directed) from g;
   // save() writes the backend-tagged container either way.
   const auto index = Index::build(g, options);
   index.save(out);

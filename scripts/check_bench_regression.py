@@ -9,8 +9,8 @@ tolerance against the checked-in baseline.
 
 Metrics measured but absent from the baseline file are treated as "record
 new baseline": they are printed, stamped into the report with ok=true, and
-do not fail the gate — so adding a bench (e.g. the directed serving path)
-never turns into a KeyError or an instant red build. Promote them into the
+do not fail the gate — so adding a bench (or a new row to one) never
+turns into a KeyError or an instant red build. Promote them into the
 baseline file once a sane floor is known.
 
 The baseline values are deliberately conservative floors/ceilings (roughly

@@ -372,7 +372,7 @@ def extractable_bench_keys(root: Path) -> set[str]:
                "delete": {"per_sec": 1.0},
                "post_update_query": {"p50_us": 1.0, "p99_us": 1.0}}
     keys: set[str] = set()
-    for prefix in ("", "directed_", "packed_"):
+    for prefix in ("", "directed_"):
         keys |= set(mod.throughput_metrics(throughput, prefix=prefix))
     keys |= set(mod.update_metrics(updates))
     # hasattr-guarded: fixture copies of the gate script may predate the

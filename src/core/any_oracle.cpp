@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "core/directed_oracle.h"
 #include "core/query_engine.h"
 #include "core/serialize.h"
 
@@ -53,45 +52,26 @@ void AnyOracle::save(std::ostream&) const {
 
 namespace {
 
-/// Shared const/mutable plumbing for the two vicinity adapters: `ro` is the
-/// query handle, `rw` the same object when updates are allowed (null for
-/// frozen snapshots).
-template <typename Oracle>
-class VicinityAdapterBase : public AnyOracle {
+/// The vicinity oracle behind AnyOracle: `ro` is the query handle, `rw`
+/// the same object when updates are allowed (null for frozen snapshots).
+class VicinityAdapter final : public AnyOracle {
  public:
-  VicinityAdapterBase(std::shared_ptr<const Oracle> ro,
-                      std::shared_ptr<Oracle> rw)
+  VicinityAdapter(std::shared_ptr<const VicinityOracle> ro,
+                  std::shared_ptr<VicinityOracle> rw)
       : ro_(std::move(ro)), rw_(std::move(rw)) {
     if (!ro_) throw std::invalid_argument("make_any_oracle: null oracle");
   }
 
-  const graph::Graph& graph() const final { return ro_->graph(); }
-
-  QueryResult distance(NodeId s, NodeId t, QueryContext& ctx) const final {
-    return ro_->distance(s, t, ctx);
+  const char* backend_name() const override {
+    return ro_->directed() ? "vicinity-directed" : "vicinity";
   }
 
-  PathResult path(NodeId s, NodeId t, QueryContext& ctx) const final {
-    return ro_->path(s, t, ctx);
-  }
-
-  UpdateStats apply_update(graph::Graph& g, const GraphUpdate& update) final {
-    if (!capabilities().has(Capability::kUpdatable)) {
-      refuse(Capability::kUpdatable, "apply_update()");
-    }
-    return rw_->apply_update(g, update);
-  }
-
-  void save(std::ostream& out) const final { save_oracle(*ro_, out); }
-
-  OracleMemoryStats memory_stats() const final { return ro_->memory_stats(); }
-
- protected:
-  Capabilities base_capabilities() const {
+  Capabilities capabilities() const override {
     Capabilities c;
     c.set(Capability::kExact)
         .set(Capability::kPaths)
         .set(Capability::kPersistable);
+    if (ro_->directed()) c.set(Capability::kDirected);
     // apply_update additionally requires a full index (build(), not
     // build_for()) — capabilities() must predict the refusal, not let a
     // probed caller hit a logic_error.
@@ -102,59 +82,55 @@ class VicinityAdapterBase : public AnyOracle {
     return c;
   }
 
-  std::shared_ptr<const Oracle> ro_;
-  std::shared_ptr<Oracle> rw_;
-};
+  const graph::Graph& graph() const override { return ro_->graph(); }
 
-class UndirectedAdapter final : public VicinityAdapterBase<VicinityOracle> {
- public:
-  using VicinityAdapterBase::VicinityAdapterBase;
-  const char* backend_name() const override { return "vicinity"; }
-  Capabilities capabilities() const override { return base_capabilities(); }
-  const VicinityOracle* as_undirected() const override { return ro_.get(); }
-};
+  QueryResult distance(NodeId s, NodeId t, QueryContext& ctx) const override {
+    return ro_->distance(s, t, ctx);
+  }
 
-class DirectedAdapter final
-    : public VicinityAdapterBase<DirectedVicinityOracle> {
- public:
-  using VicinityAdapterBase::VicinityAdapterBase;
-  const char* backend_name() const override { return "vicinity-directed"; }
-  Capabilities capabilities() const override {
-    return base_capabilities().set(Capability::kDirected);
+  PathResult path(NodeId s, NodeId t, QueryContext& ctx) const override {
+    return ro_->path(s, t, ctx);
   }
-  const DirectedVicinityOracle* as_directed() const override {
-    return ro_.get();
+
+  UpdateStats apply_update(graph::Graph& g,
+                           const GraphUpdate& update) override {
+    if (!capabilities().has(Capability::kUpdatable)) {
+      refuse(Capability::kUpdatable, "apply_update()");
+    }
+    return rw_->apply_update(g, update);
   }
+
+  void save(std::ostream& out) const override { save_oracle(*ro_, out); }
+
+  OracleMemoryStats memory_stats() const override {
+    return ro_->memory_stats();
+  }
+
+  const VicinityOracle* as_undirected() const override {
+    return ro_->directed() ? nullptr : ro_.get();
+  }
+  const VicinityOracle* as_directed() const override {
+    return ro_->directed() ? ro_.get() : nullptr;
+  }
+
+ private:
+  std::shared_ptr<const VicinityOracle> ro_;
+  std::shared_ptr<VicinityOracle> rw_;
 };
 
 }  // namespace
 
 std::shared_ptr<AnyOracle> make_any_oracle(std::shared_ptr<VicinityOracle> o) {
-  return std::make_shared<UndirectedAdapter>(o, o);
+  return std::make_shared<VicinityAdapter>(o, o);
 }
 
 std::shared_ptr<const AnyOracle> make_any_oracle(
     std::shared_ptr<const VicinityOracle> o) {
-  return std::make_shared<UndirectedAdapter>(std::move(o), nullptr);
+  return std::make_shared<VicinityAdapter>(std::move(o), nullptr);
 }
 
 std::shared_ptr<AnyOracle> make_any_oracle(VicinityOracle&& o) {
   return make_any_oracle(std::make_shared<VicinityOracle>(std::move(o)));
-}
-
-std::shared_ptr<AnyOracle> make_any_oracle(
-    std::shared_ptr<DirectedVicinityOracle> o) {
-  return std::make_shared<DirectedAdapter>(o, o);
-}
-
-std::shared_ptr<const AnyOracle> make_any_oracle(
-    std::shared_ptr<const DirectedVicinityOracle> o) {
-  return std::make_shared<DirectedAdapter>(std::move(o), nullptr);
-}
-
-std::shared_ptr<AnyOracle> make_any_oracle(DirectedVicinityOracle&& o) {
-  return make_any_oracle(
-      std::make_shared<DirectedVicinityOracle>(std::move(o)));
 }
 
 }  // namespace vicinity::core

@@ -4,8 +4,8 @@
 // that contract so serving (QueryEngine), persistence (core/serialize.h) and
 // the vicinity::Index facade work identically for:
 //
-//   * VicinityOracle          (undirected, exact, paths, updatable)
-//   * DirectedVicinityOracle  (directed, exact, paths, updatable)
+//   * VicinityOracle  (exact, paths, updatable; directed when built on a
+//                      directed graph)
 //   * the related-work baselines (TZ / sketches / landmarks) via
 //     baselines/baseline_adapters.h (approximate, distance-only)
 //
@@ -28,8 +28,6 @@
 #include "core/oracle.h"
 
 namespace vicinity::core {
-
-class DirectedVicinityOracle;  // core/directed_oracle.h
 
 /// One probe-able property of a backend.
 enum class Capability : std::uint8_t {
@@ -115,9 +113,10 @@ class AnyOracle {
 
   // Typed escape hatches for introspection (build stats, landmark lists —
   // things outside the serving contract). Behavioral dispatch must use
-  // capabilities(), not these. Null when the backend is a different type.
+  // capabilities(), not these. Null unless the backend is a vicinity
+  // oracle built on an undirected (resp. directed) graph.
   virtual const VicinityOracle* as_undirected() const { return nullptr; }
-  virtual const DirectedVicinityOracle* as_directed() const { return nullptr; }
+  virtual const VicinityOracle* as_directed() const { return nullptr; }
 
  protected:
   /// Uniform refusal: throws CapabilityError naming the backend, the
@@ -125,19 +124,15 @@ class AnyOracle {
   [[noreturn]] void refuse(Capability missing, const char* operation) const;
 };
 
-/// Adapter factories for the vicinity backends. Wrapping a const pointer
-/// yields a frozen snapshot (kUpdatable clear); wrapping a mutable pointer
-/// or adopting by value yields an updatable oracle. All throw
-/// std::invalid_argument on null. Baseline adapters live in
-/// baselines/baseline_adapters.h.
+/// Adapter factories for the vicinity backend ("vicinity", or
+/// "vicinity-directed" with Capability::kDirected when the oracle was built
+/// on a directed graph). Wrapping a const pointer yields a frozen snapshot
+/// (kUpdatable clear); wrapping a mutable pointer or adopting by value
+/// yields an updatable oracle. All throw std::invalid_argument on null.
+/// Baseline adapters live in baselines/baseline_adapters.h.
 std::shared_ptr<AnyOracle> make_any_oracle(std::shared_ptr<VicinityOracle> o);
 std::shared_ptr<const AnyOracle> make_any_oracle(
     std::shared_ptr<const VicinityOracle> o);
 std::shared_ptr<AnyOracle> make_any_oracle(VicinityOracle&& o);
-std::shared_ptr<AnyOracle> make_any_oracle(
-    std::shared_ptr<DirectedVicinityOracle> o);
-std::shared_ptr<const AnyOracle> make_any_oracle(
-    std::shared_ptr<const DirectedVicinityOracle> o);
-std::shared_ptr<AnyOracle> make_any_oracle(DirectedVicinityOracle&& o);
 
 }  // namespace vicinity::core

@@ -24,9 +24,9 @@
 //   * landmark tables — per-row decrease-only relaxation on inserts; full
 //     row recompute on load-bearing deletes (same support check).
 //
-// Oracles expose this as apply_update() (core/oracle.h,
-// core/directed_oracle.h); serving layers fence updates from queries via
-// QueryEngine::apply_update (core/query_engine.h).
+// The oracle exposes this as apply_update() (core/oracle.h), once per
+// vicinity family on directed graphs; serving layers fence updates from
+// queries via QueryEngine::apply_update (core/query_engine.h).
 #pragma once
 
 #include <cstdint>
@@ -161,7 +161,7 @@ std::vector<NodeId> repair_nearest_delete(
 
 /// Folds the radius-changed node list into `sets.rebuild` (deduplicated,
 /// re-sorted when anything new landed) and records the final rebuild set
-/// in `rebuild_set`. Shared by both oracles' apply_update.
+/// in `rebuild_set`. Applied once per vicinity family by apply_update.
 void merge_radius_changes(AffectedSets& sets,
                           std::span<const NodeId> radius_changed,
                           util::FlatHashSet<NodeId>& rebuild_set);

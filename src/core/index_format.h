@@ -59,7 +59,7 @@ enum class SectionId : std::uint32_t {
   kNearestInLandmark = 5,   ///< NodeId[n] (directed tag only)
   kIndexedNodes = 6,        ///< NodeId[indexed]
   kGraphCsr = 7,            ///< reserved: embedded graph (not yet written)
-  // Packed vicinity store (out-store on the directed oracle). The slot
+  // Packed vicinity store (the out-store on directed graphs). The slot
   // arrays are per indexed node in prepare() order; the three arenas are
   // the concatenated slices (boundary group then interior group, both
   // strictly ascending by node id).
@@ -70,7 +70,8 @@ enum class SectionId : std::uint32_t {
   kOutStoreMembers = 20,      ///< NodeId[total entries]
   kOutStoreDists = 21,        ///< Distance[total entries]
   kOutStoreParents = 22,      ///< NodeId[total entries]
-  // Directed oracle's in-store (same shapes as the out-store sections).
+  // In-store of an index on a directed graph (same shapes as the out-store
+  // sections).
   kInStoreRadius = 32,
   kInStoreNearest = 33,
   kInStoreLen = 34,

@@ -54,10 +54,6 @@ VicinityOracle VicinityOracle::build_impl(const graph::Graph& g,
                                           const OracleOptions& options,
                                           std::span<const NodeId> query_nodes,
                                           bool full_index) {
-  if (g.directed()) {
-    throw std::invalid_argument(
-        "VicinityOracle: directed graphs need DirectedVicinityOracle");
-  }
   if (g.num_nodes() == 0) {
     throw std::invalid_argument("VicinityOracle: empty graph");
   }
@@ -69,10 +65,8 @@ VicinityOracle VicinityOracle::build_impl(const graph::Graph& g,
   util::Rng rng(options.seed);
   o.landmarks_ = sample_landmarks(g, options.alpha, options.strategy, rng,
                                   options.sampling_constant);
-  o.nearest_ = nearest_landmarks(g, o.landmarks_);
 
   // Deduplicate the index set, preserving order.
-  o.store_ = VicinityStore(g.num_nodes());
   o.indexed_.clear();
   {
     util::BitVector seen(g.num_nodes());
@@ -86,41 +80,51 @@ VicinityOracle VicinityOracle::build_impl(const graph::Graph& g,
       }
     }
   }
-  {
-    const util::RoleGuard role(o.store_.mutation_role());
-    o.store_.prepare(o.indexed_);
+  const std::size_t families = o.families();
+  for (std::size_t f = 0; f < families; ++f) {
+    o.nearest_[f] = nearest_landmarks(g, o.landmarks_, direction(f));
+    VicinityStore& store = o.stores_[f];
+    store = VicinityStore(g.num_nodes());
+    const util::RoleGuard role(store.mutation_role());
+    store.prepare(o.indexed_);
   }
 
   // Vicinity construction: embarrassingly parallel over indexed nodes.
+  // Size statistics average over the families; radii are the out side's.
   const unsigned threads =
       options.build_threads == 0
           ? std::max(1u, std::thread::hardware_concurrency())
           : options.build_threads;
+  const double share = 1.0 / static_cast<double>(families);
   util::Mutex stats_mu;
   OracleBuildStats stats;
   auto build_range = [&](std::size_t lo, std::size_t hi) {
-    // Each worker writes disjoint pre-sized slots: a shared hold on the
-    // store's mutation role (set() is REQUIRES_SHARED).
-    const util::SharedRoleGuard role(o.store_.mutation_role());
-    VicinityBuilder builder(g);
     OracleBuildStats local;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const NodeId u = o.indexed_[i];
-      const Vicinity v =
-          builder.build(u, o.nearest_.dist[u], o.nearest_.landmark[u]);
-      o.store_.set(u, v);
-      const auto sz = static_cast<double>(v.members.size());
-      const auto bz = static_cast<double>(v.boundary_size);
-      local.mean_vicinity_size += sz;
-      local.max_vicinity_size = std::max(local.max_vicinity_size, sz);
-      local.mean_boundary_size += bz;
-      local.max_boundary_size = std::max(local.max_boundary_size, bz);
-      if (v.radius != kInfDistance) {
-        local.mean_radius += static_cast<double>(v.radius);
-        local.max_radius =
-            std::max(local.max_radius, static_cast<double>(v.radius));
+    for (std::size_t f = 0; f < families; ++f) {
+      // Each worker writes disjoint pre-sized slots: a shared hold on the
+      // store's mutation role (set() is REQUIRES_SHARED).
+      VicinityStore& store = o.stores_[f];
+      const util::SharedRoleGuard role(store.mutation_role());
+      const NearestLandmarkInfo& nearest = o.nearest_[f];
+      VicinityBuilder builder(g, direction(f));
+      for (std::size_t i = lo; i < hi; ++i) {
+        const NodeId u = o.indexed_[i];
+        const Vicinity v =
+            builder.build(u, nearest.dist[u], nearest.landmark[u]);
+        store.set(u, v);
+        const auto sz = static_cast<double>(v.members.size());
+        const auto bz = static_cast<double>(v.boundary_size);
+        local.mean_vicinity_size += share * sz;
+        local.max_vicinity_size = std::max(local.max_vicinity_size, sz);
+        local.mean_boundary_size += share * bz;
+        local.max_boundary_size = std::max(local.max_boundary_size, bz);
+        if (f == 0 && v.radius != kInfDistance) {
+          local.mean_radius += static_cast<double>(v.radius);
+          local.max_radius =
+              std::max(local.max_radius, static_cast<double>(v.radius));
+        }
+        local.construction_arcs_scanned += v.arcs_scanned;
       }
-      local.construction_arcs_scanned += v.arcs_scanned;
     }
     const util::MutexLock lock(stats_mu);
     stats.mean_vicinity_size += local.mean_vicinity_size;
@@ -144,15 +148,16 @@ VicinityOracle VicinityOracle::build_impl(const graph::Graph& g,
     build_range(0, o.indexed_.size());
   }
   // The parallel loop parked every slice in its slot-local sub-arena;
-  // stitch them into the one contiguous arena now.
-  {
-    const util::RoleGuard role(o.store_.mutation_role());
-    o.store_.pack();
+  // stitch them into one contiguous arena per family now.
+  for (std::size_t f = 0; f < families; ++f) {
+    VicinityStore& store = o.stores_[f];
+    const util::RoleGuard role(store.mutation_role());
+    store.pack();
   }
 
-  // Landmark tables. Full-index oracles need full rows; subset oracles pick
-  // the cheaper side: |L| searches (full rows) vs |subset| searches
-  // (subset matrix).
+  // Landmark tables (forward and, on directed graphs, backward rows).
+  // Full-index oracles need full rows; subset oracles pick the cheaper
+  // side: |L| searches (full rows) vs |subset| searches (subset matrix).
   if (options.store_landmark_tables) {
     const bool full_rows =
         full_index || o.landmarks_.size() <= o.indexed_.size();
@@ -183,14 +188,17 @@ VicinityOracle VicinityOracle::build_impl(const graph::Graph& g,
   return o;
 }
 
-void VicinityOracle::rebuild_vicinities(std::span<const NodeId> nodes) {
+void VicinityOracle::rebuild_vicinities(std::size_t f,
+                                        std::span<const NodeId> nodes) {
   if (nodes.empty()) return;
+  VicinityStore& store = stores_[f];
+  const NearestLandmarkInfo& nearest = nearest_[f];
   auto rebuild_range = [&](std::uint64_t lo, std::uint64_t hi) {
-    const util::SharedRoleGuard role(store_.mutation_role());
-    VicinityBuilder builder(*g_);
+    const util::SharedRoleGuard role(store.mutation_role());
+    VicinityBuilder builder(*g_, direction(f));
     for (std::uint64_t i = lo; i < hi; ++i) {
       const NodeId u = nodes[i];
-      store_.set(u, builder.build(u, nearest_.dist[u], nearest_.landmark[u]));
+      store.set(u, builder.build(u, nearest.dist[u], nearest.landmark[u]));
     }
   };
   const unsigned threads =
@@ -215,8 +223,8 @@ void VicinityOracle::rebuild_vicinities(std::span<const NodeId> nodes) {
   }
   // Occasional compaction: repairs that outgrew their arena region were
   // staged; fold them back once they amount to a quarter of the index.
-  const util::RoleGuard role(store_.mutation_role());
-  store_.pack_if_needed();
+  const util::RoleGuard role(store.mutation_role());
+  store.pack_if_needed();
 }
 
 UpdateStats VicinityOracle::apply_update(graph::Graph& g,
@@ -251,67 +259,86 @@ UpdateStats VicinityOracle::apply_update(graph::Graph& g,
         "VicinityOracle::apply_update: edge already present");
   }
 
-  // (1) Candidate region + classification on the PRE-mutation graph (see
-  // core/dynamic.h): vicinities the edge is local to get rebuilt, member
-  // endpoints whose other end stays outside only need a flag refresh.
+  // (1) Candidate regions + classification on the PRE-mutation graph (see
+  // core/dynamic.h), per family: vicinities the edge is local to get
+  // rebuilt, member endpoints whose other end stays outside only need a
+  // flag refresh. Γ_out(x) ∋ endpoint is a backward question (searched
+  // along in-arcs, pruned by r_out), Γ_in(x) a forward one.
+  const std::size_t families = this->families();
   const Distance slack = g.weighted() ? g.max_weight() : 0;
-  util::FlatHashMap<NodeId, Distance> from_a(1024);
-  util::FlatHashMap<NodeId, Distance> from_b(1024);
-  detail::collect_candidates(g, nearest_.dist, a, Direction::kOut, slack,
-                             from_a, stats.candidates_scanned);
-  detail::collect_candidates(g, nearest_.dist, b, Direction::kOut, slack,
-                             from_b, stats.candidates_scanned);
-  detail::AffectedSets sets =
-      detail::decide_affected(g, store_, nearest_.dist, update.kind,
-                              Direction::kOut, a, b, w, from_a, from_b);
+  std::array<detail::AffectedSets, 2> sets;
+  for (std::size_t f = 0; f < families; ++f) {
+    util::FlatHashMap<NodeId, Distance> from_a(1024);
+    util::FlatHashMap<NodeId, Distance> from_b(1024);
+    detail::collect_candidates(g, nearest_[f].dist, a, direction(f), slack,
+                               from_a, stats.candidates_scanned);
+    detail::collect_candidates(g, nearest_[f].dist, b, direction(f), slack,
+                               from_b, stats.candidates_scanned);
+    sets[f] = detail::decide_affected(g, stores_[f], nearest_[f].dist,
+                                      update.kind, direction(f), a, b, w,
+                                      from_a, from_b);
+  }
 
-  // (2) Mutate the graph, then (3) repair the radius field against it.
-  std::vector<NodeId> radius_changed;
-  std::vector<NodeId> assignment_changed;
+  // (2) Mutate the graph, then (3) repair each radius field against it. A
+  // changed radius re-truncates the vicinity regardless of locality.
   if (update.kind == UpdateKind::kInsert) {
     g.add_edge(a, b, w);
-    radius_changed =
-        detail::repair_nearest_insert(g, nearest_, a, b, w, Direction::kOut);
   } else {
     g.remove_edge(a, b);
-    radius_changed =
-        detail::repair_nearest_delete(g, landmarks_, nearest_, a, b, w,
-                                      Direction::kOut, &assignment_changed);
   }
-  stats.radius_changes = radius_changed.size();
-  // A changed radius re-truncates the vicinity regardless of locality.
-  util::FlatHashSet<NodeId> rebuild_set(sets.rebuild.size() +
-                                        radius_changed.size() + 1);
-  detail::merge_radius_changes(sets, radius_changed, rebuild_set);
+  std::array<std::vector<NodeId>, 2> assignment_changed;
+  std::array<util::FlatHashSet<NodeId>, 2> rebuild_sets;
+  std::size_t rebuild_count = 0;
+  for (std::size_t f = 0; f < families; ++f) {
+    const std::vector<NodeId> radius_changed =
+        update.kind == UpdateKind::kInsert
+            ? detail::repair_nearest_insert(g, nearest_[f], a, b, w,
+                                            direction(f))
+            : detail::repair_nearest_delete(g, landmarks_, nearest_[f], a, b,
+                                            w, direction(f),
+                                            &assignment_changed[f]);
+    stats.radius_changes += radius_changed.size();
+    rebuild_sets[f] = util::FlatHashSet<NodeId>(sets[f].rebuild.size() +
+                                                radius_changed.size() + 1);
+    detail::merge_radius_changes(sets[f], radius_changed, rebuild_sets[f]);
+    rebuild_count += sets[f].rebuild.size();
+  }
 
-  // (4) Repair or rebuild the vicinities, then apply the flag and metadata
-  // patches to everything that was not rebuilt outright.
+  // (4) Repair or rebuild the vicinities (the budget counts every family's
+  // vicinities), then apply the flag and metadata patches to everything
+  // that was not rebuilt outright.
   const auto threshold = static_cast<std::size_t>(
-      opt_.update_rebuild_fraction * static_cast<double>(indexed_.size()));
-  if (sets.rebuild.size() > threshold) {
+      opt_.update_rebuild_fraction *
+      static_cast<double>(families * indexed_.size()));
+  if (rebuild_count > threshold) {
     stats.full_rebuild = true;
-    stats.affected_vicinities = indexed_.size();
-    rebuild_vicinities(indexed_);
-  } else {
-    stats.affected_vicinities = sets.rebuild.size();
-    rebuild_vicinities(sets.rebuild);
-    const util::SharedRoleGuard role(store_.mutation_role());
-    for (const auto& [x, member] : sets.flag_patches) {
-      if (rebuild_set.contains(x)) continue;
-      store_.refresh_boundary_flag(x, member, g, Direction::kOut);
-      ++stats.boundary_patches;
+    stats.affected_vicinities = families * indexed_.size();
+    for (std::size_t f = 0; f < families; ++f) {
+      rebuild_vicinities(f, indexed_);
     }
-    // Tie re-breaks (same radius, different landmark): the vicinity is
-    // unchanged but its stored metadata — which serialization persists —
-    // must track the repaired field.
-    for (const NodeId x : assignment_changed) {
-      if (!rebuild_set.contains(x) && store_.has(x)) {
-        store_.set_nearest_landmark(x, nearest_.landmark[x]);
+  } else {
+    stats.affected_vicinities = rebuild_count;
+    for (std::size_t f = 0; f < families; ++f) {
+      rebuild_vicinities(f, sets[f].rebuild);
+      VicinityStore& store = stores_[f];
+      const util::SharedRoleGuard role(store.mutation_role());
+      for (const auto& [x, member] : sets[f].flag_patches) {
+        if (rebuild_sets[f].contains(x)) continue;
+        store.refresh_boundary_flag(x, member, g, direction(f));
+        ++stats.boundary_patches;
+      }
+      // Tie re-breaks (same radius, different landmark): the vicinity is
+      // unchanged but its stored metadata — which serialization persists —
+      // must track the repaired field.
+      for (const NodeId x : assignment_changed[f]) {
+        if (!rebuild_sets[f].contains(x) && store.has(x)) {
+          store.set_nearest_landmark(x, nearest_[f].landmark[x]);
+        }
       }
     }
   }
 
-  // (5) Landmark rows.
+  // (5) Landmark rows (forward and, on directed graphs, backward).
   if (tables_.mode() == LandmarkTables::Mode::kFull) {
     stats.landmark_rows_refreshed =
         update.kind == UpdateKind::kInsert
@@ -326,25 +353,17 @@ UpdateStats VicinityOracle::apply_update(graph::Graph& g,
 bool VicinityOracle::try_landmark_query(NodeId s, NodeId t,
                                         QueryResult& out) const {
   if (tables_.mode() == LandmarkTables::Mode::kNone) return false;
-  const bool s_lm = landmarks_.contains(s);
-  const bool t_lm = landmarks_.contains(t);
-  if (!s_lm && !t_lm) return false;
   // Subset tables can only resolve pairs whose non-landmark endpoint is a
   // subset node.
-  if (tables_.mode() == LandmarkTables::Mode::kSubset) {
-    if (s_lm && !t_lm && !tables_.in_subset(t)) return false;
-    if (t_lm && !s_lm && !tables_.in_subset(s)) return false;
-    if (s_lm && t_lm && !tables_.in_subset(s) && !tables_.in_subset(t)) {
-      return false;
-    }
-  }
-  if (s_lm && (!t_lm || tables_.mode() == LandmarkTables::Mode::kFull ||
-               tables_.in_subset(t))) {
+  const bool subset = tables_.mode() == LandmarkTables::Mode::kSubset;
+  if (landmarks_.contains(s) && (!subset || tables_.in_subset(t))) {
     out.dist = tables_.landmark_query(s, t, /*s_is_landmark=*/true);
     out.method = QueryMethod::kSourceIsLandmark;
-  } else {
+  } else if (landmarks_.contains(t) && (!subset || tables_.in_subset(s))) {
     out.dist = tables_.landmark_query(s, t, /*s_is_landmark=*/false);
     out.method = QueryMethod::kTargetIsLandmark;
+  } else {
+    return false;
   }
   out.exact = true;
   return true;
@@ -353,47 +372,47 @@ bool VicinityOracle::try_landmark_query(NodeId s, NodeId t,
 QueryResult VicinityOracle::intersect(NodeId s, NodeId t) const {
   QueryResult r;
   r.method = QueryMethod::kVicinityIntersection;
+  const VicinityStore& out = stores_[0];
+  const VicinityStore& in = store(Direction::kIn);
   // Weighted-graph soundness guard (no-op on unweighted graphs, where every
   // stored distance is <= the radius): shell members of Γ can lie beyond
   // the radius, and an off-path pair of far shell members can intersect
   // without witnessing d(s,t). A minimum of at most radius(s) + radius(t)
   // is provably exact: if d(s,t) <= r_s + r_t, the last shortest-path node
-  // inside Γ(s) is a boundary member that also lies in Γ(t) and attains
-  // d(s,t); any accepted value can therefore not overshoot.
-  const Distance accept_limit = dist_add(store_.radius(s), store_.radius(t));
+  // inside Γ_out(s) is a boundary member that also lies in Γ_in(t) and
+  // attains d(s,t); any accepted value can therefore not overshoot.
+  const Distance accept_limit = dist_add(out.radius(s), in.radius(t));
   // Pick the iteration side (Lemma 1 holds symmetrically, so the answer is
   // side-invariant) by estimated kernel cost: the iterated boundary size
   // against the probe slice, min(merge, gallop). Comparing boundary sizes
   // alone while the probe pays log2(len(probe)) picked the wrong side on
   // skewed pairs.
-  NodeId iter = s, probe = t;
+  Distance best = kInfDistance;
   if (opt_.use_boundary_optimization) {
-    if (opt_.iterate_smaller_side &&
-        store_.intersect_cost(store_.boundary_size(t), s) <
-            store_.intersect_cost(store_.boundary_size(s), t)) {
-      std::swap(iter, probe);
-    }
-    const Distance best =
-        store_.intersect_min(store_.boundary(iter), probe, r.hash_lookups);
-    r.dist = best > accept_limit ? kInfDistance : best;
+    const bool iterate_t =
+        opt_.iterate_smaller_side &&
+        out.intersect_cost(in.boundary_size(t), s) <
+            in.intersect_cost(out.boundary_size(s), t);
+    best = iterate_t ? out.intersect_min(in.boundary(t), s, r.hash_lookups)
+                     : in.intersect_min(out.boundary(s), t, r.hash_lookups);
   } else {
     // Ablation path: iterate the full vicinity of the chosen side — one
     // membership probe per member, so the cost model has no merge term.
-    if (opt_.iterate_smaller_side &&
-        store_.scan_probe_cost(store_.vicinity_size(t), s) <
-            store_.scan_probe_cost(store_.vicinity_size(s), t)) {
-      std::swap(iter, probe);
-    }
-    Distance best = kInfDistance;
+    const bool scan_t = opt_.iterate_smaller_side &&
+                        out.scan_probe_cost(in.vicinity_size(t), s) <
+                            in.scan_probe_cost(out.vicinity_size(s), t);
+    const VicinityStore& mine = scan_t ? in : out;
+    const VicinityStore& other = scan_t ? out : in;
+    const NodeId probe = scan_t ? s : t;
     std::uint32_t lookups = 0;
-    store_.for_each_member(iter, [&](NodeId w, const StoredEntry& we) {
-      const ProbeResult e = store_.find(probe, w);
+    mine.for_each_member(scan_t ? t : s, [&](NodeId w, const StoredEntry& we) {
+      const ProbeResult e = other.find(probe, w);
       ++lookups;
       if (e.found) best = std::min(best, dist_add(we.dist, e.dist));
     });
     r.hash_lookups = lookups;
-    r.dist = best > accept_limit ? kInfDistance : best;
   }
+  r.dist = best > accept_limit ? kInfDistance : best;
   r.exact = r.dist != kInfDistance;  // Theorem 1 (+ weighted guard above)
   return r;
 }
@@ -428,11 +447,13 @@ QueryResult VicinityOracle::distance_impl(NodeId s, NodeId t,
   }
   if (try_landmark_query(s, t, r)) return r;
 
+  const VicinityStore& out = stores_[0];
+  const VicinityStore& in = store(Direction::kIn);
   std::uint32_t lookups = 0;
-  const bool have_s = store_.has(s);
-  const bool have_t = store_.has(t);
+  const bool have_s = out.has(s);
+  const bool have_t = in.has(t);
   if (have_s) {
-    const ProbeResult e = store_.find(s, t);
+    const ProbeResult e = out.find(s, t);
     ++lookups;
     if (e.found) {
       return QueryResult{e.dist, QueryMethod::kTargetInSourceVicinity,
@@ -440,7 +461,7 @@ QueryResult VicinityOracle::distance_impl(NodeId s, NodeId t,
     }
   }
   if (have_t) {
-    const ProbeResult e = store_.find(t, s);
+    const ProbeResult e = in.find(t, s);
     ++lookups;
     if (e.found) {
       return QueryResult{e.dist, QueryMethod::kSourceInTargetVicinity,
@@ -475,8 +496,8 @@ std::vector<QueryResult> VicinityOracle::distance_batch(
   // One-shot engine over a non-owning alias of this oracle. Long-lived
   // callers should hold a QueryEngine instead and reuse its warm pool.
   QueryEngine engine(
-      std::shared_ptr<const VicinityOracle>(std::shared_ptr<const void>{},
-                                            this),
+      make_any_oracle(std::shared_ptr<const VicinityOracle>(
+          std::shared_ptr<const void>{}, this)),
       threads);
   return engine.run_batch(queries);
 }
@@ -501,20 +522,25 @@ QueryResult VicinityOracle::fallback_distance_impl(NodeId s, NodeId t,
       return r;
     }
     case Fallback::kLandmarkEstimate: {
-      // Upper bound d(s,t) <= d(s, ℓ(s)) + d(ℓ(s), t) (and symmetrically).
+      // Upper bound d(s,t) <= d(s, ℓ(s)) + d(ℓ(s), t), and on undirected
+      // graphs symmetrically via ℓ(t).
       Distance best = kInfDistance;
       if (tables_.mode() != LandmarkTables::Mode::kNone) {
-        const NodeId ls = nearest_.landmark[s];
-        const NodeId lt = nearest_.landmark[t];
+        const NearestLandmarkInfo& nearest = nearest_[0];
+        const NodeId ls = nearest.landmark[s];
+        const NodeId lt = nearest.landmark[t];
         const bool subset = tables_.mode() == LandmarkTables::Mode::kSubset;
         if (ls != kInvalidNode && (!subset || tables_.in_subset(t))) {
           best = std::min(best,
-                          dist_add(nearest_.dist[s],
+                          dist_add(nearest.dist[s],
                                    tables_.landmark_query(ls, t, true)));
         }
-        if (lt != kInvalidNode && (!subset || tables_.in_subset(s))) {
+        // Directed estimates use only the ℓ_out(s) bound; a bound via ℓ(t)
+        // would change their answers.
+        if (!directed() && lt != kInvalidNode &&
+            (!subset || tables_.in_subset(s))) {
           best = std::min(best,
-                          dist_add(nearest_.dist[t],
+                          dist_add(nearest.dist[t],
                                    tables_.landmark_query(lt, s, true)));
         }
       }
@@ -529,8 +555,9 @@ QueryResult VicinityOracle::fallback_distance_impl(NodeId s, NodeId t,
   return r;
 }
 
-bool VicinityOracle::chase_parents(NodeId origin, NodeId from,
+bool VicinityOracle::chase_parents(Direction d, NodeId origin, NodeId from,
                                    std::vector<NodeId>& out) const {
+  const VicinityStore& vicinities = store(d);
   NodeId cur = from;
   out.push_back(cur);
   // Arena data from a default (structural-only) mmap open is untrusted, so
@@ -539,7 +566,7 @@ bool VicinityOracle::chase_parents(NodeId origin, NodeId from,
   const std::uint64_t limit = g_->num_nodes();
   std::uint64_t steps = 0;
   while (cur != origin) {
-    const ProbeResult e = store_.find(origin, cur);
+    const ProbeResult e = vicinities.find(origin, cur);
     if (!e.found || e.parent == kInvalidNode || e.parent == cur ||
         e.parent >= limit || ++steps > limit) {
       return false;  // chain left the stored vicinity (weighted corner case)
@@ -616,7 +643,9 @@ PathResult VicinityOracle::path(NodeId s, NodeId t, QueryContext& ctx) const {
       return PathResult{d, std::move(parent_walk),
                         QueryMethod::kSourceIsLandmark, true};
     }
-    if (landmarks_.contains(t)) {
+    // Landmark parent trees are stored forward-only: on a directed graph
+    // no tree leads toward a landmark target.
+    if (!directed() && landmarks_.contains(t)) {
       const Distance d = tables_.dist_from_landmark(t, s);
       if (d == kInfDistance) {
         p.exact = true;
@@ -641,12 +670,14 @@ PathResult VicinityOracle::path(NodeId s, NodeId t, QueryContext& ctx) const {
     }
   }
 
-  const bool have_s = store_.has(s);
-  const bool have_t = store_.has(t);
+  const VicinityStore& out = stores_[0];
+  const VicinityStore& in = store(Direction::kIn);
+  const bool have_s = out.has(s);
+  const bool have_t = in.has(t);
   if (have_s) {
-    if (const ProbeResult e = store_.find(s, t)) {
+    if (const ProbeResult e = out.find(s, t)) {
       std::vector<NodeId> rev;
-      if (chase_parents(s, t, rev)) {
+      if (chase_parents(Direction::kOut, s, t, rev)) {
         std::reverse(rev.begin(), rev.end());
         return PathResult{e.dist, std::move(rev),
                           QueryMethod::kTargetInSourceVicinity, true};
@@ -654,9 +685,9 @@ PathResult VicinityOracle::path(NodeId s, NodeId t, QueryContext& ctx) const {
     }
   }
   if (have_t) {
-    if (const ProbeResult e = store_.find(t, s)) {
+    if (const ProbeResult e = in.find(t, s)) {
       std::vector<NodeId> walk;
-      if (chase_parents(t, s, walk)) {
+      if (chase_parents(Direction::kIn, t, s, walk)) {
         // chase produced s..t already (parents point toward t).
         return PathResult{e.dist, std::move(walk),
                           QueryMethod::kSourceInTargetVicinity, true};
@@ -665,13 +696,12 @@ PathResult VicinityOracle::path(NodeId s, NodeId t, QueryContext& ctx) const {
   }
   if (have_s && have_t) {
     // Re-run the intersection to find the best witness w.
-    const auto view = store_.boundary(s);
-    const Distance accept_limit =
-        dist_add(store_.radius(s), store_.radius(t));
+    const auto view = out.boundary(s);
+    const Distance accept_limit = dist_add(out.radius(s), in.radius(t));
     Distance best = kInfDistance;
     NodeId witness = kInvalidNode;
     for (std::size_t i = 0; i < view.nodes.size(); ++i) {
-      const ProbeResult e = store_.find(t, view.nodes[i]);
+      const ProbeResult e = in.find(t, view.nodes[i]);
       if (e.found) {
         const Distance total = dist_add(view.dists[i], e.dist);
         if (total < best) {
@@ -684,7 +714,8 @@ PathResult VicinityOracle::path(NodeId s, NodeId t, QueryContext& ctx) const {
     if (witness != kInvalidNode) {
       std::vector<NodeId> left;  // w..s -> reversed to s..w
       std::vector<NodeId> right; // w..t
-      if (chase_parents(s, witness, left) && chase_parents(t, witness, right)) {
+      if (chase_parents(Direction::kOut, s, witness, left) &&
+          chase_parents(Direction::kIn, t, witness, right)) {
         std::reverse(left.begin(), left.end());
         left.insert(left.end(), right.begin() + 1, right.end());
         return PathResult{best, std::move(left),
@@ -717,15 +748,20 @@ double VicinityOracle::estimate_coverage(std::size_t pairs,
 
 OracleMemoryStats VicinityOracle::memory_stats() const {
   OracleMemoryStats m;
-  m.vicinity_entries = store_.total_entries();
-  m.boundary_entries = store_.total_boundary_entries();
   m.landmark_entries = tables_.entries();
-  m.bytes = store_.memory_bytes() + tables_.memory_bytes() +
-            nearest_.dist.size() * sizeof(Distance) +
-            nearest_.landmark.size() * sizeof(NodeId) +
-            landmarks_.member.memory_bytes();
+  m.bytes = tables_.memory_bytes() + landmarks_.member.memory_bytes();
+  const std::size_t families = this->families();
+  for (std::size_t f = 0; f < families; ++f) {
+    m.vicinity_entries += stores_[f].total_entries();
+    m.boundary_entries += stores_[f].total_boundary_entries();
+    m.bytes += stores_[f].memory_bytes() +
+               nearest_[f].dist.size() * sizeof(Distance) +
+               nearest_[f].landmark.size() * sizeof(NodeId);
+  }
+  // One stored distance per unordered pair, per ordered pair on directed
+  // graphs.
   const auto n = static_cast<std::uint64_t>(g_->num_nodes());
-  m.apsp_entries = n * (n - 1) / 2;
+  m.apsp_entries = n * (n - 1) / 2 * families;
   return m;
 }
 

@@ -1,14 +1,24 @@
 // VicinityOracle — the paper's point-to-point shortest-path oracle (§3.1,
-// Algorithm 1) for undirected networks.
+// Algorithm 1), for undirected networks and — the paper's §5 research
+// challenge ("is it possible to extend our approach to social networks
+// modeled as directed networks (Twitter, for example)?") — directed ones.
 //
-// Query resolution order (Algorithm 1):
+// The oracle reads directed() from the graph it is built on. A directed
+// index keeps two vicinity families:
+//   Γ_out(u): grown along out-arcs with radius r_out(u) = min_l d(u -> l)
+//   Γ_in(u):  grown along in-arcs  with radius r_in(u)  = min_l d(l -> u)
+// An undirected index is the same oracle with Γ_in ≡ Γ_out: it keeps one
+// family, and every in-side accessor returns the out-side object.
+//
+// Query resolution order (Algorithm 1, arc by arc on directed graphs):
 //   (0) s == t                        -> 0
 //   (1) s ∈ L                         -> landmark table row
 //   (2) t ∈ L                         -> landmark table row
-//   (3) t ∈ Γ(s)                      -> stored entry
-//   (4) s ∈ Γ(t)                      -> stored entry
-//   (5) vicinity intersection: iterate ∂Γ(s) (Lemma 1) probing Γ(t),
-//       minimizing d(s,w) + d(w,t)    -> exact by Theorem 1
+//   (3) t ∈ Γ_out(s)                  -> stored entry
+//   (4) s ∈ Γ_in(t)                   -> stored entry
+//   (5) vicinity intersection: iterate ∂Γ_out(s) probing Γ_in(t) (or the
+//       symmetric pairing, Lemma 1), minimizing d(s,w) + d(w,t)
+//                                     -> exact by Theorem 1
 //   (6) fallback (exact bidirectional BFS, landmark upper bound, or none)
 //
 // Build modes: build() indexes every node (a deployable index);
@@ -16,6 +26,7 @@
 // sampled-pairs methodology at a fraction of the memory.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <span>
 #include <string>
@@ -66,7 +77,7 @@ const char* to_string(QueryMethod m);
 /// defined in core/query_engine.h.
 class QueryContext;
 
-/// Mutex + lazily created QueryContext bundle backing the oracles'
+/// Mutex + lazily created QueryContext bundle backing the oracle's
 /// convenience (non-const) query overloads. Lives behind a unique_ptr so
 /// the owning oracle stays movable; bundling the mutex with the pointer it
 /// guards makes the GUARDED_BY relation expressible to the thread-safety
@@ -126,8 +137,8 @@ struct OracleMemoryStats {
 
 class VicinityOracle {
  public:
-  /// Indexes every node. The graph must be undirected (see
-  /// DirectedVicinityOracle) and must outlive the oracle.
+  /// Indexes every node (two vicinities per node on a directed graph). The
+  /// graph must be non-empty and must outlive the oracle.
   static VicinityOracle build(const graph::Graph& g,
                               const OracleOptions& options);
 
@@ -157,17 +168,19 @@ class VicinityOracle {
   /// Thread-safe path query (same contract as distance(s, t, ctx)).
   PathResult path(NodeId s, NodeId t, QueryContext& ctx) const;
 
-  /// Applies one edge insertion/deletion to `g` — which must be the exact
-  /// graph object this oracle was built on — and incrementally repairs the
-  /// index (core/dynamic.h): the nearest-landmark field is relaxed or
-  /// re-swept, only the vicinities containing an endpoint of the edge are
-  /// rebuilt (the exact affected set), and landmark rows are refreshed.
-  /// When the affected set exceeds options().update_rebuild_fraction of the
-  /// indexed nodes, every vicinity is rebuilt instead (landmarks kept);
-  /// either way the post-update index answers every query exactly as a
-  /// from-scratch build() would. Requires a full index (build(), not
-  /// build_for()). Not safe against in-flight queries — long-lived servers
-  /// fence updates through QueryEngine::apply_update.
+  /// Applies one edge (arc, on directed graphs) insertion/deletion to `g` —
+  /// which must be the exact graph object this oracle was built on — and
+  /// incrementally repairs the index (core/dynamic.h): each family's
+  /// nearest-landmark field is relaxed or re-swept, only the vicinities
+  /// containing an endpoint of the edge are rebuilt (the exact affected
+  /// set; Γ_out via a backward candidate search, Γ_in via a forward one),
+  /// and landmark rows are refreshed. When the affected set exceeds
+  /// options().update_rebuild_fraction of the indexed vicinities, every
+  /// vicinity is rebuilt instead (landmarks kept); either way the
+  /// post-update index answers every query exactly as a from-scratch
+  /// build() would. Requires a full index (build(), not build_for()). Not
+  /// safe against in-flight queries — long-lived servers fence updates
+  /// through QueryEngine::apply_update.
   UpdateStats apply_update(graph::Graph& g, const GraphUpdate& update);
 
   /// Fraction of sampled indexed pairs answerable without fallback — the
@@ -186,15 +199,28 @@ class VicinityOracle {
       unsigned threads = 0) const;
 
   const graph::Graph& graph() const { return *g_; }
+  /// True when built on a directed graph (two vicinity families).
+  bool directed() const { return g_->directed(); }
   const OracleOptions& options() const { return opt_; }
   const LandmarkSet& landmarks() const { return landmarks_; }
-  const NearestLandmarkInfo& nearest_landmark_info() const { return nearest_; }
-  const VicinityStore& store() const { return store_; }
+  /// d(u -> L) and ℓ(u) for kOut, d(L -> u) for kIn (the same field on
+  /// undirected graphs).
+  const NearestLandmarkInfo& nearest_landmark_info(
+      Direction d = Direction::kOut) const {
+    return nearest_[side(d)];
+  }
+  /// Γ_out for kOut, Γ_in for kIn (the same store on undirected graphs).
+  const VicinityStore& store(Direction d = Direction::kOut) const {
+    return stores_[side(d)];
+  }
   const LandmarkTables& tables() const { return tables_; }
   const OracleBuildStats& build_stats() const { return build_stats_; }
   const std::vector<NodeId>& indexed_nodes() const { return indexed_; }
-  bool is_indexed(NodeId u) const { return store_.has(u); }
+  bool is_indexed(NodeId u) const { return stores_[0].has(u); }
 
+  /// Vicinity entries of both families on directed graphs; bytes count
+  /// every store, the landmark tables, each nearest-landmark field and the
+  /// landmark bitmap.
   OracleMemoryStats memory_stats() const;
 
   VicinityOracle(VicinityOracle&&) noexcept;
@@ -213,6 +239,18 @@ class VicinityOracle {
                                    std::span<const NodeId> query_nodes,
                                    bool full_index);
 
+  /// Number of vicinity families: 2 on directed graphs, 1 on undirected
+  /// ones. Family f is grown along Direction(f).
+  std::size_t families() const { return directed() ? 2 : 1; }
+  /// Array slot of direction d's family (undirected: always the out side).
+  std::size_t side(Direction d) const {
+    return directed() ? static_cast<std::size_t>(d) : 0;
+  }
+  /// Growth direction of family f.
+  static Direction direction(std::size_t f) {
+    return static_cast<Direction>(f);
+  }
+
   /// Steps (1)-(2); returns true when resolved.
   bool try_landmark_query(NodeId s, NodeId t, QueryResult& out) const;
 
@@ -221,30 +259,35 @@ class VicinityOracle {
   /// use the context's scratch (null context => not-found).
   QueryResult distance_impl(NodeId s, NodeId t, QueryContext* ctx) const;
 
-  /// Step (5); dist=kInfDistance when the vicinities do not intersect.
+  /// Step (5): Γ_out(s) against Γ_in(t); dist=kInfDistance when the
+  /// vicinities do not intersect.
   QueryResult intersect(NodeId s, NodeId t) const;
 
   QueryResult fallback_distance_impl(NodeId s, NodeId t,
                                      std::uint32_t lookups,
                                      QueryContext* ctx) const;
 
-  /// Appends `from`..origin walking parent pointers inside Γ(origin);
-  /// false when the chain leaves the stored vicinity (possible only on
-  /// weighted graphs).
-  bool chase_parents(NodeId origin, NodeId from,
+  /// Appends `from`..origin walking parent pointers inside direction d's
+  /// vicinity of `origin` (Γ_in parents are successors toward the origin,
+  /// so that walk emits the forward path); false when the chain leaves the
+  /// stored vicinity (possible only on weighted graphs).
+  bool chase_parents(Direction d, NodeId origin, NodeId from,
                      std::vector<NodeId>& out) const;
 
   PathResult fallback_path(NodeId s, NodeId t, QueryContext& ctx) const;
 
-  /// Re-runs the truncated-search builder for `nodes` against the current
-  /// graph and nearest-landmark field, replacing their store slots.
-  void rebuild_vicinities(std::span<const NodeId> nodes);
+  /// Re-runs the truncated-search builder for `nodes` of family `f`
+  /// against the current graph and nearest-landmark field, replacing their
+  /// store slots.
+  void rebuild_vicinities(std::size_t f, std::span<const NodeId> nodes);
 
   const graph::Graph* g_ = nullptr;
   OracleOptions opt_;
   LandmarkSet landmarks_;
-  NearestLandmarkInfo nearest_;
-  VicinityStore store_;
+  /// Indexed by Direction: r_out/ℓ_out and Γ_out at kOut, r_in/ℓ_in and
+  /// Γ_in at kIn. Undirected oracles use only the kOut entries.
+  std::array<NearestLandmarkInfo, 2> nearest_;
+  std::array<VicinityStore, 2> stores_;
   LandmarkTables tables_;
   OracleBuildStats build_stats_;
   std::vector<NodeId> indexed_;

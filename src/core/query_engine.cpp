@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/directed_oracle.h"
-
 namespace vicinity::core {
 
 QueryEngine::QueryEngine(std::shared_ptr<const AnyOracle> oracle,
@@ -38,45 +36,6 @@ QueryEngine::QueryEngine(std::shared_ptr<AnyOracle> oracle,
     : QueryEngine(std::shared_ptr<const AnyOracle>(oracle), options) {
   mutable_oracle_ = std::move(oracle);
 }
-
-namespace {
-
-/// Shared null check for the concrete-class conveniences: make_any_oracle
-/// rejects null itself, but with the QueryEngine-specific message callers
-/// of the old API expect.
-template <typename Oracle>
-std::shared_ptr<Oracle> require_oracle(std::shared_ptr<Oracle> oracle) {
-  if (!oracle) throw std::invalid_argument("QueryEngine: null oracle");
-  return oracle;
-}
-
-}  // namespace
-
-QueryEngine::QueryEngine(std::shared_ptr<const VicinityOracle> oracle,
-                         unsigned threads)
-    : QueryEngine(make_any_oracle(require_oracle(std::move(oracle))),
-                  threads) {}
-
-QueryEngine::QueryEngine(std::shared_ptr<VicinityOracle> oracle,
-                         unsigned threads)
-    : QueryEngine(make_any_oracle(require_oracle(std::move(oracle))),
-                  threads) {}
-
-QueryEngine::QueryEngine(VicinityOracle&& oracle, unsigned threads)
-    : QueryEngine(make_any_oracle(std::move(oracle)), threads) {}
-
-QueryEngine::QueryEngine(std::shared_ptr<const DirectedVicinityOracle> oracle,
-                         unsigned threads)
-    : QueryEngine(make_any_oracle(require_oracle(std::move(oracle))),
-                  threads) {}
-
-QueryEngine::QueryEngine(std::shared_ptr<DirectedVicinityOracle> oracle,
-                         unsigned threads)
-    : QueryEngine(make_any_oracle(require_oracle(std::move(oracle))),
-                  threads) {}
-
-QueryEngine::QueryEngine(DirectedVicinityOracle&& oracle, unsigned threads)
-    : QueryEngine(make_any_oracle(std::move(oracle)), threads) {}
 
 UpdateStats QueryEngine::apply_update(graph::Graph& g,
                                       const GraphUpdate& update) {

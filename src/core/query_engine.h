@@ -5,10 +5,11 @@
 //
 // The engine serves through the type-erased core::AnyOracle interface
 // (core/any_oracle.h), so batch serving, epoch-fenced updates and
-// QueryStats work identically for VicinityOracle, DirectedVicinityOracle
+// QueryStats work identically for the vicinity oracle (either graph kind)
 // and the baseline estimators; operations a backend cannot perform fail
 // with CapabilityError at the call, not with a template error at compile
-// time against only one concrete type.
+// time against only one concrete type. Concrete oracles are wrapped with
+// core::make_any_oracle first.
 //
 // Thread-safety contract:
 //   * Shared-immutable: the graph, the vicinity store, the landmark tables
@@ -110,7 +111,6 @@ class QueryContext {
 
  private:
   friend class VicinityOracle;
-  friend class DirectedVicinityOracle;
 
   algo::BidirBfsScratch scratch_;
   QueryStats stats_;
@@ -127,9 +127,9 @@ class QueryContext {
 /// strictly between batches — every query of one run_batch() call sees one
 /// epoch of the index, and for a fixed epoch the answer vector stays
 /// bit-identical across thread counts. apply_update() requires an engine
-/// constructed over a mutable oracle (the adopting constructor or the
-/// shared_ptr<VicinityOracle> overload); engines over const oracles serve
-/// frozen snapshots and refuse updates.
+/// constructed over a mutable AnyOracle (make_any_oracle of a
+/// shared_ptr<VicinityOracle> or of an oracle adopted by value); engines
+/// over const oracles serve frozen snapshots and refuse updates.
 class QueryEngine {
  public:
   /// Serves queries against any backend through the type-erased interface.
@@ -147,21 +147,6 @@ class QueryEngine {
               const QueryEngineOptions& options);
   QueryEngine(std::shared_ptr<AnyOracle> oracle,
               const QueryEngineOptions& options);
-
-  // Concrete-class conveniences: wrap the oracle into its AnyOracle adapter
-  // (core/any_oracle.h). Shared-const pointers serve frozen snapshots;
-  // shared-mutable pointers and by-value adoption (the common "build then
-  // serve" flow) keep apply_update() available.
-  explicit QueryEngine(std::shared_ptr<const VicinityOracle> oracle,
-                       unsigned threads = 0);
-  explicit QueryEngine(std::shared_ptr<VicinityOracle> oracle,
-                       unsigned threads = 0);
-  explicit QueryEngine(VicinityOracle&& oracle, unsigned threads = 0);
-  explicit QueryEngine(std::shared_ptr<const DirectedVicinityOracle> oracle,
-                       unsigned threads = 0);
-  explicit QueryEngine(std::shared_ptr<DirectedVicinityOracle> oracle,
-                       unsigned threads = 0);
-  explicit QueryEngine(DirectedVicinityOracle&& oracle, unsigned threads = 0);
 
   unsigned thread_count() const { return pool_.thread_count(); }
 

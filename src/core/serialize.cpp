@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <array>
 #include <functional>
-#include <initializer_list>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -127,12 +127,21 @@ Header read_header(std::istream& in) {
   return Header{version, static_cast<BackendTag>(tag_raw)};
 }
 
-[[noreturn]] void backend_mismatch(const Header& h, const char* wanted,
-                                   const char* hint) {
+/// An index built on a directed graph carries a second vicinity family.
+BackendTag backend_tag_of(const graph::Graph& g) {
+  return g.directed() ? BackendTag::kDirected : BackendTag::kUndirected;
+}
+
+/// The tag must match the graph the index is loaded against.
+void check_backend(const Header& h, const graph::Graph& g) {
+  const BackendTag wanted = backend_tag_of(g);
+  if (h.tag == wanted) return;
   throw std::runtime_error(
       std::string("oracle index: backend mismatch: format version ") +
       std::to_string(h.version) + " file is tagged '" + to_string(h.tag) +
-      "', not '" + wanted + "'; " + hint);
+      "', not '" + to_string(wanted) + "'; the graph is " +
+      (g.directed() ? "directed" : "undirected") +
+      " (load the index against the graph it was built on)");
 }
 
 [[noreturn]] void mapped_stream_mismatch(int version) {
@@ -580,15 +589,15 @@ void write_zeros(std::ostream& out, std::uint64_t count) {
 
 }  // namespace
 
-/// Friend of VicinityOracle / DirectedVicinityOracle / LandmarkTables with
-/// full member access.
+/// Friend of VicinityOracle / LandmarkTables with full member access.
 class OracleSerializer {
  public:
   // ---- Landmark tables, version-2-4 stream layout (the directed variant
   // appends the reverse rows and the from-landmark subset matrix) ---------
   static void load_tables(std::istream& in, const graph::Graph& g,
-                          bool directed, LandmarkTables& t) {
+                          LandmarkTables& t) {
     const auto n = g.num_nodes();
+    const bool directed = g.directed();
     const auto mode_raw = read_pod<std::uint8_t>(in);
     require(
         mode_raw <= static_cast<std::uint8_t>(LandmarkTables::Mode::kSubset),
@@ -650,9 +659,10 @@ class OracleSerializer {
 
   // ---- Landmark tables, version-5 region sections -----------------------
   static void plan_tables(std::vector<SectionPlan>& plans,
-                          const LandmarkTables& t, bool directed) {
+                          const LandmarkTables& t) {
     using S = v5::SectionId;
     if (t.mode() == LandmarkTables::Mode::kNone) return;
+    const bool directed = t.directed_;
     plans.push_back(plan_span(S::kTableLandmarks,
                               std::span<const NodeId>(t.landmark_nodes_)));
     plans.push_back(plan_span(S::kTableSubsetNodes,
@@ -679,11 +689,11 @@ class OracleSerializer {
   }
 
   static void load_v5_tables(const V5Reader& r, const graph::Graph& g,
-                             bool directed,
                              const std::shared_ptr<const void>& backing,
                              LandmarkTables& t) {
     using S = v5::SectionId;
     const auto n = g.num_nodes();
+    const bool directed = g.directed();
     // table_mode was range-checked in open_v5.
     t.mode_ = static_cast<LandmarkTables::Mode>(r.header->table_mode);
     t.directed_ = directed;
@@ -760,42 +770,31 @@ class OracleSerializer {
     t.from_lm_.assign(from_lm.begin(), from_lm.end());
   }
 
-  // ---- Version-5 region writer (both tags) ------------------------------
-  static void save_v5(BackendTag tag, const graph::Graph& g,
-                      const OracleOptions& opt,
-                      const std::vector<NodeId>& landmark_nodes,
-                      const NearestLandmarkInfo& nearest_out,
-                      const NearestLandmarkInfo* nearest_in,
-                      const std::vector<NodeId>& indexed,
-                      const VicinityStore& out_store,
-                      const VicinityStore* in_store,
-                      const LandmarkTables& tables, std::ostream& out) {
+  // ---- Version-5 region writer -----------------------------------------
+  static void save(const VicinityOracle& o, std::ostream& out) {
     using S = v5::SectionId;
+    const graph::Graph& g = o.graph();
+    const std::size_t families = o.families();
     std::vector<SectionPlan> plans;
     plans.push_back(plan_span(S::kLandmarkNodes,
-                              std::span<const NodeId>(landmark_nodes)));
-    plans.push_back(plan_span(S::kNearestOutDist,
-                              std::span<const Distance>(nearest_out.dist)));
-    plans.push_back(plan_span(S::kNearestOutLandmark,
-                              std::span<const NodeId>(nearest_out.landmark)));
-    if (nearest_in != nullptr) {
-      plans.push_back(plan_span(S::kNearestInDist,
-                                std::span<const Distance>(nearest_in->dist)));
+                              std::span<const NodeId>(o.landmarks_.nodes)));
+    for (std::size_t f = 0; f < families; ++f) {
+      plans.push_back(plan_span(nearest_dist_id(f),
+                                std::span<const Distance>(o.nearest_[f].dist)));
       plans.push_back(
-          plan_span(S::kNearestInLandmark,
-                    std::span<const NodeId>(nearest_in->landmark)));
+          plan_span(nearest_landmark_id(f),
+                    std::span<const NodeId>(o.nearest_[f].landmark)));
     }
     plans.push_back(
-        plan_span(S::kIndexedNodes, std::span<const NodeId>(indexed)));
+        plan_span(S::kIndexedNodes, std::span<const NodeId>(o.indexed_)));
     // The scratch blobs hold compacted copies only when a store is not
     // contiguous in slot order; they must outlive the emit loop below.
-    VicinityStore::PackedBlob out_scratch;
-    plan_store(plans, out_store.export_view(out_scratch), /*in_store=*/false);
-    VicinityStore::PackedBlob in_scratch;
-    if (in_store != nullptr) {
-      plan_store(plans, in_store->export_view(in_scratch), /*in_store=*/true);
+    std::array<VicinityStore::PackedBlob, 2> scratch;
+    for (std::size_t f = 0; f < families; ++f) {
+      plan_store(plans, o.stores_[f].export_view(scratch[f]),
+                 /*in_store=*/f == 1);
     }
-    plan_tables(plans, tables, tag == BackendTag::kDirected);
+    plan_tables(plans, o.tables_);
     // Empty sections carry no information; a missing section reads back as
     // an empty array.
     std::erase_if(plans, [](const SectionPlan& p) { return p.count == 0; });
@@ -815,12 +814,13 @@ class OracleSerializer {
       cursor = v5::align_up(cursor + e.bytes);
     }
 
+    const OracleOptions& opt = o.opt_;
     v5::FileHeader h{};
     std::memcpy(h.magic, kMagic, sizeof(kMagic));
     h.version_digits[0] = '0';
     h.version_digits[1] = '0' + kRegionFormatVersion;
-    h.backend_tag = static_cast<std::uint8_t>(tag);
-    h.table_mode = static_cast<std::uint8_t>(tables.mode());
+    h.backend_tag = static_cast<std::uint8_t>(backend_tag_of(g));
+    h.table_mode = static_cast<std::uint8_t>(o.tables_.mode());
     h.directed_graph = g.directed() ? 1 : 0;
     h.weighted_graph = g.weighted() ? 1 : 0;
     h.endian = v5::kEndianMarker;
@@ -852,188 +852,117 @@ class OracleSerializer {
     if (!out) throw std::runtime_error("oracle index: write failed");
   }
 
-  // ---- Version-5 region loaders -----------------------------------------
+  // ---- Version-5 region loader ------------------------------------------
   static VicinityOracle load_v5_body(const V5Reader& r, const graph::Graph& g,
                                      std::shared_ptr<const void> backing,
                                      bool verify) {
     const v5::FileHeader& h = *r.header;
-    const auto tag = static_cast<BackendTag>(h.backend_tag);
-    if (tag != BackendTag::kUndirected) {
-      backend_mismatch(Header{kRegionFormatVersion, tag}, "vicinity",
-                       "use load_directed_oracle() or load_any_oracle()");
-    }
+    check_backend(
+        Header{kRegionFormatVersion, static_cast<BackendTag>(h.backend_tag)},
+        g);
     check_v5_graph_shape(h, g);
     VicinityOracle o;
     o.g_ = &g;
     o.opt_ = read_v5_options(h);
     o.landmarks_ = read_v5_landmark_set(r, o.opt_, g);
-    o.nearest_ = read_v5_nearest(r, v5::SectionId::kNearestOutDist,
-                                 v5::SectionId::kNearestOutLandmark,
-                                 g.num_nodes());
-    o.indexed_ = read_v5_indexed(r, g);
-    o.store_ = VicinityStore(g.num_nodes());
-    {
-      const util::RoleGuard role(o.store_.mutation_role());
-      o.store_.prepare(o.indexed_);
+    const std::size_t families = o.families();
+    for (std::size_t f = 0; f < families; ++f) {
+      o.nearest_[f] = read_v5_nearest(r, nearest_dist_id(f),
+                                      nearest_landmark_id(f), g.num_nodes());
     }
-    adopt_v5_store(r, /*in_store=*/false, backing, verify, o.store_);
-    load_v5_tables(r, g, /*directed=*/false, backing, o.tables_);
-    o.build_stats_ =
-        loaded_stats(o.indexed_, o.landmarks_.size(), {&o.store_});
+    o.indexed_ = read_v5_indexed(r, g);
+    for (std::size_t f = 0; f < families; ++f) {
+      VicinityStore& store = o.stores_[f];
+      store = VicinityStore(g.num_nodes());
+      {
+        const util::RoleGuard role(store.mutation_role());
+        store.prepare(o.indexed_);
+      }
+      adopt_v5_store(r, /*in_store=*/f == 1, backing, verify, store);
+    }
+    load_v5_tables(r, g, backing, o.tables_);
+    o.build_stats_ = loaded_stats(o);
     return o;
   }
 
-  static DirectedVicinityOracle load_v5_directed_body(
-      const V5Reader& r, const graph::Graph& g,
-      std::shared_ptr<const void> backing, bool verify) {
-    const v5::FileHeader& h = *r.header;
-    const auto tag = static_cast<BackendTag>(h.backend_tag);
-    if (tag != BackendTag::kDirected) {
-      backend_mismatch(Header{kRegionFormatVersion, tag}, "vicinity-directed",
-                       "use load_oracle() or load_any_oracle()");
-    }
-    check_v5_graph_shape(h, g);
-    DirectedVicinityOracle o;
-    o.g_ = &g;
-    o.opt_ = read_v5_options(h);
-    o.landmarks_ = read_v5_landmark_set(r, o.opt_, g);
-    o.nearest_out_ = read_v5_nearest(r, v5::SectionId::kNearestOutDist,
-                                     v5::SectionId::kNearestOutLandmark,
-                                     g.num_nodes());
-    o.nearest_in_ = read_v5_nearest(r, v5::SectionId::kNearestInDist,
-                                    v5::SectionId::kNearestInLandmark,
-                                    g.num_nodes());
-    o.indexed_ = read_v5_indexed(r, g);
-    o.out_store_ = VicinityStore(g.num_nodes());
-    o.in_store_ = VicinityStore(g.num_nodes());
-    {
-      const util::RoleGuard out_role(o.out_store_.mutation_role());
-      const util::RoleGuard in_role(o.in_store_.mutation_role());
-      o.out_store_.prepare(o.indexed_);
-      o.in_store_.prepare(o.indexed_);
-    }
-    adopt_v5_store(r, /*in_store=*/false, backing, verify, o.out_store_);
-    adopt_v5_store(r, /*in_store=*/true, backing, verify, o.in_store_);
-    load_v5_tables(r, g, /*directed=*/true, backing, o.tables_);
-    o.build_stats_ = loaded_stats(o.indexed_, o.landmarks_.size(),
-                                  {&o.out_store_, &o.in_store_});
-    return o;
-  }
-
-  // ---- Undirected oracle -------------------------------------------------
-  static void save(const VicinityOracle& o, std::ostream& out) {
-    save_v5(BackendTag::kUndirected, o.graph(), o.opt_, o.landmarks_.nodes,
-            o.nearest_, nullptr, o.indexed_, o.store_, nullptr, o.tables_,
-            out);
-  }
-
+  // ---- Version-2-4 stream loader ----------------------------------------
   static VicinityOracle load_body(std::istream& in, const graph::Graph& g,
-                                  int version) {
+                                  const Header& h) {
+    check_backend(h, g);
     check_graph_shape(in, g);
     VicinityOracle o;
     o.g_ = &g;
     bool packed_body = false;
-    o.opt_ = read_options(in, version, packed_body);
+    o.opt_ = read_options(in, h.version, packed_body);
     o.landmarks_ = read_landmark_set(in, o.opt_, g);
-    o.nearest_ = read_nearest(in, g.num_nodes());
+    const std::size_t families = o.families();
+    for (std::size_t f = 0; f < families; ++f) {
+      o.nearest_[f] = read_nearest(in, g.num_nodes());
+    }
 
     o.indexed_ = read_indexed(in, g);
-    o.store_ = VicinityStore(g.num_nodes());
-    {
-      const util::RoleGuard role(o.store_.mutation_role());
-      o.store_.prepare(o.indexed_);
+    for (std::size_t f = 0; f < families; ++f) {
+      VicinityStore& store = o.stores_[f];
+      store = VicinityStore(g.num_nodes());
+      const util::RoleGuard role(store.mutation_role());
+      store.prepare(o.indexed_);
     }
     if (packed_body) {
-      read_packed_store(in, o.store_);
-    } else {
-      for (const NodeId u : o.indexed_) {
-        read_store_slot(in, g.num_nodes(), u, o.store_);
+      for (std::size_t f = 0; f < families; ++f) {
+        read_packed_store(in, o.stores_[f]);
       }
-      const util::RoleGuard role(o.store_.mutation_role());
-      o.store_.pack();
+    } else {
+      // Hash-layout bodies interleave the families per node.
+      for (const NodeId u : o.indexed_) {
+        for (std::size_t f = 0; f < families; ++f) {
+          read_store_slot(in, g.num_nodes(), u, o.stores_[f]);
+        }
+      }
+      for (std::size_t f = 0; f < families; ++f) {
+        VicinityStore& store = o.stores_[f];
+        const util::RoleGuard role(store.mutation_role());
+        store.pack();
+      }
     }
 
-    load_tables(in, g, /*directed=*/false, o.tables_);
+    load_tables(in, g, o.tables_);
 
     // Rebuild derived statistics so callers see sane numbers after load.
-    o.build_stats_ = loaded_stats(o.indexed_, o.landmarks_.size(),
-                                  {&o.store_});
-    return o;
-  }
-
-  // ---- Directed oracle ---------------------------------------------------
-  static void save(const DirectedVicinityOracle& o, std::ostream& out) {
-    save_v5(BackendTag::kDirected, o.graph(), o.opt_, o.landmarks_.nodes,
-            o.nearest_out_, &o.nearest_in_, o.indexed_, o.out_store_,
-            &o.in_store_, o.tables_, out);
-  }
-
-  static DirectedVicinityOracle load_directed_body(std::istream& in,
-                                                   const graph::Graph& g,
-                                                   int version) {
-    check_graph_shape(in, g);
-    DirectedVicinityOracle o;
-    o.g_ = &g;
-    bool packed_body = false;
-    o.opt_ = read_options(in, version, packed_body);
-    o.landmarks_ = read_landmark_set(in, o.opt_, g);
-    o.nearest_out_ = read_nearest(in, g.num_nodes());
-    o.nearest_in_ = read_nearest(in, g.num_nodes());
-
-    o.indexed_ = read_indexed(in, g);
-    o.out_store_ = VicinityStore(g.num_nodes());
-    o.in_store_ = VicinityStore(g.num_nodes());
-    {
-      const util::RoleGuard out_role(o.out_store_.mutation_role());
-      const util::RoleGuard in_role(o.in_store_.mutation_role());
-      o.out_store_.prepare(o.indexed_);
-      o.in_store_.prepare(o.indexed_);
-    }
-    if (packed_body) {
-      read_packed_store(in, o.out_store_);
-      read_packed_store(in, o.in_store_);
-    } else {
-      for (const NodeId u : o.indexed_) {
-        read_store_slot(in, g.num_nodes(), u, o.out_store_);
-        read_store_slot(in, g.num_nodes(), u, o.in_store_);
-      }
-      const util::RoleGuard out_role(o.out_store_.mutation_role());
-      const util::RoleGuard in_role(o.in_store_.mutation_role());
-      o.out_store_.pack();
-      o.in_store_.pack();
-    }
-
-    load_tables(in, g, /*directed=*/true, o.tables_);
-
-    o.build_stats_ = loaded_stats(o.indexed_, o.landmarks_.size(),
-                                  {&o.out_store_, &o.in_store_});
+    o.build_stats_ = loaded_stats(o);
     return o;
   }
 
  private:
-  /// Mean vicinity/boundary/radius statistics over `stores` (averaged per
-  /// indexed node, matching build_impl's accounting).
-  static OracleBuildStats loaded_stats(
-      const std::vector<NodeId>& indexed, std::size_t num_landmarks,
-      std::initializer_list<const VicinityStore*> stores) {
+  static v5::SectionId nearest_dist_id(std::size_t f) {
+    return f == 0 ? v5::SectionId::kNearestOutDist
+                  : v5::SectionId::kNearestInDist;
+  }
+  static v5::SectionId nearest_landmark_id(std::size_t f) {
+    return f == 0 ? v5::SectionId::kNearestOutLandmark
+                  : v5::SectionId::kNearestInLandmark;
+  }
+
+  /// Mean vicinity/boundary/radius statistics over the families (averaged
+  /// per indexed node, radii from the out side — build_impl's accounting).
+  static OracleBuildStats loaded_stats(const VicinityOracle& o) {
     OracleBuildStats stats;
-    stats.indexed_nodes = indexed.size();
-    stats.num_landmarks = num_landmarks;
-    const auto share = 1.0 / static_cast<double>(stores.size());
-    for (const NodeId u : indexed) {
-      for (const VicinityStore* store : stores) {
+    stats.indexed_nodes = o.indexed_.size();
+    stats.num_landmarks = o.landmarks_.size();
+    const std::size_t families = o.families();
+    const auto share = 1.0 / static_cast<double>(families);
+    for (const NodeId u : o.indexed_) {
+      for (std::size_t f = 0; f < families; ++f) {
         stats.mean_vicinity_size +=
-            share * static_cast<double>(store->vicinity_size(u));
+            share * static_cast<double>(o.stores_[f].vicinity_size(u));
         stats.mean_boundary_size +=
-            share * static_cast<double>(store->boundary_size(u));
+            share * static_cast<double>(o.stores_[f].boundary_size(u));
       }
-      const VicinityStore* primary = *stores.begin();
-      if (primary->radius(u) != kInfDistance) {
-        stats.mean_radius += static_cast<double>(primary->radius(u));
+      if (o.stores_[0].radius(u) != kInfDistance) {
+        stats.mean_radius += static_cast<double>(o.stores_[0].radius(u));
       }
     }
     const auto cnt =
-        static_cast<double>(std::max<std::size_t>(1, indexed.size()));
+        static_cast<double>(std::max<std::size_t>(1, o.indexed_.size()));
     stats.mean_vicinity_size /= cnt;
     stats.mean_boundary_size /= cnt;
     stats.mean_radius /= cnt;
@@ -1079,29 +1008,14 @@ void save_oracle_file(const VicinityOracle& oracle, const std::string& path) {
   save_oracle(oracle, f);
 }
 
-void save_oracle(const DirectedVicinityOracle& oracle, std::ostream& out) {
-  OracleSerializer::save(oracle, out);
-}
-
-void save_oracle_file(const DirectedVicinityOracle& oracle,
-                      const std::string& path) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot open " + path);
-  save_oracle(oracle, f);
-}
-
 VicinityOracle load_oracle(std::istream& in, const graph::Graph& g) {
   const Header h = read_header(in);
-  if (h.tag != BackendTag::kUndirected) {
-    backend_mismatch(h, "vicinity",
-                     "use load_directed_oracle() or load_any_oracle()");
-  }
   if (h.version >= kRegionFormatVersion) {
     const auto buf = slurp_region(in, h.tag);
     const V5Reader r = open_v5(v5::RegionView(buf));
     return OracleSerializer::load_v5_body(r, g, nullptr, /*verify=*/true);
   }
-  return OracleSerializer::load_body(in, g, h.version);
+  return OracleSerializer::load_body(in, g, h);
 }
 
 VicinityOracle load_oracle_file(const std::string& path, const graph::Graph& g,
@@ -1109,10 +1023,6 @@ VicinityOracle load_oracle_file(const std::string& path, const graph::Graph& g,
   std::ifstream f(path, std::ios::binary);
   if (!f) throw std::runtime_error("cannot open " + path);
   const Header h = read_header(f);
-  if (h.tag != BackendTag::kUndirected) {
-    backend_mismatch(h, "vicinity",
-                     "use load_directed_oracle() or load_any_oracle()");
-  }
   if (h.version >= kRegionFormatVersion) {
     f.close();
     auto mf = std::make_shared<util::MappedFile>(path);
@@ -1123,112 +1033,18 @@ VicinityOracle load_oracle_file(const std::string& path, const graph::Graph& g,
     return OracleSerializer::load_v5_body(r, g, std::move(mf), opts.verify);
   }
   if (opts.mode == OpenMode::kMapped) mapped_stream_mismatch(h.version);
-  return OracleSerializer::load_body(f, g, h.version);
-}
-
-DirectedVicinityOracle load_directed_oracle(std::istream& in,
-                                            const graph::Graph& g) {
-  const Header h = read_header(in);
-  if (h.tag != BackendTag::kDirected) {
-    backend_mismatch(h, "vicinity-directed",
-                     "use load_oracle() or load_any_oracle()");
-  }
-  if (h.version >= kRegionFormatVersion) {
-    const auto buf = slurp_region(in, h.tag);
-    const V5Reader r = open_v5(v5::RegionView(buf));
-    return OracleSerializer::load_v5_directed_body(r, g, nullptr,
-                                                   /*verify=*/true);
-  }
-  return OracleSerializer::load_directed_body(in, g, h.version);
-}
-
-DirectedVicinityOracle load_directed_oracle_file(const std::string& path,
-                                                 const graph::Graph& g,
-                                                 const OpenOptions& opts) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot open " + path);
-  const Header h = read_header(f);
-  if (h.tag != BackendTag::kDirected) {
-    backend_mismatch(h, "vicinity-directed",
-                     "use load_oracle() or load_any_oracle()");
-  }
-  if (h.version >= kRegionFormatVersion) {
-    f.close();
-    auto mf = std::make_shared<util::MappedFile>(path);
-    const V5Reader r = open_v5(v5::RegionView(mf->bytes()));
-    if (opts.mode == OpenMode::kHeap) {
-      return OracleSerializer::load_v5_directed_body(r, g, nullptr,
-                                                     /*verify=*/true);
-    }
-    return OracleSerializer::load_v5_directed_body(r, g, std::move(mf),
-                                                   opts.verify);
-  }
-  if (opts.mode == OpenMode::kMapped) mapped_stream_mismatch(h.version);
-  return OracleSerializer::load_directed_body(f, g, h.version);
+  return OracleSerializer::load_body(f, g, h);
 }
 
 std::shared_ptr<AnyOracle> load_any_oracle(std::istream& in,
                                            const graph::Graph& g) {
-  const Header h = read_header(in);
-  if (h.version >= kRegionFormatVersion) {
-    const auto buf = slurp_region(in, h.tag);
-    const V5Reader r = open_v5(v5::RegionView(buf));
-    switch (h.tag) {
-      case BackendTag::kUndirected:
-        return make_any_oracle(std::make_shared<VicinityOracle>(
-            OracleSerializer::load_v5_body(r, g, nullptr, /*verify=*/true)));
-      case BackendTag::kDirected:
-        return make_any_oracle(std::make_shared<DirectedVicinityOracle>(
-            OracleSerializer::load_v5_directed_body(r, g, nullptr,
-                                                    /*verify=*/true)));
-    }
-    throw std::runtime_error("oracle index: unknown backend tag");
-  }
-  switch (h.tag) {
-    case BackendTag::kUndirected:
-      return make_any_oracle(std::make_shared<VicinityOracle>(
-          OracleSerializer::load_body(in, g, h.version)));
-    case BackendTag::kDirected:
-      return make_any_oracle(std::make_shared<DirectedVicinityOracle>(
-          OracleSerializer::load_directed_body(in, g, h.version)));
-  }
-  throw std::runtime_error("oracle index: unknown backend tag");
+  return make_any_oracle(load_oracle(in, g));
 }
 
 std::shared_ptr<AnyOracle> load_any_oracle_file(const std::string& path,
                                                 const graph::Graph& g,
                                                 const OpenOptions& opts) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot open " + path);
-  const Header h = read_header(f);
-  if (h.version >= kRegionFormatVersion) {
-    f.close();
-    auto mf = std::make_shared<util::MappedFile>(path);
-    const V5Reader r = open_v5(v5::RegionView(mf->bytes()));
-    const bool heap = opts.mode == OpenMode::kHeap;
-    const std::shared_ptr<const void> backing =
-        heap ? std::shared_ptr<const void>() : mf;
-    const bool verify = heap || opts.verify;
-    switch (static_cast<BackendTag>(r.header->backend_tag)) {
-      case BackendTag::kUndirected:
-        return make_any_oracle(std::make_shared<VicinityOracle>(
-            OracleSerializer::load_v5_body(r, g, backing, verify)));
-      case BackendTag::kDirected:
-        return make_any_oracle(std::make_shared<DirectedVicinityOracle>(
-            OracleSerializer::load_v5_directed_body(r, g, backing, verify)));
-    }
-    throw std::runtime_error("oracle index: unknown backend tag");
-  }
-  if (opts.mode == OpenMode::kMapped) mapped_stream_mismatch(h.version);
-  switch (h.tag) {
-    case BackendTag::kUndirected:
-      return make_any_oracle(std::make_shared<VicinityOracle>(
-          OracleSerializer::load_body(f, g, h.version)));
-    case BackendTag::kDirected:
-      return make_any_oracle(std::make_shared<DirectedVicinityOracle>(
-          OracleSerializer::load_directed_body(f, g, h.version)));
-  }
-  throw std::runtime_error("oracle index: unknown backend tag");
+  return make_any_oracle(load_oracle_file(path, g, opts));
 }
 
 IndexFileInfo inspect_index_file(const std::string& path) {

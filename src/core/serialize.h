@@ -3,8 +3,8 @@
 // targets "offline phase" / "online phase" deployments, §2.1).
 //
 // Two container generations share the "VCNIDX" magic + 2 ASCII-digit
-// version + backend-tag prefix (0 = undirected vicinity oracle, 1 =
-// directed vicinity oracle):
+// version + backend-tag prefix (0 = vicinity oracle on an undirected graph,
+// 1 = on a directed graph, with a second vicinity family):
 //
 //  * Versions 2-4 are STREAM containers: a length-prefixed field sequence
 //    copied into owned vectors on load. Nothing writes them any more; they
@@ -20,13 +20,13 @@
 //    (OpenMode::kHeap). Mutating a mapped oracle (apply_update)
 //    transparently copies on write.
 //
-// Loaders refuse an index built for a different graph, a different backend
-// than requested, or an unknown tag — each with a versioned
-// std::runtime_error.
+// The writer takes the tag from the oracle's graph (directed() -> 1). The
+// loaders refuse an index built for a different graph, a tag that
+// disagrees with the graph's direction, or an unknown tag — each with a
+// versioned std::runtime_error.
 //
-// load_any_oracle() dispatches on the tag and returns the index behind the
-// type-erased core::AnyOracle interface — the symmetric half of
-// AnyOracle::save().
+// load_any_oracle() returns the loaded index behind the type-erased
+// core::AnyOracle interface — the symmetric half of AnyOracle::save().
 #pragma once
 
 #include <cstdint>
@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "core/any_oracle.h"
-#include "core/directed_oracle.h"
 #include "core/oracle.h"
 
 namespace vicinity::core {
@@ -63,28 +62,19 @@ struct OpenOptions {
 
 void save_oracle(const VicinityOracle& oracle, std::ostream& out);
 void save_oracle_file(const VicinityOracle& oracle, const std::string& path);
-void save_oracle(const DirectedVicinityOracle& oracle, std::ostream& out);
-void save_oracle_file(const DirectedVicinityOracle& oracle,
-                      const std::string& path);
 
 /// The graph must be the one the oracle was built on (shape-checked) and
 /// must outlive the returned oracle. Accepts version-2 through version-5
-/// files tagged undirected; a directed-tagged file fails with a
-/// runtime_error naming the mismatch. The stream overload always loads
-/// onto the heap (a version-5 stream is slurped and region-parsed).
+/// files whose tag matches the graph: undirected on an undirected graph,
+/// directed (version 3 and later) on a directed one; a mismatch fails with
+/// a versioned "backend mismatch" runtime_error. The stream overload
+/// always loads onto the heap (a version-5 stream is slurped and
+/// region-parsed).
 VicinityOracle load_oracle(std::istream& in, const graph::Graph& g);
 VicinityOracle load_oracle_file(const std::string& path, const graph::Graph& g,
                                 const OpenOptions& opts = {});
 
-/// Directed counterpart: requires a version-3/4/5 file tagged directed.
-DirectedVicinityOracle load_directed_oracle(std::istream& in,
-                                            const graph::Graph& g);
-DirectedVicinityOracle load_directed_oracle_file(const std::string& path,
-                                                 const graph::Graph& g,
-                                                 const OpenOptions& opts = {});
-
-/// Backend-agnostic load: dispatches on the container's backend tag and
-/// wraps the loaded index in its AnyOracle adapter (mutable, so
+/// load_oracle() wrapped in the AnyOracle adapter (mutable, so
 /// apply_update works through QueryEngine). The returned oracle keeps `g`
 /// by reference; `g` must outlive it.
 std::shared_ptr<AnyOracle> load_any_oracle(std::istream& in,

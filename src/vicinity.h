@@ -8,8 +8,8 @@
 //
 //   util::Rng rng(7);
 //   graph::Graph g = gen::powerlaw_cluster(100'000, 9, 0.4, rng);
-//   auto index = Index::build(g);        // picks the undirected or the
-//                                        // directed oracle from g
+//   auto index = Index::build(g);        // undirected or directed: the
+//                                        // oracle reads it from g
 //   auto r = index.distance(12, 3456);   // sub-millisecond, exact
 //   auto p = index.path(12, 3456);       // the actual shortest path
 //
@@ -18,12 +18,12 @@
 //   auto engine = online.engine(8);               // concurrent serving
 //   auto results = engine.run_batch(queries);     // + epoch-fenced updates
 //
-// Every backend — undirected/directed vicinity oracles and the TZ, sketch
-// and landmark baselines — serves through the same type-erased
-// core::AnyOracle contract (core/any_oracle.h); probe capabilities()
-// (exact / paths / updatable / directed / persistable) instead of
-// downcasting. The concrete classes (core::VicinityOracle,
-// core::DirectedVicinityOracle, ...) stay available for direct use.
+// Every backend — the vicinity oracle (one class for undirected and
+// directed graphs) and the TZ, sketch and landmark baselines — serves
+// through the same type-erased core::AnyOracle contract
+// (core/any_oracle.h); probe capabilities() (exact / paths / updatable /
+// directed / persistable) instead of downcasting. The concrete classes
+// (core::VicinityOracle, ...) stay available for direct use.
 //
 // See README.md for the architecture overview and bench/ for the
 // experiment harness that regenerates the paper's tables and figures.
@@ -42,7 +42,6 @@
 #include "baselines/tz_oracle.h"
 #include "cache/result_cache.h"
 #include "core/any_oracle.h"
-#include "core/directed_oracle.h"
 #include "core/dynamic.h"
 #include "core/index_format.h"
 #include "core/landmark_table.h"

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/directed_oracle.h"
 #include "core/oracle.h"
 #include "core/serialize.h"
 
@@ -16,10 +15,6 @@ Index::Index(std::shared_ptr<core::AnyOracle> oracle)
 }
 
 Index Index::build(const graph::Graph& g, const core::OracleOptions& options) {
-  if (g.directed()) {
-    return Index(
-        core::make_any_oracle(core::DirectedVicinityOracle::build(g, options)));
-  }
   return Index(core::make_any_oracle(core::VicinityOracle::build(g, options)));
 }
 

@@ -9,7 +9,7 @@
 //   util::Rng rng(7);
 //   graph::Graph g = gen::powerlaw_cluster(100'000, 9, 0.4, rng);
 //   auto index = Index::build(g);        // undirected or directed — the
-//                                        // right oracle is picked from g
+//                                        // oracle reads it from g
 //   auto r = index.distance(12, 3456);   // sub-millisecond, exact
 //   auto p = index.path(12, 3456);       // the actual shortest path
 //
@@ -39,8 +39,8 @@ namespace vicinity {
 
 class Index {
  public:
-  /// Builds the right vicinity oracle for `g` (VicinityOracle when
-  /// undirected, DirectedVicinityOracle when directed). The graph must
+  /// Builds the vicinity oracle for `g` (one vicinity family when `g` is
+  /// undirected, out- and in-vicinities when directed). The graph must
   /// outlive the index.
   static Index build(const graph::Graph& g,
                      const core::OracleOptions& options = {});
@@ -78,12 +78,13 @@ class Index {
   std::shared_ptr<core::AnyOracle> shared_oracle() const { return oracle_; }
 
   /// Typed escape hatches for introspection (build stats, landmark sets);
-  /// null when the backend is a different type. Behavioral dispatch should
-  /// probe capabilities() instead.
+  /// null unless the backend is a vicinity oracle on an undirected (resp.
+  /// directed) graph. Behavioral dispatch should probe capabilities()
+  /// instead.
   const core::VicinityOracle* undirected() const {
     return oracle_->as_undirected();
   }
-  const core::DirectedVicinityOracle* directed() const {
+  const core::VicinityOracle* directed() const {
     return oracle_->as_directed();
   }
 

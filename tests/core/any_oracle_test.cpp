@@ -1,6 +1,6 @@
 // The unified oracle interface (core/any_oracle.h) and the vicinity::Index
 // facade: capability probing instead of downcasts, QueryEngine serving a
-// DirectedVicinityOracle and baselines through AnyOracle with bit-identical
+// directed-graph index and baselines through AnyOracle with bit-identical
 // batch results across thread counts, and backend-tagged persistence
 // through the facade.
 #include "core/any_oracle.h"
@@ -13,7 +13,7 @@
 
 #include "algo/bfs.h"
 #include "baselines/baseline_adapters.h"
-#include "core/directed_oracle.h"
+#include "core/oracle.h"
 #include "core/query_engine.h"
 #include "core/serialize.h"
 #include "test_support.h"
@@ -132,17 +132,17 @@ TEST(AnyOracleTest, SubsetIndexIsNotUpdatable) {
 TEST(AnyOracleTest, NullOracleRejected) {
   EXPECT_THROW(make_any_oracle(std::shared_ptr<VicinityOracle>{}),
                std::invalid_argument);
-  EXPECT_THROW(make_any_oracle(std::shared_ptr<DirectedVicinityOracle>{}),
+  EXPECT_THROW(make_any_oracle(std::shared_ptr<const VicinityOracle>{}),
                std::invalid_argument);
 }
 
-// --- Acceptance: QueryEngine serves a DirectedVicinityOracle through
-// AnyOracle with bit-identical batch results across thread counts. --------
+// --- Acceptance: QueryEngine serves a VicinityOracle on a directed graph
+// through AnyOracle with bit-identical batch results across thread counts.
 
 TEST(AnyOracleTest, EngineServesDirectedOracleBitIdentical) {
   const auto g = testing::random_connected_directed(600, 4800, 504);
-  auto concrete = std::make_shared<DirectedVicinityOracle>(
-      DirectedVicinityOracle::build(g, defaults()));
+  auto concrete = std::make_shared<VicinityOracle>(
+      VicinityOracle::build(g, defaults()));
   QueryEngine engine(make_any_oracle(concrete), 8);
   EXPECT_TRUE(engine.capabilities().has(Capability::kDirected));
   EXPECT_STREQ(engine.oracle().backend_name(), "vicinity-directed");
@@ -168,7 +168,7 @@ TEST(AnyOracleTest, EngineServesDirectedOracleBitIdentical) {
 
 TEST(AnyOracleTest, EngineAppliesDirectedUpdatesThroughInterface) {
   auto g = testing::random_connected_directed(300, 2400, 506);
-  QueryEngine engine(DirectedVicinityOracle::build(g, defaults()), 4);
+  QueryEngine engine(make_any_oracle(VicinityOracle::build(g, defaults())), 4);
   // Find an absent arc and insert it through the engine.
   NodeId u = 0, v = 0;
   util::Rng rng(507);

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "algo/bidirectional_bfs.h"
-#include "core/directed_oracle.h"
+#include "core/oracle.h"
 #include "core/query_engine.h"
 #include "core/serialize.h"
 #include "gen/erdos_renyi.h"
@@ -381,7 +381,7 @@ TEST(DynamicDirectedOracleTest, RandomizedArcStreamMatchesForwardBfs) {
   util::Rng grng(1001);
   auto g = gen::erdos_renyi_directed(600, 3000, grng);
   OracleOptions opt = exact_options(1002);
-  auto oracle = DirectedVicinityOracle::build(g, opt);
+  auto oracle = VicinityOracle::build(g, opt);
   util::Rng rng(1003);
   QueryContext ctx;
 
@@ -404,7 +404,7 @@ TEST(DynamicDirectedOracleTest, RandomizedArcStreamMatchesForwardBfs) {
   }
 
   // Final cross-check against a from-scratch directed rebuild.
-  auto fresh = DirectedVicinityOracle::build(g, opt);
+  auto fresh = VicinityOracle::build(g, opt);
   QueryContext fresh_ctx;
   for (int q = 0; q < 300; ++q) {
     const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
@@ -416,7 +416,8 @@ TEST(DynamicDirectedOracleTest, RandomizedArcStreamMatchesForwardBfs) {
 
 TEST(DynamicEngineTest, ApplyUpdateAdvancesEpochAndStaysDeterministic) {
   auto g = testing::random_connected(800, 2400, 1101);
-  QueryEngine engine(VicinityOracle::build(g, exact_options(1102)), 4);
+  QueryEngine engine(
+      make_any_oracle(VicinityOracle::build(g, exact_options(1102))), 4);
   EXPECT_EQ(engine.epoch(), 0u);
 
   util::Rng rng(1103);
@@ -444,7 +445,7 @@ TEST(DynamicEngineTest, ConstOracleEngineRefusesUpdates) {
   auto g = testing::random_connected(100, 300, 1201);
   auto shared = std::make_shared<const VicinityOracle>(
       VicinityOracle::build(g, exact_options(1202)));
-  QueryEngine engine(shared, 2);
+  QueryEngine engine(make_any_oracle(shared), 2);
   EXPECT_THROW(engine.apply_update(g, GraphUpdate::insert(0, 99)),
                std::logic_error);
   EXPECT_EQ(engine.epoch(), 0u);
@@ -457,7 +458,7 @@ TEST(DynamicEngineTest, ConcurrentBatchesAndUpdatesStayExact) {
   // must agree with a from-scratch rebuild.
   auto g = testing::random_connected(1500, 4500, 1301);
   OracleOptions opt = exact_options(1302);
-  QueryEngine engine(VicinityOracle::build(g, opt), 4);
+  QueryEngine engine(make_any_oracle(VicinityOracle::build(g, opt)), 4);
 
   util::Rng rng(1303);
   std::vector<Query> batch(400);

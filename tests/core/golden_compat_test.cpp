@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "core/directed_oracle.h"
 #include "core/oracle.h"
 #include "core/query_engine.h"
 #include "core/serialize.h"
@@ -34,8 +33,7 @@ std::string golden(const char* name) {
 /// Asserts two oracles over the same graph produce bit-identical answer
 /// streams: distance, resolution method, look-up count, and the exact path
 /// vertex sequence.
-template <typename Oracle>
-void expect_identical(const Oracle& a, const Oracle& b,
+void expect_identical(const VicinityOracle& a, const VicinityOracle& b,
                       const graph::Graph& g, std::uint64_t seed, int pairs) {
   QueryContext ca, cb;
   util::Rng rng(seed);
@@ -55,9 +53,9 @@ void expect_identical(const Oracle& a, const Oracle& b,
   }
 }
 
-template <typename Oracle>
-void expect_matches_reference(const Oracle& oracle, const graph::Graph& g,
-                              std::uint64_t seed, int pairs) {
+void expect_matches_reference(const VicinityOracle& oracle,
+                              const graph::Graph& g, std::uint64_t seed,
+                              int pairs) {
   QueryContext ctx;
   util::Rng rng(seed);
   for (int i = 0; i < pairs; ++i) {
@@ -116,16 +114,15 @@ TEST(GoldenCompatTest, PackedV04GoldenLoadsAndSurvivesV5RoundTrip) {
 
 TEST(GoldenCompatTest, PackedV04DirectedGoldenLoadsAndSurvivesV5RoundTrip) {
   const auto g = testing::random_connected_directed(160, 1100, 9121);
-  const auto legacy = load_directed_oracle_file(
-      golden("packed_v04_directed.idx"), g);
-  EXPECT_TRUE(legacy.out_store().fully_packed());
-  EXPECT_TRUE(legacy.in_store().fully_packed());
+  const auto legacy = load_oracle_file(golden("packed_v04_directed.idx"), g);
+  EXPECT_TRUE(legacy.store().fully_packed());
+  EXPECT_TRUE(legacy.store(Direction::kIn).fully_packed());
   expect_matches_reference(legacy, g, 9123, 80);
 
   const auto tmp = std::filesystem::temp_directory_path() /
                    "vicinity_golden_roundtrip_dir.idx";
   save_oracle_file(legacy, tmp.string());
-  const auto mapped = load_directed_oracle_file(tmp.string(), g);
+  const auto mapped = load_oracle_file(tmp.string(), g);
   expect_identical(legacy, mapped, g, 9124, 100);
   std::filesystem::remove(tmp);
 }
@@ -135,17 +132,16 @@ TEST(GoldenCompatTest, FlatV04DirectedGoldenLoadsAndSurvivesV5RoundTrip) {
   // per slot, a layout no other fixture pins. Both stores load fully
   // packed, and the VCNIDX05 re-save maps and answers identically.
   const auto g = testing::random_connected_directed(160, 1100, 9121);
-  const auto legacy =
-      load_directed_oracle_file(golden("flat_v04_directed.idx"), g);
-  EXPECT_TRUE(legacy.out_store().fully_packed());
-  EXPECT_TRUE(legacy.in_store().fully_packed());
+  const auto legacy = load_oracle_file(golden("flat_v04_directed.idx"), g);
+  EXPECT_TRUE(legacy.store().fully_packed());
+  EXPECT_TRUE(legacy.store(Direction::kIn).fully_packed());
   expect_matches_reference(legacy, g, 9125, 120);
 
   const auto tmp = std::filesystem::temp_directory_path() /
                    "vicinity_golden_flat_roundtrip_dir.idx";
   save_oracle_file(legacy, tmp.string());
-  const auto mapped = load_directed_oracle_file(tmp.string(), g);
-  EXPECT_TRUE(mapped.out_store().mapped());
+  const auto mapped = load_oracle_file(tmp.string(), g);
+  EXPECT_TRUE(mapped.store().mapped());
   expect_identical(legacy, mapped, g, 9128, 100);
   std::filesystem::remove(tmp);
 }
@@ -158,9 +154,10 @@ std::string file_bytes(const std::string& path) {
 
 TEST(GoldenCompatTest, PackedV05GoldensOpenBothWaysAndMatchTheWriter) {
   // VCNIDX05 fixtures written before the stream writer was retired: each
-  // must open mapped and on the heap with BFS-exact answers, and a fresh
-  // build of the recorded graph and options must serialize to the very
-  // same bytes (the writer is deterministic across build_threads).
+  // must open mapped and on the heap with BFS-exact answers, and fresh
+  // builds of the recorded graph and options at build_threads 1 and 4 must
+  // serialize to the very same bytes (the parallel build is
+  // deterministic).
   OracleOptions opt;
   opt.alpha = 3.0;
   opt.fallback = Fallback::kBidirectionalBfs;
@@ -177,26 +174,33 @@ TEST(GoldenCompatTest, PackedV05GoldensOpenBothWaysAndMatchTheWriter) {
     expect_matches_reference(mapped, g, 9115, 80);
     expect_identical(mapped, heap, g, 9116, 80);
     opt.seed = 9112;
-    std::ostringstream out(std::ios::binary);
-    save_oracle(VicinityOracle::build(g, opt), out);
-    EXPECT_TRUE(out.str() == file_bytes(path))
-        << "fresh undirected build differs from the golden bytes";
+    for (const unsigned threads : {1u, 4u}) {
+      opt.build_threads = threads;
+      std::ostringstream out(std::ios::binary);
+      save_oracle(VicinityOracle::build(g, opt), out);
+      EXPECT_TRUE(out.str() == file_bytes(path))
+          << "fresh undirected build (build_threads " << threads
+          << ") differs from the golden bytes";
+    }
   }
   {
     const auto g = testing::random_connected_directed(160, 1100, 9121);
     const auto path = golden("packed_v05_directed.idx");
-    const auto mapped = load_directed_oracle_file(path, g);
-    const auto heap = load_directed_oracle_file(path, g, heap_opts);
-    EXPECT_TRUE(mapped.out_store().mapped());
-    EXPECT_FALSE(heap.out_store().mapped());
+    const auto mapped = load_oracle_file(path, g);
+    const auto heap = load_oracle_file(path, g, heap_opts);
+    EXPECT_TRUE(mapped.store().mapped());
+    EXPECT_FALSE(heap.store().mapped());
     expect_matches_reference(mapped, g, 9126, 80);
     expect_identical(mapped, heap, g, 9127, 80);
     opt.seed = 9122;
-    opt.build_threads = 4;
-    std::ostringstream out(std::ios::binary);
-    save_oracle(DirectedVicinityOracle::build(g, opt), out);
-    EXPECT_TRUE(out.str() == file_bytes(path))
-        << "fresh directed build differs from the golden bytes";
+    for (const unsigned threads : {1u, 4u}) {
+      opt.build_threads = threads;
+      std::ostringstream out(std::ios::binary);
+      save_oracle(VicinityOracle::build(g, opt), out);
+      EXPECT_TRUE(out.str() == file_bytes(path))
+          << "fresh directed build (build_threads " << threads
+          << ") differs from the golden bytes";
+    }
   }
 }
 
@@ -256,15 +260,15 @@ TEST(GoldenCompatTest, MappedAndHeapOpensAreBitIdenticalDirected) {
   opt.seed = 4602;
   opt.fallback = Fallback::kBidirectionalBfs;
   opt.store_landmark_parents = true;
-  const auto built = DirectedVicinityOracle::build(g_mapped, opt);
+  const auto built = VicinityOracle::build(g_mapped, opt);
   const auto tmp = std::filesystem::temp_directory_path() /
                    "vicinity_open_modes_dir.idx";
   save_oracle_file(built, tmp.string());
 
-  auto mapped = load_directed_oracle_file(tmp.string(), g_mapped);
+  auto mapped = load_oracle_file(tmp.string(), g_mapped);
   OpenOptions heap_opts;
   heap_opts.mode = OpenMode::kHeap;
-  auto heap = load_directed_oracle_file(tmp.string(), g_heap, heap_opts);
+  auto heap = load_oracle_file(tmp.string(), g_heap, heap_opts);
   expect_identical(mapped, heap, g_mapped, 4603, 120);
 
   const NodeId u = 0;

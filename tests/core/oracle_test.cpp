@@ -22,10 +22,15 @@ OracleOptions defaults() {
   return opt;
 }
 
-TEST(OracleTest, RejectsDirectedAndEmptyGraphs) {
-  util::Rng rng(151);
-  const auto d = gen::erdos_renyi_directed(10, 20, rng);
-  EXPECT_THROW(VicinityOracle::build(d, defaults()), std::invalid_argument);
+TEST(OracleTest, RejectsEmptyGraphs) {
+  const auto undirected = graph::GraphBuilder(0, /*directed=*/false).build();
+  const auto directed = graph::GraphBuilder(0, /*directed=*/true).build();
+  ASSERT_EQ(undirected.num_nodes(), 0u);
+  ASSERT_EQ(directed.num_nodes(), 0u);
+  EXPECT_THROW(VicinityOracle::build(undirected, defaults()),
+               std::invalid_argument);
+  EXPECT_THROW(VicinityOracle::build(directed, defaults()),
+               std::invalid_argument);
 }
 
 TEST(OracleTest, IdenticalNodesAreZero) {

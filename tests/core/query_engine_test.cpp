@@ -9,7 +9,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/directed_oracle.h"
+#include "core/oracle.h"
 #include "core/query_engine.h"
 #include "gen/rmat.h"
 #include "gen/watts_strogatz.h"
@@ -60,7 +60,8 @@ TEST(QueryEngineTest, OneVsEightThreadsIdenticalOnRmat) {
   opt.alpha = 4.0;
   opt.seed = 903;
   opt.fallback = Fallback::kBidirectionalBfs;
-  QueryEngine engine(VicinityOracle::build(g, opt), /*threads=*/8);
+  QueryEngine engine(make_any_oracle(VicinityOracle::build(g, opt)),
+                     /*threads=*/8);
   const auto queries = random_queries(g, 800, 904);
 
   const auto one = engine.run_batch(queries, 1);
@@ -76,7 +77,8 @@ TEST(QueryEngineTest, OneVsEightThreadsIdenticalOnWattsStrogatz) {
   opt.alpha = 3.0;
   opt.seed = 905;
   opt.fallback = Fallback::kLandmarkEstimate;
-  QueryEngine engine(VicinityOracle::build(g, opt), /*threads=*/8);
+  QueryEngine engine(make_any_oracle(VicinityOracle::build(g, opt)),
+                     /*threads=*/8);
   const auto queries = random_queries(g, 800, 906);
   expect_identical(engine.run_batch(queries, 1), engine.run_batch(queries, 8));
 }
@@ -89,7 +91,7 @@ TEST(QueryEngineTest, MatchesSequentialOracleAndReference) {
   opt.fallback = Fallback::kBidirectionalBfs;
   auto oracle = std::make_shared<const VicinityOracle>(
       VicinityOracle::build(g, opt));
-  QueryEngine engine(oracle, 4);
+  QueryEngine engine(make_any_oracle(oracle), 4);
   const auto queries = random_queries(g, 300, 908);
   const auto batch = engine.run_batch(queries);
   QueryContext ctx;
@@ -109,7 +111,7 @@ TEST(QueryEngineTest, StatsAccountForEveryQuery) {
   OracleOptions opt;
   opt.seed = 909;
   opt.fallback = Fallback::kBidirectionalBfs;
-  QueryEngine engine(VicinityOracle::build(g, opt), 4);
+  QueryEngine engine(make_any_oracle(VicinityOracle::build(g, opt)), 4);
   const auto queries = random_queries(g, 500, 910);
   engine.run_batch(queries, 4);
   engine.run_batch(queries, 2);
@@ -130,7 +132,8 @@ TEST(QueryEngineTest, MoreLanesThanPoolWorkers) {
   OracleOptions opt;
   opt.seed = 911;
   opt.fallback = Fallback::kBidirectionalBfs;
-  QueryEngine engine(VicinityOracle::build(g, opt), /*threads=*/2);
+  QueryEngine engine(make_any_oracle(VicinityOracle::build(g, opt)),
+                     /*threads=*/2);
   const auto queries = random_queries(g, 400, 912);
   expect_identical(engine.run_batch(queries, 1), engine.run_batch(queries, 6));
 }
@@ -145,7 +148,8 @@ TEST(QueryEngineTest, LaneContextGrowthAcrossBatchesStaysIdentical) {
   OracleOptions opt;
   opt.seed = 916;
   opt.fallback = Fallback::kBidirectionalBfs;
-  QueryEngine engine(VicinityOracle::build(g, opt), /*threads=*/4);
+  QueryEngine engine(make_any_oracle(VicinityOracle::build(g, opt)),
+                     /*threads=*/4);
   const auto queries = random_queries(g, 400, 917);
   const auto one = engine.run_batch(queries, 1);
   expect_identical(one, engine.run_batch(queries, 2));
@@ -157,7 +161,7 @@ TEST(QueryEngineTest, WorkerExceptionPropagatesAndEngineSurvives) {
   const auto g = ws_graph();
   OracleOptions opt;
   opt.seed = 913;
-  QueryEngine engine(VicinityOracle::build(g, opt), 4);
+  QueryEngine engine(make_any_oracle(VicinityOracle::build(g, opt)), 4);
   auto queries = random_queries(g, 100, 914);
   queries[57].t = static_cast<NodeId>(g.num_nodes() + 5);  // out of range
   EXPECT_THROW(engine.run_batch(queries, 4), std::out_of_range);
@@ -171,7 +175,7 @@ TEST(QueryEngineTest, EmptyBatchAndSizeMismatch) {
   const auto g = testing::karate_club();
   OracleOptions opt;
   opt.seed = 915;
-  QueryEngine engine(VicinityOracle::build(g, opt), 2);
+  QueryEngine engine(make_any_oracle(VicinityOracle::build(g, opt)), 2);
   EXPECT_TRUE(engine.run_batch({}).empty());
   std::vector<Query> queries(3);
   std::vector<QueryResult> results(2);
@@ -179,7 +183,7 @@ TEST(QueryEngineTest, EmptyBatchAndSizeMismatch) {
 }
 
 TEST(QueryEngineTest, NullOracleRejected) {
-  EXPECT_THROW(QueryEngine(std::shared_ptr<const VicinityOracle>{}, 2),
+  EXPECT_THROW(QueryEngine(std::shared_ptr<const AnyOracle>{}, 2),
                std::invalid_argument);
 }
 
@@ -193,7 +197,7 @@ TEST(QueryEngineTest, DirectedOracleContextQueriesAreConst) {
   OracleOptions opt;
   opt.seed = 917;
   opt.fallback = Fallback::kBidirectionalBfs;
-  const auto oracle = DirectedVicinityOracle::build(g, opt);
+  const auto oracle = VicinityOracle::build(g, opt);
   QueryContext a, b;
   util::Rng qrng(918);
   for (int i = 0; i < 200; ++i) {

@@ -564,9 +564,9 @@ TEST(SerializeFuzzTest, MappedOpenOfStreamContainerIsRejected) {
 }
 
 TEST(SerializeFuzzTest, WrongBackendTagFailsWithVersionedError) {
-  // An undirected file retagged as directed must be refused by
-  // load_oracle with an error naming the format version and both backends
-  // — not misparsed as a directed body.
+  // An undirected file retagged as directed disagrees with its undirected
+  // graph and must be refused by load_oracle with an error naming the
+  // format version and both backends — not misparsed as a directed body.
   const Fixture f = make_fixture();
   std::string mangled = f.bytes;
   ASSERT_EQ(mangled[kBackendTagOffset], '\0');
@@ -581,12 +581,24 @@ TEST(SerializeFuzzTest, WrongBackendTagFailsWithVersionedError) {
     EXPECT_NE(what.find("format version 4"), std::string::npos) << what;
     EXPECT_NE(what.find("vicinity-directed"), std::string::npos) << what;
   }
-  // The symmetric direction: load_directed_oracle refuses an undirected
-  // tag (and a version-2 file, which is implicitly undirected).
-  std::istringstream clean(f.bytes, std::ios::binary);
-  EXPECT_THROW(load_directed_oracle(clean, f.g), std::runtime_error);
-  std::istringstream v2(as_version2(f.bytes), std::ios::binary);
-  EXPECT_THROW(load_directed_oracle(v2, f.g), std::runtime_error);
+  // The symmetric direction: a directed file retagged as undirected (and a
+  // version-2 file, which is implicitly undirected) is refused against its
+  // directed graph.
+  const Fixture d = make_directed_fixture();
+  std::string retagged = d.bytes;
+  ASSERT_EQ(retagged[kBackendTagOffset], '\1');
+  retagged[kBackendTagOffset] = 0;
+  for (const std::string& bytes : {retagged, as_version2(d.bytes)}) {
+    std::istringstream directed_in(bytes, std::ios::binary);
+    try {
+      (void)load_oracle(directed_in, d.g);
+      FAIL() << "undirected-tagged file loaded against a directed graph";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("backend mismatch"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SerializeFuzzTest, UnknownBackendTagIsRejected) {
@@ -614,8 +626,7 @@ TEST(SerializeFuzzTest, DirectedTruncationAndCorruptionAreGraceful) {
   for (std::size_t cut = 0; cut < f.bytes.size();
        cut += (cut < 256 ? 1 : 997)) {
     std::istringstream in(f.bytes.substr(0, cut), std::ios::binary);
-    EXPECT_THROW(load_directed_oracle(in, f.g), std::runtime_error)
-        << "cut=" << cut;
+    EXPECT_THROW(load_oracle(in, f.g), std::runtime_error) << "cut=" << cut;
   }
   const std::size_t limit = std::min<std::size_t>(f.bytes.size(), 384);
   for (std::size_t pos = 0; pos < limit; ++pos) {
@@ -623,7 +634,7 @@ TEST(SerializeFuzzTest, DirectedTruncationAndCorruptionAreGraceful) {
     mangled[pos] = static_cast<char>(mangled[pos] ^ 0x5a);
     std::istringstream in(mangled, std::ios::binary);
     try {
-      (void)load_directed_oracle(in, f.g);
+      (void)load_oracle(in, f.g);
     } catch (const std::bad_alloc&) {
       FAIL() << "bad_alloc at pos=" << pos;
     } catch (const std::runtime_error&) {

@@ -137,10 +137,10 @@ TEST(SerializeTest, DirectedRoundTripAnswersBitIdentical) {
   const auto g = testing::random_connected_directed(500, 4000, 409);
   OracleOptions o = opts();
   o.fallback = Fallback::kBidirectionalBfs;
-  auto oracle = DirectedVicinityOracle::build(g, o);
+  auto oracle = VicinityOracle::build(g, o);
   std::stringstream buf;
   save_oracle(oracle, buf);
-  auto loaded = load_directed_oracle(buf, g);
+  auto loaded = load_oracle(buf, g);
 
   EXPECT_EQ(loaded.landmarks().nodes, oracle.landmarks().nodes);
   EXPECT_EQ(loaded.memory_stats().vicinity_entries,
@@ -166,10 +166,10 @@ TEST(SerializeTest, DirectedRoundTripPreservesPaths) {
   const auto g = testing::random_connected_directed(350, 2800, 411);
   OracleOptions o = opts();
   o.fallback = Fallback::kBidirectionalBfs;
-  auto oracle = DirectedVicinityOracle::build(g, o);
+  auto oracle = VicinityOracle::build(g, o);
   std::stringstream buf;
   save_oracle(oracle, buf);
-  auto loaded = load_directed_oracle(buf, g);
+  auto loaded = load_oracle(buf, g);
   QueryContext a, b;
   util::Rng rng(412);
   for (int i = 0; i < 80; ++i) {
@@ -181,21 +181,21 @@ TEST(SerializeTest, DirectedRoundTripPreservesPaths) {
 
 TEST(SerializeTest, DirectedRejectsWrongGraph) {
   const auto g = testing::random_connected_directed(300, 2400, 413);
-  auto oracle = DirectedVicinityOracle::build(g, opts());
+  auto oracle = VicinityOracle::build(g, opts());
   std::stringstream buf;
   save_oracle(oracle, buf);
   const auto other = testing::random_connected_directed(320, 2600, 414);
-  EXPECT_THROW(load_directed_oracle(buf, other), std::runtime_error);
+  EXPECT_THROW(load_oracle(buf, other), std::runtime_error);
 }
 
 TEST(SerializeTest, DirectedFileHelpers) {
   const auto g = testing::random_connected_directed(150, 1000, 415);
-  auto oracle = DirectedVicinityOracle::build(g, opts());
+  auto oracle = VicinityOracle::build(g, opts());
   const std::string path = ::testing::TempDir() + "/directed_oracle.idx";
   save_oracle_file(oracle, path);
-  auto loaded = load_directed_oracle_file(path, g);
+  auto loaded = load_oracle_file(path, g);
   EXPECT_EQ(loaded.landmarks().size(), oracle.landmarks().size());
-  // The backend-agnostic loader dispatches to the directed backend.
+  // The backend-agnostic loader reports the directed backend.
   auto any = load_any_oracle_file(path, g);
   ASSERT_NE(any, nullptr);
   EXPECT_STREQ(any->backend_name(), "vicinity-directed");
@@ -216,10 +216,10 @@ TEST(SerializeTest, DirectedSubsetOracleRoundTrips) {
   for (int i = 0; i < 120; ++i) {
     sample.push_back(static_cast<NodeId>(rng.next_below(g.num_nodes())));
   }
-  auto oracle = DirectedVicinityOracle::build_for(g, opts(), sample);
+  auto oracle = VicinityOracle::build_for(g, opts(), sample);
   std::stringstream buf;
   save_oracle(oracle, buf);
-  auto loaded = load_directed_oracle(buf, g);
+  auto loaded = load_oracle(buf, g);
   QueryContext a, b;
   for (std::size_t i = 0; i + 1 < sample.size(); ++i) {
     const NodeId s = sample[i];

@@ -56,6 +56,8 @@ class ViolationFixtureTest(unittest.TestCase):
     def test_bench_keys_rule_fires(self):
         self.assertIn("[bench-baseline-keys]", self.output)
         self.assertIn("query_qps_bets", self.output)
+        # No gate flag feeds a packed_ prefix any more.
+        self.assertIn("metric 'packed_query_p99_us'", self.output)
 
     def test_net_eintr_rule_fires(self):
         self.assertIn("[net-syscall-eintr]", self.output)
