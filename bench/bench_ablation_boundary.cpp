@@ -7,6 +7,7 @@
 
 #include "common.h"
 #include "core/oracle.h"
+#include "core/query_engine.h"
 #include "util/stats.h"
 
 using namespace vicinity;
@@ -63,9 +64,11 @@ int main(int argc, char** argv) {
 
         util::StreamingStats lookups;
         std::size_t mismatches = 0;
+        core::QueryContext ctx;
         util::Timer timer;
         for (std::size_t i = 0; i < pairs.size(); ++i) {
-          const auto r = oracle.distance(pairs[i].first, pairs[i].second);
+          const auto r =
+              oracle.distance(pairs[i].first, pairs[i].second, ctx);
           lookups.add(static_cast<double>(r.hash_lookups));
           if (reference.size() == pairs.size() && reference[i] != r.dist) {
             ++mismatches;

@@ -9,6 +9,7 @@
 #include "algo/bidirectional_bfs.h"
 #include "common.h"
 #include "core/oracle.h"
+#include "core/query_engine.h"
 #include "util/stats.h"
 
 using namespace vicinity;
@@ -59,9 +60,10 @@ int main(int argc, char** argv) {
 
     util::StreamingStats lookups;
     std::uint64_t answered = 0;
+    core::QueryContext ctx;
     util::Timer timer;
     for (const auto& [s, t] : pairs) {
-      const auto r = oracle.distance(s, t);
+      const auto r = oracle.distance(s, t, ctx);
       lookups.add(static_cast<double>(r.hash_lookups));
       answered += r.method != core::QueryMethod::kNotFound;
     }
@@ -71,7 +73,7 @@ int main(int argc, char** argv) {
 
     // Exactness audit vs forward BFS ground truth.
     for (std::size_t i = 0; i < pairs.size(); ++i) {
-      const auto r = oracle.distance(pairs[i].first, pairs[i].second);
+      const auto r = oracle.distance(pairs[i].first, pairs[i].second, ctx);
       if (r.method != core::QueryMethod::kNotFound && r.dist != truth[i]) {
         std::cerr << "EXACTNESS VIOLATION " << pairs[i].first << "->"
                   << pairs[i].second << "\n";

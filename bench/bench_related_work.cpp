@@ -19,6 +19,7 @@
 #include "baselines/tz_oracle.h"
 #include "common.h"
 #include "core/oracle.h"
+#include "core/query_engine.h"
 #include "util/memory.h"
 #include "util/stats.h"
 
@@ -104,9 +105,10 @@ int main(int argc, char** argv) {
       auto oracle = core::VicinityOracle::build(g, oopt);
       const double build_s = build.elapsed_seconds();
       std::vector<Distance> est(pairs.size());
+      core::QueryContext ctx;
       util::Timer timer;
       for (std::size_t i = 0; i < pairs.size(); ++i) {
-        est[i] = oracle.distance(pairs[i].first, pairs[i].second).dist;
+        est[i] = oracle.distance(pairs[i].first, pairs[i].second, ctx).dist;
       }
       report("vicinity oracle (this paper)", build_s,
              oracle.memory_stats().bytes,

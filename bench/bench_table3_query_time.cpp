@@ -20,6 +20,7 @@
 #include "algo/naive_bidirectional_bfs.h"
 #include "common.h"
 #include "core/oracle.h"
+#include "core/query_engine.h"
 #include "util/stats.h"
 
 using namespace vicinity;
@@ -106,9 +107,10 @@ int main(int argc, char** argv) {
 
       util::StreamingStats lookups;
       std::uint64_t answered = 0;
+      core::QueryContext ctx;
       util::Timer oracle_timer;
       for (const auto& [s, t] : pairs) {
-        const auto r = oracle.distance(s, t);
+        const auto r = oracle.distance(s, t, ctx);
         lookups.add(static_cast<double>(r.hash_lookups));
         answered += r.method != core::QueryMethod::kNotFound;
       }
@@ -125,7 +127,7 @@ int main(int argc, char** argv) {
           const auto truth = algo::bfs(g, sample[i]).dist;
           for (const NodeId t : sample) {
             if (t == sample[i]) continue;
-            const auto r = oracle.distance(sample[i], t);
+            const auto r = oracle.distance(sample[i], t, ctx);
             if (r.method == core::QueryMethod::kNotFound) continue;
             ++audited;
             if (r.dist != truth[t]) {
@@ -215,8 +217,9 @@ int main(int argc, char** argv) {
       rng.shuffle(pairs);
       if (pairs.size() > 10000) pairs.resize(10000);
 
+      core::QueryContext ctx;
       util::Timer ours_timer;
-      for (const auto& [s, t] : pairs) oracle.distance(s, t);
+      for (const auto& [s, t] : pairs) oracle.distance(s, t, ctx);
       const double ours_us =
           ours_timer.elapsed_us() / static_cast<double>(pairs.size());
 

@@ -307,7 +307,7 @@ int main(int argc, char** argv) {
     core::QueryContext ctx;
     for (std::size_t i = 0; i < latency_sample; ++i) {
       util::Timer t;
-      (void)engine.query(queries[i].s, queries[i].t, ctx);
+      (void)engine.oracle().distance(queries[i].s, queries[i].t, ctx);
       latency_us.add(t.elapsed_us());
     }
   }

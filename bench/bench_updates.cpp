@@ -202,7 +202,7 @@ int main(int argc, char** argv) {
     const auto s = static_cast<NodeId>(qrng.next_below(g.num_nodes()));
     const auto t = static_cast<NodeId>(qrng.next_below(g.num_nodes()));
     util::Timer qt;
-    const auto r = engine.query(s, t, ctx);
+    const auto r = engine.oracle().distance(s, t, ctx);
     latency_us.add(qt.elapsed_us());
     exact += r.exact ? 1 : 0;
   }

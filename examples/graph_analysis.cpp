@@ -39,10 +39,11 @@ int main(int argc, char** argv) {
 
   // Distance distribution over all sampled pairs via the oracle.
   util::SampleSet dists;
+  core::QueryContext ctx;
   util::Timer oracle_timer;
   for (std::size_t i = 0; i < sample.size(); ++i) {
     for (std::size_t j = i + 1; j < sample.size(); ++j) {
-      const auto d = oracle.distance(sample[i], sample[j]);
+      const auto d = oracle.distance(sample[i], sample[j], ctx);
       if (d.dist != kInfDistance) dists.add(static_cast<double>(d.dist));
     }
   }

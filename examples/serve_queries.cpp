@@ -47,9 +47,9 @@ int main(int argc, char** argv) {
   // 2. Online phase: a fresh process would start here — load the index and
   //    stand up the engine (shared-immutable oracle + one context per lane).
   //    VCNIDX05 containers open two ways: kHeap deserializes everything into
-  //    owned buffers (what every pre-v5 reader did), kAuto/kMapped points the
-  //    oracle's spans straight at the mmapped file. Time both to show the
-  //    zero-copy win.
+  //    owned buffers (what every pre-v5 reader did), the default kMapped
+  //    points the oracle's spans straight at the mmapped file. Time both to
+  //    show the zero-copy win.
   util::Timer heap_timer;
   {
     const auto heap_index = Index::open(
@@ -132,10 +132,10 @@ int main(int argc, char** argv) {
             << "\n\n";
 
   // 5. Callers with their own threads use one context each; paths go
-  //    through the same capability-checked engine surface.
+  //    through the engine's capability-checked oracle surface.
   core::QueryContext ctx;
   const NodeId s = 1 % g.num_nodes(), t = g.num_nodes() - 1;
-  const auto p = engine.path(s, t, ctx);
+  const auto p = engine.oracle().path(s, t, ctx);
   std::cout << "path(" << s << ", " << t << ") [" << core::to_string(p.method)
             << "]:";
   for (const NodeId v : p.path) std::cout << " " << v;

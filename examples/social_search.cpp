@@ -25,13 +25,15 @@ int main(int argc, char** argv) {
   std::cout << "index: " << oracle.landmarks().size() << " landmarks, built in "
             << util::fmt_fixed(oracle.build_stats().seconds, 2) << "s\n\n";
 
-  // Connection chains for a few random user pairs.
+  // Connection chains for a few random user pairs. Queries run on one
+  // caller-owned context (one per thread when querying concurrently).
+  core::QueryContext ctx;
   util::Rng rng(5);
   std::cout << "connection chains:\n";
   for (int i = 0; i < 5; ++i) {
     const auto a = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto b = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const auto p = oracle.path(a, b);
+    const auto p = oracle.path(a, b, ctx);
     std::cout << "  user" << a << " -> user" << b << ": ";
     if (p.path.empty()) {
       std::cout << "not connected\n";
@@ -54,7 +56,7 @@ int main(int argc, char** argv) {
     const auto a = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     auto b = a;
     while (b == a) b = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const auto d = oracle.distance(a, b);
+    const auto d = oracle.distance(a, b, ctx);
     if (d.dist == kInfDistance) continue;
     ++histogram[std::min<std::size_t>(d.dist, histogram.size() - 1)];
     sep.add(static_cast<double>(d.dist));

@@ -39,8 +39,9 @@ int main(int argc, char** argv) {
     sellers.push_back(Seller{u, 0, 20.0 + rng.next_double() * 10.0});
   }
 
+  core::QueryContext ctx;
   util::Timer timer;
-  for (auto& s : sellers) s.dist = oracle.distance(buyer, s.user).dist;
+  for (auto& s : sellers) s.dist = oracle.distance(buyer, s.user, ctx).dist;
   std::cout << "scored " << sellers.size() << " sellers in "
             << util::fmt_fixed(timer.elapsed_us(), 0) << "us\n\n";
 
@@ -55,7 +56,7 @@ int main(int argc, char** argv) {
   for (std::size_t rank = 0; rank < std::min<std::size_t>(5, sellers.size());
        ++rank) {
     const auto& s = sellers[rank];
-    const auto p = oracle.path(buyer, s.user);
+    const auto p = oracle.path(buyer, s.user, ctx);
     std::string chain;
     for (std::size_t k = 0; k < p.path.size(); ++k) {
       chain += (k ? " > " : "") + ("user" + std::to_string(p.path[k]));

@@ -12,11 +12,15 @@
 //   inspect an index:   vicinity_cli index info index.idx
 //                       (header + section table only — never loads the
 //                        payload, so it is O(1) on a multi-GB index)
+//   convert a legacy VCNIDX02-04 index (the loaders open only VCNIDX05):
+//     vicinity_cli index upgrade --graph=graph.bin --in=old.idx --out=new.idx
 //   one-shot stats:     vicinity_cli stats --graph=graph.bin
 //
 // Graphs load from the binary container or from SNAP-style edge lists
 // (--edges=FILE), so real downloaded datasets work unchanged.
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
@@ -147,11 +151,16 @@ int cmd_query(int argc, char** argv) {
 // Reads O(header + section table) bytes regardless of index size.
 int cmd_index_info(const std::string& path) {
   const core::IndexFileInfo info = core::inspect_index_file(path);
-  std::cout << path << ": VCNIDX" << (info.version < 10 ? "0" : "")
-            << info.version << " "
+  std::cout << path << ": VCNIDX0" << info.version << " "
             << (info.mappable ? "region container (mappable)"
-                              : "stream container")
+                              : "legacy stream container")
             << "\n";
+  if (!info.mappable) {
+    std::cout << "  backend:    " << info.backend << "\n"
+              << "  convert it with: vicinity_cli index upgrade "
+                 "--graph=GRAPH.bin --in=" << path << " --out=NEW.idx\n";
+    return 0;
+  }
   std::cout << "  backend:    " << info.backend << " (store: "
             << info.store_backend;
   if (!info.table_mode.empty()) {
@@ -179,6 +188,37 @@ int cmd_index_info(const std::string& path) {
   return 0;
 }
 
+// `index upgrade --graph=G --in=OLD --out=NEW`: the legacy stream load of
+// OLD against G, written as VCNIDX05. The output goes to a temporary file
+// renamed over NEW only on success, so --in may equal --out.
+int cmd_index_upgrade(int argc, char** argv) {
+  const std::string graph_path = flag_value(argc, argv, "graph");
+  const std::string in_path = flag_value(argc, argv, "in");
+  const std::string out_path = flag_value(argc, argv, "out");
+  if (graph_path.empty() || in_path.empty() || out_path.empty()) {
+    std::cerr << "usage: vicinity_cli index upgrade --graph=G.bin "
+                 "--in=OLD.idx --out=NEW.idx\n";
+    return 2;
+  }
+  const auto g = graph::load_binary_file(graph_path);
+  std::ifstream in(in_path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open " + in_path);
+  const std::string tmp = out_path + ".tmp";
+  try {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) throw std::runtime_error("cannot open " + tmp);
+    core::upgrade_index(in, g, out);
+    out.close();
+    if (!out) throw std::runtime_error("cannot write " + tmp);
+  } catch (...) {
+    std::filesystem::remove(tmp);
+    throw;
+  }
+  std::filesystem::rename(tmp, out_path);
+  std::cout << "upgraded " << in_path << " -> " << out_path << " (VCNIDX05)\n";
+  return 0;
+}
+
 int cmd_stats(int argc, char** argv) {
   const auto g = load_graph(argc, argv);
   util::Rng rng(1);
@@ -191,8 +231,8 @@ int cmd_stats(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   if (argc < 2) {
-    std::cerr << "usage: vicinity_cli {gen|build|query|stats|index info} "
-                 "[flags]\n";
+    std::cerr << "usage: vicinity_cli {gen|build|query|stats|index info|"
+                 "index upgrade} [flags]\n";
     return 2;
   }
   const std::string cmd = argv[1];
@@ -205,7 +245,11 @@ int main(int argc, char** argv) {
       if (argc >= 4 && std::string(argv[2]) == "info") {
         return cmd_index_info(argv[3]);
       }
-      std::cerr << "usage: vicinity_cli index info FILE.idx\n";
+      if (argc >= 3 && std::string(argv[2]) == "upgrade") {
+        return cmd_index_upgrade(argc, argv);
+      }
+      std::cerr << "usage: vicinity_cli index {info FILE.idx | upgrade "
+                   "--graph=G.bin --in=OLD.idx --out=NEW.idx}\n";
       return 2;
     }
   } catch (const std::exception& e) {

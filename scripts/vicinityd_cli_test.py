@@ -3,10 +3,12 @@
 
 The daemon's contract for operator error is: one-line diagnostic on
 stderr, exit code 2 for bad invocations (flags, env), exit code 1 for
-runtime faults (missing/corrupt files, occupied port) — and never a
-stack trace, abort, or uncaught exception. Init systems and test
-drivers branch on exactly this, so it is pinned here against the real
-binary, process boundary included.
+runtime faults (missing/corrupt files, legacy index files, occupied
+port) — and never a stack trace, abort, or uncaught exception. Init
+systems and test drivers branch on exactly this, so it is pinned here
+against the real binary, process boundary included. A legacy VCNIDX04
+index must name `vicinity_cli index upgrade`, and `vicinity_cli index`
+must report it and refuse an incomplete upgrade invocation.
 
 Usage: vicinityd_cli_test.py --build-dir <cmake build dir>
 """
@@ -20,6 +22,8 @@ import tempfile
 from pathlib import Path
 
 FAILURES = []
+
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "tests" / "data" / "golden"
 
 
 def check(ok, msg):
@@ -140,6 +144,26 @@ def main():
         assert_clean_failure(
             "corrupt index file",
             run(vicinityd, [f"--graph={graph}", f"--index={junk}"]), 1)
+
+        print("== legacy VCNIDX04 index (refused with the upgrade hint) ==")
+        legacy = GOLDEN_DIR / "flat_v04_undirected.idx"
+        proc = run(vicinityd, [f"--graph={graph}", f"--index={legacy}"])
+        assert_clean_failure("legacy index", proc, 1)
+        fatal = proc.stderr.strip().splitlines()[-1:] or [""]
+        check(fatal[0].startswith("vicinityd: fatal:")
+              and "vicinity_cli index upgrade" in fatal[0],
+              f"legacy index: no upgrade hint in {fatal[0]!r}")
+        proc = run(cli, ["index", "info", str(legacy)])
+        check(proc.returncode == 0,
+              f"index info on a legacy file: exit {proc.returncode}")
+        check("VCNIDX04 legacy stream container" in proc.stdout,
+              f"index info: not reported as legacy: {proc.stdout!r}")
+        proc = run(cli, ["index", "upgrade", f"--graph={graph}",
+                         f"--in={legacy}"])
+        check(proc.returncode == 2,
+              f"index upgrade without --out: exit {proc.returncode}, want 2")
+        check("usage:" in proc.stderr,
+              f"index upgrade without --out: no usage line: {proc.stderr!r}")
 
         # Hold a port open, then ask vicinityd to bind it.
         blocker = socket.socket(socket.AF_INET, socket.SOCK_STREAM)

@@ -1,9 +1,10 @@
 // VCNIDX05 on-disk layout: the directly-mappable index container.
 //
-// Versions 2-4 are stream containers — a load is a long sequence of
+// Versions 2-4 were stream containers — a load is a long sequence of
 // length-prefixed reads copied field by field into freshly allocated
-// vectors. Version 5 is a *region* container: a fixed 128-byte header, a
-// section table, and 64-byte-aligned sections whose in-file bytes are
+// vectors; only core::upgrade_index still reads them. Version 5 is a
+// *region* container: a fixed 128-byte header, a section table, and
+// 64-byte-aligned sections whose in-file bytes are
 // byte-identical to the in-memory representation (little-endian, the
 // natural layout of NodeId/Distance/std::uint32_t arrays). An open is then
 // mmap + structural validation, with the oracle's spans aliasing the
@@ -13,8 +14,8 @@
 // Layout (all offsets absolute from byte 0 of the file):
 //
 //   [0, 128)                FileHeader (includes the 9-byte legacy
-//                           "VCNIDX" + "05" + tag prefix, so version
-//                           dispatch in the stream loaders keeps working)
+//                           "VCNIDX" + "05" + tag prefix, so every
+//                           loader reads the version from the same bytes)
 //   [128, 128 + 32·k)       SectionEntry table, k = header.section_count
 //   [align64(...), ...)     sections, each 64-byte aligned, in table order
 //
@@ -136,8 +137,8 @@ static_assert(std::is_trivially_copyable_v<SectionEntry>);
 
 /// The fixed header at offset 0. Bytes [0, 9) reproduce the legacy stream
 /// prefix (magic, two ASCII version digits, backend tag) so pre-v5 readers
-/// fail with their versioned "unsupported format version" error and the
-/// stream loaders' dispatch needs no special casing.
+/// fail with their versioned "unsupported format version" error and one
+/// version check serves every container.
 struct FileHeader {
   char magic[6];               ///< "VCNIDX"
   char version_digits[2];      ///< "05"

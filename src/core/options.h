@@ -20,8 +20,8 @@ enum class SamplingStrategy {
 /// paper's §5 "more customized data structures" challenge; its §3.2
 /// GNU-STL hash tables live on only as bench_ablation_hash's baseline.
 /// The enumerator keeps value 2, the store-layout byte every index file
-/// records; the VCNIDX02-04 readers accept the retired hash-layout bytes 0
-/// and 1 and load those files into this layout.
+/// records; core::upgrade_index also accepts a VCNIDX02-04 file recording
+/// the retired hash-layout bytes 0 and 1 and converts it to this layout.
 enum class StoreBackend {
   kPacked = 2,
 };

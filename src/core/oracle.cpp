@@ -6,14 +6,11 @@
 #include "algo/path.h"
 #include "core/query_engine.h"
 #include "util/log.h"
+#include "util/mutex.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace vicinity::core {
-
-// Defined where QueryContext is complete (core/query_engine.h).
-DefaultContextSlot::DefaultContextSlot() = default;
-DefaultContextSlot::~DefaultContextSlot() = default;
 
 VicinityOracle::VicinityOracle() = default;
 VicinityOracle::VicinityOracle(VicinityOracle&&) noexcept = default;
@@ -417,15 +414,6 @@ QueryResult VicinityOracle::intersect(NodeId s, NodeId t) const {
   return r;
 }
 
-QueryResult VicinityOracle::distance(NodeId s, NodeId t) {
-  // The default context is shared state; the lock makes the convenience
-  // overload safe (but serialized) under concurrent callers.
-  DefaultContextSlot& slot = *default_slot_;
-  const util::MutexLock lock(slot.mu);
-  if (!slot.ctx) slot.ctx = std::make_unique<QueryContext>();
-  return distance(s, t, *slot.ctx);
-}
-
 QueryResult VicinityOracle::distance(NodeId s, NodeId t,
                                      QueryContext& ctx) const {
   const QueryResult r = distance_impl(s, t, &ctx);
@@ -475,31 +463,6 @@ QueryResult VicinityOracle::distance_impl(NodeId s, NodeId t,
     lookups = ir.hash_lookups;
   }
   return fallback_distance_impl(s, t, lookups, ctx);
-}
-
-std::vector<QueryResult> VicinityOracle::distance_batch(
-    std::span<const std::pair<NodeId, NodeId>> pairs, unsigned threads) const {
-  if (pairs.empty()) return {};
-  if (threads == 1) {
-    // No pool for the sequential case — no worker thread would run.
-    std::vector<QueryResult> out(pairs.size());
-    QueryContext ctx;
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      out[i] = distance(pairs[i].first, pairs[i].second, ctx);
-    }
-    return out;
-  }
-  std::vector<Query> queries(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    queries[i] = Query{pairs[i].first, pairs[i].second};
-  }
-  // One-shot engine over a non-owning alias of this oracle. Long-lived
-  // callers should hold a QueryEngine instead and reuse its warm pool.
-  QueryEngine engine(
-      make_any_oracle(std::shared_ptr<const VicinityOracle>(
-          std::shared_ptr<const void>{}, this)),
-      threads);
-  return engine.run_batch(queries);
 }
 
 QueryResult VicinityOracle::fallback_distance_impl(NodeId s, NodeId t,
@@ -593,13 +556,6 @@ PathResult VicinityOracle::fallback_path(NodeId s, NodeId t,
   p.method = QueryMethod::kFallbackExact;
   p.exact = true;
   return p;
-}
-
-PathResult VicinityOracle::path(NodeId s, NodeId t) {
-  DefaultContextSlot& slot = *default_slot_;
-  const util::MutexLock lock(slot.mu);
-  if (!slot.ctx) slot.ctx = std::make_unique<QueryContext>();
-  return path(s, t, *slot.ctx);
 }
 
 PathResult VicinityOracle::path(NodeId s, NodeId t, QueryContext& ctx) const {

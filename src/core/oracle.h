@@ -30,7 +30,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/dynamic.h"
@@ -39,8 +38,6 @@
 #include "core/options.h"
 #include "core/vicinity_store.h"
 #include "graph/graph.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace vicinity::util {
 class ThreadPool;  // util/thread_pool.h; the repair pool is lazily created
@@ -76,25 +73,6 @@ const char* to_string(QueryMethod m);
 /// Per-thread mutable query state (fallback search scratch + statistics);
 /// defined in core/query_engine.h.
 class QueryContext;
-
-/// Mutex + lazily created QueryContext bundle backing the oracle's
-/// convenience (non-const) query overloads. Lives behind a unique_ptr so
-/// the owning oracle stays movable; bundling the mutex with the pointer it
-/// guards makes the GUARDED_BY relation expressible to the thread-safety
-/// analysis (a capability expression cannot dereference through the owning
-/// oracle's unique_ptr member).
-struct DefaultContextSlot {
-  // Out-of-line special members (oracle.cpp): QueryContext is incomplete
-  // here, so the unique_ptr deleter must not be instantiated inline.
-  DefaultContextSlot();
-  ~DefaultContextSlot();
-  DefaultContextSlot(const DefaultContextSlot&) = delete;
-  DefaultContextSlot& operator=(const DefaultContextSlot&) = delete;
-
-  util::Mutex mu;
-  /// Created on first use, under mu.
-  std::unique_ptr<QueryContext> ctx VICINITY_GUARDED_BY(mu);
-};
 
 struct QueryResult {
   Distance dist = kInfDistance;
@@ -148,24 +126,15 @@ class VicinityOracle {
                                   const OracleOptions& options,
                                   std::span<const NodeId> query_nodes);
 
-  /// Exact distance query (Algorithm 1 + configured fallback) through an
-  /// internal default context. The context is guarded by a mutex, so
-  /// concurrent calls are safe but fully serialized — concurrent callers
-  /// should use the context overload below (one context per thread), which
-  /// is lock-free.
-  QueryResult distance(NodeId s, NodeId t);
-
-  /// Thread-safe distance query: the oracle is only read, all mutable state
-  /// (fallback scratch, stats accumulation) lives in `ctx`. Any number of
-  /// threads may query concurrently as long as each owns its context.
+  /// Exact distance query (Algorithm 1 + configured fallback). The oracle
+  /// is only read; all mutable state (fallback scratch, stats
+  /// accumulation) lives in `ctx`. Any number of threads may query
+  /// concurrently as long as each owns its context. Batches across a
+  /// worker pool go through QueryEngine::run_batch (core/query_engine.h).
   QueryResult distance(NodeId s, NodeId t, QueryContext& ctx) const;
 
   /// Shortest-path retrieval (§3.1 path extension): parent chains inside
-  /// the stored vicinities / landmark trees. Default-context convenience
-  /// (mutex-guarded like distance(s, t)).
-  PathResult path(NodeId s, NodeId t);
-
-  /// Thread-safe path query (same contract as distance(s, t, ctx)).
+  /// the stored vicinities / landmark trees. Same contract as distance().
   PathResult path(NodeId s, NodeId t, QueryContext& ctx) const;
 
   /// Applies one edge (arc, on directed graphs) insertion/deletion to `g` —
@@ -186,17 +155,6 @@ class VicinityOracle {
   /// Fraction of sampled indexed pairs answerable without fallback — the
   /// paper's coverage metric ("99.9% of queries").
   double estimate_coverage(std::size_t pairs, util::Rng& rng) const;
-
-  /// Batch distance queries across a thread pool — the paper's §5
-  /// parallelization question: unlike the search baselines, oracle queries
-  /// share no mutable state (the index is read-only; each worker carries
-  /// its own QueryContext), so they scale without replicating the network
-  /// or moving data. threads == 0 selects hardware concurrency. Long-lived
-  /// servers should prefer QueryEngine (core/query_engine.h), which keeps
-  /// the worker pool and contexts warm across batches.
-  std::vector<QueryResult> distance_batch(
-      std::span<const std::pair<NodeId, NodeId>> pairs,
-      unsigned threads = 0) const;
 
   const graph::Graph& graph() const { return *g_; }
   /// True when built on a directed graph (two vicinity families).
@@ -230,8 +188,8 @@ class VicinityOracle {
  private:
   friend class OracleSerializer;
 
-  // Out-of-line destructor/moves: default_slot_ holds an incomplete
-  // QueryContext here (completed in core/query_engine.h).
+  // Out-of-line destructor/moves: update_pool_ holds an incomplete
+  // util::ThreadPool here.
   VicinityOracle();
 
   static VicinityOracle build_impl(const graph::Graph& g,
@@ -291,10 +249,6 @@ class VicinityOracle {
   LandmarkTables tables_;
   OracleBuildStats build_stats_;
   std::vector<NodeId> indexed_;
-  /// Context + mutex backing the convenience overloads (moved-from oracles
-  /// must not be queried).
-  std::unique_ptr<DefaultContextSlot> default_slot_ =
-      std::make_unique<DefaultContextSlot>();
   /// Lazily-created worker pool reused across apply_update() calls so
   /// hub-sized repairs do not pay thread spawn/teardown per update.
   std::unique_ptr<util::ThreadPool> update_pool_;

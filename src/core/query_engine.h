@@ -119,7 +119,7 @@ class QueryContext {
 /// Concurrent batch-query server. Construction is cheap relative to oracle
 /// build: it spawns the worker pool once and allocates one context per
 /// worker slot. run_batch() is internally serialized (one batch at a time);
-/// individual queries via query()/distance(s,t,ctx) need no lock at all.
+/// single queries through oracle().distance(s, t, ctx) need no lock at all.
 ///
 /// Epoch/consistency contract for dynamic updates: the engine carries a
 /// monotonically increasing epoch(), advanced once per apply_update().
@@ -150,9 +150,11 @@ class QueryEngine {
 
   unsigned thread_count() const { return pool_.thread_count(); }
 
-  /// The backend being served. Probe oracle().capabilities() for what it
-  /// supports; as_undirected()/as_directed() expose the concrete oracles
-  /// for introspection.
+  /// The backend being served. Single queries go through
+  /// oracle().distance(s, t, ctx) / path(s, t, ctx) on a caller-owned
+  /// context. Probe oracle().capabilities() for what it supports;
+  /// as_undirected()/as_directed() expose the concrete oracles for
+  /// introspection.
   const AnyOracle& oracle() const { return *oracle_; }
   Capabilities capabilities() const { return oracle_->capabilities(); }
 
@@ -177,22 +179,6 @@ class QueryEngine {
   std::uint64_t run_batch_epoch(std::span<const Query> queries,
                                 std::span<QueryResult> results,
                                 unsigned threads = 0) VICINITY_EXCLUDES(mu_);
-
-  /// Single query on a caller-owned context (lock-free; one context per
-  /// caller thread).
-  QueryResult query(NodeId s, NodeId t, QueryContext& ctx) const {
-    return oracle_->distance(s, t, ctx);
-  }
-
-  /// Path retrieval on a caller-owned context. Backends without
-  /// Capability::kPaths refuse with CapabilityError — probe capabilities()
-  /// first when the backend is not statically known.
-  PathResult path(NodeId s, NodeId t, QueryContext& ctx) const {
-    return oracle_->path(s, t, ctx);
-  }
-
-  /// Fresh context for callers managing their own threads.
-  QueryContext make_context() const { return QueryContext{}; }
 
   /// Applies one edge mutation to `g` (the graph the oracle was built on)
   /// and repairs the oracle in place (AnyOracle::apply_update), fenced from
@@ -219,8 +205,8 @@ class QueryEngine {
 
   /// The hot-pair result cache, or null when the engine was constructed
   /// without one (the default). Batch queries probe it before the oracle;
-  /// the single-query query()/path() path never touches it (those are
-  /// unfenced, so no batch-lock-pinned epoch exists to key by). Mutable
+  /// single queries through oracle() never touch it (those are unfenced,
+  /// so no batch-lock-pinned epoch exists to key by). Mutable
   /// access is for benchmarks (clear(), reset_counters()); the cache's own
   /// sharded locks make that safe concurrently with batches.
   cache::ResultCache* result_cache() const { return cache_.get(); }

@@ -21,21 +21,21 @@ namespace vicinity::core {
 namespace {
 
 // Container header: 6-byte magic + 2 ASCII-digit format version + (since
-// version 3) one backend-tag byte. Version 2 added
+// version 3) one backend-tag byte. Version 5 is the region container of
+// core/index_format.h (fixed header + section table + 64-byte-aligned
+// sections), which loads zero-copy via mmap; it is the only version the
+// writer emits and the loaders open. Versions 2-4 are legacy stream
+// containers that only upgrade_index() reads. Version 2 added
 // OracleOptions::update_rebuild_fraction (dynamic updates); version 3 added
 // the backend tag and the directed-oracle body; version 4 added the packed
-// stream body. Version 5 is the region container of core/index_format.h
-// (fixed header + section table + 64-byte-aligned sections), which loads
-// zero-copy via mmap; it is the only version the writer emits. Versions 2-4
-// are read-only stream containers: their store body is either the packed
-// blobs (store byte 2, version 4) or per-slot member records (store bytes
-// 0 and 1, the retired §3.2 hash layouts), and both load into the packed
-// store. Version-1 files predate the options field and are rejected up
-// front with a versioned error rather than misparsed.
+// stream body. A stream store body is either the packed blobs (store byte
+// 2, version 4) or per-slot member records (store bytes 0 and 1, the
+// retired §3.2 hash layouts), and both load into the packed store.
+// Version-1 files predate the options field and are rejected up front with
+// a versioned error rather than misparsed.
 constexpr char kMagic[6] = {'V', 'C', 'N', 'I', 'D', 'X'};
-constexpr int kFormatVersion = 5;        // newest readable version
-constexpr int kRegionFormatVersion = 5;  // first region-container version
-constexpr int kMinFormatVersion = 2;
+constexpr int kFormatVersion = 5;     // the one version loaded and written
+constexpr int kMinFormatVersion = 2;  // oldest version upgrade_index reads
 constexpr int kMinPackedVersion = 4;
 
 enum class BackendTag : std::uint8_t {
@@ -99,7 +99,9 @@ struct Header {
   BackendTag tag;
 };
 
-Header read_header(std::istream& in) {
+/// Reads the magic and the two version digits. Versions outside 2-5 are
+/// refused here; the caller decides what a legacy version 2-4 means.
+int read_version(std::istream& in) {
   char header[8];
   in.read(header, sizeof(header));
   if (!in || std::memcmp(header, kMagic, sizeof(kMagic)) != 0) {
@@ -113,18 +115,36 @@ Header read_header(std::istream& in) {
   if (version < kMinFormatVersion || version > kFormatVersion) {
     throw std::runtime_error(
         "oracle index: unsupported format version " + std::to_string(version) +
-        " (this build reads versions " + std::to_string(kMinFormatVersion) +
-        "-" + std::to_string(kFormatVersion) + "; rebuild the index)");
+        " (this build opens version " + std::to_string(kFormatVersion) +
+        " and upgrades versions " + std::to_string(kMinFormatVersion) + "-" +
+        std::to_string(kFormatVersion - 1) + "; rebuild the index)");
   }
+  return version;
+}
+
+/// The loaders open only the current version; a legacy stream container is
+/// refused before any later field (tag, graph shape) is read.
+void require_current(int version) {
+  if (version == kFormatVersion) return;
+  throw std::runtime_error(
+      "oracle index: format version " + std::to_string(version) +
+      " is a legacy stream container and this build opens only version " +
+      std::to_string(kFormatVersion) +
+      "; convert it once with `vicinity_cli index upgrade --graph=G "
+      "--in=OLD --out=NEW`");
+}
+
+/// The backend-tag byte after the version digits.
+BackendTag read_tag(std::istream& in, int version) {
   // Version 2 predates the backend tag; only undirected indexes existed.
-  if (version < 3) return Header{version, BackendTag::kUndirected};
+  if (version < 3) return BackendTag::kUndirected;
   const auto tag_raw = read_pod<std::uint8_t>(in);
   if (tag_raw > static_cast<std::uint8_t>(BackendTag::kDirected)) {
     throw std::runtime_error("oracle index: unknown backend tag " +
                              std::to_string(tag_raw) + " (format version " +
                              std::to_string(version) + ")");
   }
-  return Header{version, static_cast<BackendTag>(tag_raw)};
+  return static_cast<BackendTag>(tag_raw);
 }
 
 /// An index built on a directed graph carries a second vicinity family.
@@ -142,14 +162,6 @@ void check_backend(const Header& h, const graph::Graph& g) {
       "', not '" + to_string(wanted) + "'; the graph is " +
       (g.directed() ? "directed" : "undirected") +
       " (load the index against the graph it was built on)");
-}
-
-[[noreturn]] void mapped_stream_mismatch(int version) {
-  throw std::runtime_error(
-      "oracle index: format version " + std::to_string(version) +
-      " is a stream container and cannot be memory-mapped; open with "
-      "OpenMode::kHeap, or re-save the index to get a version " +
-      std::to_string(kRegionFormatVersion) + " region container");
 }
 
 void check_graph_shape(std::istream& in, const graph::Graph& g) {
@@ -203,17 +215,6 @@ OracleOptions read_options(std::istream& in, int version, bool& packed_body) {
           "corrupt update-rebuild fraction");
   opt.seed = read_pod<std::uint64_t>(in);
   return opt;
-}
-
-const char* store_backend_name(std::uint8_t b) {
-  // Bytes 0 and 1 are the retired hash layouts, still recorded by
-  // VCNIDX02-04 files.
-  switch (b) {
-    case 0: return "flat-hash";
-    case 1: return "std-unordered-map";
-    case static_cast<std::uint8_t>(StoreBackend::kPacked): return "packed";
-  }
-  return "?";
 }
 
 const char* table_mode_name(std::uint8_t m) {
@@ -361,7 +362,7 @@ V5Reader open_v5(v5::RegionView view) {
   r.header = &h;
   require(std::memcmp(h.magic, kMagic, sizeof(kMagic)) == 0, "bad magic");
   require(h.version_digits[0] == '0' &&
-              h.version_digits[1] == '0' + kRegionFormatVersion,
+              h.version_digits[1] == '0' + kFormatVersion,
           "corrupt format version");
   if (h.endian != v5::kEndianMarker) {
     throw std::runtime_error(
@@ -818,7 +819,7 @@ class OracleSerializer {
     v5::FileHeader h{};
     std::memcpy(h.magic, kMagic, sizeof(kMagic));
     h.version_digits[0] = '0';
-    h.version_digits[1] = '0' + kRegionFormatVersion;
+    h.version_digits[1] = '0' + kFormatVersion;
     h.backend_tag = static_cast<std::uint8_t>(backend_tag_of(g));
     h.table_mode = static_cast<std::uint8_t>(o.tables_.mode());
     h.directed_graph = g.directed() ? 1 : 0;
@@ -858,7 +859,7 @@ class OracleSerializer {
                                      bool verify) {
     const v5::FileHeader& h = *r.header;
     check_backend(
-        Header{kRegionFormatVersion, static_cast<BackendTag>(h.backend_tag)},
+        Header{kFormatVersion, static_cast<BackendTag>(h.backend_tag)},
         g);
     check_v5_graph_shape(h, g);
     VicinityOracle o;
@@ -972,16 +973,15 @@ class OracleSerializer {
 
 namespace {
 
-/// Reconstructs a version-5 region from a stream whose 9-byte prefix was
-/// already consumed by read_header: re-prepends the prefix so the absolute
-/// section offsets stay valid, then slurps the remainder into one heap
-/// buffer (operator new's alignment covers every element type).
-std::vector<std::byte> slurp_region(std::istream& in, BackendTag tag) {
-  std::vector<std::byte> buf(9);
+/// Reconstructs a version-5 region from a stream whose magic and version
+/// digits were already consumed by read_version: re-prepends them so the
+/// absolute section offsets stay valid, then slurps the remainder into one
+/// heap buffer (operator new's alignment covers every element type).
+std::vector<std::byte> slurp_region(std::istream& in) {
+  std::vector<std::byte> buf(8);
   std::memcpy(buf.data(), kMagic, sizeof(kMagic));
   buf[6] = static_cast<std::byte>('0');
-  buf[7] = static_cast<std::byte>('0' + kRegionFormatVersion);
-  buf[8] = static_cast<std::byte>(tag);
+  buf[7] = static_cast<std::byte>('0' + kFormatVersion);
   constexpr std::size_t kChunk = std::size_t{1} << 22;
   std::size_t pos = buf.size();
   for (;;) {
@@ -1009,31 +1009,36 @@ void save_oracle_file(const VicinityOracle& oracle, const std::string& path) {
 }
 
 VicinityOracle load_oracle(std::istream& in, const graph::Graph& g) {
-  const Header h = read_header(in);
-  if (h.version >= kRegionFormatVersion) {
-    const auto buf = slurp_region(in, h.tag);
-    const V5Reader r = open_v5(v5::RegionView(buf));
-    return OracleSerializer::load_v5_body(r, g, nullptr, /*verify=*/true);
-  }
-  return OracleSerializer::load_body(in, g, h);
+  require_current(read_version(in));
+  const auto buf = slurp_region(in);
+  const V5Reader r = open_v5(v5::RegionView(buf));
+  return OracleSerializer::load_v5_body(r, g, nullptr, /*verify=*/true);
 }
 
 VicinityOracle load_oracle_file(const std::string& path, const graph::Graph& g,
                                 const OpenOptions& opts) {
   std::ifstream f(path, std::ios::binary);
   if (!f) throw std::runtime_error("cannot open " + path);
-  const Header h = read_header(f);
-  if (h.version >= kRegionFormatVersion) {
-    f.close();
-    auto mf = std::make_shared<util::MappedFile>(path);
-    const V5Reader r = open_v5(v5::RegionView(mf->bytes()));
-    if (opts.mode == OpenMode::kHeap) {
-      return OracleSerializer::load_v5_body(r, g, nullptr, /*verify=*/true);
-    }
-    return OracleSerializer::load_v5_body(r, g, std::move(mf), opts.verify);
+  require_current(read_version(f));
+  f.close();
+  auto mf = std::make_shared<util::MappedFile>(path);
+  const V5Reader r = open_v5(v5::RegionView(mf->bytes()));
+  if (opts.mode == OpenMode::kHeap) {
+    return OracleSerializer::load_v5_body(r, g, nullptr, /*verify=*/true);
   }
-  if (opts.mode == OpenMode::kMapped) mapped_stream_mismatch(h.version);
-  return OracleSerializer::load_body(f, g, h);
+  return OracleSerializer::load_v5_body(r, g, std::move(mf), opts.verify);
+}
+
+void upgrade_index(std::istream& legacy, const graph::Graph& g,
+                   std::ostream& out) {
+  const int version = read_version(legacy);
+  if (version == kFormatVersion) {
+    throw std::runtime_error("oracle index: format version " +
+                             std::to_string(version) +
+                             " is already current; nothing to upgrade");
+  }
+  const Header h{version, read_tag(legacy, version)};
+  save_oracle(OracleSerializer::load_body(legacy, g, h), out);
 }
 
 std::shared_ptr<AnyOracle> load_any_oracle(std::istream& in,
@@ -1050,49 +1055,34 @@ std::shared_ptr<AnyOracle> load_any_oracle_file(const std::string& path,
 IndexFileInfo inspect_index_file(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   if (!f) throw std::runtime_error("cannot open " + path);
-  f.seekg(0, std::ios::end);
-  const auto file_bytes = static_cast<std::uint64_t>(f.tellg());
-  f.seekg(0);
-  const Header h = read_header(f);
   IndexFileInfo info;
-  info.version = h.version;
-  info.backend = to_string(h.tag);
-  info.file_bytes = file_bytes;
-  if (h.version >= kRegionFormatVersion) {
-    info.mappable = true;
-    f.seekg(0);
-    const auto fh = read_pod<v5::FileHeader>(f);
-    if (fh.endian != v5::kEndianMarker) {
-      throw std::runtime_error(
-          "oracle index (version 5): endianness mismatch (index written on "
-          "an incompatible byte order)");
-    }
-    require(fh.header_bytes == sizeof(v5::FileHeader), "corrupt header size");
-    info.num_nodes = fh.num_nodes;
-    info.num_arcs = fh.num_arcs;
-    info.directed = fh.directed_graph != 0;
-    info.weighted = fh.weighted_graph != 0;
-    info.alpha = fh.alpha;
-    info.store_backend = store_backend_name(fh.store_backend);
-    info.table_mode = table_mode_name(fh.table_mode);
-    info.sections.reserve(fh.section_count);
-    for (std::uint32_t i = 0; i < fh.section_count; ++i) {
-      const auto e = read_pod<v5::SectionEntry>(f);
-      info.sections.push_back({e.id, v5::section_name(e.id), e.elem_size,
-                               e.offset, e.count, e.bytes});
-    }
+  info.version = read_version(f);
+  if (info.version != kFormatVersion) {
+    // A legacy stream container: only upgrade_index reads past its tag.
+    info.backend = to_string(read_tag(f, info.version));
     return info;
   }
-  // Stream container: the graph shape and leading options fields follow the
-  // header directly, so the cheap metadata is still available.
-  info.num_nodes = read_pod<std::uint64_t>(f);
-  info.num_arcs = read_pod<std::uint64_t>(f);
-  info.directed = read_pod<std::uint8_t>(f) != 0;
-  info.weighted = read_pod<std::uint8_t>(f) != 0;
-  info.alpha = read_pod<double>(f);
-  read_pod<double>(f);        // sampling_constant
-  read_pod<std::uint8_t>(f);  // strategy
-  info.store_backend = store_backend_name(read_pod<std::uint8_t>(f));
+  f.close();
+  const util::MappedFile mf(path);
+  const V5Reader r = open_v5(v5::RegionView(mf.bytes()));
+  const v5::FileHeader& h = *r.header;
+  info.backend = to_string(static_cast<BackendTag>(h.backend_tag));
+  info.file_bytes = h.file_bytes;
+  info.mappable = true;
+  info.num_nodes = h.num_nodes;
+  info.num_arcs = h.num_arcs;
+  info.directed = h.directed_graph != 0;
+  info.weighted = h.weighted_graph != 0;
+  info.alpha = h.alpha;
+  info.store_backend =
+      h.store_backend == static_cast<std::uint8_t>(StoreBackend::kPacked)
+          ? "packed"
+          : "?";
+  info.table_mode = table_mode_name(h.table_mode);
+  for (const auto& e : r.sections) {
+    info.sections.push_back({e.id, v5::section_name(e.id), e.elem_size,
+                             e.offset, e.count, e.bytes});
+  }
   return info;
 }
 

@@ -2,15 +2,11 @@
 // graph, skipping preprocessing on restart (practically relevant: the paper
 // targets "offline phase" / "online phase" deployments, §2.1).
 //
-// Two container generations share the "VCNIDX" magic + 2 ASCII-digit
-// version + backend-tag prefix (0 = vicinity oracle on an undirected graph,
-// 1 = on a directed graph, with a second vicinity family):
+// Every container starts with the "VCNIDX" magic, a 2 ASCII-digit version
+// and a backend tag (0 = vicinity oracle on an undirected graph, 1 = on a
+// directed graph, with a second vicinity family). The loaders open one
+// generation:
 //
-//  * Versions 2-4 are STREAM containers: a length-prefixed field sequence
-//    copied into owned vectors on load. Nothing writes them any more; they
-//    keep loading via the legacy stream path, including files whose store
-//    body is one of the retired per-node hash layouts (those are rebuilt
-//    into the packed store and pack()ed on load).
 //  * Version 5 is a REGION container (core/index_format.h): fixed header,
 //    section table, 64-byte-aligned sections whose file bytes equal the
 //    in-memory arrays. Every save writes version 5, which loads either
@@ -19,6 +15,12 @@
 //    processes share one physical copy — or into owned heap storage
 //    (OpenMode::kHeap). Mutating a mapped oracle (apply_update)
 //    transparently copies on write.
+//  * Versions 2-4 are legacy STREAM containers: a length-prefixed field
+//    sequence. The loaders refuse them on the version digits, before any
+//    other field, with a versioned std::runtime_error that names
+//    `vicinity_cli index upgrade`. upgrade_index() is the only reader left
+//    for them; it writes the same index as version 5, including files whose
+//    store body is one of the retired per-node hash layouts.
 //
 // The writer takes the tag from the oracle's graph (directed() -> 1). The
 // loaders refuse an index built for a different graph, a tag that
@@ -40,16 +42,14 @@
 
 namespace vicinity::core {
 
-/// How the file loaders bring a VCNIDX05 region container into memory.
-/// Stream containers (versions 2-4) always load onto the heap.
+/// How load_oracle_file brings a VCNIDX05 container into memory.
 enum class OpenMode {
-  kAuto,    ///< mmap region containers, stream-load the rest (the default)
-  kMapped,  ///< require mmap; a pre-v5 stream container is an error
-  kHeap,    ///< always copy into owned heap storage
+  kMapped,  ///< zero-copy mmap (the default)
+  kHeap,    ///< copy into owned heap storage
 };
 
 struct OpenOptions {
-  OpenMode mode = OpenMode::kAuto;
+  OpenMode mode = OpenMode::kMapped;
   /// Deep-validate the packed arenas on a *mapped* open: member/parent id
   /// ranges, per-group sort order and group disjointness — an
   /// O(total entries) scan. Heap and stream loads always deep-validate; a
@@ -64,15 +64,23 @@ void save_oracle(const VicinityOracle& oracle, std::ostream& out);
 void save_oracle_file(const VicinityOracle& oracle, const std::string& path);
 
 /// The graph must be the one the oracle was built on (shape-checked) and
-/// must outlive the returned oracle. Accepts version-2 through version-5
-/// files whose tag matches the graph: undirected on an undirected graph,
-/// directed (version 3 and later) on a directed one; a mismatch fails with
-/// a versioned "backend mismatch" runtime_error. The stream overload
-/// always loads onto the heap (a version-5 stream is slurped and
+/// must outlive the returned oracle. Accepts version-5 files whose tag
+/// matches the graph: undirected on an undirected graph, directed on a
+/// directed one; a mismatch fails with a versioned "backend mismatch"
+/// runtime_error, and a version 2-4 file with the upgrade hint. The stream
+/// overload always loads onto the heap (the stream is slurped and
 /// region-parsed).
 VicinityOracle load_oracle(std::istream& in, const graph::Graph& g);
 VicinityOracle load_oracle_file(const std::string& path, const graph::Graph& g,
                                 const OpenOptions& opts = {});
+
+/// Converts a legacy VCNIDX02-04 stream container for `g` into the
+/// version-5 container a fresh save of the same index writes: the legacy
+/// stream load (fully validated, graph shape- and tag-checked) followed by
+/// save_oracle(). Refuses a version-5 input — there is nothing to upgrade —
+/// and every other version with the loaders' errors.
+void upgrade_index(std::istream& legacy, const graph::Graph& g,
+                   std::ostream& out);
 
 /// load_oracle() wrapped in the AnyOracle adapter (mutable, so
 /// apply_update works through QueryEngine). The returned oracle keeps `g`
@@ -94,26 +102,27 @@ struct IndexSectionInfo {
   std::uint64_t bytes = 0;
 };
 
+/// A legacy VCNIDX02-04 file reports only version and backend; every other
+/// field describes a version-5 region container.
 struct IndexFileInfo {
   int version = 0;
   std::string backend;  ///< "vicinity" | "vicinity-directed"
   std::uint64_t file_bytes = 0;
-  bool mappable = false;  ///< region container (version >= 5)
+  bool mappable = false;  ///< version 5; false for a legacy stream container
   std::uint64_t num_nodes = 0;
   std::uint64_t num_arcs = 0;
   bool directed = false;
   bool weighted = false;
   double alpha = 0.0;
-  /// "packed"; VCNIDX02-04 files may also record the retired hash layouts
-  /// "flat-hash" | "std-unordered-map".
-  std::string store_backend;
-  std::string table_mode;     ///< "none" | "full" | "subset" (version >= 5)
-  std::vector<IndexSectionInfo> sections;  ///< version >= 5 only
+  std::string store_backend;  ///< "packed"
+  std::string table_mode;     ///< "none" | "full" | "subset"
+  std::vector<IndexSectionInfo> sections;
 };
 
-/// Reads only the header (and, for region containers, the section table) —
-/// never the section payloads, so inspecting a multi-GB index is O(1) I/O.
-/// Throws std::runtime_error on unreadable or corrupt headers.
+/// Reads only the header and the section table, through the loaders'
+/// O(section count) structural validation — never the section payloads, so
+/// inspecting a multi-GB index touches a few pages. Throws
+/// std::runtime_error on unreadable or corrupt headers and tables.
 IndexFileInfo inspect_index_file(const std::string& path);
 
 }  // namespace vicinity::core

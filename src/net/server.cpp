@@ -1041,7 +1041,8 @@ void Server::process_flush(std::vector<WorkItem>& flush) {
         }
         case Op::kPath: {
           try {
-            const core::PathResult pr = engine_.path(it.s, it.t, batch_ctx_);
+            const core::PathResult pr =
+                engine_.oracle().path(it.s, it.t, batch_ctx_);
             DistanceRecord rec;
             rec.dist = pr.dist;
             rec.method = static_cast<std::uint8_t>(pr.method);

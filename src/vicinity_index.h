@@ -45,11 +45,12 @@ class Index {
   static Index build(const graph::Graph& g,
                      const core::OracleOptions& options = {});
 
-  /// Loads a persisted index (any backend tag, VCNIDX02 through VCNIDX05)
-  /// against the graph it was built on. VCNIDX05 region containers are
-  /// memory-mapped by default (core::OpenMode::kAuto) — pass
-  /// {.mode = core::OpenMode::kHeap} to force an owned heap copy, or set
-  /// opts.verify to deep-validate the mapped arenas up front.
+  /// Loads a persisted VCNIDX05 index (either backend tag) against the
+  /// graph it was built on. It is memory-mapped by default
+  /// (core::OpenMode::kMapped) — pass {.mode = core::OpenMode::kHeap} to
+  /// force an owned heap copy, or set opts.verify to deep-validate the
+  /// mapped arenas up front. A legacy VCNIDX02-04 file is refused with a
+  /// runtime_error naming `vicinity_cli index upgrade`.
   static Index open(const std::string& path, const graph::Graph& g,
                     const core::OpenOptions& opts = {});
   static Index open(std::istream& in, const graph::Graph& g);

@@ -180,7 +180,7 @@ TEST(AnyOracleTest, EngineAppliesDirectedUpdatesThroughInterface) {
   EXPECT_EQ(stats.kind, UpdateKind::kInsert);
   EXPECT_EQ(engine.epoch(), 1u);
   QueryContext ctx;
-  EXPECT_EQ(engine.query(u, v, ctx).dist, 1u);
+  EXPECT_EQ(engine.oracle().distance(u, v, ctx).dist, 1u);
 }
 
 // --- Acceptance: at least one baseline serves through the same engine. ---
@@ -244,7 +244,7 @@ TEST(AnyOracleTest, BaselineRefusalsAreCapabilityErrors) {
   QueryEngine engine(any, 2);
   const auto queries = random_queries(g, 500, 512);
   expect_identical(engine.run_batch(queries, 1), engine.run_batch(queries, 2));
-  EXPECT_THROW(engine.path(0, 1, ctx), CapabilityError);
+  EXPECT_THROW(engine.oracle().path(0, 1, ctx), CapabilityError);
 }
 
 TEST(AnyOracleTest, SketchBaselineServes) {

@@ -1,24 +1,34 @@
-// Parallel batch queries (§5 parallelization challenge): answers must be
-// identical to sequential queries for any thread count and any fallback.
+// Parallel batch queries (§5 parallelization challenge): QueryEngine's
+// run_batch answers must be identical to sequential queries for any thread
+// count and any fallback.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "core/oracle.h"
+#include "core/query_engine.h"
 #include "test_support.h"
 
 namespace vicinity::core {
 namespace {
 
-std::vector<std::pair<NodeId, NodeId>> random_pairs(const graph::Graph& g,
-                                                    std::size_t count,
-                                                    std::uint64_t seed) {
+std::vector<Query> random_queries(const graph::Graph& g, std::size_t count,
+                                  std::uint64_t seed) {
   util::Rng rng(seed);
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  pairs.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    pairs.emplace_back(static_cast<NodeId>(rng.next_below(g.num_nodes())),
-                       static_cast<NodeId>(rng.next_below(g.num_nodes())));
+  std::vector<Query> queries(count);
+  for (Query& q : queries) {
+    q.s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+    q.t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
   }
-  return pairs;
+  return queries;
+}
+
+/// Builds the oracle behind a const, shared handle so the test can both
+/// serve it through an engine and query it sequentially.
+std::shared_ptr<const VicinityOracle> build(const graph::Graph& g,
+                                            const OracleOptions& opt) {
+  return std::make_shared<const VicinityOracle>(VicinityOracle::build(g, opt));
 }
 
 class BatchQueryTest : public ::testing::TestWithParam<unsigned> {};
@@ -29,13 +39,15 @@ TEST_P(BatchQueryTest, MatchesSequentialAcrossThreadCounts) {
   opt.alpha = 4.0;
   opt.seed = 602;
   opt.fallback = Fallback::kBidirectionalBfs;
-  auto oracle = VicinityOracle::build(g, opt);
-  const auto pairs = random_pairs(g, 500, 603);
+  const auto oracle = build(g, opt);
+  const auto queries = random_queries(g, 500, 603);
 
-  const auto batch = oracle.distance_batch(pairs, GetParam());
-  ASSERT_EQ(batch.size(), pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const auto seq = oracle.distance(pairs[i].first, pairs[i].second);
+  QueryEngine engine(make_any_oracle(oracle), GetParam());
+  const auto batch = engine.run_batch(queries);
+  ASSERT_EQ(batch.size(), queries.size());
+  QueryContext ctx;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto seq = oracle->distance(queries[i].s, queries[i].t, ctx);
     ASSERT_EQ(batch[i].dist, seq.dist) << "pair " << i;
     ASSERT_EQ(batch[i].method, seq.method);
     ASSERT_EQ(batch[i].hash_lookups, seq.hash_lookups);
@@ -52,9 +64,8 @@ TEST(BatchQueryTest, EmptyBatch) {
   const auto g = testing::karate_club();
   OracleOptions opt;
   opt.seed = 604;
-  auto oracle = VicinityOracle::build(g, opt);
-  const std::vector<std::pair<NodeId, NodeId>> none;
-  EXPECT_TRUE(oracle.distance_batch(none, 4).empty());
+  QueryEngine engine(make_any_oracle(build(g, opt)), 4);
+  EXPECT_TRUE(engine.run_batch(std::vector<Query>{}).empty());
 }
 
 TEST(BatchQueryTest, ExactWithFallbackEverywhere) {
@@ -63,13 +74,13 @@ TEST(BatchQueryTest, ExactWithFallbackEverywhere) {
   opt.alpha = 0.5;  // force plenty of fallbacks
   opt.seed = 606;
   opt.fallback = Fallback::kBidirectionalBfs;
-  auto oracle = VicinityOracle::build(g, opt);
-  const auto pairs = random_pairs(g, 300, 607);
-  const auto batch = oracle.distance_batch(pairs, 4);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
+  QueryEngine engine(make_any_oracle(build(g, opt)), 4);
+  const auto queries = random_queries(g, 300, 607);
+  const auto batch = engine.run_batch(queries);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
     ASSERT_TRUE(batch[i].exact);
     ASSERT_EQ(batch[i].dist,
-              testing::ref_distance(g, pairs[i].first, pairs[i].second));
+              testing::ref_distance(g, queries[i].s, queries[i].t));
   }
 }
 
@@ -79,12 +90,14 @@ TEST(BatchQueryTest, NoFallbackReportsNotFoundConsistently) {
   opt.alpha = 0.5;
   opt.seed = 609;
   opt.fallback = Fallback::kNone;
-  auto oracle = VicinityOracle::build(g, opt);
-  const auto pairs = random_pairs(g, 300, 610);
-  const auto batch = oracle.distance_batch(pairs, 3);
+  const auto oracle = build(g, opt);
+  const auto queries = random_queries(g, 300, 610);
+  QueryEngine engine(make_any_oracle(oracle), 3);
+  const auto batch = engine.run_batch(queries);
+  QueryContext ctx;
   std::size_t not_found = 0;
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const auto seq = oracle.distance(pairs[i].first, pairs[i].second);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto seq = oracle->distance(queries[i].s, queries[i].t, ctx);
     ASSERT_EQ(batch[i].method, seq.method);
     not_found += batch[i].method == QueryMethod::kNotFound;
   }
@@ -100,9 +113,9 @@ TEST(BatchQueryTest, ThroughputSanity) {
   opt.alpha = 8.0;
   opt.seed = 612;
   opt.fallback = Fallback::kBidirectionalBfs;
-  auto oracle = VicinityOracle::build(g, opt);
-  const auto pairs = random_pairs(g, 5000, 613);
-  const auto batch = oracle.distance_batch(pairs, 0);  // hw concurrency
+  QueryEngine engine(make_any_oracle(build(g, opt)), 0);  // hw concurrency
+  const auto queries = random_queries(g, 5000, 613);
+  const auto batch = engine.run_batch(queries);
   std::size_t finite = 0;
   for (const auto& r : batch) finite += r.dist != kInfDistance;
   EXPECT_EQ(finite, batch.size());  // connected graph

@@ -34,11 +34,12 @@ TEST(DirectedOracleTest, AnsweredDistancesMatchForwardBfs) {
   const auto g = directed_graph(800, 6400, 301);
   auto oracle = VicinityOracle::build(g, defaults());
   std::size_t answered = 0, total = 0;
+  QueryContext ctx;
   for (NodeId s = 0; s < g.num_nodes(); s += 41) {
     const auto ref = algo::bfs(g, s).dist;
     for (NodeId t = 0; t < g.num_nodes(); t += 13) {
       ++total;
-      const auto r = oracle.distance(s, t);
+      const auto r = oracle.distance(s, t, ctx);
       if (r.method == QueryMethod::kNotFound) continue;
       ++answered;
       ASSERT_EQ(r.dist, ref[t])
@@ -59,9 +60,10 @@ TEST(DirectedOracleTest, AsymmetricDistancesHandled) {
   auto opt = defaults();
   opt.fallback = Fallback::kBidirectionalBfs;
   auto oracle = VicinityOracle::build(g, opt);
-  EXPECT_EQ(oracle.distance(0, 2).dist, 1u);
-  EXPECT_EQ(oracle.distance(2, 1).dist, 2u);  // must go around
-  EXPECT_EQ(oracle.distance(1, 0).dist, 2u);
+  QueryContext ctx;
+  EXPECT_EQ(oracle.distance(0, 2, ctx).dist, 1u);
+  EXPECT_EQ(oracle.distance(2, 1, ctx).dist, 2u);  // must go around
+  EXPECT_EQ(oracle.distance(1, 0, ctx).dist, 2u);
 }
 
 TEST(DirectedOracleTest, FallbackMakesItTotal) {
@@ -71,10 +73,11 @@ TEST(DirectedOracleTest, FallbackMakesItTotal) {
   opt.fallback = Fallback::kBidirectionalBfs;
   auto oracle = VicinityOracle::build(g, opt);
   util::Rng rng(303);
+  QueryContext ctx;
   for (int i = 0; i < 150; ++i) {
     const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const auto r = oracle.distance(s, t);
+    const auto r = oracle.distance(s, t, ctx);
     ASSERT_TRUE(r.exact);
     ASSERT_EQ(r.dist, algo::bfs(g, s).dist[t]);
   }
@@ -87,11 +90,12 @@ TEST(DirectedOracleTest, PathsFollowArcDirections) {
   opt.fallback = Fallback::kBidirectionalBfs;
   auto oracle = VicinityOracle::build(g, opt);
   util::Rng rng(305);
+  QueryContext ctx;
   for (int i = 0; i < 100; ++i) {
     const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto ref = algo::bfs(g, s).dist[t];
-    const auto p = oracle.path(s, t);
+    const auto p = oracle.path(s, t, ctx);
     if (ref == kInfDistance) {
       EXPECT_TRUE(p.path.empty());
       continue;
@@ -111,11 +115,12 @@ TEST(DirectedOracleTest, SubsetModeWorks) {
   }
   auto oracle = VicinityOracle::build_for(g, defaults(), sample);
   std::size_t answered = 0;
+  QueryContext ctx;
   for (const NodeId s : sample) {
     const auto ref = algo::bfs(g, s).dist;
     for (const NodeId t : sample) {
       if (s == t) continue;
-      const auto r = oracle.distance(s, t);
+      const auto r = oracle.distance(s, t, ctx);
       if (r.method == QueryMethod::kNotFound) continue;
       ++answered;
       ASSERT_EQ(r.dist, ref[t]);

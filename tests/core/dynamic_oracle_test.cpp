@@ -162,20 +162,20 @@ void run_update_stream(graph::Graph& g, const OracleOptions& opt,
 TEST(DynamicOracleTest, InsertShortcutOnPathGraph) {
   auto g = testing::path_graph(10);
   auto oracle = VicinityOracle::build(g, exact_options(7));
-  ASSERT_EQ(oracle.distance(0, 9).dist, 9u);
+  QueryContext ctx;
+  ASSERT_EQ(oracle.distance(0, 9, ctx).dist, 9u);
 
   const UpdateStats stats = oracle.apply_update(g, GraphUpdate::insert(0, 9));
   EXPECT_EQ(stats.kind, UpdateKind::kInsert);
   EXPECT_GT(stats.affected_vicinities, 0u);
 
-  QueryContext ctx;
   for (NodeId s = 0; s < 10; ++s) {
     for (NodeId t = 0; t < 10; ++t) {
       const Distance ref = testing::ref_distance(g, s, t);
       EXPECT_EQ(oracle.distance(s, t, ctx).dist, ref) << s << "," << t;
     }
   }
-  EXPECT_EQ(oracle.distance(0, 9).dist, 1u);
+  EXPECT_EQ(oracle.distance(0, 9, ctx).dist, 1u);
 }
 
 TEST(DynamicOracleTest, DeleteBridgeDisconnects) {
@@ -191,12 +191,12 @@ TEST(DynamicOracleTest, DeleteBridgeDisconnects) {
   b.add_edge(2, 3);  // bridge
   auto g = b.build();
   auto oracle = VicinityOracle::build(g, exact_options(11));
-  ASSERT_NE(oracle.distance(0, 5).dist, kInfDistance);
+  QueryContext ctx;
+  ASSERT_NE(oracle.distance(0, 5, ctx).dist, kInfDistance);
 
   const UpdateStats stats = oracle.apply_update(g, GraphUpdate::remove(2, 3));
   EXPECT_EQ(stats.kind, UpdateKind::kDelete);
 
-  QueryContext ctx;
   const QueryResult r = oracle.distance(0, 5, ctx);
   EXPECT_EQ(r.dist, kInfDistance);
   EXPECT_TRUE(r.exact);

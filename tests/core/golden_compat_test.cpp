@@ -2,26 +2,30 @@
 //
 // The stream fixtures under tests/data/golden/ were produced by the retired
 // VCNIDX02-04 writer (see tests/data/golden/README.md for the exact
-// generation parameters) and pin the legacy stream decode paths: the writer
-// only emits VCNIDX05 region containers, so these files are the only way to
-// prove VCNIDX02-04 files still load. The packed_v05_* fixtures pin the
+// generation parameters) and pin the legacy stream decode paths: the
+// loaders refuse them, and upgrade_index() must convert each into the
+// VCNIDX05 bytes of the same index. The packed_v05_* fixtures pin the
 // region writer byte for byte. The second half of the suite proves the two
 // v5 open modes — zero-copy mmap and owned heap buffers — are
 // observationally indistinguishable, including after COW-triggering
 // updates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/oracle.h"
 #include "core/query_engine.h"
 #include "core/serialize.h"
 #include "test_support.h"
+#include "vicinity_index.h"
 
 namespace vicinity::core {
 namespace {
@@ -66,90 +70,264 @@ void expect_matches_reference(const VicinityOracle& oracle,
   }
 }
 
+/// Reads a whole file as bytes.
+std::string file_bytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(f), {});
+}
+
+/// upgrade_index() over a stream golden: the VCNIDX05 bytes it writes.
+std::string upgraded(const char* name, const graph::Graph& g) {
+  std::ifstream in(golden(name), std::ios::binary);
+  std::ostringstream out(std::ios::binary);
+  upgrade_index(in, g, out);
+  return out.str();
+}
+
+/// Writes VCNIDX05 bytes to `tmp` and opens it mapped; the caller removes
+/// the file.
+VicinityOracle open_mapped(const std::string& bytes, const graph::Graph& g,
+                           const std::filesystem::path& tmp) {
+  std::ofstream(tmp, std::ios::binary)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return load_oracle_file(tmp.string(), g);
+}
+
 TEST(GoldenCompatTest, FlatGoldensAcrossVersionsAnswerIdentically) {
   // The three flat goldens share one body (the hash-backend layout never
-  // changed between VCNIDX02 and 04); loading each through its version's
-  // decode path must give bit-identical answers and exact distances. The
-  // retired hash layout loads into a fully packed store, and re-saving it
-  // writes a VCNIDX05 file that maps and answers identically.
+  // changed between VCNIDX02 and 04). Upgrading each through its version's
+  // decode path must write the very bytes a fresh build of the recorded
+  // graph and options writes: the retired hash layout converts into a
+  // fully packed store that maps and answers BFS-exactly.
   const auto g = testing::random_connected(140, 460, 9101);
-  const auto v4 = load_oracle_file(golden("flat_v04_undirected.idx"), g);
-  const auto v3 = load_oracle_file(golden("flat_v03_undirected.idx"), g);
-  const auto v2 = load_oracle_file(golden("flat_v02_undirected.idx"), g);
-  EXPECT_EQ(v4.options().backend, StoreBackend::kPacked);
-  EXPECT_TRUE(v4.store().fully_packed());
-  expect_identical(v4, v3, g, 9103, 80);
-  expect_identical(v4, v2, g, 9104, 80);
-  expect_matches_reference(v4, g, 9105, 80);
+  OracleOptions opt;
+  opt.alpha = 3.0;
+  opt.seed = 9102;
+  opt.fallback = Fallback::kBidirectionalBfs;
+  std::ostringstream fresh(std::ios::binary);
+  save_oracle(VicinityOracle::build(g, opt), fresh);
+  for (const char* name : {"flat_v04_undirected.idx", "flat_v03_undirected.idx",
+                           "flat_v02_undirected.idx"}) {
+    EXPECT_TRUE(upgraded(name, g) == fresh.str())
+        << name << " does not upgrade to the fresh build's bytes";
+  }
 
   const auto tmp = std::filesystem::temp_directory_path() /
                    "vicinity_golden_flat_roundtrip.idx";
-  save_oracle_file(v4, tmp.string());
-  const auto mapped = load_oracle_file(tmp.string(), g);
+  const auto mapped =
+      open_mapped(upgraded("flat_v02_undirected.idx", g), g, tmp);
+  EXPECT_EQ(mapped.options().backend, StoreBackend::kPacked);
   EXPECT_TRUE(mapped.store().mapped());
-  expect_identical(v4, mapped, g, 9106, 100);
+  expect_matches_reference(mapped, g, 9105, 80);
   std::filesystem::remove(tmp);
 }
 
 TEST(GoldenCompatTest, PackedV04GoldenLoadsAndSurvivesV5RoundTrip) {
-  // A packed VCNIDX04 stream must still decode through the legacy blob
-  // reader — and re-saving it (which now writes a VCNIDX05 region
-  // container) then mmapping that must preserve the answer stream bit for
-  // bit.
+  // A packed VCNIDX04 stream decodes through the legacy blob reader and
+  // upgrades to exactly the VCNIDX05 golden of the same index, which maps
+  // with BFS-exact answers.
   const auto g = testing::random_connected(140, 460, 9111);
-  const auto legacy =
-      load_oracle_file(golden("packed_v04_undirected.idx"), g);
-  EXPECT_EQ(legacy.options().backend, StoreBackend::kPacked);
-  EXPECT_TRUE(legacy.store().fully_packed());
-  expect_matches_reference(legacy, g, 9113, 80);
+  const std::string bytes = upgraded("packed_v04_undirected.idx", g);
+  EXPECT_TRUE(bytes == file_bytes(golden("packed_v05_undirected.idx")))
+      << "packed_v04_undirected.idx does not upgrade to the v5 golden";
 
   const auto tmp = std::filesystem::temp_directory_path() /
                    "vicinity_golden_roundtrip.idx";
-  save_oracle_file(legacy, tmp.string());
-  const auto mapped = load_oracle_file(tmp.string(), g);
+  const auto mapped = open_mapped(bytes, g, tmp);
   EXPECT_TRUE(mapped.store().mapped());
-  expect_identical(legacy, mapped, g, 9114, 100);
+  EXPECT_TRUE(mapped.tables().has_parents());
+  expect_matches_reference(mapped, g, 9113, 80);
   std::filesystem::remove(tmp);
 }
 
 TEST(GoldenCompatTest, PackedV04DirectedGoldenLoadsAndSurvivesV5RoundTrip) {
+  // This fixture was written without landmark parents (the other two
+  // directed goldens have them), so its upgrade is the v5 golden minus the
+  // table_parent_rows section: 23 sections, each byte-identical to the
+  // golden's section of the same id.
   const auto g = testing::random_connected_directed(160, 1100, 9121);
-  const auto legacy = load_oracle_file(golden("packed_v04_directed.idx"), g);
-  EXPECT_TRUE(legacy.store().fully_packed());
-  EXPECT_TRUE(legacy.store(Direction::kIn).fully_packed());
-  expect_matches_reference(legacy, g, 9123, 80);
-
   const auto tmp = std::filesystem::temp_directory_path() /
                    "vicinity_golden_roundtrip_dir.idx";
-  save_oracle_file(legacy, tmp.string());
-  const auto mapped = load_oracle_file(tmp.string(), g);
-  expect_identical(legacy, mapped, g, 9124, 100);
+  const auto mapped =
+      open_mapped(upgraded("packed_v04_directed.idx", g), g, tmp);
+  EXPECT_TRUE(mapped.store().mapped());
+  EXPECT_TRUE(mapped.store(Direction::kIn).mapped());
+  EXPECT_FALSE(mapped.tables().has_parents());
+  expect_matches_reference(mapped, g, 9123, 80);
+
+  const std::string golden_path = golden("packed_v05_directed.idx");
+  const IndexFileInfo got = inspect_index_file(tmp.string());
+  const IndexFileInfo want = inspect_index_file(golden_path);
+  const std::string got_bytes = file_bytes(tmp.string());
+  const std::string want_bytes = file_bytes(golden_path);
+  ASSERT_EQ(got.sections.size(), 23u);
+  ASSERT_EQ(want.sections.size(), 24u);
+  for (const IndexSectionInfo& w : want.sections) {
+    const auto it = std::find_if(
+        got.sections.begin(), got.sections.end(),
+        [&](const IndexSectionInfo& e) { return e.id == w.id; });
+    if (w.name == "table_parent_rows") {
+      EXPECT_TRUE(it == got.sections.end());
+      continue;
+    }
+    ASSERT_TRUE(it != got.sections.end()) << w.name << " missing";
+    EXPECT_TRUE(got_bytes.substr(it->offset, it->bytes) ==
+                want_bytes.substr(w.offset, w.bytes))
+        << w.name << " differs from the golden's section";
+  }
   std::filesystem::remove(tmp);
 }
 
 TEST(GoldenCompatTest, FlatV04DirectedGoldenLoadsAndSurvivesV5RoundTrip) {
   // The directed hash-body stream: out- and in-vicinity records interleave
-  // per slot, a layout no other fixture pins. Both stores load fully
-  // packed, and the VCNIDX05 re-save maps and answers identically.
+  // per slot, a layout no other fixture pins. Both stores convert fully
+  // packed, and the upgrade is exactly the VCNIDX05 golden of the same
+  // index.
   const auto g = testing::random_connected_directed(160, 1100, 9121);
-  const auto legacy = load_oracle_file(golden("flat_v04_directed.idx"), g);
-  EXPECT_TRUE(legacy.store().fully_packed());
-  EXPECT_TRUE(legacy.store(Direction::kIn).fully_packed());
-  expect_matches_reference(legacy, g, 9125, 120);
+  const std::string bytes = upgraded("flat_v04_directed.idx", g);
+  EXPECT_TRUE(bytes == file_bytes(golden("packed_v05_directed.idx")))
+      << "flat_v04_directed.idx does not upgrade to the v5 golden";
 
   const auto tmp = std::filesystem::temp_directory_path() /
                    "vicinity_golden_flat_roundtrip_dir.idx";
-  save_oracle_file(legacy, tmp.string());
-  const auto mapped = load_oracle_file(tmp.string(), g);
+  const auto mapped = open_mapped(bytes, g, tmp);
   EXPECT_TRUE(mapped.store().mapped());
-  expect_identical(legacy, mapped, g, 9128, 100);
+  EXPECT_TRUE(mapped.store(Direction::kIn).mapped());
+  expect_matches_reference(mapped, g, 9125, 120);
   std::filesystem::remove(tmp);
 }
 
-/// Reads a whole file as bytes.
-std::string file_bytes(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(f), {});
+/// A stream golden with the graph it was built on.
+struct StreamGolden {
+  const char* name;
+  int version;
+  graph::Graph g;
+};
+
+std::vector<StreamGolden> stream_goldens() {
+  std::vector<StreamGolden> out;
+  for (const auto& [name, version] :
+       {std::pair{"flat_v02_undirected.idx", 2},
+        std::pair{"flat_v03_undirected.idx", 3},
+        std::pair{"flat_v04_undirected.idx", 4}}) {
+    out.push_back({name, version, testing::random_connected(140, 460, 9101)});
+  }
+  out.push_back({"packed_v04_undirected.idx", 4,
+                 testing::random_connected(140, 460, 9111)});
+  for (const char* name :
+       {"packed_v04_directed.idx", "flat_v04_directed.idx"}) {
+    out.push_back(
+        {name, 4, testing::random_connected_directed(160, 1100, 9121)});
+  }
+  return out;
+}
+
+/// `load` must throw a runtime_error naming the file's version and the
+/// upgrade command.
+template <typename Load>
+void expect_upgrade_hint(Load load, int version, const std::string& label) {
+  try {
+    load();
+    ADD_FAILURE() << label << ": legacy file loaded";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("format version " + std::to_string(version)),
+              std::string::npos)
+        << label << ": " << what;
+    EXPECT_NE(what.find("vicinity_cli index upgrade"), std::string::npos)
+        << label << ": " << what;
+  }
+}
+
+TEST(GoldenCompatTest, StreamGoldensAreRefusedWithTheUpgradeHint) {
+  // The loaders open only VCNIDX05. Each refuses a stream golden on its
+  // version digits, before the tag or the graph shape: against the wrong
+  // graph the error is still the upgrade hint. inspect_index_file reports
+  // the file as a legacy container.
+  const auto wrong = testing::karate_club();
+  OpenOptions heap_opts;
+  heap_opts.mode = OpenMode::kHeap;
+  for (const StreamGolden& s : stream_goldens()) {
+    const std::string path = golden(s.name);
+    for (const graph::Graph* g : {&s.g, &wrong}) {
+      const std::string label = s.name;
+      expect_upgrade_hint(
+          [&] {
+            std::ifstream in(path, std::ios::binary);
+            (void)load_oracle(in, *g);
+          },
+          s.version, label + " load_oracle");
+      expect_upgrade_hint([&] { (void)load_oracle_file(path, *g); },
+                          s.version, label + " mapped");
+      expect_upgrade_hint(
+          [&] { (void)load_oracle_file(path, *g, heap_opts); }, s.version,
+          label + " heap");
+      expect_upgrade_hint([&] { (void)Index::open(path, *g); }, s.version,
+                          label + " Index::open");
+    }
+    const IndexFileInfo info = inspect_index_file(path);
+    EXPECT_EQ(info.version, s.version) << s.name;
+    EXPECT_FALSE(info.mappable) << s.name;
+    EXPECT_EQ(info.backend,
+              s.g.directed() ? "vicinity-directed" : "vicinity")
+        << s.name;
+    EXPECT_TRUE(info.sections.empty()) << s.name;
+  }
+}
+
+TEST(GoldenCompatTest, UpgradeRefusesCurrentVersionAndWrongGraph) {
+  // upgrade_index only converts legacy files: a VCNIDX05 input is refused
+  // before anything is written, and a legacy file keeps its graph-shape
+  // and backend checks.
+  const auto g = testing::random_connected(140, 460, 9111);
+  std::ostringstream out(std::ios::binary);
+  try {
+    std::ifstream in(golden("packed_v05_undirected.idx"), std::ios::binary);
+    upgrade_index(in, g, out);
+    FAIL() << "a VCNIDX05 file was upgraded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("already current"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(out.str().empty());
+  EXPECT_THROW((void)upgraded("flat_v04_undirected.idx",
+                              testing::random_connected(141, 460, 9101)),
+               std::runtime_error);
+  EXPECT_THROW((void)upgraded("flat_v04_directed.idx", g),
+               std::runtime_error);
+}
+
+TEST(GoldenCompatTest, InspectReportsTheV5GoldenHeaders) {
+  struct Expect {
+    const char* name;
+    graph::Graph g;
+    std::size_t sections;
+  };
+  const Expect cases[] = {
+      {"packed_v05_undirected.idx", testing::random_connected(140, 460, 9111),
+       14},
+      {"packed_v05_directed.idx",
+       testing::random_connected_directed(160, 1100, 9121), 24},
+  };
+  for (const Expect& c : cases) {
+    const std::string path = golden(c.name);
+    const IndexFileInfo info = inspect_index_file(path);
+    EXPECT_EQ(info.version, 5) << c.name;
+    EXPECT_TRUE(info.mappable) << c.name;
+    EXPECT_EQ(info.backend,
+              c.g.directed() ? "vicinity-directed" : "vicinity")
+        << c.name;
+    EXPECT_EQ(info.file_bytes, std::filesystem::file_size(path)) << c.name;
+    EXPECT_EQ(info.num_nodes, c.g.num_nodes()) << c.name;
+    EXPECT_EQ(info.num_arcs, c.g.num_arcs()) << c.name;
+    EXPECT_EQ(info.directed, c.g.directed()) << c.name;
+    EXPECT_FALSE(info.weighted) << c.name;
+    EXPECT_DOUBLE_EQ(info.alpha, 3.0) << c.name;
+    EXPECT_EQ(info.store_backend, "packed") << c.name;
+    EXPECT_EQ(info.table_mode, "full") << c.name;
+    EXPECT_EQ(info.sections.size(), c.sections) << c.name;
+  }
 }
 
 TEST(GoldenCompatTest, PackedV05GoldensOpenBothWaysAndMatchTheWriter) {

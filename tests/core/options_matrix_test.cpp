@@ -2,7 +2,8 @@
 // optimization, side selection and fallback must preserve exactness of
 // answered queries against BFS ground truth (methods may differ only
 // between fallback flavors), both for a fresh build and for a legacy
-// VCNIDX04 stream index that records one of the retired hash layouts.
+// VCNIDX04 stream index that records one of the retired hash layouts,
+// converted by upgrade_index.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "core/oracle.h"
+#include "core/query_engine.h"
 #include "core/serialize.h"
 #include "test_support.h"
 
@@ -23,10 +25,10 @@ namespace vicinity::core {
 namespace {
 
 /// Where the oracle under test comes from. kBuild is a fresh build. The
-/// other two load the checked-in stream golden flat_v04_undirected.idx
+/// other two upgrade the checked-in stream golden flat_v04_undirected.idx
 /// with its store byte set to one of the retired hash layouts a VCNIDX02-04
 /// file may record (0 flat hash, 1 std::unordered_map); its per-slot
-/// records load into the packed store like any other legacy file.
+/// records convert into the packed store like any other legacy file.
 enum class Source : std::uint8_t {
   kFlatStream = 0,
   kStdMapStream = 1,
@@ -42,7 +44,7 @@ using MatrixParam =
 constexpr std::size_t kStoreByteOffset = 44;
 
 /// The stream golden with its store byte and query options rewritten,
-/// loaded through the VCNIDX04 reader.
+/// converted by upgrade_index and loaded from the VCNIDX05 bytes.
 VicinityOracle load_stream_golden(const graph::Graph& g, Source source,
                                   bool boundary, bool smaller,
                                   Fallback fallback) {
@@ -57,8 +59,10 @@ VicinityOracle load_stream_golden(const graph::Graph& g, Source source,
   bytes[kStoreByteOffset + 1] = boundary ? 1 : 0;
   bytes[kStoreByteOffset + 2] = smaller ? 1 : 0;
   bytes[kStoreByteOffset + 3] = static_cast<char>(fallback);
-  std::istringstream in(bytes, std::ios::binary);
-  return load_oracle(in, g);
+  std::istringstream legacy(bytes, std::ios::binary);
+  std::stringstream upgraded(std::ios::in | std::ios::out | std::ios::binary);
+  upgrade_index(legacy, g, upgraded);
+  return load_oracle(upgraded, g);
 }
 
 class OptionsMatrix : public ::testing::TestWithParam<MatrixParam> {};
@@ -84,10 +88,11 @@ TEST_P(OptionsMatrix, AnsweredQueriesExactUnderAnyConfiguration) {
   ASSERT_EQ(oracle.options().fallback, fallback);
 
   util::Rng rng(1003);
+  QueryContext ctx;
   for (int i = 0; i < 120; ++i) {
     const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const auto r = oracle.distance(s, t);
+    const auto r = oracle.distance(s, t, ctx);
     const auto truth = testing::ref_distance(g, s, t);
     if (r.method == QueryMethod::kNotFound) {
       EXPECT_EQ(fallback, Fallback::kNone);
@@ -101,7 +106,7 @@ TEST_P(OptionsMatrix, AnsweredQueriesExactUnderAnyConfiguration) {
     }
     // Path agrees with distance whenever the method is exact.
     if (r.exact) {
-      const auto p = oracle.path(s, t);
+      const auto p = oracle.path(s, t, ctx);
       if (!p.path.empty()) {
         ASSERT_EQ(static_cast<Distance>(p.path.size() - 1), truth);
       }
@@ -155,13 +160,14 @@ TEST(OptionsMatrixTest, AllConfigurationsAgreeOnDistances) {
     }
   }
   util::Rng rng(1006);
+  QueryContext ctx;
   for (int i = 0; i < 150; ++i) {
     const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto truth = testing::ref_distance(g, s, t);
-    const auto first = oracles.front().distance(s, t);
+    const auto first = oracles.front().distance(s, t, ctx);
     for (std::size_t k = 0; k < oracles.size(); ++k) {
-      const auto r = oracles[k].distance(s, t);
+      const auto r = oracles[k].distance(s, t, ctx);
       ASSERT_EQ(r.method, first.method) << "config " << k;
       if (r.method != QueryMethod::kNotFound) {
         ASSERT_EQ(r.dist, truth) << "config " << k << " " << s << "->" << t;

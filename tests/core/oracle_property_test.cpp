@@ -9,6 +9,7 @@
 #include "algo/bfs.h"
 #include "gen/affiliation.h"
 #include "core/oracle.h"
+#include "core/query_engine.h"
 #include "graph/components.h"
 #include "test_support.h"
 
@@ -59,10 +60,11 @@ TEST_P(OracleProperty, AnsweredDistancesExact) {
   opt.seed = GetParam().seed + 1;
   auto oracle = VicinityOracle::build(g, opt);
   util::Rng rng(GetParam().seed + 2);
+  QueryContext ctx;
   for (int i = 0; i < 250; ++i) {
     const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const auto r = oracle.distance(s, t);
+    const auto r = oracle.distance(s, t, ctx);
     if (r.method == QueryMethod::kNotFound) continue;
     ASSERT_EQ(r.dist, testing::ref_distance(g, s, t))
         << GetParam().name << " " << s << "->" << t << " via "
@@ -89,11 +91,12 @@ TEST_P(OracleProperty, BoundaryIterationLossless) {
   auto b = VicinityOracle::build(g, without_boundary);
   util::Rng rng(GetParam().seed + 3);
   std::uint64_t boundary_lookups = 0, full_lookups = 0;
+  QueryContext ctx;
   for (int i = 0; i < 200; ++i) {
     const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const auto ra = a.distance(s, t);
-    const auto rb = b.distance(s, t);
+    const auto ra = a.distance(s, t, ctx);
+    const auto rb = b.distance(s, t, ctx);
     ASSERT_EQ(ra.dist, rb.dist) << GetParam().name << " " << s << "->" << t;
     ASSERT_EQ(ra.method, rb.method);
     if (ra.method == QueryMethod::kVicinityIntersection) {
@@ -147,10 +150,11 @@ TEST(OracleTheoremTest, IntersectionWitnessOnShortestPath) {
   auto oracle = VicinityOracle::build(g, opt);
   util::Rng rng(215);
   std::size_t intersections = 0;
+  QueryContext ctx;
   for (int i = 0; i < 400 && intersections < 120; ++i) {
     const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const auto r = oracle.distance(s, t);
+    const auto r = oracle.distance(s, t, ctx);
     if (r.method != QueryMethod::kVicinityIntersection) continue;
     ++intersections;
     ASSERT_EQ(r.dist, testing::ref_distance(g, s, t));
@@ -169,11 +173,12 @@ TEST(OracleLemmaTest, EmptyIntersectionAgreesWithBruteForce) {
   auto oracle = VicinityOracle::build(g, opt);
   util::Rng rng(218);
   std::size_t misses = 0;
+  QueryContext ctx;
   for (int i = 0; i < 300 && misses < 40; ++i) {
     const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     NodeId t = s;
     while (t == s) t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const auto r = oracle.distance(s, t);
+    const auto r = oracle.distance(s, t, ctx);
     if (r.method != QueryMethod::kNotFound) continue;
     // Short-circuit conditions must genuinely not apply.
     if (oracle.landmarks().contains(s) || oracle.landmarks().contains(t)) {

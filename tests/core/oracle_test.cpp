@@ -9,6 +9,7 @@
 
 #include "algo/bfs.h"
 #include "algo/path.h"
+#include "core/query_engine.h"
 #include "graph/transform.h"
 #include "test_support.h"
 
@@ -36,7 +37,8 @@ TEST(OracleTest, RejectsEmptyGraphs) {
 TEST(OracleTest, IdenticalNodesAreZero) {
   const auto g = testing::karate_club();
   auto oracle = VicinityOracle::build(g, defaults());
-  const auto r = oracle.distance(5, 5);
+  QueryContext ctx;
+  const auto r = oracle.distance(5, 5, ctx);
   EXPECT_EQ(r.dist, 0u);
   EXPECT_EQ(r.method, QueryMethod::kIdenticalNodes);
   EXPECT_TRUE(r.exact);
@@ -46,11 +48,12 @@ TEST(OracleTest, AnsweredQueriesAreExact) {
   const auto g = testing::random_connected(800, 3200, 152);
   auto oracle = VicinityOracle::build(g, defaults());
   std::size_t answered = 0, total = 0;
+  QueryContext ctx;
   for (NodeId s = 0; s < g.num_nodes(); s += 37) {
     const auto ref = algo::bfs(g, s).dist;
     for (NodeId t = 0; t < g.num_nodes(); t += 11) {
       ++total;
-      const auto r = oracle.distance(s, t);
+      const auto r = oracle.distance(s, t, ctx);
       if (r.method == QueryMethod::kNotFound) continue;
       ++answered;
       ASSERT_TRUE(r.exact);
@@ -70,10 +73,11 @@ TEST(OracleTest, LandmarkEndpointsUseTables) {
   const NodeId l = oracle.landmarks().nodes.front();
   NodeId other = 0;
   while (oracle.landmarks().contains(other)) ++other;
-  const auto r1 = oracle.distance(l, other);
+  QueryContext ctx;
+  const auto r1 = oracle.distance(l, other, ctx);
   EXPECT_EQ(r1.method, QueryMethod::kSourceIsLandmark);
   EXPECT_EQ(r1.dist, testing::ref_distance(g, l, other));
-  const auto r2 = oracle.distance(other, l);
+  const auto r2 = oracle.distance(other, l, ctx);
   EXPECT_EQ(r2.method, QueryMethod::kTargetIsLandmark);
   EXPECT_EQ(r2.dist, testing::ref_distance(g, other, l));
   EXPECT_EQ(r1.hash_lookups, 0u);  // array reads, not hash probes
@@ -88,7 +92,8 @@ TEST(OracleTest, WithoutTablesLandmarkQueriesFallThrough) {
   const NodeId l = oracle.landmarks().nodes.front();
   NodeId other = 0;
   while (oracle.landmarks().contains(other)) ++other;
-  const auto r = oracle.distance(l, other);
+  QueryContext ctx;
+  const auto r = oracle.distance(l, other, ctx);
   EXPECT_TRUE(r.exact);
   EXPECT_EQ(r.dist, testing::ref_distance(g, l, other));
 }
@@ -102,10 +107,11 @@ TEST(OracleTest, FallbackBidirectionalAnswersEverything) {
   auto oracle = VicinityOracle::build(g, opt);
   util::Rng rng(156);
   std::size_t fallbacks = 0;
+  QueryContext ctx;
   for (int i = 0; i < 200; ++i) {
     const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const auto r = oracle.distance(s, t);
+    const auto r = oracle.distance(s, t, ctx);
     ASSERT_TRUE(r.exact);
     ASSERT_EQ(r.dist, testing::ref_distance(g, s, t));
     fallbacks += r.method == QueryMethod::kFallbackExact;
@@ -121,10 +127,11 @@ TEST(OracleTest, LandmarkEstimateIsUpperBound) {
   auto oracle = VicinityOracle::build(g, opt);
   util::Rng rng(158);
   std::size_t estimates = 0;
+  QueryContext ctx;
   for (int i = 0; i < 300; ++i) {
     const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const auto r = oracle.distance(s, t);
+    const auto r = oracle.distance(s, t, ctx);
     if (r.method != QueryMethod::kFallbackEstimate) continue;
     ++estimates;
     EXPECT_FALSE(r.exact);
@@ -140,10 +147,11 @@ TEST(OracleTest, PathsAreValidShortestPaths) {
   opt.fallback = Fallback::kBidirectionalBfs;
   auto oracle = VicinityOracle::build(g, opt);
   util::Rng rng(160);
+  QueryContext ctx;
   for (int i = 0; i < 150; ++i) {
     const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const auto p = oracle.path(s, t);
+    const auto p = oracle.path(s, t, ctx);
     const auto ref = testing::ref_distance(g, s, t);
     ASSERT_TRUE(p.exact);
     if (s == t) {
@@ -184,10 +192,11 @@ TEST(OracleTest, PathCoversEveryMethod) {
   auto oracle = VicinityOracle::build(g, opt);
   util::Rng rng(162);
   std::set<QueryMethod> seen;
+  QueryContext ctx;
   for (int i = 0; i < 3000 && seen.size() < 5; ++i) {
     const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    seen.insert(oracle.path(s, t).method);
+    seen.insert(oracle.path(s, t, ctx).method);
   }
   EXPECT_TRUE(seen.count(QueryMethod::kSourceIsLandmark) ||
               seen.count(QueryMethod::kTargetIsLandmark));
@@ -207,10 +216,11 @@ TEST(OracleTest, WeightedGraphExactness) {
   auto oracle = VicinityOracle::build(g, opt);
   util::Rng rng(165);
   std::size_t answered = 0;
+  QueryContext ctx;
   for (int i = 0; i < 150; ++i) {
     const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const auto r = oracle.distance(s, t);
+    const auto r = oracle.distance(s, t, ctx);
     if (r.method == QueryMethod::kNotFound) continue;
     ++answered;
     ASSERT_EQ(r.dist, testing::ref_distance(g, s, t))
@@ -229,12 +239,13 @@ TEST(OracleTest, BuildForSubsetAnswersSubsetPairs) {
   auto oracle = VicinityOracle::build_for(g, defaults(), sample);
   EXPECT_LE(oracle.indexed_nodes().size(), sample.size());
   std::size_t answered = 0, total = 0;
+  QueryContext ctx;
   for (const NodeId s : sample) {
     const auto ref = algo::bfs(g, s).dist;
     for (const NodeId t : sample) {
       if (s == t) continue;
       ++total;
-      const auto r = oracle.distance(s, t);
+      const auto r = oracle.distance(s, t, ctx);
       if (r.method == QueryMethod::kNotFound) continue;
       ++answered;
       ASSERT_EQ(r.dist, ref[t]);
@@ -295,11 +306,12 @@ TEST(OracleTest, ParallelBuildMatchesSerial) {
   EXPECT_EQ(a.memory_stats().vicinity_entries,
             b.memory_stats().vicinity_entries);
   util::Rng rng(173);
+  QueryContext ctx;
   for (int i = 0; i < 100; ++i) {
     const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const auto ra = a.distance(s, t);
-    const auto rb = b.distance(s, t);
+    const auto ra = a.distance(s, t, ctx);
+    const auto rb = b.distance(s, t, ctx);
     EXPECT_EQ(ra.dist, rb.dist);
     EXPECT_EQ(ra.method, rb.method);
   }
@@ -308,8 +320,9 @@ TEST(OracleTest, ParallelBuildMatchesSerial) {
 TEST(OracleTest, OutOfRangeQueryThrows) {
   const auto g = testing::karate_club();
   auto oracle = VicinityOracle::build(g, defaults());
-  EXPECT_THROW(oracle.distance(0, 999), std::out_of_range);
-  EXPECT_THROW(oracle.path(999, 0), std::out_of_range);
+  QueryContext ctx;
+  EXPECT_THROW(oracle.distance(0, 999, ctx), std::out_of_range);
+  EXPECT_THROW(oracle.path(999, 0, ctx), std::out_of_range);
 }
 
 }  // namespace

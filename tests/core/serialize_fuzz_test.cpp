@@ -1,11 +1,12 @@
-// Fuzz-ish robustness tests for the oracle index loader: mangled headers,
+// Fuzz-ish robustness tests for the oracle index readers: mangled headers,
 // corrupt array lengths, wrong backend tags and truncated files must fail
 // with the intended "oracle index: ..." runtime_error — never a multi-GB
 // allocation, bad_alloc, or out-of-bounds write. Covers both generations of
 // the container: VCNIDX02-04 length-prefixed streams (read from the
-// checked-in hash-layout goldens) and the VCNIDX05 region container (what
-// the writer emits), the latter through both the stream-slurp path and the
-// memory-mapped file path.
+// checked-in hash-layout goldens through upgrade_index, their only reader)
+// and the VCNIDX05 region container (what the writer emits and the loaders
+// open), the latter through the stream-slurp path, the memory-mapped file
+// path and inspect_index_file.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -40,9 +41,10 @@ std::string golden_bytes(const char* name) {
 }
 
 // The VCNIDX02-04 stream cases read checked-in hash-layout VCNIDX04 files
-// (tests/data/golden/README.md): the writer emits only VCNIDX05. The
-// hash-body layout is byte-identical across versions 2-4, which the
-// version-2/3 rewrites below rely on.
+// (tests/data/golden/README.md): the writer emits only VCNIDX05, and only
+// upgrade_index reads a stream container. The hash-body layout is
+// byte-identical across versions 2-4, which the version-2/3 rewrites below
+// rely on.
 Fixture make_fixture() {
   return {testing::random_connected(140, 460, 9101),
           golden_bytes("flat_v04_undirected.idx")};
@@ -67,6 +69,20 @@ Fixture make_packed_fixture() {
 Fixture make_directed_fixture() {
   return {testing::random_connected_directed(160, 1100, 9121),
           golden_bytes("flat_v04_directed.idx")};
+}
+
+/// upgrade_index() over legacy stream bytes: the VCNIDX05 bytes it writes.
+std::string upgrade(const std::string& legacy, const graph::Graph& g) {
+  std::istringstream in(legacy, std::ios::binary);
+  std::ostringstream out(std::ios::binary);
+  upgrade_index(in, g, out);
+  return out.str();
+}
+
+/// Loads VCNIDX05 bytes through the stream loader.
+VicinityOracle load_bytes(const std::string& bytes, const graph::Graph& g) {
+  std::istringstream in(bytes, std::ios::binary);
+  return load_oracle(in, g);
 }
 
 // Header layout: magic(6) + version(2) + backend tag(1).
@@ -134,8 +150,7 @@ void expect_v5_rejected(const std::string& bytes, const graph::Graph& g,
 
 TEST(SerializeFuzzTest, ValidBufferLoadsAndAnswers) {
   const Fixture f = make_fixture();
-  std::istringstream in(f.bytes, std::ios::binary);
-  auto oracle = load_oracle(in, f.g);
+  auto oracle = load_bytes(upgrade(f.bytes, f.g), f.g);
   QueryContext ctx;
   util::Rng rng(1203);
   for (int i = 0; i < 50; ++i) {
@@ -153,12 +168,12 @@ TEST(SerializeFuzzTest, TruncatedInputThrowsAtEveryCutPoint) {
   // coarsely through the body (plus the exact last byte).
   for (std::size_t cut = 0; cut < f.bytes.size();
        cut += (cut < 256 ? 1 : 997)) {
-    std::istringstream in(f.bytes.substr(0, cut), std::ios::binary);
-    EXPECT_THROW(load_oracle(in, f.g), std::runtime_error) << "cut=" << cut;
+    EXPECT_THROW((void)upgrade(f.bytes.substr(0, cut), f.g),
+                 std::runtime_error)
+        << "cut=" << cut;
   }
-  std::istringstream in(f.bytes.substr(0, f.bytes.size() - 1),
-                        std::ios::binary);
-  EXPECT_THROW(load_oracle(in, f.g), std::runtime_error);
+  EXPECT_THROW((void)upgrade(f.bytes.substr(0, f.bytes.size() - 1), f.g),
+               std::runtime_error);
 }
 
 TEST(SerializeFuzzTest, HugeLengthFieldIsRejectedAsTruncation) {
@@ -168,8 +183,7 @@ TEST(SerializeFuzzTest, HugeLengthFieldIsRejectedAsTruncation) {
   std::string mangled = f.bytes;
   const std::uint64_t huge = 0x7fffffffffffffffull;
   std::memcpy(mangled.data() + kFirstVecLenOffset, &huge, sizeof(huge));
-  std::istringstream in(mangled, std::ios::binary);
-  EXPECT_THROW(load_oracle(in, f.g), std::runtime_error);
+  EXPECT_THROW((void)upgrade(mangled, f.g), std::runtime_error);
 }
 
 TEST(SerializeFuzzTest, ModeratelyOversizedLengthAlsoThrows) {
@@ -177,22 +191,20 @@ TEST(SerializeFuzzTest, ModeratelyOversizedLengthAlsoThrows) {
   std::string mangled = f.bytes;
   const std::uint64_t big = f.bytes.size() * 4;  // plausible but too large
   std::memcpy(mangled.data() + kFirstVecLenOffset, &big, sizeof(big));
-  std::istringstream in(mangled, std::ios::binary);
-  EXPECT_THROW(load_oracle(in, f.g), std::runtime_error);
+  EXPECT_THROW((void)upgrade(mangled, f.g), std::runtime_error);
 }
 
 TEST(SerializeFuzzTest, SingleByteCorruptionNeverEscalates) {
-  // Flip one byte at a time through the header-heavy region: load() must
-  // either still succeed (cosmetic fields like the seed) or fail with the
-  // loader's runtime_error — never bad_alloc or a crash.
+  // Flip one byte at a time through the header-heavy region: the upgrade
+  // must either still succeed (cosmetic fields like the seed) or fail with
+  // the reader's runtime_error — never bad_alloc or a crash.
   const Fixture f = make_fixture();
   const std::size_t limit = std::min<std::size_t>(f.bytes.size(), 512);
   for (std::size_t pos = 0; pos < limit; ++pos) {
     std::string mangled = f.bytes;
     mangled[pos] = static_cast<char>(mangled[pos] ^ 0x5a);
-    std::istringstream in(mangled, std::ios::binary);
     try {
-      (void)load_oracle(in, f.g);
+      (void)upgrade(mangled, f.g);
     } catch (const std::bad_alloc&) {
       FAIL() << "bad_alloc at pos=" << pos;
     } catch (const std::runtime_error&) {
@@ -211,9 +223,8 @@ TEST(SerializeFuzzTest, EveryVectorLengthFieldCorruptionIsGraceful) {
   for (std::size_t pos = 8; pos < limit; ++pos) {
     std::string mangled = f.bytes;
     std::memcpy(mangled.data() + pos, &huge, sizeof(huge));
-    std::istringstream in(mangled, std::ios::binary);
     try {
-      (void)load_oracle(in, f.g);
+      (void)upgrade(mangled, f.g);
     } catch (const std::bad_alloc&) {
       FAIL() << "bad_alloc at pos=" << pos;
     } catch (const std::runtime_error&) {
@@ -262,14 +273,15 @@ TEST(SerializeFuzzTest, FutureAndGarbageVersionsAreRejected) {
 
 TEST(SerializeFuzzTest, Version2FilesStillLoad) {
   // Backward compatibility: a VCNIDX02 file (no backend tag, undirected
-  // hash-backend body) must load through load_oracle AND load_any_oracle
-  // and answer exactly like the version-4 round trip.
+  // hash-backend body) must upgrade to the same bytes as its version-4
+  // twin, and the result must load through load_oracle AND load_any_oracle
+  // and answer exactly like the version-4 upgrade.
   const Fixture f = make_fixture();
-  const std::string v2 = as_version2(f.bytes);
-  std::istringstream in4(f.bytes, std::ios::binary);
-  std::istringstream in2(v2, std::ios::binary);
-  auto from_v4 = load_oracle(in4, f.g);
-  auto from_v2 = load_oracle(in2, f.g);
+  const std::string v2 = upgrade(as_version2(f.bytes), f.g);
+  const std::string v4 = upgrade(f.bytes, f.g);
+  EXPECT_TRUE(v2 == v4);
+  auto from_v4 = load_bytes(v4, f.g);
+  auto from_v2 = load_bytes(v2, f.g);
   QueryContext ctx;
   util::Rng rng(1204);
   for (int i = 0; i < 100; ++i) {
@@ -293,8 +305,7 @@ TEST(SerializeFuzzTest, Version3FilesStillLoad) {
   const Fixture f = make_fixture();
   std::string v3 = f.bytes;
   v3[7] = '3';
-  std::istringstream in(v3, std::ios::binary);
-  auto oracle = load_oracle(in, f.g);
+  auto oracle = load_bytes(upgrade(v3, f.g), f.g);
   QueryContext ctx;
   util::Rng rng(1205);
   for (int i = 0; i < 50; ++i) {
@@ -316,10 +327,9 @@ TEST(SerializeFuzzTest, PackedBackendPredatingVersion4IsRejected) {
   std::string v3 = f.bytes;
   v3[7] = '3';
   v3[kBackendByteOffset] = 2;  // StoreBackend::kPacked
-  std::istringstream in(v3, std::ios::binary);
   try {
-    (void)load_oracle(in, f.g);
-    FAIL() << "pre-version-4 packed file loaded";
+    (void)upgrade(v3, f.g);
+    FAIL() << "pre-version-4 packed file upgraded";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("packed store backend requires format version >= 4"),
@@ -541,45 +551,83 @@ TEST(SerializeFuzzTest, V5MappedCorruptionNeverEscalates) {
   }
 }
 
+TEST(SerializeFuzzTest, InspectCorruptionNeverEscalates) {
+  // inspect_index_file over single-byte flips of the header + section
+  // table of a VCNIDX05 golden: each either still reads (cosmetic fields)
+  // or throws runtime_error. A corrupt section_count must never size an
+  // allocation (bad_alloc) before the table is bounds-checked.
+  const std::string bytes = golden_bytes("packed_v05_undirected.idx");
+  const std::size_t limit = std::min<std::size_t>(bytes.size(), 576);
+  for (std::size_t pos = 0; pos < limit; ++pos) {
+    std::string mangled = bytes;
+    mangled[pos] = static_cast<char>(mangled[pos] ^ 0x5a);
+    const auto p = write_temp(mangled);
+    try {
+      (void)inspect_index_file(p.string());
+    } catch (const std::runtime_error&) {
+      // expected for most positions
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "pos=" << pos << ": " << e.what();
+    }
+    std::filesystem::remove(p);
+  }
+  std::string huge = bytes;
+  stamp<std::uint32_t>(huge, offsetof(v5::FileHeader, section_count),
+                       0xFFFFFFFFu);
+  const auto p = write_temp(huge);
+  EXPECT_THROW((void)inspect_index_file(p.string()), std::runtime_error);
+  std::filesystem::remove(p);
+}
+
 TEST(SerializeFuzzTest, MappedOpenOfStreamContainerIsRejected) {
-  // OpenMode::kMapped demands a region container; pointing it at a
-  // VCNIDX04 stream must fail with an actionable error, not a misparse.
+  // The file loaders open only region containers; pointing either
+  // OpenMode at a VCNIDX04 stream must fail with the actionable upgrade
+  // hint, not a misparse.
   const Fixture f = make_fixture();
   const auto p = write_temp(f.bytes);
-  OpenOptions opts;
-  opts.mode = OpenMode::kMapped;
-  try {
-    (void)load_oracle_file(p.string(), f.g, opts);
-    FAIL() << "stream container opened as mapped";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("cannot be memory-mapped"),
-              std::string::npos)
-        << e.what();
+  for (const OpenMode mode : {OpenMode::kMapped, OpenMode::kHeap}) {
+    OpenOptions opts;
+    opts.mode = mode;
+    try {
+      (void)load_oracle_file(p.string(), f.g, opts);
+      FAIL() << "stream container opened";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("format version 4"), std::string::npos) << what;
+      EXPECT_NE(what.find("vicinity_cli index upgrade"), std::string::npos)
+          << what;
+    }
   }
-  // kAuto and kHeap both still load it through the legacy stream path.
-  EXPECT_NO_THROW((void)load_oracle_file(p.string(), f.g));
-  opts.mode = OpenMode::kHeap;
-  EXPECT_NO_THROW((void)load_oracle_file(p.string(), f.g, opts));
   std::filesystem::remove(p);
 }
 
 TEST(SerializeFuzzTest, WrongBackendTagFailsWithVersionedError) {
   // An undirected file retagged as directed disagrees with its undirected
-  // graph and must be refused by load_oracle with an error naming the
-  // format version and both backends — not misparsed as a directed body.
+  // graph and must be refused — by upgrade_index for the version-4 stream,
+  // by load_oracle for the version-5 container — with an error naming the
+  // format version and both backends, not misparsed as a directed body.
   const Fixture f = make_fixture();
-  std::string mangled = f.bytes;
-  ASSERT_EQ(mangled[kBackendTagOffset], '\0');
-  mangled[kBackendTagOffset] = 1;
-  std::istringstream in(mangled, std::ios::binary);
-  try {
-    (void)load_oracle(in, f.g);
-    FAIL() << "wrong-backend file loaded";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("backend mismatch"), std::string::npos) << what;
-    EXPECT_NE(what.find("format version 4"), std::string::npos) << what;
-    EXPECT_NE(what.find("vicinity-directed"), std::string::npos) << what;
+  const Fixture v5 = make_packed_fixture();
+  for (const bool legacy : {true, false}) {
+    const Fixture& fx = legacy ? f : v5;
+    std::string mangled = fx.bytes;
+    ASSERT_EQ(mangled[kBackendTagOffset], '\0');
+    mangled[kBackendTagOffset] = 1;
+    try {
+      if (legacy) {
+        (void)upgrade(mangled, fx.g);
+      } else {
+        (void)load_bytes(mangled, fx.g);
+      }
+      FAIL() << "wrong-backend file loaded";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("backend mismatch"), std::string::npos) << what;
+      EXPECT_NE(what.find(legacy ? "format version 4" : "format version 5"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("vicinity-directed"), std::string::npos) << what;
+    }
   }
   // The symmetric direction: a directed file retagged as undirected (and a
   // version-2 file, which is implicitly undirected) is refused against its
@@ -589,10 +637,9 @@ TEST(SerializeFuzzTest, WrongBackendTagFailsWithVersionedError) {
   ASSERT_EQ(retagged[kBackendTagOffset], '\1');
   retagged[kBackendTagOffset] = 0;
   for (const std::string& bytes : {retagged, as_version2(d.bytes)}) {
-    std::istringstream directed_in(bytes, std::ios::binary);
     try {
-      (void)load_oracle(directed_in, d.g);
-      FAIL() << "undirected-tagged file loaded against a directed graph";
+      (void)upgrade(bytes, d.g);
+      FAIL() << "undirected-tagged file upgraded against a directed graph";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("backend mismatch"),
                 std::string::npos)
@@ -602,21 +649,32 @@ TEST(SerializeFuzzTest, WrongBackendTagFailsWithVersionedError) {
 }
 
 TEST(SerializeFuzzTest, UnknownBackendTagIsRejected) {
+  // Refused by upgrade_index in a version-4 stream, and by both loaders in
+  // a version-5 container.
   const Fixture f = make_fixture();
+  const Fixture v5 = make_packed_fixture();
   for (const std::uint8_t tag : {2, 7, 255}) {
-    std::string mangled = f.bytes;
-    mangled[kBackendTagOffset] = static_cast<char>(tag);
-    std::istringstream in(mangled, std::ios::binary);
-    try {
-      (void)load_oracle(in, f.g);
-      FAIL() << "unknown tag " << int(tag) << " loaded";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("unknown backend tag"),
-                std::string::npos)
-          << e.what();
-    }
-    std::istringstream in_any(mangled, std::ios::binary);
-    EXPECT_THROW((void)load_any_oracle(in_any, f.g), std::runtime_error);
+    std::string legacy = f.bytes;
+    legacy[kBackendTagOffset] = static_cast<char>(tag);
+    std::string current = v5.bytes;
+    current[kBackendTagOffset] = static_cast<char>(tag);
+    const auto expect_unknown_tag = [tag](auto load) {
+      try {
+        load();
+        FAIL() << "unknown tag " << int(tag) << " loaded";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("unknown backend tag"),
+                  std::string::npos)
+            << e.what();
+      }
+    };
+    expect_unknown_tag([&] { (void)upgrade(legacy, f.g); });
+    expect_unknown_tag([&] { (void)load_bytes(current, v5.g); });
+    std::istringstream in_any(current, std::ios::binary);
+    EXPECT_THROW((void)load_any_oracle(in_any, v5.g), std::runtime_error);
+    const auto p = write_temp(current);
+    expect_unknown_tag([&] { (void)load_oracle_file(p.string(), v5.g); });
+    std::filesystem::remove(p);
   }
 }
 
@@ -625,16 +683,16 @@ TEST(SerializeFuzzTest, DirectedTruncationAndCorruptionAreGraceful) {
   ASSERT_GT(f.bytes.size(), 200u);
   for (std::size_t cut = 0; cut < f.bytes.size();
        cut += (cut < 256 ? 1 : 997)) {
-    std::istringstream in(f.bytes.substr(0, cut), std::ios::binary);
-    EXPECT_THROW(load_oracle(in, f.g), std::runtime_error) << "cut=" << cut;
+    EXPECT_THROW((void)upgrade(f.bytes.substr(0, cut), f.g),
+                 std::runtime_error)
+        << "cut=" << cut;
   }
   const std::size_t limit = std::min<std::size_t>(f.bytes.size(), 384);
   for (std::size_t pos = 0; pos < limit; ++pos) {
     std::string mangled = f.bytes;
     mangled[pos] = static_cast<char>(mangled[pos] ^ 0x5a);
-    std::istringstream in(mangled, std::ios::binary);
     try {
-      (void)load_oracle(in, f.g);
+      (void)upgrade(mangled, f.g);
     } catch (const std::bad_alloc&) {
       FAIL() << "bad_alloc at pos=" << pos;
     } catch (const std::runtime_error&) {

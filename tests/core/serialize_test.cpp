@@ -31,11 +31,12 @@ TEST(SerializeTest, RoundTripPreservesEveryAnswer) {
             oracle.memory_stats().vicinity_entries);
 
   util::Rng rng(402);
+  QueryContext ctx;
   for (int i = 0; i < 300; ++i) {
     const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const auto a = oracle.distance(s, t);
-    const auto b = loaded.distance(s, t);
+    const auto a = oracle.distance(s, t, ctx);
+    const auto b = loaded.distance(s, t, ctx);
     ASSERT_EQ(a.dist, b.dist) << s << "->" << t;
     ASSERT_EQ(a.method, b.method);
     ASSERT_EQ(a.hash_lookups, b.hash_lookups);
@@ -49,10 +50,11 @@ TEST(SerializeTest, RoundTripPreservesPaths) {
   save_oracle(oracle, buf);
   auto loaded = load_oracle(buf, g);
   util::Rng rng(404);
+  QueryContext ctx;
   for (int i = 0; i < 80; ++i) {
     const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    EXPECT_EQ(oracle.path(s, t).path, loaded.path(s, t).path);
+    EXPECT_EQ(oracle.path(s, t, ctx).path, loaded.path(s, t, ctx).path);
   }
 }
 
@@ -70,10 +72,11 @@ TEST(SerializeTest, SubsetOracleRoundTrips) {
   std::stringstream buf;
   save_oracle(oracle, buf);
   auto loaded = load_oracle(buf, g);
+  QueryContext ctx;
   for (const NodeId s : sample) {
     for (const NodeId t : sample) {
-      const auto a = oracle.distance(s, t);
-      const auto b = loaded.distance(s, t);
+      const auto a = oracle.distance(s, t, ctx);
+      const auto b = loaded.distance(s, t, ctx);
       ASSERT_EQ(a.dist, b.dist);
       ASSERT_EQ(a.method, b.method);
     }
@@ -120,11 +123,12 @@ TEST(SerializeTest, AllStoreBackendsRoundTrip) {
   EXPECT_EQ(loaded.store().total_entries(), oracle.store().total_entries());
   EXPECT_TRUE(loaded.store().fully_packed());
   util::Rng rng(420);
+  QueryContext ctx;
   for (int i = 0; i < 120; ++i) {
     const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const auto a = oracle.distance(s, t);
-    const auto b = loaded.distance(s, t);
+    const auto a = oracle.distance(s, t, ctx);
+    const auto b = loaded.distance(s, t, ctx);
     ASSERT_EQ(a.dist, b.dist) << s << "->" << t;
     ASSERT_EQ(a.method, b.method);
     ASSERT_EQ(a.hash_lookups, b.hash_lookups);

@@ -8,6 +8,7 @@
 #include "algo/dijkstra.h"
 #include "algo/path.h"
 #include "core/oracle.h"
+#include "core/query_engine.h"
 #include "core/vicinity_builder.h"
 #include "graph/transform.h"
 #include "test_support.h"
@@ -65,13 +66,14 @@ TEST(WeightedGuardTest, AdversarialIntersectionIsRejectedNotWrong) {
   // Full oracle with those landmarks forced via top-degree? Instead build
   // with the public API but a seed-independent check: whatever landmarks
   // are sampled, any answered query must equal Dijkstra.
+  QueryContext ctx;
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     OracleOptions opt;
     opt.alpha = 1.0;
     opt.seed = seed;
     auto oracle = VicinityOracle::build(g, opt);
     const auto truth = algo::dijkstra(g, 0).dist;
-    const auto r = oracle.distance(0, 5);
+    const auto r = oracle.distance(0, 5, ctx);
     if (r.method != QueryMethod::kNotFound) {
       ASSERT_EQ(r.dist, truth[5]) << "seed " << seed << " via "
                                   << to_string(r.method);
@@ -80,6 +82,7 @@ TEST(WeightedGuardTest, AdversarialIntersectionIsRejectedNotWrong) {
 }
 
 TEST(WeightedGuardTest, RandomWeightedSweepNeverOvershoots) {
+  QueryContext ctx;
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     auto base = testing::random_connected(300, 1200, 700 + seed);
     util::Rng wrng(710 + seed);
@@ -92,7 +95,7 @@ TEST(WeightedGuardTest, RandomWeightedSweepNeverOvershoots) {
     for (int i = 0; i < 80; ++i) {
       const auto s = static_cast<NodeId>(qrng.next_below(g.num_nodes()));
       const auto t = static_cast<NodeId>(qrng.next_below(g.num_nodes()));
-      const auto r = oracle.distance(s, t);
+      const auto r = oracle.distance(s, t, ctx);
       if (r.method == QueryMethod::kNotFound) continue;
       ASSERT_EQ(r.dist, testing::ref_distance(g, s, t))
           << "seed " << seed << " " << s << "->" << t << " via "
@@ -113,11 +116,12 @@ TEST(WeightedGuardTest, GuardIsNoOpOnUnweightedGraphs) {
   auto oracle = VicinityOracle::build(g, opt);
   util::Rng qrng(743);
   std::size_t rejected_at_guard = 0;
+  QueryContext ctx;
   for (int i = 0; i < 400; ++i) {
     const auto s = static_cast<NodeId>(qrng.next_below(g.num_nodes()));
     NodeId t = s;
     while (t == s) t = static_cast<NodeId>(qrng.next_below(g.num_nodes()));
-    const auto r = oracle.distance(s, t);
+    const auto r = oracle.distance(s, t, ctx);
     if (r.method != QueryMethod::kNotFound) continue;
     // A not-found on unweighted graphs must mean a genuinely empty
     // intersection (guard no-op): verify by brute force.
@@ -140,10 +144,11 @@ TEST(WeightedGuardTest, WeightedPathsRemainValid) {
   opt.fallback = Fallback::kBidirectionalBfs;  // used when chains leave Γ
   auto oracle = VicinityOracle::build(g, opt);
   util::Rng qrng(754);
+  QueryContext ctx;
   for (int i = 0; i < 60; ++i) {
     const auto s = static_cast<NodeId>(qrng.next_below(g.num_nodes()));
     const auto t = static_cast<NodeId>(qrng.next_below(g.num_nodes()));
-    const auto p = oracle.path(s, t);
+    const auto p = oracle.path(s, t, ctx);
     if (p.path.empty()) continue;
     ASSERT_TRUE(algo::is_valid_path(g, p.path, s, t));
     // Path length must equal the reported distance; distance itself may

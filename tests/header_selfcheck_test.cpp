@@ -19,12 +19,13 @@ TEST(HeaderSelfCheck, UmbrellaHeaderSupportsTheQuickstartSnippet) {
 
   const NodeId s = 12;
   const NodeId t = 345;
-  const auto r = oracle.distance(s, t);
+  core::QueryContext ctx;
+  const auto r = oracle.distance(s, t, ctx);
   const Distance reference = algo::bfs(g, s).dist[t];
   EXPECT_EQ(r.dist, reference);
   EXPECT_TRUE(r.exact);
 
-  const auto p = oracle.path(s, t);
+  const auto p = oracle.path(s, t, ctx);
   EXPECT_EQ(p.dist, reference);
   if (reference != kInfDistance) {
     ASSERT_FALSE(p.path.empty());

@@ -22,10 +22,11 @@ TEST(IntegrationTest, ProfileToOracleToQueries) {
   algo::BidirectionalBfsRunner bidi(g);
   algo::BfsRunner plain(g);
   util::Rng rng(2);
+  core::QueryContext ctx;
   for (int i = 0; i < 150; ++i) {
     const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const auto d_oracle = oracle.distance(s, t).dist;
+    const auto d_oracle = oracle.distance(s, t, ctx).dist;
     EXPECT_EQ(d_oracle, bidi.distance(s, t).dist);
     EXPECT_EQ(d_oracle, plain.distance(s, t));
   }
@@ -49,10 +50,11 @@ TEST(IntegrationTest, AllOraclesAgreeOnExactness) {
   algo::AltOracle alt(g, 4);
 
   util::Rng rng(5);
+  core::QueryContext ctx;
   for (int i = 0; i < 100; ++i) {
     const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const Distance exact = vic.distance(s, t).dist;  // fallback => exact
+    const Distance exact = vic.distance(s, t, ctx).dist;  // fallback => exact
     EXPECT_EQ(alt.distance(s, t), exact);            // ALT exact
     EXPECT_GE(tz.distance(s, t), exact);             // approximations bound
     EXPECT_GE(lm.upper_bound(s, t), exact);
@@ -75,10 +77,11 @@ TEST(IntegrationTest, GraphAndIndexPersistenceCycle) {
   auto loaded = core::load_oracle_file(dir + "/lj.idx", g2);
 
   util::Rng rng(9);
+  core::QueryContext ctx;
   for (int i = 0; i < 60; ++i) {
     const auto s = static_cast<NodeId>(rng.next_below(g2.num_nodes()));
     const auto t = static_cast<NodeId>(rng.next_below(g2.num_nodes()));
-    EXPECT_EQ(oracle.distance(s, t).dist, loaded.distance(s, t).dist);
+    EXPECT_EQ(oracle.distance(s, t, ctx).dist, loaded.distance(s, t, ctx).dist);
   }
 }
 
@@ -95,10 +98,11 @@ TEST(IntegrationTest, WeightedPipeline) {
   algo::BidirectionalDijkstraRunner bidi(g);
   util::Rng rng(14);
   std::size_t answered = 0;
+  core::QueryContext ctx;
   for (int i = 0; i < 80; ++i) {
     const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const auto r = oracle.distance(s, t);
+    const auto r = oracle.distance(s, t, ctx);
     if (r.method == core::QueryMethod::kNotFound) continue;
     ++answered;
     ASSERT_EQ(r.dist, bidi.distance(s, t).dist);
