@@ -6,6 +6,11 @@
 // time the baselines on random pair subsets (full-graph searches are too
 // slow to run on every pair — that asymmetry is the paper's point).
 //
+// Coverage is reported twice: Algorithm 1's (steps 0-5, the paper's
+// definition) and the index's, which adds the pairs whose disjoint
+// vicinities a crossing edge or the landmark certificate resolves without a
+// search (core/oracle.h steps 6-7).
+//
 // Run at alpha=4 (the paper's setting) and alpha=16 (coverage-matched at
 // laptop scale; see EXPERIMENTS.md). Absolute times differ from the paper's
 // 2010-era hardware; the shape targets are: oracle in the us range, BFS in
@@ -70,15 +75,16 @@ int main(int argc, char** argv) {
       "DBLP 0.094ms vs 18.6ms bidi (198x) ... Orkut 0.294ms vs 761ms "
       "(2588x); speedup grows with network size and density");
 
-  util::CsvWriter csv({"dataset", "alpha", "coverage", "lookups_avg",
-                       "lookups_max", "ours_us", "bfs_ms", "bidi_ms",
-                       "speedup_vs_bidi", "speedup_vs_bfs", "build_s"});
+  util::CsvWriter csv({"dataset", "alpha", "coverage", "index_coverage",
+                       "lookups_avg", "lookups_max", "ours_us", "bfs_ms",
+                       "bidi_ms", "speedup_vs_bidi", "speedup_vs_bfs",
+                       "build_s"});
 
   for (const double alpha : opt.alphas) {
-    util::TextTable table({"dataset", "coverage", "lookups avg",
-                           "lookups max", "ours (us)", "BFS (ms)",
-                           "bidi-2012 (ms)", "bidi-opt (ms)", "speedup",
-                           "paper speedup"});
+    util::TextTable table({"dataset", "Alg.1 coverage", "index coverage",
+                           "lookups avg", "lookups max", "ours (us)",
+                           "BFS (ms)", "bidi-2012 (ms)", "bidi-opt (ms)",
+                           "speedup", "paper speedup"});
     for (const auto& name : opt.datasets) {
       const double scale =
           scaled_default ? 4.0 * gen::default_profile_scale(name) : opt.scale;
@@ -106,18 +112,23 @@ int main(int argc, char** argv) {
       if (pairs.size() > opt.max_pairs) pairs.resize(opt.max_pairs);
 
       util::StreamingStats lookups;
-      std::uint64_t answered = 0;
+      std::uint64_t answered = 0;  // every index answer (no fallback set)
+      std::uint64_t past_alg1 = 0;  // of which steps 6-7 answered
       core::QueryContext ctx;
       util::Timer oracle_timer;
       for (const auto& [s, t] : pairs) {
         const auto r = oracle.distance(s, t, ctx);
         lookups.add(static_cast<double>(r.hash_lookups));
         answered += r.method != core::QueryMethod::kNotFound;
+        past_alg1 += r.method == core::QueryMethod::kLandmarkCertificate ||
+                     r.method == core::QueryMethod::kCrossingEdge;
       }
       const double ours_us =
           oracle_timer.elapsed_us() / static_cast<double>(pairs.size());
+      const auto total = static_cast<double>(pairs.size());
       const double coverage =
-          static_cast<double>(answered) / static_cast<double>(pairs.size());
+          static_cast<double>(answered - past_alg1) / total;
+      const double index_coverage = static_cast<double>(answered) / total;
 
       // Exactness audit on a subset with BFS ground truth.
       {
@@ -176,14 +187,16 @@ int main(int argc, char** argv) {
       const double speedup = naive_ms * 1000.0 / ours_us;
       const auto* paper = paper_row(name);
       table.add(name, util::fmt_fixed(coverage, 4),
+                util::fmt_fixed(index_coverage, 4),
                 util::fmt_fixed(lookups.mean(), 1),
                 util::fmt_fixed(lookups.max(), 0),
                 util::fmt_fixed(ours_us, 1), util::fmt_fixed(bfs_ms, 1),
                 util::fmt_fixed(naive_ms, 2), util::fmt_fixed(bidi_ms, 3),
                 util::fmt_fixed(speedup, 0) + "x",
                 paper ? std::to_string(paper->speedup) + "x" : "-");
-      csv.add(name, alpha, coverage, lookups.mean(), lookups.max(), ours_us,
-              bfs_ms, naive_ms, speedup, bfs_ms * 1000.0 / ours_us, build_s);
+      csv.add(name, alpha, coverage, index_coverage, lookups.mean(),
+              lookups.max(), ours_us, bfs_ms, naive_ms, speedup,
+              bfs_ms * 1000.0 / ours_us, build_s);
     }
     std::cout << "alpha = " << alpha << "\n" << table.to_string() << "\n";
   }

@@ -30,6 +30,8 @@ const char* to_string(QueryMethod m) {
     case QueryMethod::kBaselineExact: return "baseline-exact";
     case QueryMethod::kBaselineEstimate: return "baseline-estimate";
     case QueryMethod::kNotFound: return "not-found";
+    case QueryMethod::kLandmarkCertificate: return "landmark-certificate";
+    case QueryMethod::kCrossingEdge: return "crossing-edge";
   }
   return "?";
 }
@@ -460,9 +462,112 @@ QueryResult VicinityOracle::distance_impl(NodeId s, NodeId t,
     QueryResult ir = intersect(s, t);
     ir.hash_lookups += lookups;
     if (ir.dist != kInfDistance) return ir;
-    lookups = ir.hash_lookups;
+    const QueryResult dr = resolve_disjoint(s, t, ir.hash_lookups);
+    if (dr.exact) return dr;
+    lookups = dr.hash_lookups;
   }
   return fallback_distance_impl(s, t, lookups, ctx);
+}
+
+Distance VicinityOracle::landmark_bound(Direction via, NodeId s,
+                                        NodeId t) const {
+  if (tables_.mode() == LandmarkTables::Mode::kNone) return kInfDistance;
+  const bool out = via == Direction::kOut;
+  const NodeId u = out ? s : t;  // the endpoint whose landmark is used
+  const NearestLandmarkInfo& nearest = nearest_[side(via)];
+  const NodeId l = nearest.landmark[u];
+  if (!tables_.is_landmark(l)) return kInfDistance;
+  // Subset rows exist only for subset nodes: the other endpoint must be one.
+  if (tables_.mode() == LandmarkTables::Mode::kSubset &&
+      !tables_.in_subset(out ? t : s)) {
+    return kInfDistance;
+  }
+  return dist_add(nearest.dist[u],
+                  out ? tables_.landmark_query(l, t, /*s_is_landmark=*/true)
+                      : tables_.landmark_query(s, l, /*s_is_landmark=*/false));
+}
+
+QueryResult VicinityOracle::resolve_disjoint(NodeId s, NodeId t,
+                                             std::uint32_t lookups) const {
+  QueryResult r;
+  r.hash_lookups = lookups;
+  const Distance rs = stores_[0].radius(s);
+  const Distance rt = store(Direction::kIn).radius(t);
+  const Distance lb = dist_add(dist_add(rs, rt), 1);
+  if (lb == kInfDistance) return r;
+  const auto exact = [&r](Distance d, QueryMethod m) {
+    r.dist = d;
+    r.method = m;
+    r.exact = true;
+    return r;
+  };
+  // Step (6) runs first: it reads the vicinities the intersection has just
+  // touched and the graph, while a landmark-row read faults in a page of a
+  // mostly cold table (on a mapped index, resident memory grows with every
+  // row page read). A weighted arc may exceed 1, and a landmark endpoint's
+  // vicinity is empty rather than {u}: the test proves nothing there.
+  Distance target = lb;
+  if (!g_->weighted() && rs != 0 && rt != 0) {
+    NodeId x = kInvalidNode;
+    NodeId y = kInvalidNode;
+    if (find_crossing_edge(s, t, x, y, r.hash_lookups)) {
+      return exact(lb, QueryMethod::kCrossingEdge);
+    }
+    target = lb + 1;  // no crossing arc: d >= LB + 1
+  }
+  // Step (7). The smaller-radius endpoint usually hangs off a hub landmark
+  // that attains the bound, so its row is read first and the other only
+  // when it misses.
+  const bool out_first = rs <= rt;
+  Distance ub = landmark_bound(out_first ? Direction::kOut : Direction::kIn,
+                               s, t);
+  if (ub != target) {
+    ub = std::min(ub, landmark_bound(
+                          out_first ? Direction::kIn : Direction::kOut, s, t));
+  }
+  if (ub == target) return exact(ub, QueryMethod::kLandmarkCertificate);
+  return r;
+}
+
+bool VicinityOracle::find_crossing_edge(NodeId s, NodeId t, NodeId& x,
+                                        NodeId& y,
+                                        std::uint32_t& lookups) const {
+  const VicinityStore& out = stores_[0];
+  const VicinityStore& in = store(Direction::kIn);
+  // Both ends of a crossing arc are boundary members: x has the out-
+  // neighbour y outside Γ_out(s), y the in-neighbour x outside Γ_in(t).
+  const VicinityStore::BoundaryView bs = out.boundary(s);
+  const VicinityStore::BoundaryView bt = in.boundary(t);
+  const Distance rs = out.radius(s);
+  const Distance rt = in.radius(t);
+  // Scan the smaller boundary. Weighing each side by its members' degrees
+  // probes fewer arcs, but reading those degrees costs more than it saves.
+  const bool from_t = bt.nodes.size() < bs.nodes.size();
+  const VicinityStore::BoundaryView& mine = from_t ? bt : bs;
+  const VicinityStore::BoundaryView& other = from_t ? bs : bt;
+  const Distance r_mine = from_t ? rt : rs;
+  const Distance r_other = from_t ? rs : rt;
+  const NodeId n = g_->num_nodes();
+  for (std::size_t i = 0; i < mine.nodes.size(); ++i) {
+    const NodeId u = mine.nodes[i];
+    // Arena members from a default mmap open are untrusted: an id past n
+    // is skipped rather than used to index the graph.
+    if (mine.dists[i] != r_mine || u >= n) continue;
+    for (const NodeId v : from_t ? g_->in_neighbors(u) : g_->neighbors(u)) {
+      ++lookups;
+      const auto it =
+          std::lower_bound(other.nodes.begin(), other.nodes.end(), v);
+      if (it == other.nodes.end() || *it != v ||
+          other.dists[static_cast<std::size_t>(it - other.nodes.begin())] !=
+              r_other) {
+        continue;
+      }
+      x = from_t ? v : u;
+      y = from_t ? u : v;
+      return true;
+    }
+  }
+  return false;
 }
 
 QueryResult VicinityOracle::fallback_distance_impl(NodeId s, NodeId t,
@@ -486,26 +591,11 @@ QueryResult VicinityOracle::fallback_distance_impl(NodeId s, NodeId t,
     }
     case Fallback::kLandmarkEstimate: {
       // Upper bound d(s,t) <= d(s, ℓ(s)) + d(ℓ(s), t), and on undirected
-      // graphs symmetrically via ℓ(t).
-      Distance best = kInfDistance;
-      if (tables_.mode() != LandmarkTables::Mode::kNone) {
-        const NearestLandmarkInfo& nearest = nearest_[0];
-        const NodeId ls = nearest.landmark[s];
-        const NodeId lt = nearest.landmark[t];
-        const bool subset = tables_.mode() == LandmarkTables::Mode::kSubset;
-        if (ls != kInvalidNode && (!subset || tables_.in_subset(t))) {
-          best = std::min(best,
-                          dist_add(nearest.dist[s],
-                                   tables_.landmark_query(ls, t, true)));
-        }
-        // Directed estimates use only the ℓ_out(s) bound; a bound via ℓ(t)
-        // would change their answers.
-        if (!directed() && lt != kInvalidNode &&
-            (!subset || tables_.in_subset(s))) {
-          best = std::min(best,
-                          dist_add(nearest.dist[t],
-                                   tables_.landmark_query(lt, s, true)));
-        }
+      // graphs symmetrically via ℓ(t). Directed estimates use only the
+      // ℓ_out(s) bound; a bound via ℓ_in(t) would change their answers.
+      Distance best = landmark_bound(Direction::kOut, s, t);
+      if (!directed()) {
+        best = std::min(best, landmark_bound(Direction::kIn, s, t));
       }
       r.dist = best;
       r.method = best == kInfDistance ? QueryMethod::kNotFound
@@ -516,6 +606,21 @@ QueryResult VicinityOracle::fallback_distance_impl(NodeId s, NodeId t,
   }
   r.method = QueryMethod::kNotFound;
   return r;
+}
+
+bool VicinityOracle::walk_landmark_tree(NodeId l, NodeId from,
+                                        std::vector<NodeId>& out) const {
+  // Parent rows from a default mmap open are untrusted; bound the walk.
+  const std::uint64_t limit = g_->num_nodes();
+  std::uint64_t steps = 0;
+  NodeId cur = from;
+  while (cur != l) {
+    if (cur >= limit || ++steps > limit) return false;
+    out.push_back(cur);
+    cur = tables_.parent_from_landmark(l, cur);
+  }
+  out.push_back(l);
+  return true;
 }
 
 bool VicinityOracle::chase_parents(Direction d, NodeId origin, NodeId from,
@@ -581,23 +686,13 @@ PathResult VicinityOracle::path(NodeId s, NodeId t, QueryContext& ctx) const {
         p.method = QueryMethod::kSourceIsLandmark;
         return p;  // provably unreachable
       }
-      std::vector<NodeId> parent_walk;
-      NodeId cur = t;
-      // Parent rows from a default mmap open are untrusted; bound the walk.
-      const std::uint64_t limit = g_->num_nodes();
-      std::uint64_t steps = 0;
-      while (cur != s) {
-        if (cur >= limit || ++steps > limit) {
-          throw std::runtime_error(
-              "oracle index: corrupt landmark parent chain");
-        }
-        parent_walk.push_back(cur);
-        cur = tables_.parent_from_landmark(s, cur);
+      std::vector<NodeId> walk;  // t..s
+      if (!walk_landmark_tree(s, t, walk)) {
+        throw std::runtime_error("oracle index: corrupt landmark parent chain");
       }
-      parent_walk.push_back(s);
-      std::reverse(parent_walk.begin(), parent_walk.end());
-      return PathResult{d, std::move(parent_walk),
-                        QueryMethod::kSourceIsLandmark, true};
+      std::reverse(walk.begin(), walk.end());
+      return PathResult{d, std::move(walk), QueryMethod::kSourceIsLandmark,
+                        true};
     }
     // Landmark parent trees are stored forward-only: on a directed graph
     // no tree leads toward a landmark target.
@@ -608,19 +703,10 @@ PathResult VicinityOracle::path(NodeId s, NodeId t, QueryContext& ctx) const {
         p.method = QueryMethod::kTargetIsLandmark;
         return p;
       }
-      std::vector<NodeId> walk;
-      NodeId cur = s;
-      const std::uint64_t limit = g_->num_nodes();
-      std::uint64_t steps = 0;
-      while (cur != t) {
-        if (cur >= limit || ++steps > limit) {
-          throw std::runtime_error(
-              "oracle index: corrupt landmark parent chain");
-        }
-        walk.push_back(cur);
-        cur = tables_.parent_from_landmark(t, cur);
+      std::vector<NodeId> walk;  // s..t
+      if (!walk_landmark_tree(t, s, walk)) {
+        throw std::runtime_error("oracle index: corrupt landmark parent chain");
       }
-      walk.push_back(t);
       return PathResult{d, std::move(walk), QueryMethod::kTargetIsLandmark,
                         true};
     }
@@ -677,9 +763,68 @@ PathResult VicinityOracle::path(NodeId s, NodeId t, QueryContext& ctx) const {
         return PathResult{best, std::move(left),
                           QueryMethod::kVicinityIntersection, true};
       }
+    } else if (PathResult dp = disjoint_path(s, t); !dp.path.empty()) {
+      return dp;
     }
   }
   return fallback_path(s, t, ctx);
+}
+
+PathResult VicinityOracle::disjoint_path(NodeId s, NodeId t) const {
+  PathResult p;
+  const Distance rs = stores_[0].radius(s);
+  const Distance rt = store(Direction::kIn).radius(t);
+  const Distance lb = dist_add(dist_add(rs, rt), 1);
+  // d == LB exactly when a crossing arc exists (unweighted graphs, both
+  // vicinities non-empty), so every such pair runs the edge test first.
+  if (g_->weighted() || lb == kInfDistance || rs == 0 || rt == 0) return p;
+  std::uint32_t lookups = 0;
+  NodeId x = kInvalidNode;
+  NodeId y = kInvalidNode;
+  if (find_crossing_edge(s, t, x, y, lookups)) {
+    std::vector<NodeId> left;   // x..s -> reversed to s..x
+    std::vector<NodeId> right;  // y..t
+    if (chase_parents(Direction::kOut, s, x, left) &&
+        chase_parents(Direction::kIn, t, y, right)) {
+      std::reverse(left.begin(), left.end());
+      left.insert(left.end(), right.begin(), right.end());
+      return PathResult{lb, std::move(left), QueryMethod::kCrossingEdge, true};
+    }
+    return p;
+  }
+  // No crossing arc: d >= LB + 1, so a landmark tree attaining LB + 1 gives
+  // a shortest path. Stored trees lead away from their landmark: ℓ_out(s)'s
+  // reaches t on any graph, ℓ(t)'s reaches s only on undirected ones.
+  if (tables_.mode() != LandmarkTables::Mode::kFull || !tables_.has_parents()) {
+    return p;
+  }
+  const Distance ub = lb + 1;
+  if (landmark_bound(Direction::kOut, s, t) == ub) {
+    const NodeId l = nearest_[0].landmark[s];
+    std::vector<NodeId> left;  // l..s -> reversed to s..l
+    std::vector<NodeId> tree;  // t..l -> reversed to l..t
+    if (chase_parents(Direction::kOut, s, l, left) &&
+        walk_landmark_tree(l, t, tree)) {
+      std::reverse(left.begin(), left.end());
+      left.insert(left.end(), tree.rbegin() + 1, tree.rend());
+      p.path = std::move(left);
+    }
+  } else if (!directed() && landmark_bound(Direction::kIn, s, t) == ub) {
+    const NodeId l = nearest_[0].landmark[t];
+    std::vector<NodeId> tree;   // s..l
+    std::vector<NodeId> right;  // l..t
+    if (walk_landmark_tree(l, s, tree) &&
+        chase_parents(Direction::kIn, t, l, right)) {
+      tree.insert(tree.end(), right.begin() + 1, right.end());
+      p.path = std::move(tree);
+    }
+  }
+  // A corrupt mapped index can break either walk: keep the search then.
+  if (p.path.size() != static_cast<std::size_t>(ub) + 1) return PathResult{};
+  p.dist = ub;
+  p.method = QueryMethod::kLandmarkCertificate;
+  p.exact = true;
+  return p;
 }
 
 double VicinityOracle::estimate_coverage(std::size_t pairs,
@@ -690,9 +835,10 @@ double VicinityOracle::estimate_coverage(std::size_t pairs,
     const NodeId s = indexed_[rng.next_below(indexed_.size())];
     NodeId t = s;
     while (t == s) t = indexed_[rng.next_below(indexed_.size())];
-    // Count only resolutions the index answers exactly: a null context
-    // makes the exact fallback report not-found, and landmark estimates
-    // are excluded below — both fall into the paper's footnote-1 residue.
+    // Count only resolutions the index answers exactly — steps (0)-(7),
+    // the certificate and crossing edge included: a null context makes the
+    // exact fallback report not-found, and landmark estimates are excluded
+    // below — both fall into the paper's footnote-1 residue.
     const QueryResult r = distance_impl(s, t, nullptr);
     if (r.method != QueryMethod::kNotFound &&
         r.method != QueryMethod::kFallbackEstimate) {

@@ -19,7 +19,17 @@
 //   (5) vicinity intersection: iterate ∂Γ_out(s) probing Γ_in(t) (or the
 //       symmetric pairing, Lemma 1), minimizing d(s,w) + d(w,t)
 //                                     -> exact by Theorem 1
-//   (6) fallback (exact bidirectional BFS, landmark upper bound, or none)
+//   A miss in (5) — disjoint vicinities, or a minimum the weighted guard
+//   rejects — proves d(s,t) >= LB = r_out(s) + r_in(t) + 1, since Γ(u)
+//   holds every node within r(u) of u. Two exact tests use that bound:
+//   (6) crossing edge (unweighted graphs): an arc from a member of
+//       ∂Γ_out(s) at distance r_out(s) to a member of ∂Γ_in(t) at distance
+//       r_in(t)                       -> exact, d = LB
+//       no such arc raises the bound to LB + 1
+//   (7) landmark certificate: UB = min(r_out(s) + d(ℓ_out(s) -> t),
+//       d(s -> ℓ_in(t)) + r_in(t)) from the landmark rows equals the
+//       bound                         -> exact
+//   (8) fallback (exact bidirectional BFS, landmark upper bound, or none)
 //
 // Build modes: build() indexes every node (a deployable index);
 // build_for() indexes a query subset, reproducing the paper's §2.3
@@ -60,13 +70,20 @@ enum class QueryMethod {
   /// A baseline backend returned an estimate / upper bound.
   kBaselineEstimate,
   kNotFound,
+  // Appended after kNotFound: the ordinals travel on the wire
+  // (net::DistanceRecord::method), so existing values never move.
+  /// Step (7): a landmark upper bound met the disjoint-vicinity lower
+  /// bound (LB, or LB + 1 after step (6) found no crossing arc).
+  kLandmarkCertificate,
+  /// Step (6): one arc joins the two vicinity shells (unweighted graphs).
+  kCrossingEdge,
 };
 
 /// Number of QueryMethod enumerators (QueryStats histogram width). Tied to
 /// the enum via the last enumerator so appending a method can't silently
 /// write past the stats array.
 inline constexpr std::size_t kNumQueryMethods =
-    static_cast<std::size_t>(QueryMethod::kNotFound) + 1;
+    static_cast<std::size_t>(QueryMethod::kCrossingEdge) + 1;
 
 const char* to_string(QueryMethod m);
 
@@ -153,7 +170,10 @@ class VicinityOracle {
   UpdateStats apply_update(graph::Graph& g, const GraphUpdate& update);
 
   /// Fraction of sampled indexed pairs answerable without fallback — the
-  /// paper's coverage metric ("99.9% of queries").
+  /// paper's coverage metric ("99.9% of queries"). Counts every exact
+  /// answer the index gives without a search: Algorithm 1's steps (0)-(5)
+  /// and the crossing-edge and landmark-certificate steps (6)-(7), which
+  /// need no context either.
   double estimate_coverage(std::size_t pairs, util::Rng& rng) const;
 
   const graph::Graph& graph() const { return *g_; }
@@ -221,6 +241,26 @@ class VicinityOracle {
   /// vicinities do not intersect.
   QueryResult intersect(NodeId s, NodeId t) const;
 
+  /// Landmark upper bound on d(s -> t) through one endpoint's nearest
+  /// landmark: `via` kOut gives r_out(s) + d(ℓ_out(s) -> t), kIn gives
+  /// d(s -> ℓ_in(t)) + r_in(t). kInfDistance when no stored row answers it
+  /// (no tables, or a subset table missing the other endpoint) or ℓ is not
+  /// a landmark (none reachable, or a corrupt mapped index).
+  Distance landmark_bound(Direction via, NodeId s, NodeId t) const;
+
+  /// Steps (6)-(7) for two indexed endpoints whose step (5) missed, after
+  /// `lookups` probes: an exact result on success, otherwise exact == false
+  /// and the caller runs the fallback. hash_lookups adds step (6)'s probes
+  /// either way.
+  QueryResult resolve_disjoint(NodeId s, NodeId t,
+                               std::uint32_t lookups) const;
+
+  /// Step (6)'s search: an arc x -> y with x ∈ ∂Γ_out(s) at distance
+  /// r_out(s) and y ∈ ∂Γ_in(t) at distance r_in(t). Scans the smaller
+  /// boundary's shell; one lookup per probed neighbour.
+  bool find_crossing_edge(NodeId s, NodeId t, NodeId& x, NodeId& y,
+                          std::uint32_t& lookups) const;
+
   QueryResult fallback_distance_impl(NodeId s, NodeId t,
                                      std::uint32_t lookups,
                                      QueryContext* ctx) const;
@@ -231,6 +271,16 @@ class VicinityOracle {
   /// stored vicinity (possible only on weighted graphs).
   bool chase_parents(Direction d, NodeId origin, NodeId from,
                      std::vector<NodeId>& out) const;
+
+  /// Appends `from`..l walking landmark l's stored parent row (full tables
+  /// with parents); false when the chain is corrupt.
+  bool walk_landmark_tree(NodeId l, NodeId from,
+                          std::vector<NodeId>& out) const;
+
+  /// PATH for an indexed pair whose step (5) missed: the crossing-edge
+  /// path, or a pair certified at LB + 1 along the landmark tree attaining
+  /// it. Empty path when neither applies.
+  PathResult disjoint_path(NodeId s, NodeId t) const;
 
   PathResult fallback_path(NodeId s, NodeId t, QueryContext& ctx) const;
 

@@ -182,9 +182,16 @@ void encode_frame(const FrameHeader& h, std::span<const std::uint8_t> payload,
 
 /// One answered distance: mirrors core::QueryResult minus hash_lookups
 /// (a per-query microarchitectural counter, not a serving-contract field).
+///
+/// `method` carries the core::QueryMethod ordinal. Ordinals are append-only
+/// and never renumbered: 0 identical, 1 source-landmark, 2 target-landmark,
+/// 3 target-in-Γ(s), 4 source-in-Γ(t), 5 vicinity-intersection,
+/// 6 fallback-exact, 7 fallback-estimate, 8 baseline-exact,
+/// 9 baseline-estimate, 10 not-found, 11 landmark-certificate,
+/// 12 crossing-edge.
 struct DistanceRecord {
   Distance dist = kInfDistance;
-  std::uint8_t method = 0;  ///< core::QueryMethod as ordinal
+  std::uint8_t method = 0;  ///< core::QueryMethod as ordinal (see above)
   bool exact = false;
 
   bool operator==(const DistanceRecord&) const = default;

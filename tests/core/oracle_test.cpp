@@ -167,10 +167,11 @@ TEST(OracleTest, PathsAreValidShortestPaths) {
 
 TEST(OracleTest, QueryMethodToStringCoversEveryEnumerator) {
   // Locked to kNumQueryMethods: appending a QueryMethod without teaching
-  // to_string() about it (or without keeping kNotFound last, which sizes
-  // the QueryStats histogram) fails here instead of desyncing the stats.
+  // to_string() about it (or without keeping kCrossingEdge last, which
+  // sizes the QueryStats histogram) fails here instead of desyncing the
+  // stats.
   static_assert(kNumQueryMethods ==
-                static_cast<std::size_t>(QueryMethod::kNotFound) + 1);
+                static_cast<std::size_t>(QueryMethod::kCrossingEdge) + 1);
   std::set<std::string> names;
   for (std::size_t i = 0; i < kNumQueryMethods; ++i) {
     const char* name = to_string(static_cast<QueryMethod>(i));

@@ -116,15 +116,22 @@ TEST(WeightedGuardTest, GuardIsNoOpOnUnweightedGraphs) {
   auto oracle = VicinityOracle::build(g, opt);
   util::Rng qrng(743);
   std::size_t rejected_at_guard = 0;
+  std::size_t misses = 0;
   QueryContext ctx;
   for (int i = 0; i < 400; ++i) {
     const auto s = static_cast<NodeId>(qrng.next_below(g.num_nodes()));
     NodeId t = s;
     while (t == s) t = static_cast<NodeId>(qrng.next_below(g.num_nodes()));
     const auto r = oracle.distance(s, t, ctx);
-    if (r.method != QueryMethod::kNotFound) continue;
-    // A not-found on unweighted graphs must mean a genuinely empty
-    // intersection (guard no-op): verify by brute force.
+    if (r.method != QueryMethod::kNotFound &&
+        r.method != QueryMethod::kLandmarkCertificate &&
+        r.method != QueryMethod::kCrossingEdge) {
+      continue;
+    }
+    // A miss at the intersection on unweighted graphs — not-found, or an
+    // answer past it by certificate or crossing edge — must mean a
+    // genuinely empty intersection (guard no-op): verify by brute force.
+    ++misses;
     std::size_t common = 0;
     oracle.store().for_each_member(s, [&](NodeId w, const StoredEntry&) {
       if (oracle.store().find(t, w).found) ++common;
@@ -132,6 +139,7 @@ TEST(WeightedGuardTest, GuardIsNoOpOnUnweightedGraphs) {
     if (common != 0) ++rejected_at_guard;
   }
   EXPECT_EQ(rejected_at_guard, 0u);
+  EXPECT_GE(misses, 24u);
 }
 
 TEST(WeightedGuardTest, WeightedPathsRemainValid) {

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <utility>
 #include <vector>
+
+#include "core/oracle.h"
 
 namespace vicinity::net {
 namespace {
@@ -101,6 +105,40 @@ TEST(Protocol, DistanceRecordRoundTrip) {
   FrameReader r(payload);
   EXPECT_EQ(read_distance_record(r), rec);
   r.expect_end();
+}
+
+TEST(Protocol, QueryMethodOrdinalsAreFrozen) {
+  // DistanceRecord::method is a core::QueryMethod ordinal on the wire: a
+  // method may be appended, but none may move or be renamed.
+  using core::QueryMethod;
+  const std::pair<QueryMethod, const char*> pinned[] = {
+      {QueryMethod::kIdenticalNodes, "identical"},
+      {QueryMethod::kSourceIsLandmark, "source-landmark"},
+      {QueryMethod::kTargetIsLandmark, "target-landmark"},
+      {QueryMethod::kTargetInSourceVicinity, "target-in-Γ(s)"},
+      {QueryMethod::kSourceInTargetVicinity, "source-in-Γ(t)"},
+      {QueryMethod::kVicinityIntersection, "vicinity-intersection"},
+      {QueryMethod::kFallbackExact, "fallback-exact"},
+      {QueryMethod::kFallbackEstimate, "fallback-estimate"},
+      {QueryMethod::kBaselineExact, "baseline-exact"},
+      {QueryMethod::kBaselineEstimate, "baseline-estimate"},
+      {QueryMethod::kNotFound, "not-found"},
+      {QueryMethod::kLandmarkCertificate, "landmark-certificate"},
+      {QueryMethod::kCrossingEdge, "crossing-edge"},
+  };
+  ASSERT_EQ(std::size(pinned), core::kNumQueryMethods);
+  for (std::size_t i = 0; i < std::size(pinned); ++i) {
+    const auto [method, name] = pinned[i];
+    EXPECT_EQ(static_cast<std::size_t>(method), i) << name;
+    EXPECT_STREQ(core::to_string(method), name) << "ordinal " << i;
+    // The ordinal survives a DistanceRecord round trip.
+    std::vector<std::uint8_t> payload;
+    FrameWriter w(payload);
+    write_distance_record(w, DistanceRecord{7, static_cast<std::uint8_t>(i),
+                                            true});
+    FrameReader r(payload);
+    EXPECT_EQ(read_distance_record(r).method, i);
+  }
 }
 
 TEST(Protocol, UpdateReplyRoundTrip) {
