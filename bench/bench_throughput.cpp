@@ -13,6 +13,10 @@
 // through the identical engine — the apples-to-apples serving comparison
 // (same workload, same batching, same stats).
 //
+// Backends with paths also time path() single-threaded over the latency
+// sample, checking every path against the graph and the batch distance
+// (exit 1 on any invalid or mislength path).
+//
 // --zipf skews sources/targets Zipf(theta) over node ids (bench/zipf.h);
 // --cache-mb adds a hot-pair result cache section: cached vs uncached
 // batch qps and single-query latency at the max thread count (bit-identity
@@ -42,6 +46,7 @@
 #include <utility>
 #include <vector>
 
+#include "algo/path.h"
 #include "baselines/baseline_adapters.h"
 #include "core/oracle.h"
 #include "core/query_engine.h"
@@ -348,6 +353,33 @@ int main(int argc, char** argv) {
   bool all_identical = true;
   for (const Row& r : rows) all_identical = all_identical && r.identical;
 
+  // PATH latency (single lane; each path() timed alone) over the latency
+  // sample. Every path must run s..t over real arcs with the length of the
+  // batch distance, and be empty exactly when that distance is infinite.
+  util::SampleSet path_us;
+  std::size_t bad_paths = 0;
+  if (built.oracle->capabilities().has(core::Capability::kPaths)) {
+    path_us.reserve(latency_sample);
+    core::QueryContext ctx;
+    for (std::size_t i = 0; i < latency_sample; ++i) {
+      const auto [s, t] = queries[i];
+      util::Timer timer;
+      const core::PathResult p = engine.oracle().path(s, t, ctx);
+      path_us.add(timer.elapsed_us());
+      const Distance want = baseline[i].dist;
+      const bool ok = want == kInfDistance
+                          ? p.path.empty()
+                          : algo::is_valid_path(g, p.path, s, t) &&
+                                algo::path_length(g, p.path) == want;
+      bad_paths += ok ? 0 : 1;
+    }
+    std::printf("path latency (1 thread, %zu samples): p50=%.2fus p90=%.2fus "
+                "p99=%.2fus max=%.2fus, %zu invalid\n",
+                latency_sample, path_us.percentile(50),
+                path_us.percentile(90), path_us.percentile(99), path_us.max(),
+                bad_paths);
+  }
+
   // Result-cache section: the same workload through a cache-fronted engine
   // over the same oracle. Bit-identity against the uncached baseline is
   // enforced; the churn sweep shows epoch invalidation under updates.
@@ -489,6 +521,11 @@ int main(int argc, char** argv) {
        << ", \"p90\": " << latency_us.percentile(90)
        << ", \"p99\": " << latency_us.percentile(99)
        << ", \"max\": " << latency_us.max() << "},\n";
+    if (!path_us.empty()) {
+      js << "  \"path_latency_us\": {\"p50\": " << path_us.percentile(50)
+         << ", \"p99\": " << path_us.percentile(99)
+         << ", \"invalid\": " << bad_paths << "},\n";
+    }
     if (open_bench.ran) {
       js << "  \"index_open\": {\"file_bytes\": " << open_bench.file_bytes
          << ", \"mapped_ms\": " << open_bench.mapped_ms
@@ -547,6 +584,11 @@ int main(int argc, char** argv) {
 
   if (!all_identical) {
     std::cerr << "FAIL: thread counts disagreed on at least one answer\n";
+    return 1;
+  }
+  if (bad_paths != 0) {
+    std::cerr << "FAIL: " << bad_paths
+              << " paths were invalid or differed from the batch distance\n";
     return 1;
   }
   return 0;

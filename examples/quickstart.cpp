@@ -24,7 +24,6 @@ int main(int argc, char** argv) {
   //    whose vicinities do not intersect, making every answer exact.
   core::OracleOptions options;
   options.alpha = 8.0;
-  options.store_landmark_parents = true;  // enables paths via landmarks
   options.fallback = core::Fallback::kBidirectionalBfs;
   util::Timer build_timer;
   const auto index = Index::build(g, options);

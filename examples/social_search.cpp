@@ -19,7 +19,6 @@ int main(int argc, char** argv) {
 
   core::OracleOptions options;
   options.alpha = 8.0;
-  options.store_landmark_parents = true;
   options.fallback = core::Fallback::kBidirectionalBfs;
   auto oracle = core::VicinityOracle::build(g, options);
   std::cout << "index: " << oracle.landmarks().size() << " landmarks, built in "

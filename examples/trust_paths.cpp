@@ -20,7 +20,6 @@ int main(int argc, char** argv) {
 
   core::OracleOptions options;
   options.alpha = 16.0;
-  options.store_landmark_parents = true;
   options.fallback = core::Fallback::kBidirectionalBfs;
   auto oracle = core::VicinityOracle::build(g, options);
 

@@ -81,7 +81,6 @@ int cmd_build(int argc, char** argv) {
   core::OracleOptions options;
   options.alpha = std::stod(flag_value(argc, argv, "alpha", "16"));
   options.seed = std::stoull(flag_value(argc, argv, "seed", "42"));
-  options.store_landmark_parents = true;
   const std::string out = flag_value(argc, argv, "out", "index.idx");
   util::Timer t;
   // The oracle reads the graph kind (undirected or directed) from g;
@@ -102,7 +101,6 @@ int cmd_query(int argc, char** argv) {
   const std::string index_path = flag_value(argc, argv, "index");
   core::OracleOptions options;
   options.alpha = std::stod(flag_value(argc, argv, "alpha", "16"));
-  options.store_landmark_parents = true;
   options.fallback = core::Fallback::kBidirectionalBfs;
   core::OpenOptions open_opts;
   if (has_flag(argc, argv, "no-mmap")) open_opts.mode = core::OpenMode::kHeap;

@@ -44,6 +44,11 @@ def throughput_metrics(throughput, prefix=""):
     for pct in ("p50", "p99"):
         if pct in latency:
             metrics[f"{prefix}query_{pct}_us"] = latency[pct]
+    # Single-threaded path() latency (backends with paths only).
+    path_latency = throughput.get("path_latency_us", {})
+    for pct in ("p50", "p99"):
+        if pct in path_latency:
+            metrics[f"{prefix}path_{pct}_us"] = path_latency[pct]
     # Index open-path metrics (vicinity backends only: the baselines have
     # no index file, so their runs simply don't emit the object).
     index_open = throughput.get("index_open", {})

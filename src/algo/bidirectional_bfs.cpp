@@ -83,22 +83,26 @@ BidirResult bidirectional_bfs_distance(const graph::Graph& g,
 std::vector<NodeId> bidirectional_bfs_path(const graph::Graph& g,
                                            BidirBfsScratch& scratch, NodeId s,
                                            NodeId t) {
-  const BidirResult res = run(g, scratch, s, t, /*record_parents=*/true);
+  return scratch.path(s, t, run(g, scratch, s, t, /*record_parents=*/true));
+}
+
+std::vector<NodeId> BidirBfsScratch::path(NodeId s, NodeId t,
+                                          const BidirResult& met) const {
   std::vector<NodeId> out;
-  if (res.dist == kInfDistance) return out;
+  if (met.dist == kInfDistance) return out;
   if (s == t) return {s};
   // Forward half: meeting node back to s.
-  NodeId cur = res.meeting_node;
+  NodeId cur = met.meeting_node;
   while (cur != s) {
     out.push_back(cur);
-    cur = scratch.parent_f.get(cur);
+    cur = parent_f.get(cur);
   }
   out.push_back(s);
   std::reverse(out.begin(), out.end());
   // Backward half: successor chain from meeting node to t.
-  cur = res.meeting_node;
+  cur = met.meeting_node;
   while (cur != t) {
-    cur = scratch.parent_b.get(cur);
+    cur = parent_b.get(cur);
     out.push_back(cur);
   }
   return out;

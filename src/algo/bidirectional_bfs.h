@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -27,9 +28,10 @@ struct BidirResult {
   std::uint64_t arcs_scanned = 0;
 };
 
-/// Per-thread mutable state for bidirectional BFS. Sized lazily on first
-/// use; reusable across queries and across graphs of the same node count.
-/// Never shared between threads.
+/// Per-thread mutable state for bidirectional BFS, and for bidirectional
+/// Dijkstra (algo/bidirectional_dijkstra.h), which adds the two heaps.
+/// Sized lazily on first use; reusable across queries and across graphs of
+/// the same node count. Never shared between threads.
 struct BidirBfsScratch {
   void ensure(std::size_t n) {
     if (dist_f.size() != n) {
@@ -44,13 +46,20 @@ struct BidirBfsScratch {
     return dist_f.memory_bytes() + dist_b.memory_bytes() +
            parent_f.memory_bytes() + parent_b.memory_bytes() +
            (frontier_f.capacity() + frontier_b.capacity() + next.capacity()) *
-               sizeof(NodeId);
+               sizeof(NodeId) +
+           (heap_f.capacity() + heap_b.capacity()) *
+               sizeof(std::pair<Distance, NodeId>);
   }
+
+  /// The s..t path through a search's meeting node, read off the parents
+  /// the search recorded; empty when it found none.
+  std::vector<NodeId> path(NodeId s, NodeId t, const BidirResult& met) const;
 
   // Forward (from s) and backward (from t) scratch.
   util::StampedArray<Distance> dist_f, dist_b;
   util::StampedArray<NodeId> parent_f, parent_b;
   std::vector<NodeId> frontier_f, frontier_b, next;
+  std::vector<std::pair<Distance, NodeId>> heap_f, heap_b;
 };
 
 /// Exact distance s->t using caller-owned scratch. On directed graphs the

@@ -302,19 +302,15 @@ void merge_radius_changes(AffectedSets& sets,
 }
 
 std::size_t relax_row(const graph::Graph& g, bool use_in_arcs,
-                      std::span<Distance> dist, std::span<const NodeId> seeds,
-                      NodeId* parent) {
+                      std::span<Distance> dist, std::span<const NodeId> seeds) {
   std::size_t lowered = 0;
-  decrease_relax(g, use_in_arcs, dist, seeds, [&](NodeId y, NodeId via) {
-    if (parent != nullptr) parent[y] = via;
-    ++lowered;
-  });
+  decrease_relax(g, use_in_arcs, dist, seeds,
+                 [&](NodeId, NodeId) { ++lowered; });
   return lowered;
 }
 
 std::size_t repair_row_delete(const graph::Graph& g, bool use_in_arcs,
-                              std::span<Distance> dist, NodeId* parent,
-                              NodeId a, NodeId b) {
+                              std::span<Distance> dist, NodeId a, NodeId b) {
   const bool weighted = g.weighted();
   // "Upstream" arcs define dist[x] (x's potential supports); "downstream"
   // arcs are the nodes x in turn supports.
@@ -332,7 +328,6 @@ std::size_t repair_row_delete(const graph::Graph& g, bool use_in_arcs,
   };
 
   const NodeId e = use_in_arcs ? a : b;  // endpoint the arc supported
-  const NodeId e_up = use_in_arcs ? b : a;  // its upstream side
   if (dist[e] == 0 || dist[e] == kInfDistance) return 0;
 
   // Phase 1: the affected set — nodes whose every tight support chain runs
@@ -340,28 +335,13 @@ std::size_t repair_row_delete(const graph::Graph& g, bool use_in_arcs,
   // dist[] stays untouched (old values) until phase 2, so tightness tests
   // below read the pre-delete shortest-path DAG.
   util::FlatHashMap<NodeId, Distance> old_dist(64);
-  // Returns a tight unaffected support of x, or kInvalidNode.
-  auto find_support = [&](NodeId x) {
-    const auto ups = upstream(x);
-    const auto uw = weighted ? upstream_w(x) : std::span<const Weight>{};
-    for (std::size_t i = 0; i < ups.size(); ++i) {
-      const NodeId y = ups[i];
-      if (old_dist.find(y) != nullptr) continue;  // affected: not a support
-      if (dist_add(dist[y], weighted ? uw[i] : Weight{1}) == dist[x]) {
-        return y;
-      }
-    }
-    return kInvalidNode;
+  // A tight support that is not itself affected.
+  auto has_support = [&](NodeId x) {
+    return tight_support(g, use_in_arcs, dist, x, [&](NodeId y) {
+             return old_dist.find(y) != nullptr;
+           }) != kInvalidNode;
   };
-  {
-    const NodeId support = find_support(e);
-    if (support != kInvalidNode) {
-      // Distances are intact; only e's SPT parent may still name the
-      // deleted arc — reroute it through the surviving support.
-      if (parent != nullptr && parent[e] == e_up) parent[e] = support;
-      return 0;
-    }
-  }
+  if (has_support(e)) return 0;  // the arc was not load-bearing
   std::vector<NodeId> affected{e};
   old_dist.insert_or_assign(e, dist[e]);
   for (std::size_t head = 0; head < affected.size(); ++head) {
@@ -375,7 +355,7 @@ std::size_t repair_row_delete(const graph::Graph& g, bool use_in_arcs,
       if (dist[z] != dist_add(dist[x], weighted ? dw[i] : Weight{1})) {
         continue;  // x never supported z
       }
-      if (find_support(z) == kInvalidNode) {
+      if (!has_support(z)) {
         old_dist.insert_or_assign(z, dist[z]);
         affected.push_back(z);
       }
@@ -386,20 +366,14 @@ std::size_t repair_row_delete(const graph::Graph& g, bool use_in_arcs,
   Frontier heap;
   for (const NodeId x : affected) {
     Distance best = kInfDistance;
-    NodeId via = kInvalidNode;
     const auto ups = upstream(x);
     const auto uw = weighted ? upstream_w(x) : std::span<const Weight>{};
     for (std::size_t i = 0; i < ups.size(); ++i) {
       const NodeId y = ups[i];
       if (old_dist.find(y) != nullptr) continue;
-      const Distance cand = dist_add(dist[y], weighted ? uw[i] : Weight{1});
-      if (cand < best) {
-        best = cand;
-        via = y;
-      }
+      best = std::min(best, dist_add(dist[y], weighted ? uw[i] : Weight{1}));
     }
     dist[x] = best;
-    if (parent != nullptr) parent[x] = via;
     if (best != kInfDistance) heap_push(heap, best, x);
   }
   while (!heap.empty()) {
@@ -413,7 +387,6 @@ std::size_t repair_row_delete(const graph::Graph& g, bool use_in_arcs,
       const Distance nd = dist_add(dx, weighted ? dw[i] : Weight{1});
       if (nd < dist[z]) {
         dist[z] = nd;
-        if (parent != nullptr) parent[z] = x;
         heap_push(heap, nd, z);
       }
     }
@@ -422,36 +395,6 @@ std::size_t repair_row_delete(const graph::Graph& g, bool use_in_arcs,
   std::size_t changed = 0;
   for (const NodeId x : affected) {
     if (dist[x] != *old_dist.find(x)) ++changed;
-  }
-
-  // Unaffected nodes keep their distance, but one whose SPT parent sits in
-  // the affected region can be left with a no-longer-tight (or even
-  // unreachable) parent — reroute those through a surviving tight support
-  // so landmark path() walks never cross retired arcs.
-  if (parent != nullptr) {
-    for (const NodeId x : affected) {
-      const auto downs = downstream(x);
-      const auto dw = weighted ? downstream_w(x) : std::span<const Weight>{};
-      for (std::size_t i = 0; i < downs.size(); ++i) {
-        const NodeId z = downs[i];
-        if (old_dist.find(z) != nullptr) continue;  // re-parented in phase 2
-        if (parent[z] != x || dist[z] == 0 || dist[z] == kInfDistance) {
-          continue;
-        }
-        if (dist[z] == dist_add(dist[x], weighted ? dw[i] : Weight{1})) {
-          continue;  // x kept (or regained) a tight distance
-        }
-        const auto ups = upstream(z);
-        const auto uw = weighted ? upstream_w(z) : std::span<const Weight>{};
-        for (std::size_t j = 0; j < ups.size(); ++j) {
-          if (dist_add(dist[ups[j]], weighted ? uw[j] : Weight{1}) ==
-              dist[z]) {
-            parent[z] = ups[j];
-            break;
-          }
-        }
-      }
-    }
   }
   return changed;
 }

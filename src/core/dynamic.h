@@ -168,11 +168,32 @@ void merge_radius_changes(AffectedSets& sets,
 
 /// Decrease-only relaxation over a dense distance field (landmark-row
 /// refresh): `seeds` were already lowered in `dist`; improvements spread
-/// along out-arcs (use_in_arcs = false) or in-arcs, writing the improving
-/// predecessor into `parent` when non-null. Returns lowered-node count.
+/// along out-arcs (use_in_arcs = false) or in-arcs. Returns lowered-node
+/// count.
 std::size_t relax_row(const graph::Graph& g, bool use_in_arcs,
-                      std::span<Distance> dist, std::span<const NodeId> seeds,
-                      NodeId* parent);
+                      std::span<Distance> dist, std::span<const NodeId> seeds);
+
+/// A tight support of x in a dense single-source distance field: an
+/// upstream neighbour y with dist[y] + w(y, x) == dist[x] that `skip`
+/// does not reject, or kInvalidNode. use_in_arcs follows relax_row's
+/// convention, so upstream means an in-neighbour when it is false (dist
+/// measured from a source along out-arcs) and an out-neighbour when it is
+/// true (dist measured to a target). Every neighbour id comes from `g`, so
+/// dist must span g.num_nodes() entries.
+template <typename Skip>
+NodeId tight_support(const graph::Graph& g, bool use_in_arcs,
+                     std::span<const Distance> dist, NodeId x, Skip&& skip) {
+  const bool weighted = g.weighted();
+  const auto ups = use_in_arcs ? g.neighbors(x) : g.in_neighbors(x);
+  const auto uw = weighted ? (use_in_arcs ? g.weights(x) : g.in_weights(x))
+                           : std::span<const Weight>{};
+  for (std::size_t i = 0; i < ups.size(); ++i) {
+    const NodeId y = ups[i];
+    if (skip(y)) continue;
+    if (dist_add(dist[y], weighted ? uw[i] : Weight{1}) == dist[x]) return y;
+  }
+  return kInvalidNode;
+}
 
 /// Increase-only repair of a dense single-source distance field after
 /// deleting arc a -> b (weight w, captured pre-delete; `g` post-delete).
@@ -181,12 +202,11 @@ std::size_t relax_row(const graph::Graph& g, bool use_in_arcs,
 /// re-settle exactly that region from its unaffected rim — O(region), not
 /// O(n + m), so detaching a leaf costs O(degree) instead of a full sweep.
 /// use_in_arcs follows relax_row's convention (false = distances from a
-/// source along out-arcs; true = distances to a target along in-arcs);
-/// `parent` is the optional SPT parent array. Returns the number of nodes
-/// whose distance actually changed (0 when the arc was not load-bearing).
+/// source along out-arcs; true = distances to a target along in-arcs).
+/// Returns the number of nodes whose distance actually changed (0 when the
+/// arc was not load-bearing).
 std::size_t repair_row_delete(const graph::Graph& g, bool use_in_arcs,
-                              std::span<Distance> dist, NodeId* parent,
-                              NodeId a, NodeId b);
+                              std::span<Distance> dist, NodeId a, NodeId b);
 
 }  // namespace detail
 

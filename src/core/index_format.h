@@ -84,7 +84,10 @@ enum class SectionId : std::uint32_t {
   kTableLandmarks = 48,    ///< NodeId[k]
   kTableDistRows = 49,     ///< Distance[k·n]
   kTableRevRows = 50,      ///< Distance[k·n] (directed tag only)
-  kTableParentRows = 51,   ///< NodeId[k·n] (only when parents stored)
+  /// NodeId[k·n]: landmark-tree parents that older writers could emit.
+  /// Ignored on load (trees are derived from the rows); the id stays
+  /// reserved.
+  kTableParentRows = 51,
   kTableSubsetNodes = 52,  ///< NodeId[s] (subset mode)
   kTableToLm = 53,         ///< Distance[s·k] (subset mode)
   kTableFromLm = 54,       ///< Distance[s·k] (subset mode, directed tag)

@@ -11,17 +11,12 @@ namespace vicinity::core {
 
 namespace {
 
-void sssp(const graph::Graph& g, NodeId src, bool reverse,
-          std::vector<Distance>& dist_out, std::vector<NodeId>* parent_out) {
+std::vector<Distance> sssp(const graph::Graph& g, NodeId src, bool reverse) {
   if (g.weighted()) {
-    auto t = reverse ? algo::dijkstra_reverse(g, src) : algo::dijkstra(g, src);
-    dist_out = std::move(t.dist);
-    if (parent_out) *parent_out = std::move(t.parent);
-  } else {
-    auto t = reverse ? algo::bfs_reverse(g, src) : algo::bfs(g, src);
-    dist_out = std::move(t.dist);
-    if (parent_out) *parent_out = std::move(t.parent);
+    return (reverse ? algo::dijkstra_reverse(g, src) : algo::dijkstra(g, src))
+        .dist;
   }
+  return (reverse ? algo::bfs_reverse(g, src) : algo::bfs(g, src)).dist;
 }
 
 }  // namespace
@@ -36,23 +31,22 @@ void LandmarkTables::index_landmarks(const LandmarkSet& landmarks, NodeId n) {
 
 LandmarkTables LandmarkTables::build_full(const graph::Graph& g,
                                           const LandmarkSet& landmarks,
-                                          bool parents,
                                           util::ThreadPool* pool) {
   LandmarkTables t;
   t.mode_ = Mode::kFull;
   t.directed_ = g.directed();
   t.index_landmarks(landmarks, g.num_nodes());
   const std::size_t k = t.landmark_nodes_.size();
-  t.dist_rows_.resize(k);
-  if (g.directed()) t.rev_rows_.resize(k);
-  if (parents) t.parent_rows_.resize(k);
+  const std::size_t n = g.num_nodes();
+  std::vector<Distance> fwd(k * n);
+  std::vector<Distance> rev(g.directed() ? k * n : 0);
 
+  // Each landmark fills its own row.
   auto work = [&](std::uint64_t i) {
     const NodeId l = t.landmark_nodes_[i];
-    sssp(g, l, /*reverse=*/false, t.dist_rows_[i],
-         parents ? &t.parent_rows_[i] : nullptr);
+    std::ranges::copy(sssp(g, l, /*reverse=*/false), fwd.begin() + i * n);
     if (g.directed()) {
-      sssp(g, l, /*reverse=*/true, t.rev_rows_[i], nullptr);
+      std::ranges::copy(sssp(g, l, /*reverse=*/true), rev.begin() + i * n);
     }
   };
   if (pool && pool->thread_count() > 1) {
@@ -60,6 +54,8 @@ LandmarkTables LandmarkTables::build_full(const graph::Graph& g,
   } else {
     for (std::uint64_t i = 0; i < k; ++i) work(i);
   }
+  t.fwd_.own(std::move(fwd));
+  t.rev_.own(std::move(rev));
   return t;
 }
 
@@ -78,22 +74,21 @@ LandmarkTables LandmarkTables::build_subset(const graph::Graph& g,
   }
   const std::size_t k = t.landmark_nodes_.size();
   const std::size_t s = t.subset_nodes_.size();
-  t.to_lm_.assign(s * k, kInfDistance);
-  if (g.directed()) t.from_lm_.assign(s * k, kInfDistance);
+  std::vector<Distance> to_lm(s * k, kInfDistance);
+  std::vector<Distance> from_lm(g.directed() ? s * k : 0, kInfDistance);
 
   auto work = [&](std::uint64_t i) {
     const NodeId v = t.subset_nodes_[i];
-    std::vector<Distance> dist;
     // Forward search from v: d(v -> x); read off landmark positions.
-    sssp(g, v, /*reverse=*/false, dist, nullptr);
+    std::vector<Distance> dist = sssp(g, v, /*reverse=*/false);
     for (std::size_t j = 0; j < k; ++j) {
-      t.to_lm_[i * k + j] = dist[t.landmark_nodes_[j]];
+      to_lm[i * k + j] = dist[t.landmark_nodes_[j]];
     }
     if (g.directed()) {
       // Backward search: d(x -> v).
-      sssp(g, v, /*reverse=*/true, dist, nullptr);
+      dist = sssp(g, v, /*reverse=*/true);
       for (std::size_t j = 0; j < k; ++j) {
-        t.from_lm_[i * k + j] = dist[t.landmark_nodes_[j]];
+        from_lm[i * k + j] = dist[t.landmark_nodes_[j]];
       }
     }
   };
@@ -102,40 +97,16 @@ LandmarkTables LandmarkTables::build_subset(const graph::Graph& g,
   } else {
     for (std::uint64_t i = 0; i < s; ++i) work(i);
   }
+  t.to_lm_.own(std::move(to_lm));
+  t.from_lm_.own(std::move(from_lm));
   return t;
 }
 
 void LandmarkTables::materialize() {
   if (backing_ == nullptr) return;
-  const std::size_t k = mm_row_count_;
-  const std::size_t n = row_len_;
-  dist_rows_.resize(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    const auto row = mm_dist_rows_.subspan(i * n, n);
-    dist_rows_[i].assign(row.begin(), row.end());
+  for (Matrix* m : {&fwd_, &rev_, &to_lm_, &from_lm_}) {
+    m->own(std::vector<Distance>(m->view.begin(), m->view.end()));
   }
-  if (!mm_rev_rows_.empty()) {
-    rev_rows_.resize(k);
-    for (std::size_t i = 0; i < k; ++i) {
-      const auto row = mm_rev_rows_.subspan(i * n, n);
-      rev_rows_[i].assign(row.begin(), row.end());
-    }
-  }
-  if (!mm_parent_rows_.empty()) {
-    parent_rows_.resize(k);
-    for (std::size_t i = 0; i < k; ++i) {
-      const auto row = mm_parent_rows_.subspan(i * n, n);
-      parent_rows_[i].assign(row.begin(), row.end());
-    }
-  }
-  to_lm_.assign(mm_to_lm_.begin(), mm_to_lm_.end());
-  from_lm_.assign(mm_from_lm_.begin(), mm_from_lm_.end());
-  mm_dist_rows_ = {};
-  mm_rev_rows_ = {};
-  mm_parent_rows_ = {};
-  mm_to_lm_ = {};
-  mm_from_lm_ = {};
-  mm_row_count_ = 0;
   backing_.reset();
 }
 
@@ -146,40 +117,37 @@ std::size_t LandmarkTables::refresh_rows_insert(const graph::Graph& g,
   }
   materialize();  // copy-on-write: refresh mutates rows in place
   std::size_t touched = 0;
-  for (std::size_t i = 0; i < dist_rows_.size(); ++i) {
+  for (std::size_t i = 0; i < landmark_nodes_.size(); ++i) {
     bool row_changed = false;
     // Forward row d(l -> v): the new arc can lower b via a (either
     // orientation on undirected graphs); improvements then cascade along
     // out-arcs.
     {
-      auto& row = dist_rows_[i];
-      NodeId* parents =
-          parent_rows_.empty() ? nullptr : parent_rows_[i].data();
+      const auto row = owned_row(fwd_, i);
       std::vector<NodeId> seeds;
       auto seed = [&](NodeId to, NodeId via) {
         const Distance cand = dist_add(row[via], w);
         if (cand < row[to]) {
           row[to] = cand;
-          if (parents != nullptr) parents[to] = via;
           seeds.push_back(to);
         }
       };
       seed(b, a);
       if (!g.directed()) seed(a, b);
       if (!seeds.empty()) {
-        detail::relax_row(g, /*use_in_arcs=*/false, row, seeds, parents);
+        detail::relax_row(g, /*use_in_arcs=*/false, row, seeds);
         row_changed = true;
       }
     }
     // Backward row d(v -> l) (directed only): the arc lowers a via b, and
     // improvements cascade along in-arcs.
-    if (!rev_rows_.empty()) {
-      auto& row = rev_rows_[i];
+    if (directed_) {
+      const auto row = owned_row(rev_, i);
       const Distance cand = dist_add(row[b], w);
       if (cand < row[a]) {
         row[a] = cand;
         const NodeId seeds[] = {a};
-        detail::relax_row(g, /*use_in_arcs=*/true, row, seeds, nullptr);
+        detail::relax_row(g, /*use_in_arcs=*/true, row, seeds);
         row_changed = true;
       }
     }
@@ -195,18 +163,17 @@ std::size_t LandmarkTables::refresh_rows_delete(const graph::Graph& g,
   }
   materialize();  // copy-on-write: refresh mutates rows in place
   std::size_t touched = 0;
-  for (std::size_t i = 0; i < dist_rows_.size(); ++i) {
-    NodeId* parents = parent_rows_.empty() ? nullptr : parent_rows_[i].data();
-    std::size_t changed = detail::repair_row_delete(
-        g, /*use_in_arcs=*/false, dist_rows_[i], parents, a, b);
+  for (std::size_t i = 0; i < landmark_nodes_.size(); ++i) {
+    const auto row = owned_row(fwd_, i);
+    std::size_t changed =
+        detail::repair_row_delete(g, /*use_in_arcs=*/false, row, a, b);
     if (!g.directed()) {
       // Undirected deletes remove both arcs; repair each orientation (the
       // second call is a cheap support check once the first settled).
-      changed += detail::repair_row_delete(g, /*use_in_arcs=*/false,
-                                           dist_rows_[i], parents, b, a);
-    } else if (!rev_rows_.empty()) {
+      changed += detail::repair_row_delete(g, /*use_in_arcs=*/false, row, b, a);
+    } else {
       changed += detail::repair_row_delete(g, /*use_in_arcs=*/true,
-                                           rev_rows_[i], nullptr, a, b);
+                                           owned_row(rev_, i), a, b);
     }
     if (changed != 0) ++touched;
   }
@@ -217,23 +184,38 @@ Distance LandmarkTables::dist_from_landmark(NodeId l, NodeId v) const {
   if (mode_ != Mode::kFull) throw std::logic_error("landmark table: not full mode");
   const NodeId i = landmark_index_.at(l);
   if (i == kInvalidNode) throw std::invalid_argument("not a landmark");
-  return dist_row(i)[v];
+  return row(fwd_, i)[v];
 }
 
 Distance LandmarkTables::dist_to_landmark(NodeId v, NodeId l) const {
   if (mode_ != Mode::kFull) throw std::logic_error("landmark table: not full mode");
   const NodeId i = landmark_index_.at(l);
   if (i == kInvalidNode) throw std::invalid_argument("not a landmark");
-  return directed_ ? rev_row(i)[v] : dist_row(i)[v];
+  return row(directed_ ? rev_ : fwd_, i)[v];
 }
 
-NodeId LandmarkTables::parent_from_landmark(NodeId l, NodeId v) const {
-  if (mode_ != Mode::kFull || !has_parents()) {
-    throw std::logic_error("landmark table: parents unavailable");
+bool LandmarkTables::walk_tree(const graph::Graph& g, Direction dir, NodeId l,
+                               NodeId from, std::vector<NodeId>& out) const {
+  if (mode_ != Mode::kFull) {
+    throw std::logic_error("landmark table: not full mode");
   }
   const NodeId i = landmark_index_.at(l);
   if (i == kInvalidNode) throw std::invalid_argument("not a landmark");
-  return parent_row(i)[v];
+  // The forward row is grown along out-arcs, so its tight supports are
+  // in-neighbours; the reverse row's are out-neighbours.
+  const bool reverse = dir == Direction::kIn;
+  const auto dist = row(reverse && directed_ ? rev_ : fwd_, i);
+  // A mapped row is untrusted: check every id and bound the walk.
+  const std::size_t n = dist.size();
+  NodeId cur = from;
+  for (std::size_t steps = 0; cur != l; ++steps) {
+    if (cur >= n || dist[cur] == kInfDistance || steps == n) return false;
+    out.push_back(cur);
+    cur = detail::tight_support(g, /*use_in_arcs=*/reverse, dist, cur,
+                                [](NodeId) { return false; });
+  }
+  out.push_back(l);
+  return true;
 }
 
 Distance LandmarkTables::subset_dist_to_landmark(NodeId v, NodeId l) const {
@@ -243,8 +225,8 @@ Distance LandmarkTables::subset_dist_to_landmark(NodeId v, NodeId l) const {
   if (si == kInvalidNode || li == kInvalidNode) {
     throw std::invalid_argument("subset_dist_to_landmark: bad pair");
   }
-  return to_lm_view()[static_cast<std::size_t>(si) * landmark_nodes_.size() +
-                      li];
+  return to_lm_.view[static_cast<std::size_t>(si) * landmark_nodes_.size() +
+                     li];
 }
 
 Distance LandmarkTables::subset_dist_from_landmark(NodeId l, NodeId v) const {
@@ -255,8 +237,9 @@ Distance LandmarkTables::subset_dist_from_landmark(NodeId l, NodeId v) const {
   if (si == kInvalidNode || li == kInvalidNode) {
     throw std::invalid_argument("subset_dist_from_landmark: bad pair");
   }
-  return from_lm_view()[static_cast<std::size_t>(si) * landmark_nodes_.size() +
-                        li];
+  return from_lm_.view[static_cast<std::size_t>(si) *
+                           landmark_nodes_.size() +
+                       li];
 }
 
 Distance LandmarkTables::landmark_query(NodeId s, NodeId t,
@@ -275,14 +258,8 @@ Distance LandmarkTables::landmark_query(NodeId s, NodeId t,
 }
 
 std::uint64_t LandmarkTables::entries() const {
-  std::uint64_t e = 0;
-  for (const auto& r : dist_rows_) e += r.size();
-  for (const auto& r : rev_rows_) e += r.size();
-  for (const auto& r : parent_rows_) e += r.size();
-  e += to_lm_.size() + from_lm_.size();
-  e += mm_dist_rows_.size() + mm_rev_rows_.size() + mm_parent_rows_.size() +
-       mm_to_lm_.size() + mm_from_lm_.size();
-  return e;
+  return fwd_.view.size() + rev_.view.size() + to_lm_.view.size() +
+         from_lm_.view.size();
 }
 
 std::uint64_t LandmarkTables::memory_bytes() const {

@@ -2,10 +2,13 @@
 // stores a hash table containing the exact distance from u to each other
 // node v ∈ V").
 //
-// Two storage modes:
-//  * kFull — one dense distance row per landmark (plus optional parent rows
-//    for path retrieval). This is the paper's structure; we use flat arrays
-//    instead of hash tables because landmark rows are dense over V.
+// The tables hold distances only, in one of two modes:
+//  * kFull — one dense distance row per landmark, plus a reverse row on
+//    directed graphs. This is the paper's structure; we use flat arrays
+//    instead of hash tables because landmark rows are dense over V. The
+//    rows also determine each landmark's shortest-path trees: walk_tree()
+//    derives a tree path from a row and the graph, so PATH needs no stored
+//    parents.
 //  * kSubset — the paper's own evaluation (§2.3) queries only pairs from a
 //    sampled node set; then it suffices to store d(v, l) for v in the
 //    sample and l in L, computed with one search per sampled node. Memory
@@ -17,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/landmarks.h"
@@ -32,10 +36,18 @@ class LandmarkTables {
 
   LandmarkTables() = default;
 
-  /// Full mode: one SSSP per landmark. `parents` additionally stores
-  /// shortest-path-tree parents (doubles memory). `pool` may be null.
+  // Every matrix is read through a span over an owned vector or a mapping.
+  // A move carries the vector's buffer, and so the span, along; a copy
+  // would not.
+  LandmarkTables(LandmarkTables&&) noexcept = default;
+  LandmarkTables& operator=(LandmarkTables&&) noexcept = default;
+  LandmarkTables(const LandmarkTables&) = delete;
+  LandmarkTables& operator=(const LandmarkTables&) = delete;
+
+  /// Full mode: one SSSP per landmark (two on directed graphs). `pool` may
+  /// be null.
   static LandmarkTables build_full(const graph::Graph& g,
-                                   const LandmarkSet& landmarks, bool parents,
+                                   const LandmarkSet& landmarks,
                                    util::ThreadPool* pool = nullptr);
 
   /// Subset mode: one SSSP per subset node (two on directed graphs),
@@ -46,9 +58,6 @@ class LandmarkTables {
                                      util::ThreadPool* pool = nullptr);
 
   Mode mode() const { return mode_; }
-  bool has_parents() const {
-    return !parent_rows_.empty() || !mm_parent_rows_.empty();
-  }
 
   /// d(l -> v) for landmark l. kFull mode only.
   Distance dist_from_landmark(NodeId l, NodeId v) const;
@@ -56,10 +65,18 @@ class LandmarkTables {
   /// kFull mode only.
   Distance dist_to_landmark(NodeId v, NodeId l) const;
 
-  /// SPT parent of v in landmark l's tree (kFull with parents). The tree
-  /// is rooted at l over forward arcs; parent(v) is the predecessor on a
-  /// shortest l->v path.
-  NodeId parent_from_landmark(NodeId l, NodeId v) const;
+  /// Appends `from`..l along one of landmark l's shortest-path trees,
+  /// derived from its row and the current graph `g`. kOut walks the forward
+  /// tree of d(l -> v): each step moves to an in-neighbour x with
+  /// d(l -> x) + w(x, v) = d(l -> v), so the nodes read the path l -> from
+  /// backwards. kIn walks the reverse tree of d(v -> l): each step moves to
+  /// an out-neighbour, so the nodes read from -> l forwards. Undirected
+  /// graphs walk their one row either way. kFull mode only. Returns false
+  /// when `from` is out of range or unreachable, no step is tight, or the
+  /// walk passes n steps (a corrupt mapped row); `out` then holds a partial
+  /// walk.
+  bool walk_tree(const graph::Graph& g, Direction dir, NodeId l, NodeId from,
+                 std::vector<NodeId>& out) const;
 
   /// Subset mode: d(v -> l) / d(l -> v) for a *subset* node v and landmark
   /// l; throws if v is not in the subset or l not a landmark.
@@ -71,8 +88,7 @@ class LandmarkTables {
 
   /// Decrease-only relaxation of every row after inserting arc a -> b of
   /// weight w into `g` (post-insert; undirected graphs repair both
-  /// orientations). Parent rows, when stored, track the improving
-  /// predecessor. Returns the number of rows with at least one change.
+  /// orientations). Returns the number of rows with at least one change.
   std::size_t refresh_rows_insert(const graph::Graph& g, NodeId a, NodeId b,
                                   Weight w);
 
@@ -98,45 +114,39 @@ class LandmarkTables {
   std::uint64_t entries() const;
   std::uint64_t memory_bytes() const;
 
-  /// True when the row matrices alias external read-only storage (a mapped
+  /// True when the matrices alias external read-only storage (a mapped
   /// VCNIDX05 file). The dynamic-refresh entry points materialize (copy
-  /// into owned rows, dropping the backing) before mutating.
+  /// into owned matrices, dropping the backing) before mutating.
   bool mapped() const { return backing_ != nullptr; }
 
  private:
   friend class OracleSerializer;
 
+  /// A row-major distance matrix. Every read goes through `view`, which
+  /// spans `owned` when the tables were built or heap-loaded and the
+  /// mapping (backing_) when they were mapped.
+  struct Matrix {
+    std::vector<Distance> owned;
+    std::span<const Distance> view;
+
+    /// Takes `v` as the owned matrix.
+    void own(std::vector<Distance> v) {
+      owned = std::move(v);
+      view = owned;
+    }
+  };
+
   void index_landmarks(const LandmarkSet& landmarks, NodeId n);
 
-  // Row accessors spanning either the owned matrices or the mapped
-  // row-major storage — every query path reads through these.
-  std::span<const Distance> dist_row(std::size_t i) const {
-    if (backing_ != nullptr) {
-      return mm_dist_rows_.subspan(i * row_len_, row_len_);
-    }
-    return dist_rows_[i];
+  /// Row i of a kFull matrix: n entries, one per node.
+  std::span<const Distance> row(const Matrix& m, std::size_t i) const {
+    const std::size_t n = landmark_index_.size();
+    return m.view.subspan(i * n, n);
   }
-  std::span<const Distance> rev_row(std::size_t i) const {
-    if (backing_ != nullptr) {
-      return mm_rev_rows_.subspan(i * row_len_, row_len_);
-    }
-    return rev_rows_[i];
-  }
-  std::span<const NodeId> parent_row(std::size_t i) const {
-    if (backing_ != nullptr) {
-      return mm_parent_rows_.subspan(i * row_len_, row_len_);
-    }
-    return parent_rows_[i];
-  }
-  std::span<const Distance> to_lm_view() const {
-    return backing_ != nullptr ? mm_to_lm_ : std::span<const Distance>(to_lm_);
-  }
-  std::span<const Distance> from_lm_view() const {
-    return backing_ != nullptr ? mm_from_lm_
-                               : std::span<const Distance>(from_lm_);
-  }
-  std::size_t row_count() const {
-    return backing_ != nullptr ? mm_row_count_ : dist_rows_.size();
+  /// The same row of an owned (materialized) matrix, for the refresh.
+  std::span<Distance> owned_row(Matrix& m, std::size_t i) const {
+    const std::size_t n = landmark_index_.size();
+    return std::span<Distance>(m.owned).subspan(i * n, n);
   }
 
   /// Copies mapped storage into the owned matrices and drops the backing
@@ -147,26 +157,16 @@ class LandmarkTables {
   bool directed_ = false;
   std::vector<NodeId> landmark_nodes_;
   std::vector<NodeId> landmark_index_;  ///< node -> landmark ordinal
-  // kFull: dist_rows_[i][v] = d(l_i -> v); rev_rows_ only for directed
-  // graphs: rev_rows_[i][v] = d(v -> l_i).
-  std::vector<std::vector<Distance>> dist_rows_;
-  std::vector<std::vector<Distance>> rev_rows_;
-  std::vector<std::vector<NodeId>> parent_rows_;
-  // kSubset: row per subset node over landmark ordinals.
+  // kFull: fwd_ row i holds d(l_i -> v); rev_ only on directed graphs, row
+  // i holds d(v -> l_i).
+  Matrix fwd_;
+  Matrix rev_;
+  // kSubset: one row per subset node over landmark ordinals.
   std::vector<NodeId> subset_nodes_;
   std::vector<NodeId> subset_index_;  ///< node -> subset ordinal
-  std::vector<Distance> to_lm_;    ///< [subset][lm] d(v -> l)
-  std::vector<Distance> from_lm_;  ///< [subset][lm] d(l -> v); alias of to_ on undirected
-  // Zero-copy storage (VCNIDX05 mmap open): when backing_ is non-null the
-  // matrices above are empty and these spans alias the mapping (row-major,
-  // row_len_ entries per row, mm_row_count_ rows per matrix).
-  std::span<const Distance> mm_dist_rows_;
-  std::span<const Distance> mm_rev_rows_;
-  std::span<const NodeId> mm_parent_rows_;
-  std::span<const Distance> mm_to_lm_;
-  std::span<const Distance> mm_from_lm_;
-  std::size_t mm_row_count_ = 0;
-  std::size_t row_len_ = 0;
+  Matrix to_lm_;    ///< [subset][lm] d(v -> l)
+  Matrix from_lm_;  ///< [subset][lm] d(l -> v); empty on undirected graphs
+  /// Keeps a mapped VCNIDX05 region alive while the views alias it.
   std::shared_ptr<const void> backing_;
 };
 

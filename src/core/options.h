@@ -30,7 +30,9 @@ enum class StoreBackend {
 /// paper leaves to companion techniques, footnote 1).
 enum class Fallback {
   kNone,               ///< report not-found
-  kBidirectionalBfs,   ///< exact: run the [4] baseline
+  /// Exact search: the [4] baseline, bidirectional BFS, on unweighted
+  /// graphs and bidirectional Dijkstra on weighted ones.
+  kBidirectionalBfs,
   kLandmarkEstimate,   ///< approximate upper bound via nearest landmarks
 };
 
@@ -55,11 +57,6 @@ struct OracleOptions {
   /// Algorithm 1 answer in O(1). Disable for vicinity-property studies
   /// that never query through landmarks (Figure 2 benches).
   bool store_landmark_tables = true;
-
-  /// Additionally store shortest-path-tree parents for each landmark table,
-  /// enabling path retrieval for landmark-endpoint queries. Doubles
-  /// landmark-table memory.
-  bool store_landmark_parents = false;
 
   /// Iterate only boundary nodes during intersection (Algorithm 1 /
   /// Lemma 1). Disabling falls back to full-vicinity iteration

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "algo/bidirectional_dijkstra.h"
 #include "algo/path.h"
 #include "core/query_engine.h"
-#include "util/log.h"
 #include "util/mutex.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -162,18 +162,10 @@ VicinityOracle VicinityOracle::build_impl(const graph::Graph& g,
         full_index || o.landmarks_.size() <= o.indexed_.size();
     std::unique_ptr<util::ThreadPool> pool;
     if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
-    if (full_rows) {
-      o.tables_ = LandmarkTables::build_full(
-          g, o.landmarks_, options.store_landmark_parents, pool.get());
-    } else {
-      if (options.store_landmark_parents) {
-        util::log_info(
-            "VicinityOracle: landmark parents unavailable in subset mode; "
-            "landmark-endpoint path queries will use the fallback");
-      }
-      o.tables_ = LandmarkTables::build_subset(g, o.landmarks_, o.indexed_,
-                                               pool.get());
-    }
+    o.tables_ = full_rows ? LandmarkTables::build_full(g, o.landmarks_,
+                                                       pool.get())
+                          : LandmarkTables::build_subset(
+                                g, o.landmarks_, o.indexed_, pool.get());
   }
 
   const auto count = static_cast<double>(std::max<std::size_t>(1, o.indexed_.size()));
@@ -488,7 +480,8 @@ Distance VicinityOracle::landmark_bound(Direction via, NodeId s,
 }
 
 QueryResult VicinityOracle::resolve_disjoint(NodeId s, NodeId t,
-                                             std::uint32_t lookups) const {
+                                             std::uint32_t lookups,
+                                             DisjointWitness* witness) const {
   QueryResult r;
   r.hash_lookups = lookups;
   const Distance rs = stores_[0].radius(s);
@@ -511,21 +504,22 @@ QueryResult VicinityOracle::resolve_disjoint(NodeId s, NodeId t,
     NodeId x = kInvalidNode;
     NodeId y = kInvalidNode;
     if (find_crossing_edge(s, t, x, y, r.hash_lookups)) {
+      if (witness != nullptr) *witness = {x, y, Direction::kOut};
       return exact(lb, QueryMethod::kCrossingEdge);
     }
     target = lb + 1;  // no crossing arc: d >= LB + 1
   }
   // Step (7). The smaller-radius endpoint usually hangs off a hub landmark
   // that attains the bound, so its row is read first and the other only
-  // when it misses.
-  const bool out_first = rs <= rt;
-  Distance ub = landmark_bound(out_first ? Direction::kOut : Direction::kIn,
-                               s, t);
-  if (ub != target) {
-    ub = std::min(ub, landmark_bound(
-                          out_first ? Direction::kIn : Direction::kOut, s, t));
+  // when it misses. Every bound is at least d >= target.
+  const Direction first = rs <= rt ? Direction::kOut : Direction::kIn;
+  for (const Direction via :
+       {first, first == Direction::kOut ? Direction::kIn : Direction::kOut}) {
+    if (landmark_bound(via, s, t) == target) {
+      if (witness != nullptr) witness->via = via;
+      return exact(target, QueryMethod::kLandmarkCertificate);
+    }
   }
-  if (ub == target) return exact(ub, QueryMethod::kLandmarkCertificate);
   return r;
 }
 
@@ -584,7 +578,11 @@ QueryResult VicinityOracle::fallback_distance_impl(NodeId s, NodeId t,
         r.method = QueryMethod::kNotFound;
         return r;
       }
-      r.dist = algo::bidirectional_bfs_distance(*g_, ctx->scratch_, s, t).dist;
+      r.dist = (g_->weighted() ? algo::bidirectional_dijkstra_distance(
+                                     *g_, ctx->scratch_, s, t)
+                               : algo::bidirectional_bfs_distance(
+                                     *g_, ctx->scratch_, s, t))
+                   .dist;
       r.method = QueryMethod::kFallbackExact;
       r.exact = true;
       return r;
@@ -606,21 +604,6 @@ QueryResult VicinityOracle::fallback_distance_impl(NodeId s, NodeId t,
   }
   r.method = QueryMethod::kNotFound;
   return r;
-}
-
-bool VicinityOracle::walk_landmark_tree(NodeId l, NodeId from,
-                                        std::vector<NodeId>& out) const {
-  // Parent rows from a default mmap open are untrusted; bound the walk.
-  const std::uint64_t limit = g_->num_nodes();
-  std::uint64_t steps = 0;
-  NodeId cur = from;
-  while (cur != l) {
-    if (cur >= limit || ++steps > limit) return false;
-    out.push_back(cur);
-    cur = tables_.parent_from_landmark(l, cur);
-  }
-  out.push_back(l);
-  return true;
 }
 
 bool VicinityOracle::chase_parents(Direction d, NodeId origin, NodeId from,
@@ -652,7 +635,9 @@ PathResult VicinityOracle::fallback_path(NodeId s, NodeId t,
   // Both fallback flavors resolve paths exactly: the landmark estimate has
   // no path-bearing structure for arbitrary pairs, so we degrade to the
   // exact search for path queries.
-  p.path = algo::bidirectional_bfs_path(*g_, ctx.scratch_, s, t);
+  p.path = g_->weighted()
+               ? algo::bidirectional_dijkstra_path(*g_, ctx.scratch_, s, t)
+               : algo::bidirectional_bfs_path(*g_, ctx.scratch_, s, t);
   p.dist = p.path.empty() ? kInfDistance
                           : static_cast<Distance>(
                                 g_->weighted()
@@ -676,40 +661,23 @@ PathResult VicinityOracle::path(NodeId s, NodeId t, QueryContext& ctx) const {
     return p;
   }
 
-  // Landmark-endpoint paths need full tables with parents.
-  if (tables_.mode() == LandmarkTables::Mode::kFull && tables_.has_parents()) {
-    // Tree rooted at the landmark: parents point toward the landmark.
-    if (landmarks_.contains(s)) {
-      const Distance d = tables_.dist_from_landmark(s, t);
-      if (d == kInfDistance) {
-        p.exact = true;
-        p.method = QueryMethod::kSourceIsLandmark;
-        return p;  // provably unreachable
-      }
-      std::vector<NodeId> walk;  // t..s
-      if (!walk_landmark_tree(s, t, walk)) {
-        throw std::runtime_error("oracle index: corrupt landmark parent chain");
-      }
-      std::reverse(walk.begin(), walk.end());
-      return PathResult{d, std::move(walk), QueryMethod::kSourceIsLandmark,
-                        true};
+  // A landmark endpoint walks the landmark's tree: s's forward tree, whose
+  // walk from t reads s..t backwards, or t's reverse tree, whose walk from
+  // s reads s..t.
+  const bool s_landmark = landmarks_.contains(s);
+  if (tables_.mode() == LandmarkTables::Mode::kFull &&
+      (s_landmark || landmarks_.contains(t))) {
+    p.method = s_landmark ? QueryMethod::kSourceIsLandmark
+                          : QueryMethod::kTargetIsLandmark;
+    p.exact = true;
+    p.dist = tables_.landmark_query(s, t, s_landmark);
+    if (p.dist == kInfDistance) return p;  // provably unreachable
+    if (!tables_.walk_tree(*g_, s_landmark ? Direction::kOut : Direction::kIn,
+                           s_landmark ? s : t, s_landmark ? t : s, p.path)) {
+      throw std::runtime_error("oracle index: corrupt landmark row");
     }
-    // Landmark parent trees are stored forward-only: on a directed graph
-    // no tree leads toward a landmark target.
-    if (!directed() && landmarks_.contains(t)) {
-      const Distance d = tables_.dist_from_landmark(t, s);
-      if (d == kInfDistance) {
-        p.exact = true;
-        p.method = QueryMethod::kTargetIsLandmark;
-        return p;
-      }
-      std::vector<NodeId> walk;  // s..t
-      if (!walk_landmark_tree(t, s, walk)) {
-        throw std::runtime_error("oracle index: corrupt landmark parent chain");
-      }
-      return PathResult{d, std::move(walk), QueryMethod::kTargetIsLandmark,
-                        true};
-    }
+    if (s_landmark) std::reverse(p.path.begin(), p.path.end());
+    return p;
   }
 
   const VicinityStore& out = stores_[0];
@@ -771,60 +739,37 @@ PathResult VicinityOracle::path(NodeId s, NodeId t, QueryContext& ctx) const {
 }
 
 PathResult VicinityOracle::disjoint_path(NodeId s, NodeId t) const {
-  PathResult p;
-  const Distance rs = stores_[0].radius(s);
-  const Distance rt = store(Direction::kIn).radius(t);
-  const Distance lb = dist_add(dist_add(rs, rt), 1);
-  // d == LB exactly when a crossing arc exists (unweighted graphs, both
-  // vicinities non-empty), so every such pair runs the edge test first.
-  if (g_->weighted() || lb == kInfDistance || rs == 0 || rt == 0) return p;
-  std::uint32_t lookups = 0;
-  NodeId x = kInvalidNode;
-  NodeId y = kInvalidNode;
-  if (find_crossing_edge(s, t, x, y, lookups)) {
-    std::vector<NodeId> left;   // x..s -> reversed to s..x
-    std::vector<NodeId> right;  // y..t
-    if (chase_parents(Direction::kOut, s, x, left) &&
-        chase_parents(Direction::kIn, t, y, right)) {
-      std::reverse(left.begin(), left.end());
-      left.insert(left.end(), right.begin(), right.end());
-      return PathResult{lb, std::move(left), QueryMethod::kCrossingEdge, true};
-    }
-    return p;
+  DisjointWitness w;
+  const QueryResult r = resolve_disjoint(s, t, 0, &w);
+  // Subset tables certify pairs but hold no rows to walk.
+  if (!r.exact || (r.method == QueryMethod::kLandmarkCertificate &&
+                   tables_.mode() != LandmarkTables::Mode::kFull)) {
+    return {};
   }
-  // No crossing arc: d >= LB + 1, so a landmark tree attaining LB + 1 gives
-  // a shortest path. Stored trees lead away from their landmark: ℓ_out(s)'s
-  // reaches t on any graph, ℓ(t)'s reaches s only on undirected ones.
-  if (tables_.mode() != LandmarkTables::Mode::kFull || !tables_.has_parents()) {
-    return p;
-  }
-  const Distance ub = lb + 1;
-  if (landmark_bound(Direction::kOut, s, t) == ub) {
+  std::vector<NodeId> left;   // s..x, or s..ℓ
+  std::vector<NodeId> right;  // y..t, or ℓ..t
+  bool ok = false;
+  if (r.method == QueryMethod::kCrossingEdge) {
+    ok = chase_parents(Direction::kOut, s, w.x, left) &&
+         chase_parents(Direction::kIn, t, w.y, right);
+    std::reverse(left.begin(), left.end());
+  } else if (w.via == Direction::kOut) {
     const NodeId l = nearest_[0].landmark[s];
-    std::vector<NodeId> left;  // l..s -> reversed to s..l
-    std::vector<NodeId> tree;  // t..l -> reversed to l..t
-    if (chase_parents(Direction::kOut, s, l, left) &&
-        walk_landmark_tree(l, t, tree)) {
-      std::reverse(left.begin(), left.end());
-      left.insert(left.end(), tree.rbegin() + 1, tree.rend());
-      p.path = std::move(left);
-    }
-  } else if (!directed() && landmark_bound(Direction::kIn, s, t) == ub) {
-    const NodeId l = nearest_[0].landmark[t];
-    std::vector<NodeId> tree;   // s..l
-    std::vector<NodeId> right;  // l..t
-    if (walk_landmark_tree(l, s, tree) &&
-        chase_parents(Direction::kIn, t, l, right)) {
-      tree.insert(tree.end(), right.begin() + 1, right.end());
-      p.path = std::move(tree);
-    }
+    ok = chase_parents(Direction::kOut, s, l, left) &&
+         tables_.walk_tree(*g_, Direction::kOut, l, t, right);
+    std::reverse(left.begin(), left.end());
+    std::reverse(right.begin(), right.end());
+  } else {
+    const NodeId l = nearest_[side(Direction::kIn)].landmark[t];
+    ok = tables_.walk_tree(*g_, Direction::kIn, l, s, left) &&
+         chase_parents(Direction::kIn, t, l, right);
   }
   // A corrupt mapped index can break either walk: keep the search then.
-  if (p.path.size() != static_cast<std::size_t>(ub) + 1) return PathResult{};
-  p.dist = ub;
-  p.method = QueryMethod::kLandmarkCertificate;
-  p.exact = true;
-  return p;
+  if (!ok) return {};
+  // The crossing arc joins x to y; a certificate's two pieces share ℓ.
+  const bool shared = r.method == QueryMethod::kLandmarkCertificate;
+  left.insert(left.end(), right.begin() + (shared ? 1 : 0), right.end());
+  return PathResult{r.dist, std::move(left), r.method, true};
 }
 
 double VicinityOracle::estimate_coverage(std::size_t pairs,

@@ -29,7 +29,16 @@
 //   (7) landmark certificate: UB = min(r_out(s) + d(ℓ_out(s) -> t),
 //       d(s -> ℓ_in(t)) + r_in(t)) from the landmark rows equals the
 //       bound                         -> exact
-//   (8) fallback (exact bidirectional BFS, landmark upper bound, or none)
+//   (8) fallback (exact bidirectional search, landmark upper bound, or
+//       none)
+//
+// Path retrieval follows the same order. Vicinity answers chase the parent
+// pointers stored with each member. A landmark endpoint, and a pair that
+// step (7) certifies, walks a landmark's shortest-path tree, which the
+// tables do not store: LandmarkTables::walk_tree derives each step from
+// the landmark's distance row and the current graph. So every pair the
+// index answers exactly also gets its path without a search, from full
+// tables, on either graph kind.
 //
 // Build modes: build() indexes every node (a deployable index);
 // build_for() indexes a query subset, reproducing the paper's §2.3
@@ -151,7 +160,8 @@ class VicinityOracle {
   QueryResult distance(NodeId s, NodeId t, QueryContext& ctx) const;
 
   /// Shortest-path retrieval (§3.1 path extension): parent chains inside
-  /// the stored vicinities / landmark trees. Same contract as distance().
+  /// the stored vicinities, and landmark trees derived from the rows. Same
+  /// contract as distance().
   PathResult path(NodeId s, NodeId t, QueryContext& ctx) const;
 
   /// Applies one edge (arc, on directed graphs) insertion/deletion to `g` —
@@ -248,12 +258,23 @@ class VicinityOracle {
   /// a landmark (none reachable, or a corrupt mapped index).
   Distance landmark_bound(Direction via, NodeId s, NodeId t) const;
 
+  /// What resolve_disjoint's exact answer rests on: the crossing arc
+  /// x -> y (kCrossingEdge), or the nearest landmark whose bound met the
+  /// certificate, ℓ_out(s) for kOut and ℓ_in(t) for kIn
+  /// (kLandmarkCertificate).
+  struct DisjointWitness {
+    NodeId x = kInvalidNode;
+    NodeId y = kInvalidNode;
+    Direction via = Direction::kOut;
+  };
+
   /// Steps (6)-(7) for two indexed endpoints whose step (5) missed, after
   /// `lookups` probes: an exact result on success, otherwise exact == false
   /// and the caller runs the fallback. hash_lookups adds step (6)'s probes
-  /// either way.
-  QueryResult resolve_disjoint(NodeId s, NodeId t,
-                               std::uint32_t lookups) const;
+  /// either way. `witness`, when non-null, receives what an exact answer
+  /// rests on.
+  QueryResult resolve_disjoint(NodeId s, NodeId t, std::uint32_t lookups,
+                               DisjointWitness* witness = nullptr) const;
 
   /// Step (6)'s search: an arc x -> y with x ∈ ∂Γ_out(s) at distance
   /// r_out(s) and y ∈ ∂Γ_in(t) at distance r_in(t). Scans the smaller
@@ -272,14 +293,10 @@ class VicinityOracle {
   bool chase_parents(Direction d, NodeId origin, NodeId from,
                      std::vector<NodeId>& out) const;
 
-  /// Appends `from`..l walking landmark l's stored parent row (full tables
-  /// with parents); false when the chain is corrupt.
-  bool walk_landmark_tree(NodeId l, NodeId from,
-                          std::vector<NodeId>& out) const;
-
-  /// PATH for an indexed pair whose step (5) missed: the crossing-edge
-  /// path, or a pair certified at LB + 1 along the landmark tree attaining
-  /// it. Empty path when neither applies.
+  /// PATH for an indexed pair whose step (5) missed, from
+  /// resolve_disjoint's witness: the two vicinity chains joined by the
+  /// crossing arc, or one chain and the walk of the certifying landmark's
+  /// tree. Empty path when the pair is not certified or a chain is broken.
   PathResult disjoint_path(NodeId s, NodeId t) const;
 
   PathResult fallback_path(NodeId s, NodeId t, QueryContext& ctx) const;

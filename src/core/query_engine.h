@@ -15,8 +15,9 @@
 //   * Shared-immutable: the graph, the vicinity store, the landmark tables
 //     and every other byte of a built oracle. Queries through the const
 //     context-taking overloads never mutate the oracle.
-//   * Per-context mutable: fallback bidirectional-BFS scratch (visit
-//     stamps, frontiers) and QueryStats accumulation live in QueryContext.
+//   * Per-context mutable: fallback bidirectional-search scratch (visit
+//     stamps, frontiers, heaps) and QueryStats accumulation live in
+//     QueryContext.
 //     A context must not be used by two threads at once; contexts are
 //     reusable across any number of queries with zero per-query allocation
 //     on the hot path.

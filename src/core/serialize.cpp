@@ -94,6 +94,20 @@ void require(bool ok, const char* what) {
   if (!ok) throw std::runtime_error(std::string("oracle index: ") + what);
 }
 
+/// A legacy stream row matrix: `rows` length-prefixed rows of n entries
+/// each, concatenated into one row-major matrix.
+template <typename T>
+std::vector<T> read_rows(std::istream& in, std::uint64_t rows, std::uint64_t n,
+                         const char* what) {
+  std::vector<T> m;
+  for (std::uint64_t i = 0; i < rows; ++i) {
+    const auto row = read_vec<T>(in);
+    require(row.size() == n, what);
+    m.insert(m.end(), row.begin(), row.end());
+  }
+  return m;
+}
+
 struct Header {
   int version;
   BackendTag tag;
@@ -548,20 +562,6 @@ SectionPlan plan_span(v5::SectionId id, std::span<const T> v) {
           [v](std::ostream& out) { write_span_bytes(out, v); }};
 }
 
-/// Row matrices (one vector per landmark) are emitted back to back as one
-/// row-major section.
-template <typename T>
-SectionPlan plan_rows(v5::SectionId id,
-                      const std::vector<std::vector<T>>& rows) {
-  std::uint64_t count = 0;
-  for (const auto& row : rows) count += row.size();
-  return {id, sizeof(T), count, [&rows](std::ostream& out) {
-            for (const auto& row : rows) {
-              write_span_bytes(out, std::span<const T>(row));
-            }
-          }};
-}
-
 void plan_store(std::vector<SectionPlan>& plans,
                 const VicinityStore::PackedView& v, bool in_store) {
   const auto base =
@@ -615,44 +615,35 @@ class OracleSerializer {
     }
     const auto rows = read_pod<std::uint64_t>(in);
     require(rows <= n, "corrupt landmark row count");
-    t.dist_rows_.resize(rows);
-    for (auto& row : t.dist_rows_) {
-      row = read_vec<Distance>(in);
-      require(row.size() == n, "landmark row has wrong length");
-    }
+    t.fwd_.own(
+        read_rows<Distance>(in, rows, n, "landmark row has wrong length"));
     if (directed) {
       const auto rrows = read_pod<std::uint64_t>(in);
       require(rrows == rows, "corrupt reverse landmark row count");
-      t.rev_rows_.resize(rrows);
-      for (auto& row : t.rev_rows_) {
-        row = read_vec<Distance>(in);
-        require(row.size() == n, "reverse landmark row has wrong length");
-      }
+      t.rev_.own(read_rows<Distance>(in, rrows, n,
+                                     "reverse landmark row has wrong length"));
     }
+    // Landmark parent rows: checked, then dropped (the tables derive tree
+    // paths from the distance rows).
     const auto prows = read_pod<std::uint64_t>(in);
     require(prows == 0 || prows == rows, "corrupt parent row count");
-    t.parent_rows_.resize(prows);
-    for (auto& row : t.parent_rows_) {
-      row = read_vec<NodeId>(in);
-      require(row.size() == n, "parent row has wrong length");
-    }
+    (void)read_rows<NodeId>(in, prows, n, "parent row has wrong length");
     t.subset_nodes_ = read_vec<NodeId>(in);
     t.subset_index_.assign(n, kInvalidNode);
     for (std::size_t i = 0; i < t.subset_nodes_.size(); ++i) {
       require(t.subset_nodes_[i] < n, "subset node out of range");
       t.subset_index_[t.subset_nodes_[i]] = static_cast<NodeId>(i);
     }
-    t.to_lm_ = read_vec<Distance>(in);
-    if (directed) t.from_lm_ = read_vec<Distance>(in);
+    t.to_lm_.own(read_vec<Distance>(in));
+    if (directed) t.from_lm_.own(read_vec<Distance>(in));
     if (mode == LandmarkTables::Mode::kFull) {
-      require(t.dist_rows_.size() == t.landmark_nodes_.size(),
-              "landmark row count mismatch");
+      require(rows == t.landmark_nodes_.size(), "landmark row count mismatch");
     } else {
-      require(t.to_lm_.size() ==
+      require(t.to_lm_.view.size() ==
                   t.subset_nodes_.size() * t.landmark_nodes_.size(),
               "subset table has wrong length");
       if (directed) {
-        require(t.from_lm_.size() == t.to_lm_.size(),
+        require(t.from_lm_.view.size() == t.to_lm_.view.size(),
                 "subset from-landmark table has wrong length");
       }
     }
@@ -663,30 +654,16 @@ class OracleSerializer {
                           const LandmarkTables& t) {
     using S = v5::SectionId;
     if (t.mode() == LandmarkTables::Mode::kNone) return;
-    const bool directed = t.directed_;
     plans.push_back(plan_span(S::kTableLandmarks,
                               std::span<const NodeId>(t.landmark_nodes_)));
     plans.push_back(plan_span(S::kTableSubsetNodes,
                               std::span<const NodeId>(t.subset_nodes_)));
-    if (t.backing_ != nullptr) {
-      plans.push_back(plan_span(S::kTableDistRows, t.mm_dist_rows_));
-      if (directed) {
-        plans.push_back(plan_span(S::kTableRevRows, t.mm_rev_rows_));
-      }
-      plans.push_back(plan_span(S::kTableParentRows, t.mm_parent_rows_));
-      plans.push_back(plan_span(S::kTableToLm, t.mm_to_lm_));
-      if (directed) plans.push_back(plan_span(S::kTableFromLm, t.mm_from_lm_));
-      return;
-    }
-    plans.push_back(plan_rows(S::kTableDistRows, t.dist_rows_));
-    if (directed) plans.push_back(plan_rows(S::kTableRevRows, t.rev_rows_));
-    plans.push_back(plan_rows(S::kTableParentRows, t.parent_rows_));
-    plans.push_back(
-        plan_span(S::kTableToLm, std::span<const Distance>(t.to_lm_)));
-    if (directed) {
-      plans.push_back(
-          plan_span(S::kTableFromLm, std::span<const Distance>(t.from_lm_)));
-    }
+    // Matrices a graph kind or mode lacks are empty, and save() drops
+    // empty sections.
+    plans.push_back(plan_span(S::kTableDistRows, t.fwd_.view));
+    plans.push_back(plan_span(S::kTableRevRows, t.rev_.view));
+    plans.push_back(plan_span(S::kTableToLm, t.to_lm_.view));
+    plans.push_back(plan_span(S::kTableFromLm, t.from_lm_.view));
   }
 
   static void load_v5_tables(const V5Reader& r, const graph::Graph& g,
@@ -708,6 +685,16 @@ class OracleSerializer {
     }
     const std::uint64_t k = t.landmark_nodes_.size();
     t.subset_index_.assign(n, kInvalidNode);
+    // A mapped open aliases each matrix; a heap open copies it.
+    const auto adopt = [&](LandmarkTables::Matrix& m,
+                           std::span<const Distance> section) {
+      if (backing != nullptr) {
+        m.view = section;
+      } else {
+        m.own(std::vector<Distance>(section.begin(), section.end()));
+      }
+    };
+    t.backing_ = backing;
     if (t.mode_ == LandmarkTables::Mode::kFull) {
       require(k <= n, "corrupt landmark row count");
       const auto dist = r.span_of<Distance>(S::kTableDistRows);
@@ -715,37 +702,10 @@ class OracleSerializer {
       const auto rev = r.span_of<Distance>(S::kTableRevRows);
       require(directed ? rev.size() == k * n : rev.empty(),
               "reverse landmark row matrix has wrong length");
-      const auto par = r.span_of<NodeId>(S::kTableParentRows);
-      require(par.empty() || par.size() == k * n,
-              "parent row matrix has wrong length");
-      t.row_len_ = static_cast<std::size_t>(n);
-      if (backing != nullptr) {
-        t.mm_dist_rows_ = dist;
-        t.mm_rev_rows_ = rev;
-        t.mm_parent_rows_ = par;
-        t.mm_row_count_ = static_cast<std::size_t>(k);
-        t.backing_ = backing;
-        return;
-      }
-      t.dist_rows_.resize(k);
-      for (std::uint64_t i = 0; i < k; ++i) {
-        const auto row = dist.subspan(i * n, n);
-        t.dist_rows_[i].assign(row.begin(), row.end());
-      }
-      if (directed) {
-        t.rev_rows_.resize(k);
-        for (std::uint64_t i = 0; i < k; ++i) {
-          const auto row = rev.subspan(i * n, n);
-          t.rev_rows_[i].assign(row.begin(), row.end());
-        }
-      }
-      if (!par.empty()) {
-        t.parent_rows_.resize(k);
-        for (std::uint64_t i = 0; i < k; ++i) {
-          const auto row = par.subspan(i * n, n);
-          t.parent_rows_[i].assign(row.begin(), row.end());
-        }
-      }
+      // A file written with landmark parents also carries
+      // table_parent_rows; the tables keep distances only and ignore it.
+      adopt(t.fwd_, dist);
+      adopt(t.rev_, rev);
       return;
     }
     // kSubset.
@@ -761,14 +721,8 @@ class OracleSerializer {
     const auto from_lm = r.span_of<Distance>(S::kTableFromLm);
     require(directed ? from_lm.size() == to_lm.size() : from_lm.empty(),
             "subset from-landmark table has wrong length");
-    if (backing != nullptr) {
-      t.mm_to_lm_ = to_lm;
-      t.mm_from_lm_ = from_lm;
-      t.backing_ = backing;
-      return;
-    }
-    t.to_lm_.assign(to_lm.begin(), to_lm.end());
-    t.from_lm_.assign(from_lm.begin(), from_lm.end());
+    adopt(t.to_lm_, to_lm);
+    adopt(t.from_lm_, from_lm);
   }
 
   // ---- Version-5 region writer -----------------------------------------

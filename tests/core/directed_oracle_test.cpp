@@ -86,7 +86,6 @@ TEST(DirectedOracleTest, FallbackMakesItTotal) {
 TEST(DirectedOracleTest, PathsFollowArcDirections) {
   const auto g = directed_graph(600, 4800, 304);
   auto opt = defaults();
-  opt.store_landmark_parents = true;
   opt.fallback = Fallback::kBidirectionalBfs;
   auto oracle = VicinityOracle::build(g, opt);
   util::Rng rng(305);

@@ -7,11 +7,15 @@
 // reported length, on RMAT, grid, weighted and directed graphs, under each
 // Fallback, for build() and build_for(), after heap and mapped VCNIDX05
 // opens (including one with corrupt nearest landmarks), and after an
-// insert/delete stream. Each case asserts a floor on how often each new
-// method fires, so none passes vacuously.
+// insert/delete stream. PATH must cover what DISTANCE covers: with full
+// tables on an unweighted graph, every pair the index answers exactly gets
+// its path from the index too, landmark endpoints and certified pairs
+// walking trees derived from the landmark rows. Each case asserts a floor
+// on how often each method fires, so none passes vacuously.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <span>
 #include <sstream>
@@ -36,8 +40,11 @@ namespace {
 struct Tally {
   std::size_t certificate = 0;       ///< distance(): kLandmarkCertificate
   std::size_t crossing = 0;          ///< distance(): kCrossingEdge
-  std::size_t path_certificate = 0;  ///< path(): tree walk at LB + 1
+  std::size_t searched = 0;          ///< distance(): kFallbackExact
+  std::size_t path_certificate = 0;  ///< path(): chain plus tree walk
   std::size_t path_crossing = 0;     ///< path(): chains plus one arc
+  std::size_t path_source = 0;       ///< path(): s's forward tree
+  std::size_t path_target = 0;       ///< path(): t's reverse tree
 };
 
 graph::Graph rmat_graph(unsigned scale, bool directed, std::uint64_t seed) {
@@ -54,7 +61,6 @@ OracleOptions options(Fallback fallback, std::uint64_t seed) {
   opt.alpha = 1.0;  // small vicinities: about half of all pairs are disjoint
   opt.seed = seed;
   opt.fallback = fallback;
-  opt.store_landmark_parents = true;
   return opt;
 }
 
@@ -72,6 +78,8 @@ void audit(const graph::Graph& g, const VicinityOracle& oracle,
   util::Rng rng(seed);
   QueryContext ctx;
   const bool none = oracle.options().fallback == Fallback::kNone;
+  const bool full_tables =
+      oracle.tables().mode() == LandmarkTables::Mode::kFull;
   for (std::size_t i = 0; i < sources; ++i) {
     const NodeId s = nodes[rng.next_below(nodes.size())];
     const std::vector<Distance> truth =
@@ -85,12 +93,9 @@ void audit(const graph::Graph& g, const VicinityOracle& oracle,
           r.method == QueryMethod::kCrossingEdge) {
         ASSERT_TRUE(r.exact) << where;
       }
-      // The search fallback is bidirectional BFS, which counts hops: on
-      // weighted graphs only the index's answers are held to Dijkstra (see
-      // OracleTest.WeightedGraphExactness).
-      const bool hop_search =
-          g.weighted() && r.method == QueryMethod::kFallbackExact;
-      if (r.exact && !hop_search) {
+      // The search fallback is exact on weighted graphs too (bidirectional
+      // Dijkstra), so every exact answer is held to ground truth.
+      if (r.exact) {
         ASSERT_EQ(r.dist, truth[t]) << where;
       }
       // Under kNone every answer is an index answer: none may be wrong.
@@ -102,10 +107,20 @@ void audit(const graph::Graph& g, const VicinityOracle& oracle,
       }
       tally.certificate += r.method == QueryMethod::kLandmarkCertificate;
       tally.crossing += r.method == QueryMethod::kCrossingEdge;
+      tally.searched += r.method == QueryMethod::kFallbackExact;
 
       const PathResult p = oracle.path(s, t, ctx);
       if (g.weighted()) {
         ASSERT_NE(p.method, QueryMethod::kCrossingEdge) << where;
+      }
+      // PATH covers what DISTANCE covers: a finite distance the index
+      // answered exactly gets its path from the index, under any Fallback.
+      const bool index_answer = r.exact && r.dist != kInfDistance &&
+                                r.method != QueryMethod::kFallbackExact;
+      if (index_answer && full_tables && !g.weighted()) {
+        ASSERT_FALSE(p.path.empty()) << where;
+        ASSERT_NE(p.method, QueryMethod::kFallbackExact) << where;
+        ASSERT_EQ(p.dist, r.dist) << where;
       }
       if (p.path.empty()) {
         // Only unreachable pairs, or pairs left to a disabled search.
@@ -118,11 +133,11 @@ void audit(const graph::Graph& g, const VicinityOracle& oracle,
       ASSERT_TRUE(algo::is_valid_path(g, p.path, s, t))
           << where << " path via " << to_string(p.method);
       ASSERT_EQ(algo::path_length(g, p.path), p.dist) << where;
-      if (!g.weighted() || p.method != QueryMethod::kFallbackExact) {
-        ASSERT_EQ(p.dist, truth[t]) << where;
-      }
+      ASSERT_EQ(p.dist, truth[t]) << where;
       tally.path_certificate += p.method == QueryMethod::kLandmarkCertificate;
       tally.path_crossing += p.method == QueryMethod::kCrossingEdge;
+      tally.path_source += p.method == QueryMethod::kSourceIsLandmark;
+      tally.path_target += p.method == QueryMethod::kTargetIsLandmark;
     }
   }
 }
@@ -141,6 +156,8 @@ TEST(DisjointResolutionTest, RmatUnderEveryFallback) {
     EXPECT_GE(tally.crossing, 550u);
     EXPECT_GE(tally.path_crossing, 550u);
     EXPECT_GE(tally.path_certificate, 40u);
+    EXPECT_GE(tally.path_source, 96u);
+    EXPECT_GE(tally.path_target, 103u);
   }
 }
 
@@ -158,6 +175,8 @@ TEST(DisjointResolutionTest, GridUnderEveryFallback) {
     EXPECT_GE(tally.crossing, 23u);
     EXPECT_GE(tally.path_crossing, 23u);
     EXPECT_GE(tally.path_certificate, 8u);
+    EXPECT_GE(tally.path_source, 48u);
+    EXPECT_GE(tally.path_target, 28u);
   }
 }
 
@@ -176,6 +195,14 @@ TEST(DisjointResolutionTest, WeightedGraphsCertifyButNeverCrossEdges) {
     EXPECT_GE(tally.certificate, 400u);
     EXPECT_EQ(tally.crossing, 0u);
     EXPECT_EQ(tally.path_crossing, 0u);
+    EXPECT_GE(tally.path_certificate, 400u);
+    EXPECT_GE(tally.path_source, 240u);
+    EXPECT_GE(tally.path_target, 102u);
+    // The search answers exactly too: bidirectional Dijkstra, held to
+    // Dijkstra by audit().
+    if (fallback == Fallback::kBidirectionalBfs) {
+      EXPECT_GE(tally.searched, 630u);
+    }
   }
 }
 
@@ -193,6 +220,8 @@ TEST(DisjointResolutionTest, DirectedRmatUnderEveryFallback) {
     EXPECT_GE(tally.crossing, 360u);
     EXPECT_GE(tally.path_crossing, 360u);
     EXPECT_GE(tally.path_certificate, 55u);
+    EXPECT_GE(tally.path_source, 162u);
+    EXPECT_GE(tally.path_target, 112u);
   }
 }
 
@@ -217,12 +246,14 @@ TEST(DisjointResolutionTest, SubsetBuildsUseTheirTables) {
     EXPECT_GE(tally.certificate, 20u);
     EXPECT_GE(tally.crossing, 200u);
     EXPECT_GE(tally.path_crossing, 200u);
-    // Subset tables carry no parent rows, so pairs at LB + 1 keep the
-    // search for PATH.
+    // Subset tables hold no landmark rows to walk, so certified pairs
+    // keep the search for PATH.
     if (subset) {
       EXPECT_EQ(tally.path_certificate, 0u);
     } else {
       EXPECT_GE(tally.path_certificate, 20u);
+      EXPECT_GE(tally.path_source, 286u);
+      EXPECT_GE(tally.path_target, 56u);
     }
   }
 }
@@ -247,6 +278,8 @@ TEST(DisjointResolutionTest, HeapAndMappedOpensAnswerAlike) {
       EXPECT_GE(tally.crossing, 400u);
       EXPECT_GE(tally.path_crossing, 400u);
       EXPECT_GE(tally.path_certificate, 25u);
+      EXPECT_GE(tally.path_source, 96u);
+      EXPECT_GE(tally.path_target, 101u);
       // Same resolutions as the built index, pair for pair.
       util::Rng rng(1754);
       QueryContext a;
@@ -321,6 +354,80 @@ TEST(DisjointResolutionTest, CorruptNearestLandmarksSkipTheCertificate) {
   EXPECT_GE(crossing, 300u);
 }
 
+TEST(DisjointResolutionTest, CorruptLandmarkRowsNeverLoop) {
+  // A default mapped open does not check the landmark rows, and PATH walks
+  // trees derived from them. Each walk steps only along arcs of the graph
+  // and stops after n steps, so on corrupt rows a landmark endpoint either
+  // gets a real walk (of any length) or the index's runtime_error, and a
+  // certified pair keeps the search; nothing loops or reads out of bounds.
+  for (const bool directed : {false, true}) {
+    const auto g = rmat_graph(10, directed, 1781);
+    const auto built =
+        VicinityOracle::build(g, options(Fallback::kBidirectionalBfs, 1782));
+    std::ostringstream out(std::ios::binary);
+    save_oracle(built, out);
+    for (const bool zeros : {true, false}) {
+      SCOPED_TRACE(std::string(directed ? "directed" : "undirected") +
+                   (zeros ? " zero rows" : " random rows"));
+      std::string bytes = out.str();
+      v5::FileHeader header;
+      std::memcpy(&header, bytes.data(), sizeof(header));
+      util::Rng noise(1783);
+      for (std::uint32_t i = 0; i < header.section_count; ++i) {
+        v5::SectionEntry e;
+        std::memcpy(&e, bytes.data() + v5::kSectionTableOffset + i * sizeof(e),
+                    sizeof(e));
+        if (e.id != static_cast<std::uint32_t>(v5::SectionId::kTableDistRows) &&
+            e.id != static_cast<std::uint32_t>(v5::SectionId::kTableRevRows)) {
+          continue;
+        }
+        for (std::uint64_t j = 0; j < e.count; ++j) {
+          const auto d =
+              zeros ? Distance{0} : static_cast<Distance>(noise.next_below(6));
+          std::memcpy(bytes.data() + e.offset + j * sizeof(Distance), &d,
+                      sizeof(d));
+        }
+      }
+      const std::string path = ::testing::TempDir() +
+                               "/disjoint_corrupt_rows_" +
+                               (directed ? "d" : "u") + (zeros ? "0" : "r") +
+                               ".idx";
+      {
+        std::ofstream f(path, std::ios::binary | std::ios::trunc);
+        f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      }
+      const auto loaded = load_oracle_file(path, g);  // default: mapped
+      const auto& lms = loaded.landmarks().nodes;
+      util::Rng rng(1784);
+      QueryContext ctx;
+      std::size_t refused = 0;
+      for (int i = 0; i < 900; ++i) {
+        auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+        auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+        if (i % 3 == 1) s = lms[rng.next_below(lms.size())];
+        if (i % 3 == 2) t = lms[rng.next_below(lms.size())];
+        ASSERT_NO_THROW(loaded.distance(s, t, ctx)) << s << "->" << t;
+        PathResult p;
+        try {
+          p = loaded.path(s, t, ctx);
+        } catch (const std::runtime_error&) {
+          ASSERT_TRUE(loaded.landmarks().contains(s) ||
+                      loaded.landmarks().contains(t))
+              << s << "->" << t;
+          ++refused;
+          continue;
+        }
+        if (!p.path.empty()) {
+          ASSERT_TRUE(algo::is_valid_path(g, p.path, s, t))
+              << s << "->" << t << " via " << to_string(p.method);
+        }
+      }
+      EXPECT_GT(refused, zeros ? 400u : 0u);
+      std::filesystem::remove(path);
+    }
+  }
+}
+
 TEST(DisjointResolutionTest, ExactAfterAnUpdateStream) {
   struct Case {
     const char* name;
@@ -353,12 +460,15 @@ TEST(DisjointResolutionTest, ExactAfterAnUpdateStream) {
     Tally tally;
     ASSERT_NO_FATAL_FAILURE(audit(g, oracle, all_nodes(g), 1765, tally));
     EXPECT_GE(tally.certificate, 50u);
+    EXPECT_GE(tally.path_certificate, 50u);
+    EXPECT_GE(tally.path_source, 153u);
+    EXPECT_GE(tally.path_target, 79u);
     if (c.weighted) {
       EXPECT_EQ(tally.crossing, 0u);
+      EXPECT_GE(tally.searched, 681u);
     } else {
       EXPECT_GE(tally.crossing, 300u);
       EXPECT_GE(tally.path_crossing, 300u);
-      EXPECT_GE(tally.path_certificate, 50u);
     }
   }
 }

@@ -300,17 +300,14 @@ TEST(DynamicOracleTest, RejectsForeignGraphSubsetIndexAndBadEdges) {
 }
 
 TEST(DynamicOracleTest, LandmarkParentsAndAssignmentsStayConsistent) {
-  // Two repair invariants a stale-pointer bug would break:
-  //  (a) with store_landmark_parents, landmark-endpoint path() must walk
-  //      only existing arcs after any update (SPT parents can go stale when
-  //      a deleted arc had an equal-length alternative);
+  // Two repair invariants a stale-row or stale-pointer bug would break:
+  //  (a) landmark-endpoint path(), from and to the landmark, walks a tree
+  //      derived from the repaired row and the current graph: it must use
+  //      only existing arcs and stay shortest after any update;
   //  (b) nearest_.landmark[x] must keep attaining nearest_.dist[x] — the
   //      kLandmarkEstimate upper bound d(s,l(s)) + d(l(s),t) rides on it.
   auto g = testing::random_connected(800, 2400, 1601);
-  OracleOptions opt = exact_options(1602);
-  opt.store_landmark_parents = true;
-  auto oracle = VicinityOracle::build(g, opt);
-  ASSERT_TRUE(oracle.tables().has_parents());
+  auto oracle = VicinityOracle::build(g, exact_options(1602));
   util::Rng rng(1603);
   QueryContext ctx;
 
@@ -322,13 +319,22 @@ TEST(DynamicOracleTest, LandmarkParentsAndAssignmentsStayConsistent) {
       const auto [u, v] = random_non_edge(g, rng);
       oracle.apply_update(g, GraphUpdate::insert(u, v));
     }
-    // (a) landmark-endpoint paths.
+    // (a) landmark-endpoint paths, source and target side.
     const auto& lms = oracle.landmarks().nodes;
     for (int q = 0; q < 4; ++q) {
       const NodeId l = lms[rng.next_below(lms.size())];
       const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
       const Distance ref = testing::ref_distance(g, l, t);
-      expect_valid_path(g, l, t, oracle.path(l, t, ctx), ref);
+      const PathResult from_l = oracle.path(l, t, ctx);
+      const PathResult to_l = oracle.path(t, l, ctx);
+      expect_valid_path(g, l, t, from_l, ref);
+      expect_valid_path(g, t, l, to_l, ref);
+      if (t != l) {
+        EXPECT_EQ(from_l.method, QueryMethod::kSourceIsLandmark);
+        EXPECT_EQ(to_l.method, oracle.landmarks().contains(t)
+                                   ? QueryMethod::kSourceIsLandmark
+                                   : QueryMethod::kTargetIsLandmark);
+      }
     }
     // (b) assignment consistency: the assigned landmark attains the
     // recorded nearest distance (checked against its refreshed row), and

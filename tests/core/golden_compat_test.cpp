@@ -4,9 +4,11 @@
 // VCNIDX02-04 writer (see tests/data/golden/README.md for the exact
 // generation parameters) and pin the legacy stream decode paths: the
 // loaders refuse them, and upgrade_index() must convert each into the
-// VCNIDX05 bytes of the same index. The packed_v05_* fixtures pin the
-// region writer byte for byte. The second half of the suite proves the two
-// v5 open modes — zero-copy mmap and owned heap buffers — are
+// VCNIDX05 bytes of the same index. The packed_v05_*_noparents fixtures
+// pin the region writer byte for byte; the other two packed_v05_* fixtures
+// carry the landmark parent rows an older writer emitted and pin that such
+// files still open and answer alike. The second half of the suite proves
+// the two v5 open modes — zero-copy mmap and owned heap buffers — are
 // observationally indistinguishable, including after COW-triggering
 // updates.
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "algo/path.h"
 #include "core/oracle.h"
 #include "core/query_engine.h"
 #include "core/serialize.h"
@@ -68,6 +71,40 @@ void expect_matches_reference(const VicinityOracle& oracle,
     ASSERT_EQ(oracle.distance(s, t, ctx).dist, testing::ref_distance(g, s, t))
         << s << "->" << t;
   }
+}
+
+/// Landmark-endpoint PATH: from and to every landmark, for every 5th node,
+/// a walk of the landmark's tree derived from its row must be a valid path
+/// of BFS length (and empty exactly when the pair is unreachable).
+void expect_landmark_paths(const VicinityOracle& oracle,
+                           const graph::Graph& g) {
+  QueryContext ctx;
+  std::size_t walked = 0;
+  for (const NodeId l : oracle.landmarks().nodes) {
+    for (NodeId v = 0; v < g.num_nodes(); v += 5) {
+      if (v == l) continue;
+      for (const bool from_l : {true, false}) {
+        const NodeId s = from_l ? l : v;
+        const NodeId t = from_l ? v : l;
+        const PathResult p = oracle.path(s, t, ctx);
+        ASSERT_EQ(p.method, oracle.landmarks().contains(s)
+                                ? QueryMethod::kSourceIsLandmark
+                                : QueryMethod::kTargetIsLandmark)
+            << s << "->" << t;
+        ASSERT_TRUE(p.exact) << s << "->" << t;
+        const Distance want = testing::ref_distance(g, s, t);
+        ASSERT_EQ(p.dist, want) << s << "->" << t;
+        if (want == kInfDistance) {
+          ASSERT_TRUE(p.path.empty()) << s << "->" << t;
+          continue;
+        }
+        ASSERT_TRUE(algo::is_valid_path(g, p.path, s, t)) << s << "->" << t;
+        ASSERT_EQ(p.path.size(), want + 1) << s << "->" << t;
+        ++walked;
+      }
+    }
+  }
+  EXPECT_GT(walked, 0u);
 }
 
 /// Reads a whole file as bytes.
@@ -124,68 +161,54 @@ TEST(GoldenCompatTest, FlatGoldensAcrossVersionsAnswerIdentically) {
 
 TEST(GoldenCompatTest, PackedV04GoldenLoadsAndSurvivesV5RoundTrip) {
   // A packed VCNIDX04 stream decodes through the legacy blob reader and
-  // upgrades to exactly the VCNIDX05 golden of the same index, which maps
-  // with BFS-exact answers.
+  // upgrades to exactly the VCNIDX05 golden of the same index. The stream
+  // carries landmark parent rows; the reader checks and drops them, so the
+  // upgrade equals the golden written without them. It maps with BFS-exact
+  // answers and landmark-endpoint paths.
   const auto g = testing::random_connected(140, 460, 9111);
   const std::string bytes = upgraded("packed_v04_undirected.idx", g);
-  EXPECT_TRUE(bytes == file_bytes(golden("packed_v05_undirected.idx")))
+  EXPECT_TRUE(bytes ==
+              file_bytes(golden("packed_v05_undirected_noparents.idx")))
       << "packed_v04_undirected.idx does not upgrade to the v5 golden";
 
   const auto tmp = std::filesystem::temp_directory_path() /
                    "vicinity_golden_roundtrip.idx";
   const auto mapped = open_mapped(bytes, g, tmp);
   EXPECT_TRUE(mapped.store().mapped());
-  EXPECT_TRUE(mapped.tables().has_parents());
   expect_matches_reference(mapped, g, 9113, 80);
+  expect_landmark_paths(mapped, g);
   std::filesystem::remove(tmp);
 }
 
 TEST(GoldenCompatTest, PackedV04DirectedGoldenLoadsAndSurvivesV5RoundTrip) {
-  // This fixture was written without landmark parents (the other two
-  // directed goldens have them), so its upgrade is the v5 golden minus the
-  // table_parent_rows section: 23 sections, each byte-identical to the
-  // golden's section of the same id.
+  // This fixture was written without landmark parents, so it upgrades to
+  // the directed v5 golden written without them, byte for byte.
   const auto g = testing::random_connected_directed(160, 1100, 9121);
+  const std::string bytes = upgraded("packed_v04_directed.idx", g);
+  EXPECT_TRUE(bytes ==
+              file_bytes(golden("packed_v05_directed_noparents.idx")))
+      << "packed_v04_directed.idx does not upgrade to the v5 golden";
+
   const auto tmp = std::filesystem::temp_directory_path() /
                    "vicinity_golden_roundtrip_dir.idx";
-  const auto mapped =
-      open_mapped(upgraded("packed_v04_directed.idx", g), g, tmp);
+  const auto mapped = open_mapped(bytes, g, tmp);
   EXPECT_TRUE(mapped.store().mapped());
   EXPECT_TRUE(mapped.store(Direction::kIn).mapped());
-  EXPECT_FALSE(mapped.tables().has_parents());
   expect_matches_reference(mapped, g, 9123, 80);
-
-  const std::string golden_path = golden("packed_v05_directed.idx");
-  const IndexFileInfo got = inspect_index_file(tmp.string());
-  const IndexFileInfo want = inspect_index_file(golden_path);
-  const std::string got_bytes = file_bytes(tmp.string());
-  const std::string want_bytes = file_bytes(golden_path);
-  ASSERT_EQ(got.sections.size(), 23u);
-  ASSERT_EQ(want.sections.size(), 24u);
-  for (const IndexSectionInfo& w : want.sections) {
-    const auto it = std::find_if(
-        got.sections.begin(), got.sections.end(),
-        [&](const IndexSectionInfo& e) { return e.id == w.id; });
-    if (w.name == "table_parent_rows") {
-      EXPECT_TRUE(it == got.sections.end());
-      continue;
-    }
-    ASSERT_TRUE(it != got.sections.end()) << w.name << " missing";
-    EXPECT_TRUE(got_bytes.substr(it->offset, it->bytes) ==
-                want_bytes.substr(w.offset, w.bytes))
-        << w.name << " differs from the golden's section";
-  }
+  expect_landmark_paths(mapped, g);
   std::filesystem::remove(tmp);
 }
 
 TEST(GoldenCompatTest, FlatV04DirectedGoldenLoadsAndSurvivesV5RoundTrip) {
   // The directed hash-body stream: out- and in-vicinity records interleave
   // per slot, a layout no other fixture pins. Both stores convert fully
-  // packed, and the upgrade is exactly the VCNIDX05 golden of the same
-  // index.
+  // packed, the reader drops the stream's landmark parent rows, and the
+  // upgrade is exactly the VCNIDX05 golden of the same index written
+  // without them.
   const auto g = testing::random_connected_directed(160, 1100, 9121);
   const std::string bytes = upgraded("flat_v04_directed.idx", g);
-  EXPECT_TRUE(bytes == file_bytes(golden("packed_v05_directed.idx")))
+  EXPECT_TRUE(bytes ==
+              file_bytes(golden("packed_v05_directed_noparents.idx")))
       << "flat_v04_directed.idx does not upgrade to the v5 golden";
 
   const auto tmp = std::filesystem::temp_directory_path() /
@@ -304,11 +327,16 @@ TEST(GoldenCompatTest, InspectReportsTheV5GoldenHeaders) {
     graph::Graph g;
     std::size_t sections;
   };
+  // The *_noparents goldens lack only table_parent_rows.
   const Expect cases[] = {
       {"packed_v05_undirected.idx", testing::random_connected(140, 460, 9111),
        14},
       {"packed_v05_directed.idx",
        testing::random_connected_directed(160, 1100, 9121), 24},
+      {"packed_v05_undirected_noparents.idx",
+       testing::random_connected(140, 460, 9111), 13},
+      {"packed_v05_directed_noparents.idx",
+       testing::random_connected_directed(160, 1100, 9121), 23},
   };
   for (const Expect& c : cases) {
     const std::string path = golden(c.name);
@@ -331,53 +359,49 @@ TEST(GoldenCompatTest, InspectReportsTheV5GoldenHeaders) {
 }
 
 TEST(GoldenCompatTest, PackedV05GoldensOpenBothWaysAndMatchTheWriter) {
-  // VCNIDX05 fixtures written before the stream writer was retired: each
-  // must open mapped and on the heap with BFS-exact answers, and fresh
+  // The packed_v05_* fixtures carry the table_parent_rows section an older
+  // writer emitted; the loaders ignore it. Each must open mapped and on
+  // the heap with BFS-exact answers and landmark-endpoint paths walked
+  // from derived trees, answering exactly like its *_noparents twin. Fresh
   // builds of the recorded graph and options at build_threads 1 and 4 must
-  // serialize to the very same bytes (the parallel build is
-  // deterministic).
+  // serialize to the twin's bytes (the parallel build is deterministic).
   OracleOptions opt;
   opt.alpha = 3.0;
   opt.fallback = Fallback::kBidirectionalBfs;
-  opt.store_landmark_parents = true;
   OpenOptions heap_opts;
   heap_opts.mode = OpenMode::kHeap;
-  {
-    const auto g = testing::random_connected(140, 460, 9111);
-    const auto path = golden("packed_v05_undirected.idx");
-    const auto mapped = load_oracle_file(path, g);
-    const auto heap = load_oracle_file(path, g, heap_opts);
+  struct Case {
+    const char* name;
+    const char* twin;
+    graph::Graph g;
+    std::uint64_t seed;
+  };
+  const Case cases[] = {
+      {"packed_v05_undirected.idx", "packed_v05_undirected_noparents.idx",
+       testing::random_connected(140, 460, 9111), 9112},
+      {"packed_v05_directed.idx", "packed_v05_directed_noparents.idx",
+       testing::random_connected_directed(160, 1100, 9121), 9122},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto mapped = load_oracle_file(golden(c.name), c.g);
+    const auto heap = load_oracle_file(golden(c.name), c.g, heap_opts);
+    const auto twin = load_oracle_file(golden(c.twin), c.g);
     EXPECT_TRUE(mapped.store().mapped());
     EXPECT_FALSE(heap.store().mapped());
-    expect_matches_reference(mapped, g, 9115, 80);
-    expect_identical(mapped, heap, g, 9116, 80);
-    opt.seed = 9112;
+    expect_matches_reference(mapped, c.g, c.seed + 3, 80);
+    expect_identical(mapped, heap, c.g, c.seed + 4, 80);
+    expect_identical(mapped, twin, c.g, c.seed + 5, 80);
+    expect_landmark_paths(mapped, c.g);
+    expect_landmark_paths(heap, c.g);
+    opt.seed = c.seed;
     for (const unsigned threads : {1u, 4u}) {
       opt.build_threads = threads;
       std::ostringstream out(std::ios::binary);
-      save_oracle(VicinityOracle::build(g, opt), out);
-      EXPECT_TRUE(out.str() == file_bytes(path))
-          << "fresh undirected build (build_threads " << threads
-          << ") differs from the golden bytes";
-    }
-  }
-  {
-    const auto g = testing::random_connected_directed(160, 1100, 9121);
-    const auto path = golden("packed_v05_directed.idx");
-    const auto mapped = load_oracle_file(path, g);
-    const auto heap = load_oracle_file(path, g, heap_opts);
-    EXPECT_TRUE(mapped.store().mapped());
-    EXPECT_FALSE(heap.store().mapped());
-    expect_matches_reference(mapped, g, 9126, 80);
-    expect_identical(mapped, heap, g, 9127, 80);
-    opt.seed = 9122;
-    for (const unsigned threads : {1u, 4u}) {
-      opt.build_threads = threads;
-      std::ostringstream out(std::ios::binary);
-      save_oracle(VicinityOracle::build(g, opt), out);
-      EXPECT_TRUE(out.str() == file_bytes(path))
-          << "fresh directed build (build_threads " << threads
-          << ") differs from the golden bytes";
+      save_oracle(VicinityOracle::build(c.g, opt), out);
+      EXPECT_TRUE(out.str() == file_bytes(golden(c.twin)))
+          << "fresh build (build_threads " << threads << ") differs from "
+          << c.twin;
     }
   }
 }
@@ -393,7 +417,6 @@ TEST(GoldenCompatTest, MappedAndHeapOpensAreBitIdentical) {
   opt.alpha = 3.0;
   opt.seed = 4502;
   opt.fallback = Fallback::kBidirectionalBfs;
-  opt.store_landmark_parents = true;
   const auto built = VicinityOracle::build(g_mapped, opt);
   const auto tmp =
       std::filesystem::temp_directory_path() / "vicinity_open_modes.idx";
@@ -437,7 +460,6 @@ TEST(GoldenCompatTest, MappedAndHeapOpensAreBitIdenticalDirected) {
   opt.alpha = 3.0;
   opt.seed = 4602;
   opt.fallback = Fallback::kBidirectionalBfs;
-  opt.store_landmark_parents = true;
   const auto built = VicinityOracle::build(g_mapped, opt);
   const auto tmp = std::filesystem::temp_directory_path() /
                    "vicinity_open_modes_dir.idx";

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "algo/bfs.h"
 #include "test_support.h"
 
@@ -20,7 +22,7 @@ LandmarkSet make_landmarks(const graph::Graph& g, double alpha,
 TEST(LandmarkTableTest, FullModeMatchesBfs) {
   const auto g = testing::random_connected(400, 1600, 901);
   const auto lms = make_landmarks(g, 2.0, 902);
-  const auto tables = LandmarkTables::build_full(g, lms, /*parents=*/true);
+  const auto tables = LandmarkTables::build_full(g, lms);
   ASSERT_EQ(tables.mode(), LandmarkTables::Mode::kFull);
   for (const NodeId l : lms.nodes) {
     const auto truth = algo::bfs(g, l).dist;
@@ -31,20 +33,56 @@ TEST(LandmarkTableTest, FullModeMatchesBfs) {
   }
 }
 
+/// Walks `dir`'s tree of l from every 7th node and checks each step
+/// against `truth`, the BFS distances of that tree (d(l -> v) for kOut,
+/// d(v -> l) for kIn): every arc exists and every step moves one hop
+/// closer to l.
+void expect_tree_walks(const graph::Graph& g, const LandmarkTables& tables,
+                       Direction dir, NodeId l,
+                       const std::vector<Distance>& truth) {
+  std::size_t walked = 0;
+  for (NodeId v = 0; v < g.num_nodes(); v += 7) {
+    std::vector<NodeId> walk;
+    const bool ok = tables.walk_tree(g, dir, l, v, walk);
+    if (truth[v] == kInfDistance) {
+      EXPECT_FALSE(ok) << v;
+      continue;
+    }
+    ASSERT_TRUE(ok) << v;
+    ASSERT_EQ(walk.size(), truth[v] + 1) << v;
+    EXPECT_EQ(walk.front(), v);
+    EXPECT_EQ(walk.back(), l);
+    for (std::size_t i = 0; i + 1 < walk.size(); ++i) {
+      // kOut steps to a predecessor on l -> v, kIn to a successor on v -> l.
+      const NodeId from = dir == Direction::kOut ? walk[i + 1] : walk[i];
+      const NodeId to = dir == Direction::kOut ? walk[i] : walk[i + 1];
+      EXPECT_TRUE(g.has_edge(from, to)) << from << "->" << to;
+      EXPECT_EQ(truth[walk[i + 1]] + 1, truth[walk[i]]) << v;
+    }
+    ++walked;
+  }
+  EXPECT_GT(walked, g.num_nodes() / 14);
+}
+
 TEST(LandmarkTableTest, FullModeParentsFormShortestPathTree) {
+  // The tables store no parents: walk_tree derives each tree step from the
+  // distance row and the graph.
   const auto g = testing::random_connected(300, 1200, 903);
   const auto lms = make_landmarks(g, 4.0, 904);
-  const auto tables = LandmarkTables::build_full(g, lms, /*parents=*/true);
-  ASSERT_TRUE(tables.has_parents());
+  const auto tables = LandmarkTables::build_full(g, lms);
   const NodeId l = lms.nodes.front();
   const auto truth = algo::bfs(g, l).dist;
-  for (NodeId v = 0; v < g.num_nodes(); v += 7) {
-    if (v == l || truth[v] == kInfDistance) continue;
-    const NodeId p = tables.parent_from_landmark(l, v);
-    ASSERT_NE(p, kInvalidNode);
-    EXPECT_TRUE(g.has_edge(p, v));
-    EXPECT_EQ(truth[p] + 1, truth[v]);
-  }
+  expect_tree_walks(g, tables, Direction::kOut, l, truth);
+  expect_tree_walks(g, tables, Direction::kIn, l, truth);  // undirected
+
+  util::Rng grng(9031);
+  const auto dg = gen::erdos_renyi_directed(300, 1500, grng);
+  const auto dlms = make_landmarks(dg, 2.0, 9032);
+  const auto dtables = LandmarkTables::build_full(dg, dlms);
+  const NodeId dl = dlms.nodes.front();
+  expect_tree_walks(dg, dtables, Direction::kOut, dl, algo::bfs(dg, dl).dist);
+  expect_tree_walks(dg, dtables, Direction::kIn, dl,
+                    algo::bfs_reverse(dg, dl).dist);
 }
 
 TEST(LandmarkTableTest, SubsetModeMatchesFullMode) {
@@ -55,7 +93,7 @@ TEST(LandmarkTableTest, SubsetModeMatchesFullMode) {
   for (auto v : rng.sample_without_replacement(g.num_nodes(), 40)) {
     subset.push_back(static_cast<NodeId>(v));
   }
-  const auto full = LandmarkTables::build_full(g, lms, false);
+  const auto full = LandmarkTables::build_full(g, lms);
   const auto sub = LandmarkTables::build_subset(g, lms, subset);
   ASSERT_EQ(sub.mode(), LandmarkTables::Mode::kSubset);
   for (const NodeId v : subset) {
@@ -75,7 +113,7 @@ TEST(LandmarkTableTest, DirectedModesRespectArcDirection) {
   util::Rng grng(908);
   const auto g = gen::erdos_renyi_directed(250, 1500, grng);
   const auto lms = make_landmarks(g, 2.0, 909);
-  const auto tables = LandmarkTables::build_full(g, lms, false);
+  const auto tables = LandmarkTables::build_full(g, lms);
   const NodeId l = lms.nodes.front();
   const auto fwd = algo::bfs(g, l).dist;          // d(l -> v)
   const auto bwd = algo::bfs_reverse(g, l).dist;  // d(v -> l)
@@ -94,7 +132,7 @@ TEST(LandmarkTableTest, DirectedSubsetMatchesFull) {
   for (auto v : rng.sample_without_replacement(g.num_nodes(), 30)) {
     subset.push_back(static_cast<NodeId>(v));
   }
-  const auto full = LandmarkTables::build_full(g, lms, false);
+  const auto full = LandmarkTables::build_full(g, lms);
   const auto sub = LandmarkTables::build_subset(g, lms, subset);
   for (const NodeId v : subset) {
     for (const NodeId l : lms.nodes) {
@@ -109,13 +147,11 @@ TEST(LandmarkTableTest, DirectedSubsetMatchesFull) {
 TEST(LandmarkTableTest, MisuseThrows) {
   const auto g = testing::karate_club();
   const auto lms = make_landmarks(g, 1.0, 913);
-  const auto full = LandmarkTables::build_full(g, lms, false);
+  const auto full = LandmarkTables::build_full(g, lms);
   NodeId non_landmark = 0;
   while (lms.contains(non_landmark)) ++non_landmark;
   EXPECT_THROW(full.dist_from_landmark(non_landmark, 0),
                std::invalid_argument);
-  EXPECT_THROW(full.parent_from_landmark(lms.nodes.front(), 0),
-               std::logic_error);  // parents not built
   EXPECT_THROW(full.subset_dist_to_landmark(0, lms.nodes.front()),
                std::logic_error);  // wrong mode
   LandmarkTables none;
@@ -123,13 +159,24 @@ TEST(LandmarkTableTest, MisuseThrows) {
 }
 
 TEST(LandmarkTableTest, EntriesAndMemoryAccounting) {
+  // Distances only: one row per landmark, plus a reverse row on directed
+  // graphs. Bytes are the entries plus the node -> landmark index.
   const auto g = testing::random_connected(200, 800, 914);
   const auto lms = make_landmarks(g, 2.0, 915);
-  const auto no_parents = LandmarkTables::build_full(g, lms, false);
-  const auto with_parents = LandmarkTables::build_full(g, lms, true);
-  EXPECT_EQ(no_parents.entries(), lms.size() * g.num_nodes());
-  EXPECT_EQ(with_parents.entries(), 2 * lms.size() * g.num_nodes());
-  EXPECT_GT(with_parents.memory_bytes(), no_parents.memory_bytes());
+  const auto tables = LandmarkTables::build_full(g, lms);
+  EXPECT_EQ(tables.entries(), lms.size() * g.num_nodes());
+  EXPECT_EQ(tables.memory_bytes(),
+            tables.entries() * sizeof(Distance) +
+                g.num_nodes() * sizeof(NodeId));
+
+  util::Rng grng(916);
+  const auto dg = gen::erdos_renyi_directed(200, 1200, grng);
+  const auto dlms = make_landmarks(dg, 2.0, 917);
+  const auto dtables = LandmarkTables::build_full(dg, dlms);
+  EXPECT_EQ(dtables.entries(), 2 * dlms.size() * dg.num_nodes());
+  EXPECT_EQ(dtables.memory_bytes(),
+            dtables.entries() * sizeof(Distance) +
+                dg.num_nodes() * sizeof(NodeId));
 }
 
 }  // namespace

@@ -79,7 +79,6 @@ TEST_P(OptionsMatrix, AnsweredQueriesExactUnderAnyConfiguration) {
   opt.use_boundary_optimization = boundary;
   opt.iterate_smaller_side = smaller;
   opt.fallback = fallback;
-  opt.store_landmark_parents = true;
   auto oracle =
       built ? VicinityOracle::build(g, opt)
             : load_stream_golden(g, source, boundary, smaller, fallback);

@@ -15,7 +15,6 @@ OracleOptions opts() {
   OracleOptions o;
   o.alpha = 4.0;
   o.seed = 9;
-  o.store_landmark_parents = true;
   return o;
 }
 
