@@ -39,10 +39,6 @@ class BidirectionalDijkstraRunner {
     return bidirectional_dijkstra_distance(g_, scratch_, s, t);
   }
 
-  std::vector<NodeId> path(NodeId s, NodeId t) {
-    return bidirectional_dijkstra_path(g_, scratch_, s, t);
-  }
-
  private:
   const graph::Graph& g_;
   BidirBfsScratch scratch_;

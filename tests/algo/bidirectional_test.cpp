@@ -149,6 +149,42 @@ TEST(BidirDijkstraTest, MatchesDijkstraOnWeightedGraphs) {
   }
 }
 
+TEST(BidirDijkstraTest, PathIsValidAndShortestOnWeightedGraphs) {
+  util::Rng grng(54);
+  for (const bool directed : {false, true}) {
+    const auto base =
+        directed ? gen::erdos_renyi_directed(500, 3000, grng)
+                 : testing::random_connected(500, 2000, 55);
+    util::Rng wrng(56);
+    const auto g = graph::with_random_weights(base, wrng, 1, 10);
+    BidirBfsScratch scratch;
+    util::Rng rng(57);
+    for (int i = 0; i < 50; ++i) {
+      const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+      const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+      const auto d = dijkstra(g, s).dist[t];
+      const auto p = bidirectional_dijkstra_path(g, scratch, s, t);
+      if (d == kInfDistance) {
+        EXPECT_TRUE(p.empty()) << s << "->" << t;
+        continue;
+      }
+      ASSERT_TRUE(is_valid_path(g, p, s, t)) << s << "->" << t;
+      EXPECT_EQ(path_length(g, p), d) << s << "->" << t;
+    }
+  }
+}
+
+TEST(BidirDijkstraTest, PathEmptyWhenUnreachable) {
+  graph::GraphBuilder b(4);
+  b.add_edge(0, 1, 3);
+  b.add_edge(2, 3, 5);
+  const auto g = b.build(/*weighted=*/true);
+  BidirBfsScratch scratch;
+  EXPECT_TRUE(bidirectional_dijkstra_path(g, scratch, 0, 2).empty());
+  EXPECT_EQ(bidirectional_dijkstra_path(g, scratch, 0, 1),
+            (std::vector<NodeId>{0, 1}));
+}
+
 TEST(BidirDijkstraTest, UnweightedEqualsBfs) {
   const auto g = testing::karate_club();
   BidirectionalDijkstraRunner runner(g);
