@@ -40,7 +40,7 @@
 //   bench_server [--mode closed|open] [--connections C] [--window W]
 //                [--queries Q] [--rate R] [--zipf THETA]
 //                [--scale N] [--edges-per-node K] [--alpha A] [--seed S]
-//                [--max-batch B] [--max-delay-us D] [--queue-depth QD]
+//                [--max-batch B] [--queue-depth QD]
 //                [--engine-threads T] [--cache-mb MB] [--cache-ways W]
 //                [--update-every N] [--slow-readers N]
 //                [--request-timeout-ms MS] [--idle-timeout-ms MS]
@@ -105,7 +105,7 @@ struct Options {
             << " [--mode closed|open] [--connections C] [--window W]\n"
                "       [--queries Q] [--rate R] [--zipf THETA] [--scale N]\n"
                "       [--edges-per-node K] [--alpha A] [--seed S]\n"
-               "       [--max-batch B] [--max-delay-us D] [--queue-depth QD]\n"
+               "       [--max-batch B] [--queue-depth QD]\n"
                "       [--engine-threads T] [--cache-mb MB] [--cache-ways W]\n"
                "       [--update-every N] [--slow-readers N]\n"
                "       [--request-timeout-ms MS] [--idle-timeout-ms MS]\n"
@@ -145,9 +145,6 @@ Options parse_args(int argc, char** argv) {
       o.seed = std::stoull(next_value(i));
     } else if (arg == "--max-batch") {
       o.server.max_batch = std::stoul(next_value(i));
-    } else if (arg == "--max-delay-us") {
-      o.server.max_delay_us =
-          static_cast<std::uint32_t>(std::stoul(next_value(i)));
     } else if (arg == "--queue-depth") {
       o.server.queue_depth = std::stoul(next_value(i));
     } else if (arg == "--engine-threads") {
@@ -474,11 +471,10 @@ int main(int argc, char** argv) {
   net::Server server(oracle, &g, opt.server);
   server.start();
   std::printf(
-      "server on 127.0.0.1:%u: max_batch=%zu max_delay_us=%u "
-      "queue_depth=%zu engine_threads=%u cache_mb=%zu\n",
-      server.port(), opt.server.max_batch, opt.server.max_delay_us,
-      opt.server.queue_depth, server.engine().thread_count(),
-      opt.server.cache_mb);
+      "server on 127.0.0.1:%u: max_batch=%zu queue_depth=%zu "
+      "engine_threads=%u cache_mb=%zu\n",
+      server.port(), opt.server.max_batch, opt.server.queue_depth,
+      server.engine().thread_count(), opt.server.cache_mb);
 
   // Reserved non-edge for --update-every's insert/remove toggling: node 0
   // is the biggest hub, so invalidation-by-epoch hits the hottest cached
@@ -704,7 +700,6 @@ int main(int argc, char** argv) {
        << "  \"zipf_theta\": " << opt.zipf << ",\n"
        << "  \"queries\": " << (per_conn * opt.connections) << ",\n"
        << "  \"batching\": {\"max_batch\": " << opt.server.max_batch
-       << ", \"max_delay_us\": " << opt.server.max_delay_us
        << ", \"queue_depth\": " << opt.server.queue_depth << "},\n"
        << "  \"server_qps\": " << qps << ",\n"
        << "  \"latency_us\": {\"p50\": " << latency.percentile(50)

@@ -15,8 +15,9 @@ Phases:
      never a crash
   5. APPLY_UPDATE: insert an edge, epoch bumps, distance collapses to 1;
      remove it, the old answer comes back
-  6. admission: a second vicinityd with a tiny queue sheds BUSY under a
-     pipelined flood while still answering some requests
+  6. admission: a second vicinityd with --queue-depth=4 sheds a 5-target
+     DISTANCES (it can never fit) with BUSY and admits the DISTANCE sent
+     next; a pipelined flood gets only correct OK replies or BUSY
   7. SIGTERM -> clean exit 0
   8. result cache: a third vicinityd with --cache-mb; STATS cache counters
      grow on repeated pairs, every entry goes stale after APPLY_UPDATE
@@ -395,13 +396,27 @@ def main():
             proc.kill()
             proc.wait()
 
-    # --- admission: tiny queue sheds BUSY under flood ---------------------
+    # --- admission: a request wider than the queue is shed BUSY ----------
+    # A test cannot hold a live daemon's batcher, and an idle batcher runs
+    # each request as it arrives, so whether a flood overflows the queue
+    # depends on timing. Shedding is checked where it is deterministic: 5
+    # query units never fit under --queue-depth=4.
     print("== admission control ==")
     proc2, port2 = start_vicinityd(
         str(vicinityd), graph, index, stderr_file,
-        extra=["--queue-depth=4", "--max-delay-us=100000"])
+        extra=["--queue-depth=4"])
     try:
         s2 = connect(port2)
+        src = pairs[0][0]
+        wide = [t for _, t in pairs[:5]]
+        payload = struct.pack("<II", src, len(wide))
+        payload += struct.pack(f"<{len(wide)}I", *wide)
+        s2.sendall(frame(OP_DISTANCES, payload, rid=1000))
+        r = recv_frame(s2)
+        check(r is not None and r["rid"] == 1000 and r["status"] == ST_BUSY,
+              f"5-target DISTANCES under --queue-depth=4 not BUSY: {r}")
+        check(query_distance(s2, *pairs[0])[1] == expected[0],
+              "DISTANCE after the shed fan answered wrong")
         for i in range(64):
             s2.sendall(distance_req(*pairs[i % len(pairs)], rid=i + 1))
         ok = busy = 0
@@ -409,11 +424,15 @@ def main():
             r = recv_frame(s2)
             require(r is not None, "EOF during admission flood")
             if r["status"] == ST_OK:
+                want = expected[(r["rid"] - 1) % len(pairs)]
+                got = parse_distance_reply(r)[1]
+                check(got == want,
+                      f"flood reply rid={r['rid']}: dist {got}, want {want}")
                 ok += 1
             elif r["status"] == ST_BUSY:
                 busy += 1
-        check(busy > 0, "tiny queue never shed BUSY under a 64-deep flood")
-        check(ok > 0, "tiny queue answered nothing at all")
+            else:
+                check(False, f"flood reply neither OK nor BUSY: {r}")
         print(f"   {ok} ok / {busy} busy")
         s2.close()
         proc2.send_signal(signal.SIGTERM)
@@ -505,7 +524,7 @@ def main():
     print("== drain under load ==")
     proc4, port4 = start_vicinityd(
         str(vicinityd), graph, index, stderr_file,
-        extra=["--max-delay-us=20000", "--drain-timeout-ms=15000"])
+        extra=["--drain-timeout-ms=15000"])
     try:
         s4 = connect(port4)
         # Synchronous round-trip before the burst: drain disarms the

@@ -216,8 +216,9 @@ UpdateReply read_update_reply(FrameReader& r);
 
 /// kStats response payload — the serving observability surface: queue /
 /// shed / batch counters plus request-latency percentiles (measured
-/// admission -> response-serialization, so they include batching delay)
-/// and qps over the window since the previous kStats request.
+/// admission -> response-serialization, so they include the time a request
+/// waits in the queue behind the running batch) and qps over the window
+/// since the previous kStats request.
 struct StatsReply {
   std::uint64_t epoch = 0;
   std::uint64_t uptime_us = 0;

@@ -558,7 +558,6 @@ void Server::dispatch(int fd, const FrameHeader& header,
     item.gen = conns_[fd].gen;
     item.request_id = header.request_id;
     item.enqueue_us = now_us();
-    std::size_t units = 1;
     switch (header.op) {
       case Op::kPing: {
         r.expect_end();
@@ -595,7 +594,6 @@ void Server::dispatch(int fd, const FrameHeader& header,
           if (t >= num_nodes) throw ProtocolError("node id out of range");
           item.targets.push_back(t);
         }
-        units = std::max<std::size_t>(n, 1);
         break;
       }
       case Op::kApplyUpdate: {
@@ -621,7 +619,7 @@ void Server::dispatch(int fd, const FrameHeader& header,
         break;
       }
     }
-    if (!enqueue_work(std::move(item), units)) {
+    if (!enqueue_work(std::move(item))) {
       shed_total_.fetch_add(1, std::memory_order_relaxed);
       send_error(fd, header.request_id, header.op, Status::kBusy,
                  "admission queue full; retry");
@@ -675,6 +673,7 @@ StatsReply Server::stats_snapshot() {
     const util::MutexLock lock(bmu_);
     r.pending = queued_units_;
   }
+  std::vector<double> window;
   {
     const util::MutexLock lock(smu_);
     const std::uint64_t now = now_us();
@@ -686,16 +685,20 @@ StatsReply Server::stats_snapshot() {
     }
     last_stats_us_ = now;
     last_stats_queries_ = r.queries_total;
-    if (latency_count_ > 0) {
-      util::SampleSet samples;
-      for (std::size_t i = 0; i < latency_count_; ++i) {
-        samples.add(latency_ring_[i]);
-      }
-      r.p50_us = samples.percentile(50);
-      r.p90_us = samples.percentile(90);
-      r.p99_us = samples.percentile(99);
-      r.max_us = samples.max();
-    }
+    window.assign(latency_ring_.begin(),
+                  latency_ring_.begin() +
+                      static_cast<std::ptrdiff_t>(latency_count_));
+  }
+  // Only a plain copy holds smu_: record_latencies() takes it after every
+  // flush, and filling and sorting a SampleSet takes milliseconds.
+  if (!window.empty()) {
+    util::SampleSet samples;
+    samples.reserve(window.size());
+    for (const double v : window) samples.add(v);
+    r.p50_us = samples.percentile(50);
+    r.p90_us = samples.percentile(90);
+    r.p99_us = samples.percentile(99);
+    r.max_us = samples.max();
   }
   return r;
 }
@@ -818,7 +821,8 @@ void Server::deliver_responses() {
 
 // ---- batcher side ----------------------------------------------------------
 
-bool Server::enqueue_work(WorkItem&& item, std::size_t units) {
+bool Server::enqueue_work(WorkItem&& item) {
+  const std::size_t units = item.units();
   const util::MutexLock lock(bmu_);
   if (queued_units_ + units > opts_.queue_depth) return false;
   queued_units_ += units;
@@ -841,53 +845,25 @@ void Server::batch_loop() {
 
 bool Server::collect_flush(std::vector<WorkItem>& flush) {
   const util::MutexLock lock(bmu_);
-  for (;;) {
-    if (batch_stop_) return false;
-    if (!queue_.empty()) {
-      // Flush now if (a) an update is at the head (it runs alone, as a
-      // fence), (b) enough units are queued, or (c) the oldest request has
-      // waited out the delay budget.
-      if (queue_.front().op == Op::kApplyUpdate) {
-        flush.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-        queued_units_ -= 1;
-        batch_busy_ = true;
-        return true;
-      }
-      std::size_t units = 0;
-      for (const WorkItem& it : queue_) {
-        if (it.op == Op::kApplyUpdate) break;
-        units += it.op == Op::kDistances
-                     ? std::max<std::size_t>(it.targets.size(), 1)
-                     : 1;
-        if (units >= opts_.max_batch) break;
-      }
-      const std::uint64_t oldest = queue_.front().enqueue_us;
-      const std::uint64_t age = now_us() - oldest;
-      if (units >= opts_.max_batch || age >= opts_.max_delay_us) {
-        std::size_t taken = 0;
-        while (!queue_.empty() && taken < opts_.max_batch &&
-               queue_.front().op != Op::kApplyUpdate) {
-          WorkItem it = std::move(queue_.front());
-          queue_.pop_front();
-          const std::size_t u =
-              it.op == Op::kDistances
-                  ? std::max<std::size_t>(it.targets.size(), 1)
-                  : 1;
-          taken += u;
-          queued_units_ -= u;
-          flush.push_back(std::move(it));
-        }
-        batch_busy_ = true;
-        return true;
-      }
-      // Not full yet: sleep out the remainder of the delay budget.
-      bcv_.wait_for(bmu_,
-                    std::chrono::microseconds(opts_.max_delay_us - age));
-      continue;
-    }
-    bcv_.wait(bmu_);
-  }
+  while (!batch_stop_ && queue_.empty()) bcv_.wait(bmu_);
+  if (batch_stop_) return false;
+  // Work-conserving: the engine is free, so run what is queued now. An
+  // update at the head runs alone (it is a fence); otherwise take requests
+  // until max_batch units or the next update. The head is always taken, so
+  // a DISTANCES wider than max_batch runs whole instead of blocking the
+  // queue.
+  const bool fence = queue_.front().op == Op::kApplyUpdate;
+  std::size_t taken = 0;
+  do {
+    const std::size_t u = queue_.front().units();
+    taken += u;
+    queued_units_ -= u;
+    flush.push_back(std::move(queue_.front()));
+    queue_.pop_front();
+  } while (!fence && !queue_.empty() && taken < opts_.max_batch &&
+           queue_.front().op != Op::kApplyUpdate);
+  batch_busy_ = true;
+  return true;
 }
 
 void Server::process_flush(std::vector<WorkItem>& flush) {

@@ -6,8 +6,8 @@
 //
 //   event-loop thread          batcher thread            QueryEngine pool
 //   ----------------------     ----------------------    ----------------
-//   accept4 / read frames  ->  coalesce queries up to    run_batch_epoch
-//   parse + validate           max_batch or max_delay    (N worker lanes)
+//   accept4 / read frames  ->  take what is queued,      run_batch_epoch
+//   parse + validate           up to max_batch units     (N worker lanes)
 //   admission (queue depth) <- serialize responses   <-  results + epoch
 //   write ring buffers         record latencies
 //
@@ -19,16 +19,18 @@
 // STATS are answered inline on the event loop — they are observability
 // ops and must not queue behind the traffic they are observing.
 //
-// Batching contract: the batcher drains requests FIFO and flushes a batch
-// when it holds max_batch query units or the oldest waiting request is
-// max_delay_us old. Each flush is one QueryEngine::run_batch_epoch call,
-// so every answer in it is computed at a single engine epoch (stamped
-// into the response). APPLY_UPDATE acts as a batch fence: requests queued
-// before it are flushed first, then the update runs (advancing the
-// epoch), then later requests see the new index — epoch-consistent
-// serving under a live update stream. Past queue_depth pending query
-// units, admission sheds new requests with a BUSY response instead of
-// letting the queue (and tail latency) grow without bound.
+// Batching contract: the batcher is work-conserving. Whenever it is free
+// and the queue is non-empty it takes what is queued, FIFO, up to
+// max_batch query units, and runs it at once; requests that arrive while
+// a batch runs form the next one, so batches grow with load without any
+// timer. Each flush is one QueryEngine::run_batch_epoch call, so every
+// answer in it is computed at a single engine epoch (stamped into the
+// response). APPLY_UPDATE acts as a batch fence: requests queued before it
+// are flushed first, then the update runs alone (advancing the epoch),
+// then later requests see the new index — epoch-consistent serving under
+// a live update stream. Past queue_depth pending query units, admission
+// sheds new requests with a BUSY response instead of letting the queue
+// (and tail latency) grow without bound.
 //
 // Fault tolerance: every raw syscall on this path goes through the
 // util::fi shim (util/fault_inject.h) so chaos tests can inject EINTR,
@@ -63,11 +65,12 @@ struct ServerOptions {
   std::uint16_t port = 0;
   /// QueryEngine worker-pool width; 0 selects hardware concurrency.
   unsigned engine_threads = 0;
-  /// Flush a batch at this many coalesced query units (a DISTANCES
-  /// request with n targets counts n units).
+  /// A flush stops taking requests once it holds this many query units (a
+  /// DISTANCES request with n targets counts n units and is never split,
+  /// so one wider than this still runs whole). Bounds how long an
+  /// APPLY_UPDATE queued behind a backlog waits for the engine lock, and
+  /// the size of one reply burst.
   std::size_t max_batch = 512;
-  /// ... or when the oldest queued request has waited this long.
-  std::uint32_t max_delay_us = 200;
   /// Admission limit: pending query units beyond this are shed with BUSY.
   std::size_t queue_depth = 8192;
   /// Per-frame payload cap (hostile length prefixes allocate nothing
@@ -172,6 +175,11 @@ class Server {
     NodeId t = 0;
     std::vector<NodeId> targets;  ///< kDistances only
     core::GraphUpdate update;     ///< kApplyUpdate only
+
+    /// Query units this request counts against max_batch and queue_depth.
+    std::size_t units() const {
+      return op == Op::kDistances && !targets.empty() ? targets.size() : 1;
+    }
   };
 
   struct Response {
@@ -209,8 +217,7 @@ class Server {
   void batch_loop();
   bool collect_flush(std::vector<WorkItem>& flush) VICINITY_EXCLUDES(bmu_);
   void process_flush(std::vector<WorkItem>& flush);
-  bool enqueue_work(WorkItem&& item, std::size_t units)
-      VICINITY_EXCLUDES(bmu_);
+  bool enqueue_work(WorkItem&& item) VICINITY_EXCLUDES(bmu_);
   void post_response(Response&& r) VICINITY_EXCLUDES(rmu_);
   void record_latencies(const std::vector<double>& samples_us)
       VICINITY_EXCLUDES(smu_);

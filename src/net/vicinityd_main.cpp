@@ -3,7 +3,7 @@
 //
 //   vicinityd --graph=graph.bin [--index=index.vci] [--port=0]
 //             [--host=127.0.0.1] [--threads=0] [--max-batch=512]
-//             [--max-delay-us=200] [--queue-depth=8192] [--frozen]
+//             [--queue-depth=8192] [--frozen]
 //             [--cache-mb=0] [--cache-ways=8]
 //             [--request-timeout-ms=0] [--idle-timeout-ms=0]
 //             [--max-conn-buffer-kb=65536] [--drain-timeout-ms=5000]
@@ -67,7 +67,7 @@ void handle_stop(int sig) { g_signal = sig; }
 constexpr const char* kValueFlags[] = {
     "graph",      "index",        "port",
     "host",       "threads",      "max-batch",
-    "max-delay-us", "queue-depth", "cache-mb",
+    "queue-depth", "cache-mb",
     "cache-ways", "alpha",        "request-timeout-ms",
     "idle-timeout-ms", "max-conn-buffer-kb", "drain-timeout-ms"};
 
@@ -169,7 +169,7 @@ int usage() {
   std::cerr
       << "usage: vicinityd --graph=FILE.bin [--index=FILE.vci] [--port=N]\n"
          "                 [--host=ADDR] [--threads=N] [--max-batch=N]\n"
-         "                 [--max-delay-us=N] [--queue-depth=N] [--frozen]\n"
+         "                 [--queue-depth=N] [--frozen]\n"
          "                 [--cache-mb=N] [--cache-ways=N]\n"
          "                 [--request-timeout-ms=N] [--idle-timeout-ms=N]\n"
          "                 [--max-conn-buffer-kb=N] [--drain-timeout-ms=N]\n"
@@ -209,9 +209,6 @@ int main(int argc, char** argv) {
       "threads", flag_value(argc, argv, "threads", "0"), 4096));
   opts.max_batch = static_cast<std::size_t>(parse_u64_flag(
       "max-batch", flag_value(argc, argv, "max-batch", "512"), 1u << 24));
-  opts.max_delay_us = static_cast<std::uint32_t>(parse_u64_flag(
-      "max-delay-us", flag_value(argc, argv, "max-delay-us", "200"),
-      60'000'000));
   opts.queue_depth = static_cast<std::size_t>(parse_u64_flag(
       "queue-depth", flag_value(argc, argv, "queue-depth", "8192"),
       1u << 30));

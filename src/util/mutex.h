@@ -19,7 +19,6 @@
 //     runtime, but callers must still prove which mode they are in.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -74,18 +73,6 @@ class CondVar {
     std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
     cv_.wait(lock);
     lock.release();  // ownership stays with the caller's MutexLock
-  }
-
-  /// wait() with a timeout. Returns false when the wait timed out without
-  /// a notification (the predicate must still be re-checked either way —
-  /// same condition-loop discipline as wait()). Used by deadline-driven
-  /// consumers like the server's batching layer (flush on max-delay).
-  bool wait_for(Mutex& mu, std::chrono::microseconds timeout)
-      VICINITY_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
-    const std::cv_status st = cv_.wait_for(lock, timeout);
-    lock.release();  // ownership stays with the caller's MutexLock
-    return st == std::cv_status::no_timeout;
   }
 
   void notify_one() noexcept { cv_.notify_one(); }

@@ -238,9 +238,7 @@ TEST_F(ChaosTest, AllocFailureKillsOneConnectionNotTheServer) {
 TEST_F(ChaosTest, DrainUnderBenignFaultsStillDeliversEverything) {
   // Graceful drain composed with a benign fault schedule: the drain
   // barrier must hold even when every flush syscall can stutter.
-  ServerOptions opts;
-  opts.max_delay_us = 2000;
-  start_server(opts);
+  start_server();
 
   FaultPlan plan;
   plan.seed = 41;

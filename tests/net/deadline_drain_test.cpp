@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "core/oracle.h"
 #include "core/query_engine.h"
 #include "net/client.h"
+#include "net/gated_oracle.h"
 #include "net/server.h"
 #include "test_support.h"
 
@@ -34,18 +36,21 @@ core::OracleOptions small_options() {
 }
 
 /// Like ServerE2E but lets every test pick its own ServerOptions before
-/// the server starts.
+/// the server starts. The server's oracle sits behind a gate, so a test can
+/// hold the batcher inside a batch while it queues work behind it.
 class DeadlineDrainTest : public ::testing::Test {
  protected:
   void start_server(ServerOptions opts) {
     graph_ = vicinity::testing::random_connected(400, 1600, /*seed=*/21);
     oracle_ = core::make_any_oracle(
         core::VicinityOracle::build(graph_, small_options()));
-    server_ = std::make_unique<Server>(oracle_, &graph_, opts);
+    gate_ = std::make_shared<vicinity::testing::GatedOracle>(oracle_);
+    server_ = std::make_unique<Server>(gate_, &graph_, opts);
     server_->start();
   }
 
   void TearDown() override {
+    if (gate_) gate_->open_gate();  // stop() joins a batcher held at the gate
     if (server_) server_->stop();
   }
 
@@ -56,32 +61,52 @@ class DeadlineDrainTest : public ::testing::Test {
   }
 
   graph::Graph graph_;
-  std::shared_ptr<core::AnyOracle> oracle_;
+  std::shared_ptr<core::AnyOracle> oracle_;  ///< the real oracle behind gate_
+  std::shared_ptr<vicinity::testing::GatedOracle> gate_;
   std::unique_ptr<Server> server_;
 };
 
 TEST_F(DeadlineDrainTest, ExpiredRequestAnswersTimeoutNotWrongData) {
-  // A lone request sits in the admission queue for the full max_delay_us
-  // batching window; with a deadline far shorter than that window it must
-  // expire and answer TIMEOUT.
+  // B waits in the admission queue behind a held batch A until its 50 ms
+  // deadline has passed: B must answer TIMEOUT and never reach the oracle,
+  // while A, which started in time, still answers OK.
   ServerOptions opts;
-  opts.max_delay_us = 300'000;       // lone requests wait ~300 ms
-  opts.request_timeout_ms = 50;      // ... but expire after 50 ms
+  opts.request_timeout_ms = 50;
   start_server(opts);
   Client client = make_client();
 
-  try {
-    (void)client.distance(1, 2);
-    FAIL() << "expected a TIMEOUT ServerError";
-  } catch (const ServerError& e) {
-    EXPECT_EQ(e.status(), Status::kTimeout);
-    EXPECT_EQ(e.kind(), ClientErrorKind::kServer);
+  const std::uint64_t a =
+      vicinity::testing::hold_batcher(*gate_, client, 1, 2);
+  ASSERT_NE(a, 0u) << "the batcher never reached the gate";
+  const std::uint64_t b = client.send_distance(3, 4);
+  ASSERT_TRUE(vicinity::testing::queued_units_reach(*server_, 1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  gate_->open_gate();
+
+  core::QueryContext ctx;
+  for (int i = 0; i < 2; ++i) {
+    const std::optional<RawReply> r = client.recv_reply();
+    ASSERT_TRUE(r.has_value());
+    if (r->header.request_id == a) {
+      EXPECT_EQ(parse_distance_reply(*r).record.dist,
+                oracle_->distance(1, 2, ctx).dist);
+      continue;
+    }
+    ASSERT_EQ(r->header.request_id, b);
+    try {
+      (void)parse_distance_reply(*r);
+      FAIL() << "expected a TIMEOUT ServerError";
+    } catch (const ServerError& e) {
+      EXPECT_EQ(e.status(), Status::kTimeout);
+      EXPECT_EQ(e.kind(), ClientErrorKind::kServer);
+    }
   }
+  EXPECT_EQ(gate_->distance_calls(), 1u) << "the expired request ran";
   const StatsReply s = server_->stats_snapshot();
-  EXPECT_GE(s.timeouts_total, 1u);
+  EXPECT_EQ(s.timeouts_total, 1u);
   // A timed-out request never executed, so it must not contaminate the
   // latency window the engine's percentiles are computed from.
-  EXPECT_EQ(s.queries_total, 0u);
+  EXPECT_EQ(s.queries_total, 1u);
 
   // PING bypasses batching, so the connection itself is still healthy.
   client.ping();
@@ -89,15 +114,33 @@ TEST_F(DeadlineDrainTest, ExpiredRequestAnswersTimeoutNotWrongData) {
 
 TEST_F(DeadlineDrainTest, UpdateIsExemptFromRequestDeadline) {
   // APPLY_UPDATE is an epoch fence: timing it out after it was admitted
-  // would leave the client unable to tell whether the mutation applied.
+  // would leave the client unable to tell whether the mutation applied. The
+  // update waits behind a held batch for twice its deadline, then applies.
+  // (The deadline must leave the held request time to reach the gate.)
   ServerOptions opts;
-  opts.max_delay_us = 200'000;
-  opts.request_timeout_ms = 1;
+  opts.request_timeout_ms = 50;
   start_server(opts);
   Client client = make_client();
 
-  const UpdateReply r = client.insert_edge(0, 399, 1);
-  EXPECT_GE(r.epoch, 1u);
+  const std::uint64_t a =
+      vicinity::testing::hold_batcher(*gate_, client, 1, 2);
+  ASSERT_NE(a, 0u) << "the batcher never reached the gate";
+  const std::uint64_t u = client.send_insert_edge(0, 399, 1);
+  ASSERT_TRUE(vicinity::testing::queued_units_reach(*server_, 1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  gate_->open_gate();
+
+  for (int i = 0; i < 2; ++i) {
+    const std::optional<RawReply> r = client.recv_reply();
+    ASSERT_TRUE(r.has_value());
+    if (r->header.request_id == a) {
+      EXPECT_EQ(parse_distance_reply(*r).epoch, 0u);
+      continue;
+    }
+    ASSERT_EQ(r->header.request_id, u);
+    EXPECT_EQ(parse_update_reply(*r).epoch, 1u);
+  }
+  EXPECT_EQ(server_->engine().epoch(), 1u);
   EXPECT_EQ(server_->stats_snapshot().updates_total, 1u);
 }
 
@@ -263,18 +306,19 @@ TEST_F(DeadlineDrainTest, WellBehavedReaderNeverHitsWriteCap) {
 }
 
 TEST_F(DeadlineDrainTest, DrainDeliversEveryInflightReply) {
-  ServerOptions opts;
-  opts.max_delay_us = 2000;
-  start_server(opts);
+  start_server(ServerOptions{});
   Client client = make_client();
   // Guarantee the connection is accepted before the burst: drain disarms
   // the listen fd, and a connection still in the accept backlog when
   // drain() starts is never served (the kernel resets it at close).
   client.ping();
 
-  // Pipeline a burst, then drain while a reader thread collects. Every
-  // admitted request must be answered (OK with the right distance, or
-  // BUSY if it arrived after the drain began) before drain() returns.
+  // Pipeline a burst whose first request holds the batcher at the gate and
+  // whose rest is admitted behind it, so drain() starts with a batch in
+  // flight and 199 requests queued; the gate opens once the drain is under
+  // way, while a reader thread collects. Every request was admitted before
+  // the drain, so every one must be answered OK with the right distance
+  // before drain() returns.
   constexpr int kBurst = 200;
   struct Sent {
     std::uint64_t id;
@@ -285,8 +329,16 @@ TEST_F(DeadlineDrainTest, DrainDeliversEveryInflightReply) {
   for (int i = 0; i < kBurst; ++i) {
     const NodeId s = static_cast<NodeId>(rng.next_below(graph_.num_nodes()));
     const NodeId t = static_cast<NodeId>(rng.next_below(graph_.num_nodes()));
-    sent.push_back({client.send_distance(s, t), s, t});
+    if (i == 0) {
+      const std::uint64_t id =
+          vicinity::testing::hold_batcher(*gate_, client, s, t);
+      ASSERT_NE(id, 0u) << "the batcher never reached the gate";
+      sent.push_back({id, s, t});
+    } else {
+      sent.push_back({client.send_distance(s, t), s, t});
+    }
   }
+  ASSERT_TRUE(vicinity::testing::queued_units_reach(*server_, kBurst - 1));
 
   std::vector<RawReply> replies;
   std::thread reader([&] {
@@ -303,16 +355,20 @@ TEST_F(DeadlineDrainTest, DrainDeliversEveryInflightReply) {
     }
   });
 
+  // drain() starts at once on this thread; it cannot finish while the gate
+  // holds the batcher.
+  std::thread opener([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    gate_->open_gate();
+  });
   EXPECT_TRUE(server_->drain(60'000));
+  opener.join();
   reader.join();
   ASSERT_EQ(replies.size(), static_cast<std::size_t>(kBurst));
 
   core::QueryContext ctx;
   for (const RawReply& r : replies) {
-    ASSERT_TRUE(r.header.status == Status::kOk ||
-                r.header.status == Status::kBusy)
-        << to_string(r.header.status);
-    if (r.header.status != Status::kOk) continue;
+    ASSERT_EQ(r.header.status, Status::kOk) << to_string(r.header.status);
     const Sent* want = nullptr;
     for (const Sent& s : sent) {
       if (s.id == r.header.request_id) want = &s;

@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "core/oracle.h"
 #include "core/query_engine.h"
 #include "net/client.h"
+#include "net/gated_oracle.h"
 #include "net/server.h"
 #include "test_support.h"
 
@@ -38,9 +41,7 @@ class ServerE2E : public ::testing::Test {
     graph_ = vicinity::testing::random_connected(600, 2400, /*seed=*/11);
     oracle_ = core::make_any_oracle(
         core::VicinityOracle::build(graph_, small_options()));
-    ServerOptions opts;
-    opts.max_delay_us = 100;
-    server_ = std::make_unique<Server>(oracle_, &graph_, opts);
+    server_ = std::make_unique<Server>(oracle_, &graph_);
     server_->start();
     client_.connect("127.0.0.1", server_->port());
   }
@@ -223,38 +224,195 @@ TEST_F(ServerE2E, ConcurrentUpdateStreamKeepsAnswersEpochConsistent) {
   EXPECT_EQ(server_->engine().epoch(), 40u);
 }
 
-TEST(ServerAdmission, ShedsWithBusyPastQueueDepth) {
-  graph::Graph g = vicinity::testing::random_connected(300, 1000, 13);
-  auto oracle =
-      core::make_any_oracle(core::VicinityOracle::build(g, small_options()));
-  ServerOptions opts;
-  opts.queue_depth = 4;       // tiny: a pipelined burst must overflow it
-  opts.max_delay_us = 50000;  // hold batches so the queue actually fills
-  opts.max_batch = 1u << 20;
-  Server server(oracle, &g, opts);
-  server.start();
+/// A server over a GatedOracle: a test holds the batcher inside a batch
+/// (vicinity::testing::hold_batcher) and queues work behind it, so what
+/// each flush takes is deterministic.
+class GatedServer : public ::testing::Test {
+ protected:
+  void start(ServerOptions opts) {
+    graph_ = vicinity::testing::random_connected(300, 1000, 13);
+    oracle_ = core::make_any_oracle(
+        core::VicinityOracle::build(graph_, small_options()));
+    gate_ = std::make_shared<vicinity::testing::GatedOracle>(oracle_);
+    server_ = std::make_unique<Server>(gate_, &graph_, opts);
+    server_->start();
+    client_.connect("127.0.0.1", server_->port());
+  }
 
-  Client c;
-  c.connect("127.0.0.1", server.port());
+  void TearDown() override {
+    if (gate_) gate_->open_gate();  // stop() joins a batcher held at the gate
+    client_.close();
+    if (server_) server_->stop();
+  }
+
+  /// Sends DISTANCE(0, 1) and waits until the batcher holds it at the gate.
+  std::uint64_t hold() {
+    return vicinity::testing::hold_batcher(*gate_, client_, 0, 1);
+  }
+
+  /// The next n replies, keyed by request id.
+  std::map<std::uint64_t, RawReply> recv_replies(std::size_t n) {
+    std::map<std::uint64_t, RawReply> got;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::optional<RawReply> r = client_.recv_reply();
+      if (!r) {
+        ADD_FAILURE() << "EOF after " << i << " of " << n << " replies";
+        break;
+      }
+      const std::uint64_t id = r->header.request_id;
+      got.emplace(id, std::move(*r));
+    }
+    return got;
+  }
+
+  graph::Graph graph_;
+  std::shared_ptr<core::AnyOracle> oracle_;  ///< the real oracle behind gate_
+  std::shared_ptr<vicinity::testing::GatedOracle> gate_;
+  std::unique_ptr<Server> server_;
+  Client client_;
+};
+
+class ServerAdmission : public GatedServer {};
+class ServerBatching : public GatedServer {};
+
+TEST_F(ServerAdmission, ShedsWithBusyPastQueueDepth) {
+  ServerOptions opts;
+  opts.queue_depth = 4;  // tiny: a pipelined burst must overflow it
+  start(opts);
+  // With the batcher held nothing leaves the queue, so exactly queue_depth
+  // requests of the burst are admitted and the rest are shed at once.
+  const std::uint64_t held = hold();
+  ASSERT_NE(held, 0u) << "the batcher never reached the gate";
   constexpr int kBurst = 64;
-  for (int i = 0; i < kBurst; ++i) c.send_distance(0, 1);
-  int ok = 0, busy = 0;
-  for (int i = 0; i < kBurst; ++i) {
-    auto r = c.recv_reply();
+  constexpr int kAdmitted = 4;
+  for (int i = 0; i < kBurst; ++i) client_.send_distance(0, 1);
+  for (int i = 0; i < kBurst - kAdmitted; ++i) {
+    const std::optional<RawReply> r = client_.recv_reply();
     ASSERT_TRUE(r.has_value());
-    if (r->header.status == Status::kBusy) {
-      ++busy;
-    } else {
-      ASSERT_EQ(r->header.status, Status::kOk);
-      ++ok;
+    ASSERT_EQ(r->header.status, Status::kBusy) << "reply " << i;
+  }
+  EXPECT_EQ(server_->stats_snapshot().pending, 4u);
+  gate_->open_gate();
+  const auto got = recv_replies(kAdmitted + 1);  // + the held request
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kAdmitted + 1));
+  EXPECT_EQ(got.count(held), 1u);
+  for (const auto& [id, r] : got) {
+    EXPECT_EQ(r.header.status, Status::kOk) << "request " << id;
+  }
+  EXPECT_EQ(server_->stats_snapshot().shed_total,
+            static_cast<std::uint64_t>(kBurst - kAdmitted));
+}
+
+TEST_F(ServerBatching, BacklogBehindRunningBatchRunsAsOneFlush) {
+  start(ServerOptions{});
+  ASSERT_NE(hold(), 0u) << "the batcher never reached the gate";
+  // 12 DISTANCE + one 8-target DISTANCES: a 20-unit backlog.
+  std::vector<std::uint64_t> backlog;
+  for (NodeId t = 0; t < 12; ++t) {
+    backlog.push_back(client_.send_distance(5, t));
+  }
+  const std::vector<NodeId> targets{1, 2, 3, 4, 6, 7, 8, 9};
+  backlog.push_back(client_.send_distances(5, targets));
+  ASSERT_TRUE(vicinity::testing::queued_units_reach(*server_, 20));
+  gate_->open_gate();
+
+  const auto got = recv_replies(backlog.size() + 1);
+  ASSERT_EQ(got.size(), backlog.size() + 1);
+  for (const std::uint64_t id : backlog) {
+    const RawReply& r = got.at(id);
+    ASSERT_EQ(r.header.status, Status::kOk);
+    const std::uint64_t epoch = r.header.op == Op::kDistances
+                                    ? parse_distances_reply(r).epoch
+                                    : parse_distance_reply(r).epoch;
+    EXPECT_EQ(epoch, 0u);
+  }
+  const StatsReply stats = server_->stats_snapshot();
+  EXPECT_EQ(stats.batches_total, 2u);  // the held batch + one for the backlog
+  EXPECT_EQ(stats.max_batch, 20u);
+}
+
+TEST_F(ServerBatching, MaxBatchSplitsBacklogIntoFlushes) {
+  ServerOptions opts;
+  opts.max_batch = 4;
+  start(opts);
+  ASSERT_NE(hold(), 0u) << "the batcher never reached the gate";
+  for (NodeId t = 0; t < 10; ++t) client_.send_distance(5, t);
+  ASSERT_TRUE(vicinity::testing::queued_units_reach(*server_, 10));
+  gate_->open_gate();
+
+  const auto got = recv_replies(11);
+  ASSERT_EQ(got.size(), 11u);
+  for (const auto& [id, r] : got) {
+    EXPECT_EQ(r.header.status, Status::kOk) << "request " << id;
+  }
+  const StatsReply stats = server_->stats_snapshot();
+  EXPECT_EQ(stats.batches_total, 1u + 3u);  // held, then 4 + 4 + 2 units
+  EXPECT_EQ(stats.max_batch, 4u);
+}
+
+TEST_F(ServerBatching, UpdateInBacklogRunsAloneAsAFence) {
+  start(ServerOptions{});
+  core::QueryContext ctx;
+  const NodeId s = 0;
+  NodeId t = 0;
+  for (NodeId cand = 1; cand < graph_.num_nodes(); ++cand) {
+    if (oracle_->distance(s, cand, ctx).dist > 2) {
+      t = cand;
+      break;
     }
   }
-  EXPECT_GT(busy, 0) << "queue_depth=4 never shed a 64-request burst";
-  EXPECT_GT(ok, 0) << "admission shed everything";
-  const StatsReply stats = server.stats_snapshot();
-  EXPECT_EQ(stats.shed_total, static_cast<std::uint64_t>(busy));
-  c.close();
-  server.stop();
+  ASSERT_NE(t, 0u) << "graph too dense for the test premise";
+  const Distance far = oracle_->distance(s, t, ctx).dist;
+
+  ASSERT_NE(hold(), 0u) << "the batcher never reached the gate";
+  const std::uint64_t before = client_.send_distance(s, t);
+  const std::uint64_t update = client_.send_insert_edge(s, t, 1);
+  const std::uint64_t after = client_.send_distance(s, t);
+  ASSERT_TRUE(vicinity::testing::queued_units_reach(*server_, 3));
+  gate_->open_gate();
+
+  const auto got = recv_replies(4);
+  ASSERT_EQ(got.size(), 4u);
+  const DistanceReply b = parse_distance_reply(got.at(before));
+  const UpdateReply u = parse_update_reply(got.at(update));
+  const DistanceReply a = parse_distance_reply(got.at(after));
+  EXPECT_EQ(b.epoch, 0u);
+  EXPECT_EQ(b.record.dist, far);
+  EXPECT_EQ(u.epoch, 1u);
+  EXPECT_EQ(a.epoch, 1u);
+  EXPECT_EQ(a.record.dist, 1u);
+  // The two queries ran in separate one-unit flushes on either side of the
+  // update; the update's own flush runs no query batch.
+  const StatsReply stats = server_->stats_snapshot();
+  EXPECT_EQ(stats.batches_total, 3u);
+  EXPECT_EQ(stats.max_batch, 1u);
+}
+
+TEST_F(ServerBatching, DistancesWiderThanMaxBatchRunsWhole) {
+  ServerOptions opts;
+  opts.max_batch = 4;
+  start(opts);
+  ASSERT_NE(hold(), 0u) << "the batcher never reached the gate";
+  std::vector<NodeId> targets;
+  for (NodeId t = 10; t < 20; ++t) targets.push_back(t);
+  const std::uint64_t wide = client_.send_distances(5, targets);
+  const std::uint64_t next = client_.send_distance(5, 6);
+  ASSERT_TRUE(vicinity::testing::queued_units_reach(*server_, 11));
+  gate_->open_gate();
+
+  const auto got = recv_replies(3);
+  ASSERT_EQ(got.size(), 3u);
+  const DistancesReply fan = parse_distances_reply(got.at(wide));
+  ASSERT_EQ(fan.records.size(), targets.size());
+  core::QueryContext ctx;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    EXPECT_EQ(fan.records[i].dist, oracle_->distance(5, targets[i], ctx).dist);
+  }
+  EXPECT_EQ(parse_distance_reply(got.at(next)).record.dist,
+            oracle_->distance(5, 6, ctx).dist);
+  const StatsReply stats = server_->stats_snapshot();
+  EXPECT_EQ(stats.max_batch, targets.size());  // one flush ran all 10 units
+  EXPECT_EQ(stats.batches_total, 3u);          // held, the fan, then `next`
 }
 
 TEST_F(ServerE2E, StatsCountTraffic) {
@@ -281,7 +439,6 @@ TEST(ServerCacheE2E, CachedServerCountsHitsAndInvalidatesOnUpdate) {
   auto oracle =
       core::make_any_oracle(core::VicinityOracle::build(g, small_options()));
   ServerOptions opts;
-  opts.max_delay_us = 100;
   opts.cache_mb = 8;
   Server server(oracle, &g, opts);
   server.start();
