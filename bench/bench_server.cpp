@@ -510,7 +510,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Warmup: prime every engine lane and the batcher before timing.
+  // Warmup: prime every engine lane and the server's buffers before timing.
   {
     net::Client c;
     c.connect("127.0.0.1", server.port());

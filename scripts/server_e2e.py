@@ -397,7 +397,7 @@ def main():
             proc.wait()
 
     # --- admission: a request wider than the queue is shed BUSY ----------
-    # A test cannot hold a live daemon's batcher, and an idle batcher runs
+    # A test cannot hold a live daemon's event loop, and an idle loop runs
     # each request as it arrives, so whether a flood overflows the queue
     # depends on timing. Shedding is checked where it is deterministic: 5
     # query units never fit under --queue-depth=4.

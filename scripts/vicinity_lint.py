@@ -334,7 +334,7 @@ RAW_MUTEX_RE = re.compile(
     r"|#\s*include\s*<(mutex|shared_mutex|condition_variable)>")
 # Directories whose locking must go through the annotated wrappers. src/util
 # is exempt: mutex.h is where the wrapping itself happens.
-RAW_MUTEX_DIRS = ("core", "cache")
+RAW_MUTEX_DIRS = ("core", "cache", "net")
 
 
 def check_no_raw_std_mutex(root: Path) -> list[Finding]:

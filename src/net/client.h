@@ -167,6 +167,7 @@ class Client {
   void connect(const std::string& host, std::uint16_t port);
   void close();
   bool connected() const { return fd_ >= 0; }
+  int fd() const { return fd_; }
 
   // -- synchronous conveniences ---------------------------------------------
   void ping();

@@ -215,10 +215,11 @@ void write_update_reply(FrameWriter& w, const UpdateReply& r);
 UpdateReply read_update_reply(FrameReader& r);
 
 /// kStats response payload — the serving observability surface: queue /
-/// shed / batch counters plus request-latency percentiles (measured
-/// admission -> response-serialization, so they include the time a request
-/// waits in the queue behind the running batch) and qps over the window
-/// since the previous kStats request.
+/// shed / batch counters plus request-latency percentiles (measured from
+/// the moment the server read the request frame to its reply's
+/// serialization, so they include the time a request waits in the queue
+/// behind the running flush, but not time spent unread in the socket
+/// buffer) and qps over the window since the previous kStats request.
 struct StatsReply {
   std::uint64_t epoch = 0;
   std::uint64_t uptime_us = 0;

@@ -163,13 +163,8 @@ void Server::start() {
     last_stats_us_ = start_us_;
     last_stats_queries_ = 0;
   }
-  {
-    const util::MutexLock lock(bmu_);
-    batch_stop_ = false;
-  }
   running_.store(true, std::memory_order_release);
   io_thread_ = std::thread([this] { io_loop(); });
-  batch_thread_ = std::thread([this] { batch_loop(); });
   util::log_info("vicinityd listening on ", opts_.host, ":", bound_port_);
 }
 
@@ -178,13 +173,10 @@ void Server::stop() {
   if (!running_.compare_exchange_strong(was_running, false)) return;
   stop_requested_.store(true, std::memory_order_release);
   wake_io();
-  {
-    const util::MutexLock lock(bmu_);
-    batch_stop_ = true;
-    bcv_.notify_all();
-  }
   if (io_thread_.joinable()) io_thread_.join();
-  if (batch_thread_.joinable()) batch_thread_.join();
+  // Work still queued dies with its connections.
+  queue_.clear();
+  queued_units_.store(0, std::memory_order_relaxed);
   for (std::size_t fd = 0; fd < conns_.size(); ++fd) {
     if (conns_[fd].active) {
       ::close(static_cast<int>(fd));
@@ -205,23 +197,11 @@ bool Server::drain(std::uint32_t timeout_ms) {
   wake_io();
   const std::uint64_t deadline =
       now_us() + static_cast<std::uint64_t>(timeout_ms) * 1000;
-  int settled = 0;
   for (;;) {
-    bool idle = drain_io_idle_.load(std::memory_order_acquire);
-    if (idle) {
-      const util::MutexLock lock(bmu_);
-      if (!queue_.empty() || batch_busy_) idle = false;
-    }
-    if (idle) {
-      const util::MutexLock lock(rmu_);
-      if (!responses_.empty()) idle = false;
-    }
-    // Require several consecutive idle observations with io-loop wakeups
-    // in between: drain_io_idle_ is the io thread's last published view,
-    // so one stale read must not declare victory while a reply is still
-    // crossing from the batcher.
-    settled = idle ? settled + 1 : 0;
-    if (settled >= 3) return true;
+    // The io thread owns the queue, every flush and every reply, and it
+    // publishes this only while draining_ is set, so one idle observation
+    // means everything admitted has been answered and flushed.
+    if (drain_io_idle_.load(std::memory_order_acquire)) return true;
     if (now_us() >= deadline) return false;
     wake_io();
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -234,7 +214,7 @@ void Server::wake_io() {
   // kernel cannot transiently fail it, so injected faults here model
   // nothing — and a fake EAGAIN would break the contract below (real
   // EAGAIN implies a wakeup is already pending; an injected one does
-  // not, stranding queued responses until the next poll tick).
+  // not, delaying stop() or drain() until the next poll tick).
   const util::FaultSuppressScope suppress;
   ssize_t n;
   do {
@@ -244,7 +224,7 @@ void Server::wake_io() {
   } while (n < 0 && errno != EAGAIN);
   // EAGAIN means the counter is already saturated: a wakeup is pending,
   // which is all this write was for. Every other failure (EINTR, or an
-  // injected fault) must retry — a lost wakeup strands finished responses
+  // injected fault) must retry — a lost wakeup delays stop() or drain()
   // until the next poll tick.
 }
 
@@ -267,6 +247,7 @@ int Server::io_timeout_ms() const {
 void Server::io_loop() {
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
+  std::vector<WorkItem> flush;
   while (!stop_requested_.load(std::memory_order_acquire)) {
     if (draining_.load(std::memory_order_acquire) && !listen_disarmed_) {
       // Drain step 1: stop accepting. Established connections keep being
@@ -275,9 +256,11 @@ void Server::io_loop() {
       listen_disarmed_ = true;
       listen_rearm_at_us_ = 0;
     }
+    // Queued work means the next flush is due now: poll without blocking.
+    const int timeout = queue_.empty() ? io_timeout_ms() : 0;
     int n;
     do {
-      n = fi::epoll_wait(epoll_fd_, events, kMaxEvents, io_timeout_ms());
+      n = fi::epoll_wait(epoll_fd_, events, kMaxEvents, timeout);
     } while (n < 0 && errno == EINTR);
     if (n < 0) break;  // epoll fd itself failed; shut down
     for (int i = 0; i < n; ++i) {
@@ -293,7 +276,6 @@ void Server::io_loop() {
           // EAGAIN: another wakeup raced the drain; the loop re-polls
           // anyway (and under injection, level-triggered epoll simply
           // re-reports the still-readable eventfd).
-          deliver_responses();
           continue;
         }
         if (fd == listen_fd_) {
@@ -324,11 +306,18 @@ void Server::io_loop() {
         }
       }
     }
+    // One flush per round, so frames that arrive while it runs are read
+    // (and PING, STATS and BUSY answered) before the next one.
+    if (!queue_.empty()) {
+      collect_flush(flush);
+      process_flush(flush);
+      flush.clear();
+    }
     const std::uint64_t now = now_us();
     maybe_rearm_listen(now);
     sweep_timeouts(now);
     if (draining_.load(std::memory_order_acquire)) {
-      bool idle = true;
+      bool idle = queue_.empty();
       for (const Conn& c : conns_) {
         if (c.active && (c.inflight != 0 || !c.out.empty())) {
           idle = false;
@@ -338,9 +327,6 @@ void Server::io_loop() {
       drain_io_idle_.store(idle, std::memory_order_release);
     }
   }
-  // Drain any responses the batcher posted between the last poll and the
-  // stop flag, so their WorkItems are not leaked into closed connections.
-  deliver_responses();
 }
 
 void Server::maybe_rearm_listen(std::uint64_t now) {
@@ -541,7 +527,7 @@ void Server::dispatch(int fd, const FrameHeader& header,
   requests_total_.fetch_add(1, std::memory_order_relaxed);
   if (draining_.load(std::memory_order_acquire) && header.op != Op::kPing &&
       header.op != Op::kStats) {
-    // Drain step 2: no new work enters the batcher; only replies already
+    // Drain step 2: no new work enters the queue; only replies already
     // owed leave. PING/STATS stay answerable so health checks see the
     // drain progressing.
     shed_total_.fetch_add(1, std::memory_order_relaxed);
@@ -669,10 +655,7 @@ StatsReply Server::stats_snapshot() {
     r.cache_evictions = c.evictions;
     r.cache_hit_rate = c.hit_rate();
   }
-  {
-    const util::MutexLock lock(bmu_);
-    r.pending = queued_units_;
-  }
+  r.pending = queued_units_.load(std::memory_order_relaxed);
   std::vector<double> window;
   {
     const util::MutexLock lock(smu_);
@@ -776,39 +759,34 @@ void Server::close_conn(int fd) {
   if (!c.active) return;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
-  c = Conn{};  // gen mismatch now voids any in-flight batcher responses
+  c = Conn{};  // gen mismatch now voids the replies to its queued requests
   connections_open_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-void Server::deliver_responses() {
-  std::vector<Response> batch;
-  {
-    const util::MutexLock lock(rmu_);
-    batch.swap(responses_);
-  }
+void Server::deliver(const std::vector<WorkItem>& flush,
+                     const std::vector<std::vector<std::uint8_t>>& frames) {
   // Two passes: append every frame, then flush each connection once — a
-  // whole batch of responses to one connection costs one sendmsg, not one
-  // per response.
+  // whole flush of replies to one connection costs one sendmsg, not one
+  // per reply.
   std::vector<std::pair<int, std::uint64_t>> dirty;
-  for (Response& r : batch) {
-    if (static_cast<std::size_t>(r.fd) >= conns_.size()) continue;
-    Conn& c = conns_[r.fd];
-    if (!c.active || c.gen != r.gen) continue;  // connection was replaced
+  for (std::size_t i = 0; i < flush.size(); ++i) {
+    const int fd = flush[i].fd;
+    const std::uint64_t gen = flush[i].gen;
+    Conn& c = conns_[fd];
+    if (!c.active || c.gen != gen) continue;  // connection was replaced
     if (c.inflight > 0) c.inflight--;
     if (c.out.empty()) c.last_progress_us = now_us();
     try {
-      c.out.append(r.frame.data(), r.frame.size());
+      c.out.append(frames[i].data(), frames[i].size());
     } catch (const std::bad_alloc&) {
       // Buffer growth failed (injected or real): this connection dies, the
-      // rest of the response batch still delivers.
+      // rest of the flush still delivers.
       errors_total_.fetch_add(1, std::memory_order_relaxed);
-      close_conn(r.fd);
+      close_conn(fd);
       continue;
     }
-    if (enforce_out_cap(r.fd)) continue;
-    if (dirty.empty() || dirty.back().first != r.fd) {
-      dirty.emplace_back(r.fd, r.gen);
-    }
+    if (enforce_out_cap(fd)) continue;
+    if (dirty.empty() || dirty.back().first != fd) dirty.emplace_back(fd, gen);
   }
   for (const auto& [fd, gen] : dirty) {
     const Conn& c = conns_[fd];
@@ -819,34 +797,20 @@ void Server::deliver_responses() {
   }
 }
 
-// ---- batcher side ----------------------------------------------------------
+// ---- flushes ---------------------------------------------------------------
 
 bool Server::enqueue_work(WorkItem&& item) {
   const std::size_t units = item.units();
-  const util::MutexLock lock(bmu_);
-  if (queued_units_ + units > opts_.queue_depth) return false;
-  queued_units_ += units;
+  if (queued_units_.load(std::memory_order_relaxed) + units >
+      opts_.queue_depth) {
+    return false;
+  }
+  queued_units_.fetch_add(units, std::memory_order_relaxed);
   queue_.push_back(std::move(item));
-  bcv_.notify_one();
   return true;
 }
 
-void Server::batch_loop() {
-  std::vector<WorkItem> flush;
-  while (collect_flush(flush)) {
-    process_flush(flush);
-    flush.clear();
-    {
-      const util::MutexLock lock(bmu_);
-      batch_busy_ = false;
-    }
-  }
-}
-
-bool Server::collect_flush(std::vector<WorkItem>& flush) {
-  const util::MutexLock lock(bmu_);
-  while (!batch_stop_ && queue_.empty()) bcv_.wait(bmu_);
-  if (batch_stop_) return false;
+void Server::collect_flush(std::vector<WorkItem>& flush) {
   // Work-conserving: the engine is free, so run what is queued now. An
   // update at the head runs alone (it is a fence); otherwise take requests
   // until max_batch units or the next update. The head is always taken, so
@@ -855,26 +819,20 @@ bool Server::collect_flush(std::vector<WorkItem>& flush) {
   const bool fence = queue_.front().op == Op::kApplyUpdate;
   std::size_t taken = 0;
   do {
-    const std::size_t u = queue_.front().units();
-    taken += u;
-    queued_units_ -= u;
+    taken += queue_.front().units();
     flush.push_back(std::move(queue_.front()));
     queue_.pop_front();
   } while (!fence && !queue_.empty() && taken < opts_.max_batch &&
            queue_.front().op != Op::kApplyUpdate);
-  batch_busy_ = true;
-  return true;
+  queued_units_.fetch_sub(taken, std::memory_order_relaxed);
 }
 
-void Server::process_flush(std::vector<WorkItem>& flush) {
-  if (flush.empty()) return;
+void Server::process_flush(const std::vector<WorkItem>& flush) {
+  std::vector<std::vector<std::uint8_t>> frames(flush.size());
 
   // An update flush is always a single item (collect_flush's fence).
   if (flush.front().op == Op::kApplyUpdate) {
-    WorkItem& it = flush.front();
-    Response resp;
-    resp.fd = it.fd;
-    resp.gen = it.gen;
+    const WorkItem& it = flush.front();
     try {
       const core::UpdateStats us = engine_.apply_update(*graph_, it.update);
       updates_total_.fetch_add(1, std::memory_order_relaxed);
@@ -889,17 +847,15 @@ void Server::process_flush(std::vector<WorkItem>& flush) {
       std::vector<std::uint8_t> payload;
       FrameWriter w(payload);
       write_update_reply(w, reply);
-      resp.frame =
+      frames[0] =
           make_frame(Op::kApplyUpdate, Status::kOk, it.request_id, payload);
     } catch (const std::exception& e) {
       errors_total_.fetch_add(1, std::memory_order_relaxed);
-      resp.frame = make_error_frame(Op::kApplyUpdate, Status::kError,
-                                    it.request_id, e.what());
+      frames[0] = make_error_frame(Op::kApplyUpdate, Status::kError,
+                                   it.request_id, e.what());
     }
-    record_latencies(
-        {static_cast<double>(now_us() - flush.front().enqueue_us)});
-    post_response(std::move(resp));
-    wake_io();
+    record_latencies({static_cast<double>(now_us() - it.enqueue_us)});
+    deliver(flush, frames);
     return;
   }
 
@@ -967,29 +923,24 @@ void Server::process_flush(std::vector<WorkItem>& flush) {
 
   std::vector<double> latencies;
   latencies.reserve(flush.size());
-  std::vector<Response> out;
-  out.reserve(flush.size());
   std::uint64_t answered_queries = 0;
 
   for (std::size_t i = 0; i < flush.size(); ++i) {
-    WorkItem& it = flush[i];
-    Response resp;
-    resp.fd = it.fd;
-    resp.gen = it.gen;
+    const WorkItem& it = flush[i];
+    std::vector<std::uint8_t>& frame = frames[i];
     if (is_expired(i)) {
       timeouts_total_.fetch_add(1, std::memory_order_relaxed);
-      resp.frame = make_error_frame(
+      frame = make_error_frame(
           it.op, Status::kTimeout, it.request_id,
           "request exceeded the " +
               std::to_string(opts_.request_timeout_ms) +
               "ms deadline before execution");
-      out.push_back(std::move(resp));
       // Not recorded in the latency window: percentiles describe work the
       // engine performed, and a timeout is precisely work it refused.
       continue;
     }
     if (!batch_error.empty() && it.op != Op::kPath) {
-      resp.frame =
+      frame =
           make_error_frame(it.op, Status::kError, it.request_id, batch_error);
       errors_total_.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -999,7 +950,7 @@ void Server::process_flush(std::vector<WorkItem>& flush) {
         case Op::kDistance: {
           w.u64(epoch);
           write_distance_record(w, to_record(results[offsets[i]]));
-          resp.frame =
+          frame =
               make_frame(Op::kDistance, Status::kOk, it.request_id, payload);
           answered_queries += 1;
           break;
@@ -1010,7 +961,7 @@ void Server::process_flush(std::vector<WorkItem>& flush) {
           for (std::size_t k = 0; k < it.targets.size(); ++k) {
             write_distance_record(w, to_record(results[offsets[i] + k]));
           }
-          resp.frame =
+          frame =
               make_frame(Op::kDistances, Status::kOk, it.request_id, payload);
           answered_queries += it.targets.size();
           break;
@@ -1027,38 +978,28 @@ void Server::process_flush(std::vector<WorkItem>& flush) {
             write_distance_record(w, rec);
             w.u32(static_cast<std::uint32_t>(pr.path.size()));
             for (const NodeId node : pr.path) w.u32(node);
-            resp.frame =
+            frame =
                 make_frame(Op::kPath, Status::kOk, it.request_id, payload);
             answered_queries += 1;
           } catch (const std::exception& e) {
             errors_total_.fetch_add(1, std::memory_order_relaxed);
-            resp.frame = make_error_frame(Op::kPath, Status::kError,
-                                          it.request_id, e.what());
+            frame = make_error_frame(Op::kPath, Status::kError,
+                                     it.request_id, e.what());
           }
           break;
         }
         default:
-          resp.frame = make_error_frame(it.op, Status::kError, it.request_id,
-                                        "unexpected op in batch");
+          frame = make_error_frame(it.op, Status::kError, it.request_id,
+                                   "unexpected op in batch");
           break;
       }
     }
     latencies.push_back(static_cast<double>(now_us() - it.enqueue_us));
-    out.push_back(std::move(resp));
   }
 
   queries_total_.fetch_add(answered_queries, std::memory_order_relaxed);
   record_latencies(latencies);
-  {
-    const util::MutexLock lock(rmu_);
-    for (Response& r : out) responses_.push_back(std::move(r));
-  }
-  wake_io();
-}
-
-void Server::post_response(Response&& r) {
-  const util::MutexLock lock(rmu_);
-  responses_.push_back(std::move(r));
+  deliver(flush, frames);
 }
 
 void Server::record_latencies(const std::vector<double>& samples_us) {

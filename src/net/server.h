@@ -2,35 +2,44 @@
 // net/protocol.h framing, feeding an admission/batching layer over
 // core::QueryEngine.
 //
-// Architecture (two threads + the engine's worker pool):
+// Architecture (one event-loop thread + the engine's worker pool):
 //
-//   event-loop thread          batcher thread            QueryEngine pool
-//   ----------------------     ----------------------    ----------------
-//   accept4 / read frames  ->  take what is queued,      run_batch_epoch
-//   parse + validate           up to max_batch units     (N worker lanes)
-//   admission (queue depth) <- serialize responses   <-  results + epoch
-//   write ring buffers         record latencies
+//   event-loop thread, one round                       QueryEngine pool
+//   -------------------------------------------------  ----------------
+//   1. accept4 / read every ready frame, parse,
+//      admit (queue depth); PING + STATS inline
+//   2. take one flush from the queue and run it   ->   run_batch_epoch
+//                                                 <-   (N worker lanes)
+//   3. append each reply to its connection's out
+//      buffer, then flush each touched connection once
 //
 // The event loop owns every socket: level-triggered EPOLLIN|EPOLLOUT per
 // connection with read/write ring buffers (net/ring_buffer.h), so partial
-// reads and short writes are plain buffered state, never blocking. Query
-// work crosses to the batcher through a guarded queue; finished responses
-// cross back through a response queue plus an eventfd wakeup. PING and
-// STATS are answered inline on the event loop — they are observability
-// ops and must not queue behind the traffic they are observing.
+// reads and short writes are plain buffered state, never blocking. It also
+// owns the admission queue and runs each flush itself, so a request
+// crosses no thread inside the server unless its flush fans out over the
+// engine's lanes. PING and STATS are answered as their frames are read:
+// they are observability ops and must not queue behind the traffic they
+// are observing.
 //
-// Batching contract: the batcher is work-conserving. Whenever it is free
-// and the queue is non-empty it takes what is queued, FIFO, up to
-// max_batch query units, and runs it at once; requests that arrive while
-// a batch runs form the next one, so batches grow with load without any
-// timer. Each flush is one QueryEngine::run_batch_epoch call, so every
-// answer in it is computed at a single engine epoch (stamped into the
-// response). APPLY_UPDATE acts as a batch fence: requests queued before it
-// are flushed first, then the update runs alone (advancing the epoch),
-// then later requests see the new index — epoch-consistent serving under
-// a live update stream. Past queue_depth pending query units, admission
-// sheds new requests with a BUSY response instead of letting the queue
-// (and tail latency) grow without bound.
+// Batching contract: batching is work-conserving. Each round takes what
+// is queued, FIFO, up to max_batch query units, and runs it at once;
+// requests that arrive meanwhile form the next flush, so batches grow with
+// load without any timer. Each flush is one QueryEngine::run_batch_epoch
+// call, so every answer in it is computed at a single engine epoch
+// (stamped into the response). APPLY_UPDATE acts as a batch fence:
+// requests queued before it are flushed first, then the update runs alone
+// (advancing the epoch), then later requests see the new index —
+// epoch-consistent serving under a live update stream. Past queue_depth
+// pending query units, admission sheds new requests with a BUSY response
+// instead of letting the queue (and tail latency) grow without bound.
+//
+// While a flush or an update runs the server reads nothing. A round runs
+// one flush, not the whole queue, so PING, STATS, admission and BUSY
+// replies wait for at most the running flush (max_batch bounds it; an
+// APPLY_UPDATE holds the loop for its repair time), never for the queue
+// behind it. Deadlines and STATS latencies count from when a frame is
+// read, not from when it reached the socket buffer.
 //
 // Fault tolerance: every raw syscall on this path goes through the
 // util::fi shim (util/fault_inject.h) so chaos tests can inject EINTR,
@@ -68,8 +77,8 @@ struct ServerOptions {
   /// A flush stops taking requests once it holds this many query units (a
   /// DISTANCES request with n targets counts n units and is never split,
   /// so one wider than this still runs whole). Bounds how long an
-  /// APPLY_UPDATE queued behind a backlog waits for the engine lock, and
-  /// the size of one reply burst.
+  /// APPLY_UPDATE queued behind a backlog waits, how long the event loop
+  /// reads nothing while one flush runs, and the size of one reply burst.
   std::size_t max_batch = 512;
   /// Admission limit: pending query units beyond this are shed with BUSY.
   std::size_t queue_depth = 8192;
@@ -105,7 +114,7 @@ struct ServerOptions {
 
 /// The serving loop. Construct over a built oracle (any backend), start(),
 /// and it answers protocol ops on a loopback/TCP socket until stop().
-/// stop() (and the destructor) joins both threads and closes every fd —
+/// stop() (and the destructor) joins the event loop and closes every fd —
 /// no leaks under ASan even when connections are mid-flight.
 class Server {
  public:
@@ -120,11 +129,11 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens and spawns the event-loop + batcher threads. Throws
+  /// Binds, listens and spawns the event-loop thread. Throws
   /// std::runtime_error when the socket cannot be set up.
   void start();
 
-  /// Graceful shutdown: wakes the event loop, joins both threads, closes
+  /// Graceful shutdown: wakes the event loop, joins its thread, closes
   /// every connection. Idempotent; safe to call from a signal-driven path
   /// (it only sets a flag and writes an eventfd before joining).
   void stop();
@@ -133,8 +142,8 @@ class Server {
   /// sheds newly arriving query/update work with BUSY, completes every
   /// in-flight batch and flushes every queued reply byte. Returns true
   /// when fully drained, false when timeout_ms elapsed first; either way
-  /// the caller still invokes stop() to close connections and join
-  /// threads. Blocking — call from the signal-watching thread, not from a
+  /// the caller still invokes stop() to close connections and join the
+  /// thread. Blocking — call from the signal-watching thread, not from a
   /// handler.
   bool drain(std::uint32_t timeout_ms);
 
@@ -157,14 +166,14 @@ class Server {
     bool want_write = false;       ///< EPOLLOUT currently armed
     bool close_after_flush = false;
     bool read_closed = false;      ///< peer EOF seen; drain then close
-    std::uint32_t inflight = 0;    ///< requests owned by the batcher
+    std::uint32_t inflight = 0;    ///< admitted requests not yet answered
     std::uint64_t last_activity_us = 0;  ///< accept / last complete frame
     std::uint64_t partial_since_us = 0;  ///< mid-frame bytes pending since
                                          ///< (0 = none); slow-loris clock
     std::uint64_t last_progress_us = 0;  ///< out buffer last shrank/filled
   };
 
-  /// One request unit crossing to the batcher.
+  /// One admitted request, queued until a flush takes it.
   struct WorkItem {
     Op op = Op::kDistance;
     int fd = -1;
@@ -180,12 +189,6 @@ class Server {
     std::size_t units() const {
       return op == Op::kDistances && !targets.empty() ? targets.size() : 1;
     }
-  };
-
-  struct Response {
-    int fd = -1;
-    std::uint64_t gen = 0;
-    std::vector<std::uint8_t> frame;
   };
 
   // -- event-loop side -----------------------------------------------------
@@ -211,16 +214,19 @@ class Server {
                   const std::string& message);
   void flush_conn(int fd);
   void close_conn(int fd);
-  void deliver_responses() VICINITY_EXCLUDES(rmu_);
 
-  // -- batcher side --------------------------------------------------------
-  void batch_loop();
-  bool collect_flush(std::vector<WorkItem>& flush) VICINITY_EXCLUDES(bmu_);
-  void process_flush(std::vector<WorkItem>& flush);
-  bool enqueue_work(WorkItem&& item) VICINITY_EXCLUDES(bmu_);
-  void post_response(Response&& r) VICINITY_EXCLUDES(rmu_);
+  // -- flushes (also on the event-loop thread) -----------------------------
+  bool enqueue_work(WorkItem&& item);
+  void collect_flush(std::vector<WorkItem>& flush);
+  void process_flush(const std::vector<WorkItem>& flush);
+  /// Appends frames[i] to flush[i]'s connection unless it was closed or
+  /// its fd reused since the request was read, then flushes every
+  /// touched connection once.
+  void deliver(const std::vector<WorkItem>& flush,
+               const std::vector<std::vector<std::uint8_t>>& frames);
   void record_latencies(const std::vector<double>& samples_us)
       VICINITY_EXCLUDES(smu_);
+  /// Interrupts epoll_wait; stop() and drain() use it.
   void wake_io();
 
   static std::uint64_t now_us();
@@ -233,7 +239,7 @@ class Server {
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;   ///< eventfd: batcher -> event loop
+  int wake_fd_ = -1;   ///< eventfd: stop() / drain() -> event loop
   int spare_fd_ = -1;  ///< reserved fd released to shed accepts at EMFILE
   std::uint16_t bound_port_ = 0;
   std::vector<Conn> conns_;  ///< indexed by fd
@@ -246,31 +252,24 @@ class Server {
   std::uint64_t last_sweep_us_ = 0;
 
   std::thread io_thread_;
-  std::thread batch_thread_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> draining_{false};
-  /// io thread's published "every connection has zero in-flight requests
-  /// and an empty out buffer" observation, recomputed each poll while
-  /// draining; drain() combines it with the queue/response checks.
+  /// io thread's published "the queue is empty and every connection has
+  /// zero in-flight requests and an empty out buffer" observation,
+  /// recomputed each round while draining.
   std::atomic<bool> drain_io_idle_{false};
 
-  /// Batcher-thread-only query scratch for PATH requests (engine.path runs
-  /// on a caller context; the batcher is the sole query/update issuer, so
-  /// no fencing beyond the engine's own batch lock is needed).
+  /// io-thread-only query scratch for PATH requests (engine.path runs on a
+  /// caller context; only the io thread runs queries and updates, so no
+  /// fencing beyond the engine's own batch lock is needed).
   core::QueryContext batch_ctx_;
 
-  util::Mutex bmu_;  ///< admission queue
-  std::deque<WorkItem> queue_ VICINITY_GUARDED_BY(bmu_);
-  std::size_t queued_units_ VICINITY_GUARDED_BY(bmu_) = 0;
-  bool batch_stop_ VICINITY_GUARDED_BY(bmu_) = false;
-  /// True from a flush being collected until its responses are posted, so
-  /// drain() can tell "queue empty" from "queue empty and nothing mid-batch".
-  bool batch_busy_ VICINITY_GUARDED_BY(bmu_) = false;
-  util::CondVar bcv_;
-
-  util::Mutex rmu_;  ///< finished responses, batcher -> event loop
-  std::vector<Response> responses_ VICINITY_GUARDED_BY(rmu_);
+  /// Admission queue: io-thread-only.
+  std::deque<WorkItem> queue_;
+  /// Query units in queue_; written by the io thread only, an atomic so
+  /// stats_snapshot() callers on other threads can read it.
+  std::atomic<std::size_t> queued_units_{0};
 
   util::Mutex smu_;  ///< latency window + qps snapshot state
   std::vector<double> latency_ring_ VICINITY_GUARDED_BY(smu_);

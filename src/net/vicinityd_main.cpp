@@ -37,7 +37,7 @@
 // Prints exactly one line `listening on HOST:PORT` to stdout once the
 // socket is accepting (drivers parse it to learn an ephemeral --port=0
 // pick), then serves until SIGTERM/SIGINT, shutting down cleanly: stop
-// accepting, join the event-loop and batcher threads, close every fd.
+// accepting, join the event-loop thread, close every fd.
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>

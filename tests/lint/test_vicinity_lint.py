@@ -80,6 +80,13 @@ class ViolationFixtureTest(unittest.TestCase):
         # All three seeded sites: the include, the member, the lock_guard.
         self.assertGreaterEqual(self.output.count("[no-raw-std-mutex]"), 3)
 
+    def test_raw_mutex_rule_fires_in_net(self):
+        # src/net is held to util::Mutex too: both includes, both members
+        # and the unique_lock.
+        lines = [l for l in self.output.splitlines()
+                 if "bad_lock.cpp" in l and "[no-raw-std-mutex]" in l]
+        self.assertGreaterEqual(len(lines), 5, self.output)
+
 
 class CleanFixtureTest(unittest.TestCase):
     @classmethod

@@ -1,10 +1,11 @@
 // Chaos tests (ctest -L chaos): replay seeded syscall-fault schedules
 // through a live in-process server/client pair and assert the three
 // fault-tolerance invariants — no crash, no leaked connection, no wrong
-// answer. The injector (util/fault_inject.h) fires on the server's io
-// and batcher threads; the driving client thread holds a
-// FaultSuppressScope so its own syscalls stay clean and every completed
-// reply can be checked bit-for-bit against the in-process oracle.
+// answer. The injector (util/fault_inject.h) fires on the server's
+// event-loop thread, which reads, runs and answers every request; the
+// driving client thread holds a FaultSuppressScope so its own syscalls
+// stay clean and every completed reply can be checked bit-for-bit against
+// the in-process oracle.
 //
 // Determinism: each schedule is a pure function of its seed, so a
 // failure reproduces by seed alone. Under ASan these tests double as

@@ -37,7 +37,7 @@ core::OracleOptions small_options() {
 
 /// Like ServerE2E but lets every test pick its own ServerOptions before
 /// the server starts. The server's oracle sits behind a gate, so a test can
-/// hold the batcher inside a batch while it queues work behind it.
+/// hold the event loop inside a flush while it queues work behind it.
 class DeadlineDrainTest : public ::testing::Test {
  protected:
   void start_server(ServerOptions opts) {
@@ -50,7 +50,7 @@ class DeadlineDrainTest : public ::testing::Test {
   }
 
   void TearDown() override {
-    if (gate_) gate_->open_gate();  // stop() joins a batcher held at the gate
+    if (gate_) gate_->open_gate();  // stop() joins a loop held at the gate
     if (server_) server_->stop();
   }
 
@@ -58,6 +58,27 @@ class DeadlineDrainTest : public ::testing::Test {
     Client c(ClientOptions{recv_timeout_ms});
     c.connect("127.0.0.1", server_->port());
     return c;
+  }
+
+  /// Holds a filler DISTANCE(0, 1) at the gate and returns its id. Requests
+  /// sent next wait unread until release_filler().
+  std::uint64_t hold_filler(Client& client) {
+    return vicinity::testing::hold_flush(*gate_, client, 0, 1);
+  }
+
+  /// Lets the filler finish and checks its reply. With max_batch = 1 the
+  /// next round admits every request sent meanwhile and holds the first
+  /// one's flush at the gate, so the rest wait admitted behind a running
+  /// flush.
+  void release_filler(Client& client, std::uint64_t filler) {
+    ASSERT_TRUE(vicinity::testing::wait_acked(client));
+    gate_->let_through(1);
+    const std::optional<RawReply> r = client.recv_reply();
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->header.request_id, filler);
+    core::QueryContext ctx;
+    EXPECT_EQ(parse_distance_reply(*r).record.dist,
+              oracle_->distance(0, 1, ctx).dist);
   }
 
   graph::Graph graph_;
@@ -69,16 +90,19 @@ class DeadlineDrainTest : public ::testing::Test {
 TEST_F(DeadlineDrainTest, ExpiredRequestAnswersTimeoutNotWrongData) {
   // B waits in the admission queue behind a held batch A until its 50 ms
   // deadline has passed: B must answer TIMEOUT and never reach the oracle,
-  // while A, which started in time, still answers OK.
+  // while A, which started in time, still answers OK. A filler holds the
+  // event loop while A and B are sent, so one round admits both.
   ServerOptions opts;
   opts.request_timeout_ms = 50;
+  opts.max_batch = 1;
   start_server(opts);
   Client client = make_client();
 
-  const std::uint64_t a =
-      vicinity::testing::hold_batcher(*gate_, client, 1, 2);
-  ASSERT_NE(a, 0u) << "the batcher never reached the gate";
+  const std::uint64_t filler = hold_filler(client);
+  ASSERT_NE(filler, 0u) << "the flush never reached the gate";
+  const std::uint64_t a = client.send_distance(1, 2);
   const std::uint64_t b = client.send_distance(3, 4);
+  release_filler(client, filler);
   ASSERT_TRUE(vicinity::testing::queued_units_reach(*server_, 1));
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   gate_->open_gate();
@@ -101,12 +125,13 @@ TEST_F(DeadlineDrainTest, ExpiredRequestAnswersTimeoutNotWrongData) {
       EXPECT_EQ(e.kind(), ClientErrorKind::kServer);
     }
   }
-  EXPECT_EQ(gate_->distance_calls(), 1u) << "the expired request ran";
+  // The filler and A ran; B did not.
+  EXPECT_EQ(gate_->distance_calls(), 2u) << "the expired request ran";
   const StatsReply s = server_->stats_snapshot();
   EXPECT_EQ(s.timeouts_total, 1u);
   // A timed-out request never executed, so it must not contaminate the
   // latency window the engine's percentiles are computed from.
-  EXPECT_EQ(s.queries_total, 1u);
+  EXPECT_EQ(s.queries_total, 2u);
 
   // PING bypasses batching, so the connection itself is still healthy.
   client.ping();
@@ -115,17 +140,20 @@ TEST_F(DeadlineDrainTest, ExpiredRequestAnswersTimeoutNotWrongData) {
 TEST_F(DeadlineDrainTest, UpdateIsExemptFromRequestDeadline) {
   // APPLY_UPDATE is an epoch fence: timing it out after it was admitted
   // would leave the client unable to tell whether the mutation applied. The
-  // update waits behind a held batch for twice its deadline, then applies.
-  // (The deadline must leave the held request time to reach the gate.)
+  // update waits behind a held batch A for twice its deadline, then
+  // applies. A filler holds the event loop while A and the update are
+  // sent, so one round admits both.
   ServerOptions opts;
   opts.request_timeout_ms = 50;
+  opts.max_batch = 1;
   start_server(opts);
   Client client = make_client();
 
-  const std::uint64_t a =
-      vicinity::testing::hold_batcher(*gate_, client, 1, 2);
-  ASSERT_NE(a, 0u) << "the batcher never reached the gate";
+  const std::uint64_t filler = hold_filler(client);
+  ASSERT_NE(filler, 0u) << "the flush never reached the gate";
+  const std::uint64_t a = client.send_distance(1, 2);
   const std::uint64_t u = client.send_insert_edge(0, 399, 1);
+  release_filler(client, filler);
   ASSERT_TRUE(vicinity::testing::queued_units_reach(*server_, 1));
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   gate_->open_gate();
@@ -306,19 +334,24 @@ TEST_F(DeadlineDrainTest, WellBehavedReaderNeverHitsWriteCap) {
 }
 
 TEST_F(DeadlineDrainTest, DrainDeliversEveryInflightReply) {
-  start_server(ServerOptions{});
+  ServerOptions opts;
+  opts.max_batch = 1;
+  start_server(opts);
   Client client = make_client();
   // Guarantee the connection is accepted before the burst: drain disarms
   // the listen fd, and a connection still in the accept backlog when
   // drain() starts is never served (the kernel resets it at close).
   client.ping();
 
-  // Pipeline a burst whose first request holds the batcher at the gate and
-  // whose rest is admitted behind it, so drain() starts with a batch in
-  // flight and 199 requests queued; the gate opens once the drain is under
-  // way, while a reader thread collects. Every request was admitted before
-  // the drain, so every one must be answered OK with the right distance
-  // before drain() returns.
+  // Pipeline a burst behind a held filler. Once the filler finishes, one
+  // round admits the whole burst and holds the flush of its first request
+  // at the gate (max_batch = 1), so drain() starts with a batch in flight
+  // and 199 requests queued; the gate opens once the drain is under way,
+  // while a reader thread collects. Every request was admitted before the
+  // drain, so every one must be answered OK with the right distance before
+  // drain() returns.
+  const std::uint64_t filler = hold_filler(client);
+  ASSERT_NE(filler, 0u) << "the flush never reached the gate";
   constexpr int kBurst = 200;
   struct Sent {
     std::uint64_t id;
@@ -329,15 +362,9 @@ TEST_F(DeadlineDrainTest, DrainDeliversEveryInflightReply) {
   for (int i = 0; i < kBurst; ++i) {
     const NodeId s = static_cast<NodeId>(rng.next_below(graph_.num_nodes()));
     const NodeId t = static_cast<NodeId>(rng.next_below(graph_.num_nodes()));
-    if (i == 0) {
-      const std::uint64_t id =
-          vicinity::testing::hold_batcher(*gate_, client, s, t);
-      ASSERT_NE(id, 0u) << "the batcher never reached the gate";
-      sent.push_back({id, s, t});
-    } else {
-      sent.push_back({client.send_distance(s, t), s, t});
-    }
+    sent.push_back({client.send_distance(s, t), s, t});
   }
+  release_filler(client, filler);
   ASSERT_TRUE(vicinity::testing::queued_units_reach(*server_, kBurst - 1));
 
   std::vector<RawReply> replies;
@@ -356,7 +383,7 @@ TEST_F(DeadlineDrainTest, DrainDeliversEveryInflightReply) {
   });
 
   // drain() starts at once on this thread; it cannot finish while the gate
-  // holds the batcher.
+  // holds the event loop.
   std::thread opener([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     gate_->open_gate();

@@ -224,9 +224,9 @@ TEST_F(ServerE2E, ConcurrentUpdateStreamKeepsAnswersEpochConsistent) {
   EXPECT_EQ(server_->engine().epoch(), 40u);
 }
 
-/// A server over a GatedOracle: a test holds the batcher inside a batch
-/// (vicinity::testing::hold_batcher) and queues work behind it, so what
-/// each flush takes is deterministic.
+/// A server over a GatedOracle: a test holds the event loop inside a flush
+/// (vicinity::testing::hold_flush) while it sends a backlog, so what each
+/// later flush takes is deterministic.
 class GatedServer : public ::testing::Test {
  protected:
   void start(ServerOptions opts) {
@@ -240,14 +240,31 @@ class GatedServer : public ::testing::Test {
   }
 
   void TearDown() override {
-    if (gate_) gate_->open_gate();  // stop() joins a batcher held at the gate
+    if (gate_) gate_->open_gate();  // stop() joins a loop held at the gate
     client_.close();
     if (server_) server_->stop();
   }
 
-  /// Sends DISTANCE(0, 1) and waits until the batcher holds it at the gate.
+  /// Sends DISTANCE(0, 1) and waits until its flush holds the event loop
+  /// at the gate.
   std::uint64_t hold() {
-    return vicinity::testing::hold_batcher(*gate_, client_, 0, 1);
+    return vicinity::testing::hold_flush(*gate_, client_, 0, 1);
+  }
+
+  /// Waits until the server's kernel holds every byte sent so far.
+  void wait_acked() {
+    ASSERT_TRUE(vicinity::testing::wait_acked(client_))
+        << "the backlog never reached the server";
+  }
+
+  /// The next reply, or a failure on EOF.
+  RawReply recv_one() {
+    std::optional<RawReply> r = client_.recv_reply();
+    if (!r) {
+      ADD_FAILURE() << "EOF where a reply was expected";
+      return {};
+    }
+    return std::move(*r);
   }
 
   /// The next n replies, keyed by request id.
@@ -279,25 +296,35 @@ TEST_F(ServerAdmission, ShedsWithBusyPastQueueDepth) {
   ServerOptions opts;
   opts.queue_depth = 4;  // tiny: a pipelined burst must overflow it
   start(opts);
-  // With the batcher held nothing leaves the queue, so exactly queue_depth
-  // requests of the burst are admitted and the rest are shed at once.
+  // The burst waits unread behind the held flush; the round after it reads
+  // the whole burst before it runs the next flush, so exactly queue_depth
+  // requests are admitted and the rest are shed at once. The STATS behind
+  // the burst is answered in that same round, before the admitted four run.
   const std::uint64_t held = hold();
-  ASSERT_NE(held, 0u) << "the batcher never reached the gate";
+  ASSERT_NE(held, 0u) << "the flush never reached the gate";
   constexpr int kBurst = 64;
   constexpr int kAdmitted = 4;
-  for (int i = 0; i < kBurst; ++i) client_.send_distance(0, 1);
-  for (int i = 0; i < kBurst - kAdmitted; ++i) {
-    const std::optional<RawReply> r = client_.recv_reply();
-    ASSERT_TRUE(r.has_value());
-    ASSERT_EQ(r->header.status, Status::kBusy) << "reply " << i;
-  }
-  EXPECT_EQ(server_->stats_snapshot().pending, 4u);
+  std::vector<std::uint64_t> burst;
+  for (int i = 0; i < kBurst; ++i) burst.push_back(client_.send_distance(0, 1));
+  const std::uint64_t stats = client_.send_stats();
+  wait_acked();
   gate_->open_gate();
-  const auto got = recv_replies(kAdmitted + 1);  // + the held request
-  ASSERT_EQ(got.size(), static_cast<std::size_t>(kAdmitted + 1));
-  EXPECT_EQ(got.count(held), 1u);
-  for (const auto& [id, r] : got) {
-    EXPECT_EQ(r.header.status, Status::kOk) << "request " << id;
+
+  const RawReply first = recv_one();
+  EXPECT_EQ(first.header.request_id, held);
+  EXPECT_EQ(first.header.status, Status::kOk);
+  for (int i = kAdmitted; i < kBurst; ++i) {
+    const RawReply r = recv_one();
+    EXPECT_EQ(r.header.request_id, burst[i]) << "reply " << i;
+    ASSERT_EQ(r.header.status, Status::kBusy) << "reply " << i;
+  }
+  const RawReply st = recv_one();
+  ASSERT_EQ(st.header.request_id, stats);
+  EXPECT_EQ(parse_stats_reply(st).pending, 4u);
+  for (int i = 0; i < kAdmitted; ++i) {
+    const RawReply r = recv_one();
+    EXPECT_EQ(r.header.request_id, burst[i]) << "reply " << i;
+    EXPECT_EQ(r.header.status, Status::kOk) << "reply " << i;
   }
   EXPECT_EQ(server_->stats_snapshot().shed_total,
             static_cast<std::uint64_t>(kBurst - kAdmitted));
@@ -305,7 +332,7 @@ TEST_F(ServerAdmission, ShedsWithBusyPastQueueDepth) {
 
 TEST_F(ServerBatching, BacklogBehindRunningBatchRunsAsOneFlush) {
   start(ServerOptions{});
-  ASSERT_NE(hold(), 0u) << "the batcher never reached the gate";
+  ASSERT_NE(hold(), 0u) << "the flush never reached the gate";
   // 12 DISTANCE + one 8-target DISTANCES: a 20-unit backlog.
   std::vector<std::uint64_t> backlog;
   for (NodeId t = 0; t < 12; ++t) {
@@ -313,7 +340,7 @@ TEST_F(ServerBatching, BacklogBehindRunningBatchRunsAsOneFlush) {
   }
   const std::vector<NodeId> targets{1, 2, 3, 4, 6, 7, 8, 9};
   backlog.push_back(client_.send_distances(5, targets));
-  ASSERT_TRUE(vicinity::testing::queued_units_reach(*server_, 20));
+  wait_acked();
   gate_->open_gate();
 
   const auto got = recv_replies(backlog.size() + 1);
@@ -335,9 +362,9 @@ TEST_F(ServerBatching, MaxBatchSplitsBacklogIntoFlushes) {
   ServerOptions opts;
   opts.max_batch = 4;
   start(opts);
-  ASSERT_NE(hold(), 0u) << "the batcher never reached the gate";
+  ASSERT_NE(hold(), 0u) << "the flush never reached the gate";
   for (NodeId t = 0; t < 10; ++t) client_.send_distance(5, t);
-  ASSERT_TRUE(vicinity::testing::queued_units_reach(*server_, 10));
+  wait_acked();
   gate_->open_gate();
 
   const auto got = recv_replies(11);
@@ -364,11 +391,11 @@ TEST_F(ServerBatching, UpdateInBacklogRunsAloneAsAFence) {
   ASSERT_NE(t, 0u) << "graph too dense for the test premise";
   const Distance far = oracle_->distance(s, t, ctx).dist;
 
-  ASSERT_NE(hold(), 0u) << "the batcher never reached the gate";
+  ASSERT_NE(hold(), 0u) << "the flush never reached the gate";
   const std::uint64_t before = client_.send_distance(s, t);
   const std::uint64_t update = client_.send_insert_edge(s, t, 1);
   const std::uint64_t after = client_.send_distance(s, t);
-  ASSERT_TRUE(vicinity::testing::queued_units_reach(*server_, 3));
+  wait_acked();
   gate_->open_gate();
 
   const auto got = recv_replies(4);
@@ -392,12 +419,12 @@ TEST_F(ServerBatching, DistancesWiderThanMaxBatchRunsWhole) {
   ServerOptions opts;
   opts.max_batch = 4;
   start(opts);
-  ASSERT_NE(hold(), 0u) << "the batcher never reached the gate";
+  ASSERT_NE(hold(), 0u) << "the flush never reached the gate";
   std::vector<NodeId> targets;
   for (NodeId t = 10; t < 20; ++t) targets.push_back(t);
   const std::uint64_t wide = client_.send_distances(5, targets);
   const std::uint64_t next = client_.send_distance(5, 6);
-  ASSERT_TRUE(vicinity::testing::queued_units_reach(*server_, 11));
+  wait_acked();
   gate_->open_gate();
 
   const auto got = recv_replies(3);
@@ -413,6 +440,32 @@ TEST_F(ServerBatching, DistancesWiderThanMaxBatchRunsWhole) {
   const StatsReply stats = server_->stats_snapshot();
   EXPECT_EQ(stats.max_batch, targets.size());  // one flush ran all 10 units
   EXPECT_EQ(stats.batches_total, 3u);          // held, the fan, then `next`
+}
+
+TEST_F(ServerBatching, PingBetweenFlushesIsAnsweredBeforeQueuedWork) {
+  // A PING that arrives while a flush runs is read, and answered, before
+  // the flush queued behind the running one starts.
+  ServerOptions opts;
+  opts.max_batch = 1;
+  start(opts);
+  const std::uint64_t a = hold();
+  ASSERT_NE(a, 0u) << "the flush never reached the gate";
+  const std::uint64_t b = client_.send_distance(5, 6);
+  const std::uint64_t c = client_.send_distance(5, 7);
+  wait_acked();
+  gate_->let_through(1);  // A runs; B's flush is held, C queues behind it
+  ASSERT_TRUE(vicinity::testing::queued_units_reach(*server_, 1));
+  const std::uint64_t ping = client_.send_ping();
+  wait_acked();
+  gate_->open_gate();
+
+  const std::uint64_t want[] = {a, b, ping, c};
+  for (const std::uint64_t id : want) {
+    const RawReply r = recv_one();
+    EXPECT_EQ(r.header.request_id, id);
+    EXPECT_EQ(r.header.status, Status::kOk);
+  }
+  EXPECT_EQ(gate_->distance_calls(), 3u);
 }
 
 TEST_F(ServerE2E, StatsCountTraffic) {
