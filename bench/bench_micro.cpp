@@ -144,6 +144,9 @@ BENCHMARK(BM_BucketVsHeapDijkstra)->Arg(0)->Arg(1);
 struct IntersectFixture {
   std::vector<NodeId> a_nodes, b_nodes;
   std::vector<Distance> a_dists, b_dists;
+  // The kernels read the distances byte-wide, as the built index stores
+  // them (every value is at most 5).
+  core::DistColumn a_col, b_col;
   util::FlatHashMap<NodeId, Distance> b_table;
 
   IntersectFixture(std::size_t na, std::size_t nb) : b_table(nb) {
@@ -159,6 +162,8 @@ struct IntersectFixture {
     };
     gen_arr(na, a_nodes, a_dists);
     gen_arr(nb, b_nodes, b_dists);
+    a_col = core::DistColumn(a_dists);
+    b_col = core::DistColumn(b_dists);
     for (std::size_t i = 0; i < nb; ++i) {
       b_table.insert_or_assign(b_nodes[i], b_dists[i]);
     }
@@ -184,7 +189,7 @@ void BM_IntersectMerge(benchmark::State& state) {
                            static_cast<std::size_t>(state.range(1)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::detail::merge_intersect_min(
-        f.a_nodes, f.a_dists, f.b_nodes, f.b_dists));
+        f.a_nodes, f.a_col.view(), f.b_nodes, f.b_col.view()));
   }
 }
 
@@ -193,7 +198,7 @@ void BM_IntersectGallop(benchmark::State& state) {
                            static_cast<std::size_t>(state.range(1)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::detail::gallop_intersect_min(
-        f.a_nodes, f.a_dists, f.b_nodes, f.b_dists));
+        f.a_nodes, f.a_col.view(), f.b_nodes, f.b_col.view()));
   }
 }
 
@@ -202,7 +207,7 @@ void BM_IntersectAdaptive(benchmark::State& state) {
                            static_cast<std::size_t>(state.range(1)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::detail::intersect_sorted_min(
-        f.a_nodes, f.a_dists, f.b_nodes, f.b_dists));
+        f.a_nodes, f.a_col.view(), f.b_nodes, f.b_col.view()));
   }
 }
 

@@ -152,7 +152,7 @@ Options parse_args(int argc, char** argv) {
   return o;
 }
 
-/// Index open-path comparison for VCNIDX05 region containers: best-of-reps
+/// Index open-path comparison for VCNIDX06 region containers: best-of-reps
 /// wall time and resident-set growth of a zero-copy mmap open vs a full
 /// heap deserialize (which also deep-validates) of the same file.
 struct OpenBench {

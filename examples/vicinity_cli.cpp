@@ -7,12 +7,13 @@
 //     vicinity_cli build --graph=graph.bin --alpha=16 --out=index.idx
 //   query (REPL):       vicinity_cli query --graph=graph.bin --index=index.idx
 //                       then type "s t" pairs on stdin ("path s t" for paths)
-//                       (--no-mmap forces a heap load of a VCNIDX05 index;
+//                       (--no-mmap forces a heap load of a VCNIDX05/06 index;
 //                        --verify deep-validates a mapped one up front)
 //   inspect an index:   vicinity_cli index info index.idx
 //                       (header + section table only — never loads the
 //                        payload, so it is O(1) on a multi-GB index)
-//   convert a legacy VCNIDX02-04 index (the loaders open only VCNIDX05):
+//   convert a legacy VCNIDX02-04 index into VCNIDX06 (the loaders open
+//   VCNIDX05 and VCNIDX06; VCNIDX05 needs no upgrade):
 //     vicinity_cli index upgrade --graph=graph.bin --in=old.idx --out=new.idx
 //   one-shot stats:     vicinity_cli stats --graph=graph.bin
 //
@@ -145,7 +146,8 @@ int cmd_query(int argc, char** argv) {
 }
 
 // `index info FILE`: header-only inspection — format version, backend,
-// graph shape, and (for VCNIDX05 region containers) the section table.
+// graph shape, and (for VCNIDX05/06 region containers) the section table,
+// whose elem column shows each distance section's width (1 or 4 bytes).
 // Reads O(header + section table) bytes regardless of index size.
 int cmd_index_info(const std::string& path) {
   const core::IndexFileInfo info = core::inspect_index_file(path);
@@ -187,7 +189,7 @@ int cmd_index_info(const std::string& path) {
 }
 
 // `index upgrade --graph=G --in=OLD --out=NEW`: the legacy stream load of
-// OLD against G, written as VCNIDX05. The output goes to a temporary file
+// OLD against G, written as VCNIDX06. The output goes to a temporary file
 // renamed over NEW only on success, so --in may equal --out.
 int cmd_index_upgrade(int argc, char** argv) {
   const std::string graph_path = flag_value(argc, argv, "graph");
@@ -195,7 +197,7 @@ int cmd_index_upgrade(int argc, char** argv) {
   const std::string out_path = flag_value(argc, argv, "out");
   if (graph_path.empty() || in_path.empty() || out_path.empty()) {
     std::cerr << "usage: vicinity_cli index upgrade --graph=G.bin "
-                 "--in=OLD.idx --out=NEW.idx\n";
+                 "--in=OLD.idx --out=NEW.idx  (writes VCNIDX06)\n";
     return 2;
   }
   const auto g = graph::load_binary_file(graph_path);
@@ -213,7 +215,7 @@ int cmd_index_upgrade(int argc, char** argv) {
     throw;
   }
   std::filesystem::rename(tmp, out_path);
-  std::cout << "upgraded " << in_path << " -> " << out_path << " (VCNIDX05)\n";
+  std::cout << "upgraded " << in_path << " -> " << out_path << " (VCNIDX06)\n";
   return 0;
 }
 

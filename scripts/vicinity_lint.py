@@ -366,6 +366,7 @@ def extractable_bench_keys(root: Path) -> set[str]:
                   "latency_us": {"p50": 1.0, "p99": 1.0},
                   "path_latency_us": {"p50": 1.0, "p99": 1.0},
                   "index_open": {"speedup": 1.0, "mapped_ms": 1.0,
+                                 "file_bytes": 1,
                                  "mapped_rss_delta_bytes": 1,
                                  "heap_rss_delta_bytes": 1}}
     updates = {"updates_per_sec": 1.0,

@@ -38,14 +38,18 @@ std::pair<Distance, NodeId> heap_pop(Frontier& h) {
   return top;
 }
 
+/// Writes one entry of a dense distance field: a plain array (the nearest-
+/// landmark field) or a landmark row, which may widen its column first.
+void write(std::span<Distance> dist, NodeId x, Distance d) { dist[x] = d; }
+void write(const DistRow& dist, NodeId x, Distance d) { dist.set(x, d); }
+
 /// Propagates a decrease-only relaxation: `seeds` distances were already
 /// lowered in `dist`; improvements spread along out-arcs (use_in_arcs =
 /// false) or in-arcs. on_improve(node, via) fires once per further lowered
 /// node, after its dist slot was written.
-template <typename OnImprove>
-void decrease_relax(const graph::Graph& g, bool use_in_arcs,
-                    std::span<Distance> dist, std::span<const NodeId> seeds,
-                    OnImprove&& on_improve) {
+template <typename Dist, typename OnImprove>
+void decrease_relax(const graph::Graph& g, bool use_in_arcs, const Dist& dist,
+                    std::span<const NodeId> seeds, OnImprove&& on_improve) {
   Frontier heap;
   for (const NodeId s : seeds) heap_push(heap, dist[s], s);
   const bool weighted = g.weighted();
@@ -60,7 +64,7 @@ void decrease_relax(const graph::Graph& g, bool use_in_arcs,
       const NodeId y = nbrs[i];
       const Distance dy = dist_add(dx, weighted ? wts[i] : Weight{1});
       if (dy < dist[y]) {
-        dist[y] = dy;
+        write(dist, y, dy);
         on_improve(y, x);
         heap_push(heap, dy, y);
       }
@@ -241,10 +245,11 @@ std::vector<NodeId> repair_nearest_insert(const graph::Graph& g,
   }
   if (seeds.empty()) return changed;
 
-  decrease_relax(g, use_in_arcs, info.dist, seeds, [&](NodeId y, NodeId via) {
-    info.landmark[y] = info.landmark[via];
-    note(y);
-  });
+  decrease_relax(g, use_in_arcs, std::span<Distance>(info.dist), seeds,
+                 [&](NodeId y, NodeId via) {
+                   info.landmark[y] = info.landmark[via];
+                   note(y);
+                 });
   return changed;
 }
 
@@ -301,8 +306,8 @@ void merge_radius_changes(AffectedSets& sets,
   if (resort) std::sort(sets.rebuild.begin(), sets.rebuild.end());
 }
 
-std::size_t relax_row(const graph::Graph& g, bool use_in_arcs,
-                      std::span<Distance> dist, std::span<const NodeId> seeds) {
+std::size_t relax_row(const graph::Graph& g, bool use_in_arcs, DistRow dist,
+                      std::span<const NodeId> seeds) {
   std::size_t lowered = 0;
   decrease_relax(g, use_in_arcs, dist, seeds,
                  [&](NodeId, NodeId) { ++lowered; });
@@ -310,7 +315,7 @@ std::size_t relax_row(const graph::Graph& g, bool use_in_arcs,
 }
 
 std::size_t repair_row_delete(const graph::Graph& g, bool use_in_arcs,
-                              std::span<Distance> dist, NodeId a, NodeId b) {
+                              DistRow dist, NodeId a, NodeId b) {
   const bool weighted = g.weighted();
   // "Upstream" arcs define dist[x] (x's potential supports); "downstream"
   // arcs are the nodes x in turn supports.
@@ -331,70 +336,78 @@ std::size_t repair_row_delete(const graph::Graph& g, bool use_in_arcs,
   if (dist[e] == 0 || dist[e] == kInfDistance) return 0;
 
   // Phase 1: the affected set — nodes whose every tight support chain runs
-  // through the deleted arc. old_dist doubles as the membership marker;
-  // dist[] stays untouched (old values) until phase 2, so tightness tests
-  // below read the pre-delete shortest-path DAG.
-  util::FlatHashMap<NodeId, Distance> old_dist(64);
+  // through the deleted arc. `region` maps each to its index in `affected`
+  // and doubles as the membership marker; dist[] keeps its old values
+  // until the end, so tightness tests read the pre-delete shortest-path
+  // DAG.
+  util::FlatHashMap<NodeId, std::uint32_t> region(64);
   // A tight support that is not itself affected.
   auto has_support = [&](NodeId x) {
     return tight_support(g, use_in_arcs, dist, x, [&](NodeId y) {
-             return old_dist.find(y) != nullptr;
+             return region.find(y) != nullptr;
            }) != kInvalidNode;
   };
   if (has_support(e)) return 0;  // the arc was not load-bearing
   std::vector<NodeId> affected{e};
-  old_dist.insert_or_assign(e, dist[e]);
+  region.insert_or_assign(e, 0);
   for (std::size_t head = 0; head < affected.size(); ++head) {
     const NodeId x = affected[head];
     const auto downs = downstream(x);
     const auto dw = weighted ? downstream_w(x) : std::span<const Weight>{};
     for (std::size_t i = 0; i < downs.size(); ++i) {
       const NodeId z = downs[i];
-      if (old_dist.find(z) != nullptr) continue;
+      if (region.find(z) != nullptr) continue;
       if (dist[z] == 0 || dist[z] == kInfDistance) continue;
       if (dist[z] != dist_add(dist[x], weighted ? dw[i] : Weight{1})) {
         continue;  // x never supported z
       }
       if (!has_support(z)) {
-        old_dist.insert_or_assign(z, dist[z]);
+        region.insert_or_assign(z, static_cast<std::uint32_t>(affected.size()));
         affected.push_back(z);
       }
     }
   }
 
-  // Phase 2: re-settle the affected region from its unaffected rim.
+  // Phase 2: re-settle the affected region from its unaffected rim into
+  // `fresh` (parallel to `affected`).
+  std::vector<Distance> fresh(affected.size(), kInfDistance);
   Frontier heap;
-  for (const NodeId x : affected) {
+  for (std::size_t k = 0; k < affected.size(); ++k) {
     Distance best = kInfDistance;
+    const NodeId x = affected[k];
     const auto ups = upstream(x);
     const auto uw = weighted ? upstream_w(x) : std::span<const Weight>{};
     for (std::size_t i = 0; i < ups.size(); ++i) {
       const NodeId y = ups[i];
-      if (old_dist.find(y) != nullptr) continue;
+      if (region.find(y) != nullptr) continue;
       best = std::min(best, dist_add(dist[y], weighted ? uw[i] : Weight{1}));
     }
-    dist[x] = best;
+    fresh[k] = best;
     if (best != kInfDistance) heap_push(heap, best, x);
   }
   while (!heap.empty()) {
     const auto [dx, x] = heap_pop(heap);
-    if (dx > dist[x]) continue;
+    if (dx > fresh[*region.find(x)]) continue;
     const auto downs = downstream(x);
     const auto dw = weighted ? downstream_w(x) : std::span<const Weight>{};
     for (std::size_t i = 0; i < downs.size(); ++i) {
-      const NodeId z = downs[i];
-      if (old_dist.find(z) == nullptr) continue;  // rim is already final
+      const std::uint32_t* k = region.find(downs[i]);
+      if (k == nullptr) continue;  // rim is already final
       const Distance nd = dist_add(dx, weighted ? dw[i] : Weight{1});
-      if (nd < dist[z]) {
-        dist[z] = nd;
-        heap_push(heap, nd, z);
+      if (nd < fresh[*k]) {
+        fresh[*k] = nd;
+        heap_push(heap, nd, downs[i]);
       }
     }
   }
 
+  // Every new value is known: write the region (the first value above 254
+  // widens a byte-wide row's column).
   std::size_t changed = 0;
-  for (const NodeId x : affected) {
-    if (dist[x] != *old_dist.find(x)) ++changed;
+  for (std::size_t k = 0; k < affected.size(); ++k) {
+    if (dist[affected[k]] == fresh[k]) continue;
+    ++changed;
+    dist.set(affected[k], fresh[k]);
   }
   return changed;
 }

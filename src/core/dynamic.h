@@ -34,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/dist_column.h"
 #include "core/landmarks.h"
 #include "core/vicinity_store.h"
 #include "graph/graph.h"
@@ -170,19 +171,20 @@ void merge_radius_changes(AffectedSets& sets,
 /// refresh): `seeds` were already lowered in `dist`; improvements spread
 /// along out-arcs (use_in_arcs = false) or in-arcs. Returns lowered-node
 /// count.
-std::size_t relax_row(const graph::Graph& g, bool use_in_arcs,
-                      std::span<Distance> dist, std::span<const NodeId> seeds);
+std::size_t relax_row(const graph::Graph& g, bool use_in_arcs, DistRow dist,
+                      std::span<const NodeId> seeds);
 
-/// A tight support of x in a dense single-source distance field: an
-/// upstream neighbour y with dist[y] + w(y, x) == dist[x] that `skip`
-/// does not reject, or kInvalidNode. use_in_arcs follows relax_row's
-/// convention, so upstream means an in-neighbour when it is false (dist
-/// measured from a source along out-arcs) and an out-neighbour when it is
-/// true (dist measured to a target). Every neighbour id comes from `g`, so
-/// dist must span g.num_nodes() entries.
-template <typename Skip>
+/// A tight support of x in a dense single-source distance field (a
+/// DistView or DistRow of a landmark row): an upstream neighbour y with
+/// dist[y] + w(y, x) == dist[x] that `skip` does not reject, or
+/// kInvalidNode. use_in_arcs follows relax_row's convention, so upstream
+/// means an in-neighbour when it is false (dist measured from a source
+/// along out-arcs) and an out-neighbour when it is true (dist measured to a
+/// target). Every neighbour id comes from `g`, so dist must span
+/// g.num_nodes() entries.
+template <typename Dist, typename Skip>
 NodeId tight_support(const graph::Graph& g, bool use_in_arcs,
-                     std::span<const Distance> dist, NodeId x, Skip&& skip) {
+                     const Dist& dist, NodeId x, Skip&& skip) {
   const bool weighted = g.weighted();
   const auto ups = use_in_arcs ? g.neighbors(x) : g.in_neighbors(x);
   const auto uw = weighted ? (use_in_arcs ? g.weights(x) : g.in_weights(x))
@@ -201,12 +203,14 @@ NodeId tight_support(const graph::Graph& g, bool use_in_arcs,
 /// downstream endpoint collecting nodes that lost every support, then
 /// re-settle exactly that region from its unaffected rim — O(region), not
 /// O(n + m), so detaching a leaf costs O(degree) instead of a full sweep.
-/// use_in_arcs follows relax_row's convention (false = distances from a
-/// source along out-arcs; true = distances to a target along in-arcs).
-/// Returns the number of nodes whose distance actually changed (0 when the
-/// arc was not load-bearing).
+/// The region's new distances are settled aside and written last, so a
+/// byte-wide row widens at most once, before its first write. use_in_arcs
+/// follows relax_row's convention (false = distances from a source along
+/// out-arcs; true = distances to a target along in-arcs). Returns the
+/// number of nodes whose distance actually changed (0 when the arc was not
+/// load-bearing).
 std::size_t repair_row_delete(const graph::Graph& g, bool use_in_arcs,
-                              std::span<Distance> dist, NodeId a, NodeId b);
+                              DistRow dist, NodeId a, NodeId b);
 
 }  // namespace detail
 

@@ -1,9 +1,9 @@
-// VCNIDX05 on-disk layout: the directly-mappable index container.
+// VCNIDX06 on-disk layout: the directly-mappable index container.
 //
 // Versions 2-4 were stream containers — a load is a long sequence of
 // length-prefixed reads copied field by field into freshly allocated
-// vectors; only core::upgrade_index still reads them. Version 5 is a
-// *region* container: a fixed 128-byte header, a section table, and
+// vectors; only core::upgrade_index still reads them. Versions 5 and 6 are
+// *region* containers: a fixed 128-byte header, a section table, and
 // 64-byte-aligned sections whose in-file bytes are
 // byte-identical to the in-memory representation (little-endian, the
 // natural layout of NodeId/Distance/std::uint32_t arrays). An open is then
@@ -11,10 +11,21 @@
 // mapping — no copy, near-instant restart, and the page cache shares one
 // physical copy across server processes.
 //
+// Version 6 is version 5's layout with one change: the six distance
+// sections (store_dists, in_store_dists, table_dist_rows, table_rev_rows,
+// table_to_lm, table_from_lm) have elem_size 1 or 4, one width per
+// section (core/dist_column.h). The writer stores a column one byte per
+// entry when each finite value it holds is at most 254, the byte 255
+// standing for kInfDistance, and four bytes (Distance) otherwise — weighted
+// and long-diameter graphs keep four. The writer emits only version 6. The
+// reader opens version 6 and version 5, the latter as all four-byte (no
+// upgrade needed), and refuses any other distance elem_size and a byte-wide
+// section under a version-5 header. Every other section keeps its type.
+//
 // Layout (all offsets absolute from byte 0 of the file):
 //
 //   [0, 128)                FileHeader (includes the 9-byte legacy
-//                           "VCNIDX" + "05" + tag prefix, so every
+//                           "VCNIDX" + "06" + tag prefix, so every
 //                           loader reads the version from the same bytes)
 //   [128, 128 + 32·k)       SectionEntry table, k = header.section_count
 //   [align64(...), ...)     sections, each 64-byte aligned, in table order
@@ -34,11 +45,12 @@
 #include <string>
 #include <type_traits>
 
-namespace vicinity::core::v5 {
+namespace vicinity::core::region {
 
 /// Written as a native std::uint32_t; a reader on a byte-order other than
 /// the writer's sees the swapped value and rejects the file instead of
 /// silently misreading every array.
+/// The same in versions 5 and 6.
 inline constexpr std::uint32_t kEndianMarker = 0x35584E56u;  // "VNX5" LE
 
 /// Every section offset is a multiple of this (cache-line alignment, and
@@ -63,13 +75,14 @@ enum class SectionId : std::uint32_t {
   // Packed vicinity store (the out-store on directed graphs). The slot
   // arrays are per indexed node in prepare() order; the three arenas are
   // the concatenated slices (boundary group then interior group, both
-  // strictly ascending by node id).
+  // strictly ascending by node id). "Dist[...]" below is a distance column:
+  // uint8 (255 = infinity) or Distance entries, per the section's elem_size.
   kOutStoreRadius = 16,       ///< Distance[slots]
   kOutStoreNearest = 17,      ///< NodeId[slots]
   kOutStoreLen = 18,          ///< uint32[slots]
   kOutStoreBoundaryLen = 19,  ///< uint32[slots]
   kOutStoreMembers = 20,      ///< NodeId[total entries]
-  kOutStoreDists = 21,        ///< Distance[total entries]
+  kOutStoreDists = 21,        ///< Dist[total entries]
   kOutStoreParents = 22,      ///< NodeId[total entries]
   // In-store of an index on a directed graph (same shapes as the out-store
   // sections).
@@ -82,15 +95,15 @@ enum class SectionId : std::uint32_t {
   kInStoreParents = 38,
   // Landmark tables (row matrices are row-major, k rows of n entries).
   kTableLandmarks = 48,    ///< NodeId[k]
-  kTableDistRows = 49,     ///< Distance[k·n]
-  kTableRevRows = 50,      ///< Distance[k·n] (directed tag only)
+  kTableDistRows = 49,     ///< Dist[k·n]
+  kTableRevRows = 50,      ///< Dist[k·n] (directed tag only)
   /// NodeId[k·n]: landmark-tree parents that older writers could emit.
   /// Ignored on load (trees are derived from the rows); the id stays
   /// reserved.
   kTableParentRows = 51,
   kTableSubsetNodes = 52,  ///< NodeId[s] (subset mode)
-  kTableToLm = 53,         ///< Distance[s·k] (subset mode)
-  kTableFromLm = 54,       ///< Distance[s·k] (subset mode, directed tag)
+  kTableToLm = 53,         ///< Dist[s·k] (subset mode)
+  kTableFromLm = 54,       ///< Dist[s·k] (subset mode, directed tag)
 };
 
 inline const char* section_name(std::uint32_t id) {
@@ -144,7 +157,7 @@ static_assert(std::is_trivially_copyable_v<SectionEntry>);
 /// version check serves every container.
 struct FileHeader {
   char magic[6];               ///< "VCNIDX"
-  char version_digits[2];      ///< "05"
+  char version_digits[2];      ///< "06" ("05" in version-5 files)
   std::uint8_t backend_tag;    ///< 0 undirected, 1 directed
   std::uint8_t table_mode;     ///< LandmarkTables::Mode
   std::uint8_t directed_graph;
@@ -174,17 +187,19 @@ static_assert(offsetof(FileHeader, backend_tag) == 8,
 static_assert(offsetof(FileHeader, alpha) % alignof(double) == 0);
 
 /// Bounds- and alignment-checked typed reads over a raw byte region (a
-/// util::MappedFile's bytes() or a heap buffer holding a slurped stream).
-/// Every access validates offset/length against the region and the actual
-/// pointer against T's natural alignment before the cast, so a corrupt
-/// section table yields a versioned std::runtime_error, never UB.
+/// util::MappedFile's bytes() or a heap buffer holding a slurped stream)
+/// whose version digits read `version`. Every access validates
+/// offset/length against the region and the actual pointer against T's
+/// natural alignment before the cast, so a corrupt section table yields a
+/// versioned std::runtime_error, never UB.
 class RegionView {
  public:
   RegionView() = default;
-  explicit RegionView(std::span<const std::byte> bytes)
-      : data_(bytes.data()), size_(bytes.size()) {}
+  RegionView(std::span<const std::byte> bytes, int version)
+      : data_(bytes.data()), size_(bytes.size()), version_(version) {}
 
   std::uint64_t size() const { return size_; }
+  int version() const { return version_; }
 
   template <typename T>
   const T& pod_at(std::uint64_t offset, const char* what) const {
@@ -206,9 +221,10 @@ class RegionView {
   }
 
  private:
-  [[noreturn]] static void fail(const char* what, const char* why) {
-    throw std::runtime_error(std::string("oracle index (version 5): ") +
-                             what + " " + why);
+  [[noreturn]] void fail(const char* what, const char* why) const {
+    throw std::runtime_error("oracle index (version " +
+                             std::to_string(version_) + "): " + what + " " +
+                             why);
   }
   void check(std::uint64_t offset, std::uint64_t bytes, std::size_t align,
              const char* what) const {
@@ -222,6 +238,7 @@ class RegionView {
 
   const std::byte* data_ = nullptr;
   std::uint64_t size_ = 0;
+  int version_ = 0;
 };
 
-}  // namespace vicinity::core::v5
+}  // namespace vicinity::core::region

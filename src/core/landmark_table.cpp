@@ -54,8 +54,8 @@ LandmarkTables LandmarkTables::build_full(const graph::Graph& g,
   } else {
     for (std::uint64_t i = 0; i < k; ++i) work(i);
   }
-  t.fwd_.own(std::move(fwd));
-  t.rev_.own(std::move(rev));
+  t.fwd_ = DistColumn(std::move(fwd));
+  t.rev_ = DistColumn(std::move(rev));
   return t;
 }
 
@@ -97,16 +97,14 @@ LandmarkTables LandmarkTables::build_subset(const graph::Graph& g,
   } else {
     for (std::uint64_t i = 0; i < s; ++i) work(i);
   }
-  t.to_lm_.own(std::move(to_lm));
-  t.from_lm_.own(std::move(from_lm));
+  t.to_lm_ = DistColumn(std::move(to_lm));
+  t.from_lm_ = DistColumn(std::move(from_lm));
   return t;
 }
 
 void LandmarkTables::materialize() {
   if (backing_ == nullptr) return;
-  for (Matrix* m : {&fwd_, &rev_, &to_lm_, &from_lm_}) {
-    m->own(std::vector<Distance>(m->view.begin(), m->view.end()));
-  }
+  for (DistColumn* m : {&fwd_, &rev_, &to_lm_, &from_lm_}) m->materialize();
   backing_.reset();
 }
 
@@ -123,12 +121,12 @@ std::size_t LandmarkTables::refresh_rows_insert(const graph::Graph& g,
     // orientation on undirected graphs); improvements then cascade along
     // out-arcs.
     {
-      const auto row = owned_row(fwd_, i);
+      const DistRow row = owned_row(fwd_, i);
       std::vector<NodeId> seeds;
       auto seed = [&](NodeId to, NodeId via) {
         const Distance cand = dist_add(row[via], w);
         if (cand < row[to]) {
-          row[to] = cand;
+          row.set(to, cand);
           seeds.push_back(to);
         }
       };
@@ -142,10 +140,10 @@ std::size_t LandmarkTables::refresh_rows_insert(const graph::Graph& g,
     // Backward row d(v -> l) (directed only): the arc lowers a via b, and
     // improvements cascade along in-arcs.
     if (directed_) {
-      const auto row = owned_row(rev_, i);
+      const DistRow row = owned_row(rev_, i);
       const Distance cand = dist_add(row[b], w);
       if (cand < row[a]) {
-        row[a] = cand;
+        row.set(a, cand);
         const NodeId seeds[] = {a};
         detail::relax_row(g, /*use_in_arcs=*/true, row, seeds);
         row_changed = true;
@@ -164,7 +162,7 @@ std::size_t LandmarkTables::refresh_rows_delete(const graph::Graph& g,
   materialize();  // copy-on-write: refresh mutates rows in place
   std::size_t touched = 0;
   for (std::size_t i = 0; i < landmark_nodes_.size(); ++i) {
-    const auto row = owned_row(fwd_, i);
+    const DistRow row = owned_row(fwd_, i);
     std::size_t changed =
         detail::repair_row_delete(g, /*use_in_arcs=*/false, row, a, b);
     if (!g.directed()) {
@@ -204,7 +202,7 @@ bool LandmarkTables::walk_tree(const graph::Graph& g, Direction dir, NodeId l,
   // The forward row is grown along out-arcs, so its tight supports are
   // in-neighbours; the reverse row's are out-neighbours.
   const bool reverse = dir == Direction::kIn;
-  const auto dist = row(reverse && directed_ ? rev_ : fwd_, i);
+  const DistView dist = row(reverse && directed_ ? rev_ : fwd_, i);
   // A mapped row is untrusted: check every id and bound the walk.
   const std::size_t n = dist.size();
   NodeId cur = from;
@@ -225,8 +223,7 @@ Distance LandmarkTables::subset_dist_to_landmark(NodeId v, NodeId l) const {
   if (si == kInvalidNode || li == kInvalidNode) {
     throw std::invalid_argument("subset_dist_to_landmark: bad pair");
   }
-  return to_lm_.view[static_cast<std::size_t>(si) * landmark_nodes_.size() +
-                     li];
+  return to_lm_[static_cast<std::size_t>(si) * landmark_nodes_.size() + li];
 }
 
 Distance LandmarkTables::subset_dist_from_landmark(NodeId l, NodeId v) const {
@@ -237,9 +234,7 @@ Distance LandmarkTables::subset_dist_from_landmark(NodeId l, NodeId v) const {
   if (si == kInvalidNode || li == kInvalidNode) {
     throw std::invalid_argument("subset_dist_from_landmark: bad pair");
   }
-  return from_lm_.view[static_cast<std::size_t>(si) *
-                           landmark_nodes_.size() +
-                       li];
+  return from_lm_[static_cast<std::size_t>(si) * landmark_nodes_.size() + li];
 }
 
 Distance LandmarkTables::landmark_query(NodeId s, NodeId t,
@@ -258,13 +253,12 @@ Distance LandmarkTables::landmark_query(NodeId s, NodeId t,
 }
 
 std::uint64_t LandmarkTables::entries() const {
-  return fwd_.view.size() + rev_.view.size() + to_lm_.view.size() +
-         from_lm_.view.size();
+  return fwd_.size() + rev_.size() + to_lm_.size() + from_lm_.size();
 }
 
 std::uint64_t LandmarkTables::memory_bytes() const {
-  return entries() * sizeof(Distance) +
-         landmark_index_.size() * sizeof(NodeId) +
+  return fwd_.view().bytes() + rev_.view().bytes() + to_lm_.view().bytes() +
+         from_lm_.view().bytes() + landmark_index_.size() * sizeof(NodeId) +
          subset_index_.size() * sizeof(NodeId);
 }
 

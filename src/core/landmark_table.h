@@ -14,15 +14,22 @@
 //    sample and l in L, computed with one search per sampled node. Memory
 //    drops from |L|·n to |sample|·|L|.
 //
+// Every matrix is a core/dist_column.h column: one byte per entry when each
+// finite distance it holds is at most 254 (the landmarks' eccentricities on
+// the paper's social graphs are single digits), four bytes otherwise.
+//
 // The oracle picks the cheaper mode automatically in build_for().
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "core/dist_column.h"
 #include "core/landmarks.h"
 #include "graph/graph.h"
 #include "util/thread_pool.h"
@@ -36,9 +43,8 @@ class LandmarkTables {
 
   LandmarkTables() = default;
 
-  // Every matrix is read through a span over an owned vector or a mapping.
-  // A move carries the vector's buffer, and so the span, along; a copy
-  // would not.
+  // Every matrix is a DistColumn over owned storage or a mapping. A move
+  // carries the owned buffer, and so the view, along; a copy would not.
   LandmarkTables(LandmarkTables&&) noexcept = default;
   LandmarkTables& operator=(LandmarkTables&&) noexcept = default;
   LandmarkTables(const LandmarkTables&) = delete;
@@ -89,13 +95,17 @@ class LandmarkTables {
   /// Decrease-only relaxation of every row after inserting arc a -> b of
   /// weight w into `g` (post-insert; undirected graphs repair both
   /// orientations). Returns the number of rows with at least one change.
+  /// A byte-wide matrix widens when a node becomes reachable at a distance
+  /// above 254.
   std::size_t refresh_rows_insert(const graph::Graph& g, NodeId a, NodeId b,
                                   Weight w);
 
-  /// Repair after deleting arc a -> b (`g` is post-delete). Each row runs the bounded increase-repair
-  /// (core/dynamic.h repair_row_delete): rows where the arc was not
-  /// load-bearing exit after one O(degree) support check, others re-settle
-  /// only the invalidated region. Returns rows with at least one change.
+  /// Repair after deleting arc a -> b (`g` is post-delete). Each row runs
+  /// the bounded increase-repair (core/dynamic.h repair_row_delete): rows
+  /// where the arc was not load-bearing exit after one O(degree) support
+  /// check, others re-settle only the invalidated region; a byte-wide
+  /// matrix widens before a row stores a distance above 254. Returns rows
+  /// with at least one change.
   std::size_t refresh_rows_delete(const graph::Graph& g, NodeId a, NodeId b);
 
   /// Resolves d(s, t) when s or t is a landmark, honoring the mode; returns
@@ -112,41 +122,34 @@ class LandmarkTables {
   }
 
   std::uint64_t entries() const;
+  /// The matrices at their stored widths (mapped ones included) plus the
+  /// index arrays.
   std::uint64_t memory_bytes() const;
+  /// True when every non-empty matrix holds one byte per entry.
+  bool narrow() const {
+    return std::ranges::all_of(
+        std::array{&fwd_, &rev_, &to_lm_, &from_lm_},
+        [](const DistColumn* m) { return m->size() == 0 || m->narrow(); });
+  }
 
   /// True when the matrices alias external read-only storage (a mapped
-  /// VCNIDX05 file). The dynamic-refresh entry points materialize (copy
+  /// region container). The dynamic-refresh entry points materialize (copy
   /// into owned matrices, dropping the backing) before mutating.
   bool mapped() const { return backing_ != nullptr; }
 
  private:
   friend class OracleSerializer;
 
-  /// A row-major distance matrix. Every read goes through `view`, which
-  /// spans `owned` when the tables were built or heap-loaded and the
-  /// mapping (backing_) when they were mapped.
-  struct Matrix {
-    std::vector<Distance> owned;
-    std::span<const Distance> view;
-
-    /// Takes `v` as the owned matrix.
-    void own(std::vector<Distance> v) {
-      owned = std::move(v);
-      view = owned;
-    }
-  };
-
   void index_landmarks(const LandmarkSet& landmarks, NodeId n);
 
   /// Row i of a kFull matrix: n entries, one per node.
-  std::span<const Distance> row(const Matrix& m, std::size_t i) const {
+  DistView row(const DistColumn& m, std::size_t i) const {
     const std::size_t n = landmark_index_.size();
-    return m.view.subspan(i * n, n);
+    return m.view().subspan(i * n, n);
   }
   /// The same row of an owned (materialized) matrix, for the refresh.
-  std::span<Distance> owned_row(Matrix& m, std::size_t i) const {
-    const std::size_t n = landmark_index_.size();
-    return std::span<Distance>(m.owned).subspan(i * n, n);
+  DistRow owned_row(DistColumn& m, std::size_t i) const {
+    return DistRow(m, i * landmark_index_.size());
   }
 
   /// Copies mapped storage into the owned matrices and drops the backing
@@ -159,14 +162,14 @@ class LandmarkTables {
   std::vector<NodeId> landmark_index_;  ///< node -> landmark ordinal
   // kFull: fwd_ row i holds d(l_i -> v); rev_ only on directed graphs, row
   // i holds d(v -> l_i).
-  Matrix fwd_;
-  Matrix rev_;
+  DistColumn fwd_;
+  DistColumn rev_;
   // kSubset: one row per subset node over landmark ordinals.
   std::vector<NodeId> subset_nodes_;
   std::vector<NodeId> subset_index_;  ///< node -> subset ordinal
-  Matrix to_lm_;    ///< [subset][lm] d(v -> l)
-  Matrix from_lm_;  ///< [subset][lm] d(l -> v); empty on undirected graphs
-  /// Keeps a mapped VCNIDX05 region alive while the views alias it.
+  DistColumn to_lm_;    ///< [subset][lm] d(v -> l)
+  DistColumn from_lm_;  ///< [subset][lm] d(l -> v); empty on undirected graphs
+  /// Keeps a mapped region container alive while the views alias it.
   std::shared_ptr<const void> backing_;
 };
 

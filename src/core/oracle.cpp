@@ -705,21 +705,10 @@ PathResult VicinityOracle::path(NodeId s, NodeId t, QueryContext& ctx) const {
     }
   }
   if (have_s && have_t) {
-    // Re-run the intersection to find the best witness w.
-    const auto view = out.boundary(s);
+    // Re-run the intersection for its witness w: the smallest-id member of
+    // ∂Γ(s) ∩ Γ(t) that attains the minimum.
+    auto [best, witness] = in.intersect_witness(out.boundary(s), t);
     const Distance accept_limit = dist_add(out.radius(s), in.radius(t));
-    Distance best = kInfDistance;
-    NodeId witness = kInvalidNode;
-    for (std::size_t i = 0; i < view.nodes.size(); ++i) {
-      const ProbeResult e = in.find(t, view.nodes[i]);
-      if (e.found) {
-        const Distance total = dist_add(view.dists[i], e.dist);
-        if (total < best) {
-          best = total;
-          witness = view.nodes[i];
-        }
-      }
-    }
     if (best > accept_limit) witness = kInvalidNode;  // weighted guard
     if (witness != kInvalidNode) {
       std::vector<NodeId> left;  // w..s -> reversed to s..w

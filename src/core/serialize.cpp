@@ -21,11 +21,12 @@ namespace vicinity::core {
 namespace {
 
 // Container header: 6-byte magic + 2 ASCII-digit format version + (since
-// version 3) one backend-tag byte. Version 5 is the region container of
-// core/index_format.h (fixed header + section table + 64-byte-aligned
-// sections), which loads zero-copy via mmap; it is the only version the
-// writer emits and the loaders open. Versions 2-4 are legacy stream
-// containers that only upgrade_index() reads. Version 2 added
+// version 3) one backend-tag byte. Versions 5 and 6 are the region container
+// of core/index_format.h (fixed header + section table + 64-byte-aligned
+// sections), which loads zero-copy via mmap; the loaders open both, and the
+// writer emits version 6, whose distance sections may be byte-wide.
+// Versions 2-4 are legacy stream containers that only upgrade_index() reads.
+// Version 2 added
 // OracleOptions::update_rebuild_fraction (dynamic updates); version 3 added
 // the backend tag and the directed-oracle body; version 4 added the packed
 // stream body. A stream store body is either the packed blobs (store byte
@@ -34,7 +35,8 @@ namespace {
 // Version-1 files predate the options field and are rejected up front with
 // a versioned error rather than misparsed.
 constexpr char kMagic[6] = {'V', 'C', 'N', 'I', 'D', 'X'};
-constexpr int kFormatVersion = 5;     // the one version loaded and written
+constexpr int kFormatVersion = 6;     // the version written
+constexpr int kMinRegionVersion = 5;  // oldest version the loaders open
 constexpr int kMinFormatVersion = 2;  // oldest version upgrade_index reads
 constexpr int kMinPackedVersion = 4;
 
@@ -113,7 +115,7 @@ struct Header {
   BackendTag tag;
 };
 
-/// Reads the magic and the two version digits. Versions outside 2-5 are
+/// Reads the magic and the two version digits. Versions outside 2-6 are
 /// refused here; the caller decides what a legacy version 2-4 means.
 int read_version(std::istream& in) {
   char header[8];
@@ -129,20 +131,22 @@ int read_version(std::istream& in) {
   if (version < kMinFormatVersion || version > kFormatVersion) {
     throw std::runtime_error(
         "oracle index: unsupported format version " + std::to_string(version) +
-        " (this build opens version " + std::to_string(kFormatVersion) +
-        " and upgrades versions " + std::to_string(kMinFormatVersion) + "-" +
-        std::to_string(kFormatVersion - 1) + "; rebuild the index)");
+        " (this build opens versions " + std::to_string(kMinRegionVersion) +
+        "-" + std::to_string(kFormatVersion) + " and upgrades versions " +
+        std::to_string(kMinFormatVersion) + "-" +
+        std::to_string(kMinRegionVersion - 1) + "; rebuild the index)");
   }
   return version;
 }
 
-/// The loaders open only the current version; a legacy stream container is
+/// The loaders open only region containers; a legacy stream container is
 /// refused before any later field (tag, graph shape) is read.
 void require_current(int version) {
-  if (version == kFormatVersion) return;
+  if (version >= kMinRegionVersion) return;
   throw std::runtime_error(
       "oracle index: format version " + std::to_string(version) +
-      " is a legacy stream container and this build opens only version " +
+      " is a legacy stream container and this build opens only versions " +
+      std::to_string(kMinRegionVersion) + "-" +
       std::to_string(kFormatVersion) +
       "; convert it once with `vicinity_cli index upgrade --graph=G "
       "--in=OLD --out=NEW`");
@@ -286,7 +290,7 @@ void read_packed_store(std::istream& in, VicinityStore& store) {
   blob.len = read_vec<std::uint32_t>(in);
   blob.boundary_len = read_vec<std::uint32_t>(in);
   blob.members = read_vec<NodeId>(in);
-  blob.dists = read_vec<Distance>(in);
+  blob.dists = DistColumn(read_vec<Distance>(in));
   blob.parents = read_vec<NodeId>(in);
   const util::RoleGuard role(store.mutation_role());
   store.adopt_packed(std::move(blob));  // validates the untrusted blobs
@@ -329,24 +333,26 @@ std::vector<NodeId> read_indexed(std::istream& in, const graph::Graph& g) {
   return indexed;
 }
 
-// ---- VCNIDX05 region container (core/index_format.h) ---------------------
+// ---- VCNIDX05/06 region container (core/index_format.h) ------------------
 
-[[noreturn]] void section_fail(const v5::SectionEntry& e, const char* why) {
-  throw std::runtime_error(std::string("oracle index (version 5): section ") +
-                           v5::section_name(e.id) + " " + why);
+[[noreturn]] void section_fail(int version, const region::SectionEntry& e,
+                               const char* why) {
+  throw std::runtime_error("oracle index (version " + std::to_string(version) +
+                           "): section " + region::section_name(e.id) + " " +
+                           why);
 }
 
 /// A validated region container: header + section table over a RegionView
-/// (a mapped file or a slurped stream). span_of() hands out typed,
-/// bounds-checked views of individual sections; a missing section reads as
-/// an empty array (shape validation downstream rejects it where one is
-/// required).
-struct V5Reader {
-  v5::RegionView view;
-  const v5::FileHeader* header = nullptr;
-  std::vector<v5::SectionEntry> sections;
+/// (a mapped file or a slurped stream). span_of() and dists_of() hand out
+/// typed, bounds-checked views of individual sections; a missing section
+/// reads as an empty array (shape validation downstream rejects it where
+/// one is required).
+struct RegionReader {
+  region::RegionView view;
+  const region::FileHeader* header = nullptr;
+  std::vector<region::SectionEntry> sections;
 
-  const v5::SectionEntry* find(v5::SectionId id) const {
+  const region::SectionEntry* find(region::SectionId id) const {
     for (const auto& e : sections) {
       if (e.id == static_cast<std::uint32_t>(id)) return &e;
     }
@@ -354,14 +360,30 @@ struct V5Reader {
   }
 
   template <typename T>
-  std::span<const T> span_of(v5::SectionId id) const {
-    const v5::SectionEntry* e = find(id);
+  std::span<const T> span_of(region::SectionId id) const {
+    const region::SectionEntry* e = find(id);
     if (e == nullptr) return {};
     if (e->elem_size != sizeof(T)) {
-      section_fail(*e, "has unexpected element size");
+      section_fail(view.version(), *e, "has unexpected element size");
     }
     return view.array_at<T>(e->offset, e->count,
-                            v5::section_name(e->id));
+                            region::section_name(e->id));
+  }
+
+  /// A distance section: four bytes per entry, or (version 6) one.
+  DistView dists_of(region::SectionId id) const {
+    const region::SectionEntry* e = find(id);
+    if (e == nullptr) return {};
+    if (e->elem_size == sizeof(Distance)) return span_of<Distance>(id);
+    if (e->elem_size != 1) {
+      section_fail(view.version(), *e, "has unexpected element size");
+    }
+    if (view.version() < 6) {
+      section_fail(view.version(), *e,
+                   "is byte-wide, which version 5 cannot encode");
+    }
+    return view.array_at<std::uint8_t>(e->offset, e->count,
+                                       region::section_name(e->id));
   }
 };
 
@@ -369,21 +391,23 @@ struct V5Reader {
 /// section entry (element size, byte length, alignment, bounds, overlap,
 /// duplicates). O(section count) — independent of the payload size, which
 /// is what makes a mapped open near-instant.
-V5Reader open_v5(v5::RegionView view) {
-  V5Reader r;
+RegionReader open_region(region::RegionView view) {
+  RegionReader r;
   r.view = view;
-  const auto& h = view.pod_at<v5::FileHeader>(0, "file header");
+  const int version = view.version();
+  const auto& h = view.pod_at<region::FileHeader>(0, "file header");
   r.header = &h;
   require(std::memcmp(h.magic, kMagic, sizeof(kMagic)) == 0, "bad magic");
   require(h.version_digits[0] == '0' &&
-              h.version_digits[1] == '0' + kFormatVersion,
+              h.version_digits[1] == '0' + version,
           "corrupt format version");
-  if (h.endian != v5::kEndianMarker) {
+  if (h.endian != region::kEndianMarker) {
     throw std::runtime_error(
-        "oracle index (version 5): endianness mismatch (index written on "
-        "an incompatible byte order; rebuild the index on this machine)");
+        "oracle index (version " + std::to_string(version) +
+        "): endianness mismatch (index written on an incompatible byte "
+        "order; rebuild the index on this machine)");
   }
-  require(h.header_bytes == sizeof(v5::FileHeader), "corrupt header size");
+  require(h.header_bytes == sizeof(region::FileHeader), "corrupt header size");
   require(h.backend_tag <= static_cast<std::uint8_t>(BackendTag::kDirected),
           "unknown backend tag");
   require(h.table_mode <=
@@ -391,49 +415,55 @@ V5Reader open_v5(v5::RegionView view) {
           "corrupt landmark-table mode");
   require(h.file_bytes == view.size(),
           "file size mismatch (truncated file or trailing bytes)");
-  const auto table = view.array_at<v5::SectionEntry>(
-      v5::kSectionTableOffset, h.section_count, "section table");
+  const auto table = view.array_at<region::SectionEntry>(
+      region::kSectionTableOffset, h.section_count, "section table");
   r.sections.assign(table.begin(), table.end());
-  const std::uint64_t data_start = v5::align_up(
-      v5::kSectionTableOffset +
-      static_cast<std::uint64_t>(h.section_count) * sizeof(v5::SectionEntry));
+  const std::uint64_t data_start = region::align_up(
+      region::kSectionTableOffset +
+      static_cast<std::uint64_t>(h.section_count) *
+          sizeof(region::SectionEntry));
   for (const auto& e : r.sections) {
-    if (e.elem_size == 0) section_fail(e, "has zero element size");
+    if (e.elem_size == 0) section_fail(version, e, "has zero element size");
     if (e.count > std::numeric_limits<std::uint64_t>::max() / e.elem_size) {
-      section_fail(e, "length overflows");
+      section_fail(version, e, "length overflows");
     }
     if (e.bytes != e.count * e.elem_size) {
-      section_fail(e, "byte length mismatch");
+      section_fail(version, e, "byte length mismatch");
     }
-    if (e.offset % v5::kSectionAlign != 0) section_fail(e, "is misaligned");
-    if (e.offset < data_start) section_fail(e, "overlaps the header");
+    if (e.offset % region::kSectionAlign != 0) {
+      section_fail(version, e, "is misaligned");
+    }
+    if (e.offset < data_start) section_fail(version, e, "overlaps the header");
     if (e.offset > h.file_bytes || e.bytes > h.file_bytes - e.offset) {
-      section_fail(e, "is out of range");
+      section_fail(version, e, "is out of range");
     }
   }
   auto by_offset = r.sections;
   std::sort(by_offset.begin(), by_offset.end(),
-            [](const v5::SectionEntry& a, const v5::SectionEntry& b) {
+            [](const region::SectionEntry& a, const region::SectionEntry& b) {
               return a.offset < b.offset;
             });
   for (std::size_t i = 1; i < by_offset.size(); ++i) {
     if (by_offset[i - 1].offset + by_offset[i - 1].bytes >
         by_offset[i].offset) {
-      section_fail(by_offset[i], "overlaps another section");
+      section_fail(version, by_offset[i], "overlaps another section");
     }
   }
   auto by_id = r.sections;
   std::sort(by_id.begin(), by_id.end(),
-            [](const v5::SectionEntry& a, const v5::SectionEntry& b) {
+            [](const region::SectionEntry& a, const region::SectionEntry& b) {
               return a.id < b.id;
             });
   for (std::size_t i = 1; i < by_id.size(); ++i) {
-    if (by_id[i - 1].id == by_id[i].id) section_fail(by_id[i], "is duplicated");
+    if (by_id[i - 1].id == by_id[i].id) {
+      section_fail(version, by_id[i], "is duplicated");
+    }
   }
   return r;
 }
 
-void check_v5_graph_shape(const v5::FileHeader& h, const graph::Graph& g) {
+void check_region_graph_shape(const region::FileHeader& h,
+                              const graph::Graph& g) {
   if (h.num_nodes != g.num_nodes() || h.num_arcs != g.num_arcs() ||
       (h.directed_graph != 0) != g.directed() ||
       (h.weighted_graph != 0) != g.weighted()) {
@@ -441,16 +471,16 @@ void check_v5_graph_shape(const v5::FileHeader& h, const graph::Graph& g) {
   }
 }
 
-OracleOptions read_v5_options(const v5::FileHeader& h) {
+OracleOptions read_region_options(const region::FileHeader& h) {
   OracleOptions opt;
   opt.alpha = h.alpha;
   opt.sampling_constant = h.sampling_constant;
   require(h.strategy <= static_cast<std::uint8_t>(SamplingStrategy::kTopDegree),
           "corrupt sampling strategy");
   opt.strategy = static_cast<SamplingStrategy>(h.strategy);
-  // Version 5 has only ever recorded the packed layout.
+  // Region containers have only ever recorded the packed layout.
   require(h.store_backend == static_cast<std::uint8_t>(StoreBackend::kPacked),
-          "version 5 container requires the packed store backend");
+          "region container requires the packed store backend");
   opt.use_boundary_optimization = h.use_boundary_optimization != 0;
   opt.iterate_smaller_side = h.iterate_smaller_side != 0;
   require(h.fallback <= static_cast<std::uint8_t>(Fallback::kLandmarkEstimate),
@@ -463,9 +493,10 @@ OracleOptions read_v5_options(const v5::FileHeader& h) {
   return opt;
 }
 
-LandmarkSet read_v5_landmark_set(const V5Reader& r, const OracleOptions& opt,
+LandmarkSet read_region_landmark_set(const RegionReader& r,
+                                     const OracleOptions& opt,
                                  const graph::Graph& g) {
-  const auto nodes = r.span_of<NodeId>(v5::SectionId::kLandmarkNodes);
+  const auto nodes = r.span_of<NodeId>(region::SectionId::kLandmarkNodes);
   LandmarkSet landmarks;
   landmarks.nodes.assign(nodes.begin(), nodes.end());
   landmarks.alpha = opt.alpha;
@@ -478,8 +509,9 @@ LandmarkSet read_v5_landmark_set(const V5Reader& r, const OracleOptions& opt,
   return landmarks;
 }
 
-NearestLandmarkInfo read_v5_nearest(const V5Reader& r, v5::SectionId dist_id,
-                                    v5::SectionId lm_id, std::uint64_t n) {
+NearestLandmarkInfo read_region_nearest(const RegionReader& r,
+                                        region::SectionId dist_id,
+                                    region::SectionId lm_id, std::uint64_t n) {
   const auto dist = r.span_of<Distance>(dist_id);
   const auto lm = r.span_of<NodeId>(lm_id);
   require(dist.size() == n && lm.size() == n,
@@ -493,9 +525,9 @@ NearestLandmarkInfo read_v5_nearest(const V5Reader& r, v5::SectionId dist_id,
   return info;
 }
 
-std::vector<NodeId> read_v5_indexed(const V5Reader& r,
+std::vector<NodeId> read_region_indexed(const RegionReader& r,
                                     const graph::Graph& g) {
-  const auto span = r.span_of<NodeId>(v5::SectionId::kIndexedNodes);
+  const auto span = r.span_of<NodeId>(region::SectionId::kIndexedNodes);
   std::vector<NodeId> indexed(span.begin(), span.end());
   util::BitVector seen(g.num_nodes());
   for (const NodeId u : indexed) {
@@ -508,14 +540,14 @@ std::vector<NodeId> read_v5_indexed(const V5Reader& r,
 
 /// Hands the store sections to the store: zero-copy (adopt_packed_view)
 /// when `backing` keeps the region alive, compact heap copy otherwise.
-void adopt_v5_store(const V5Reader& r, bool in_store,
+void adopt_region_store(const RegionReader& r, bool in_store,
                     const std::shared_ptr<const void>& backing, bool verify,
                     VicinityStore& store) {
   const auto base =
-      static_cast<std::uint32_t>(in_store ? v5::SectionId::kInStoreRadius
-                                          : v5::SectionId::kOutStoreRadius);
+      static_cast<std::uint32_t>(in_store ? region::SectionId::kInStoreRadius
+                                          : region::SectionId::kOutStoreRadius);
   const auto sid = [base](std::uint32_t off) {
-    return static_cast<v5::SectionId>(base + off);
+    return static_cast<region::SectionId>(base + off);
   };
   VicinityStore::PackedView v;
   v.radius = r.span_of<Distance>(sid(0));
@@ -523,7 +555,7 @@ void adopt_v5_store(const V5Reader& r, bool in_store,
   v.len = r.span_of<std::uint32_t>(sid(2));
   v.boundary_len = r.span_of<std::uint32_t>(sid(3));
   v.members = r.span_of<NodeId>(sid(4));
-  v.dists = r.span_of<Distance>(sid(5));
+  v.dists = r.dists_of(sid(5));
   v.parents = r.span_of<NodeId>(sid(6));
   const util::RoleGuard role(store.mutation_role());
   if (backing != nullptr) {
@@ -536,7 +568,7 @@ void adopt_v5_store(const V5Reader& r, bool in_store,
   blob.len.assign(v.len.begin(), v.len.end());
   blob.boundary_len.assign(v.boundary_len.begin(), v.boundary_len.end());
   blob.members.assign(v.members.begin(), v.members.end());
-  blob.dists.assign(v.dists.begin(), v.dists.end());
+  blob.dists = DistColumn::copy_of(v.dists);
   blob.parents.assign(v.parents.begin(), v.parents.end());
   store.adopt_packed(std::move(blob));  // always deep-validates
 }
@@ -544,7 +576,7 @@ void adopt_v5_store(const V5Reader& r, bool in_store,
 /// One planned section of a region container being written: identity,
 /// shape, and a callback that streams the payload bytes.
 struct SectionPlan {
-  v5::SectionId id;
+  region::SectionId id;
   std::uint32_t elem_size;
   std::uint64_t count;
   std::function<void(std::ostream&)> emit;
@@ -557,25 +589,32 @@ void write_span_bytes(std::ostream& out, std::span<const T> v) {
 }
 
 template <typename T>
-SectionPlan plan_span(v5::SectionId id, std::span<const T> v) {
+SectionPlan plan_span(region::SectionId id, std::span<const T> v) {
   return {id, sizeof(T), v.size(),
           [v](std::ostream& out) { write_span_bytes(out, v); }};
+}
+
+/// A distance column's section, at the column's width.
+SectionPlan plan_dists(region::SectionId id, DistView v) {
+  return {id, v.elem_size(), v.size(), [v](std::ostream& out) {
+            v.visit([&](auto span) { write_span_bytes(out, span); });
+          }};
 }
 
 void plan_store(std::vector<SectionPlan>& plans,
                 const VicinityStore::PackedView& v, bool in_store) {
   const auto base =
-      static_cast<std::uint32_t>(in_store ? v5::SectionId::kInStoreRadius
-                                          : v5::SectionId::kOutStoreRadius);
+      static_cast<std::uint32_t>(in_store ? region::SectionId::kInStoreRadius
+                                          : region::SectionId::kOutStoreRadius);
   const auto sid = [base](std::uint32_t off) {
-    return static_cast<v5::SectionId>(base + off);
+    return static_cast<region::SectionId>(base + off);
   };
   plans.push_back(plan_span(sid(0), v.radius));
   plans.push_back(plan_span(sid(1), v.nearest));
   plans.push_back(plan_span(sid(2), v.len));
   plans.push_back(plan_span(sid(3), v.boundary_len));
   plans.push_back(plan_span(sid(4), v.members));
-  plans.push_back(plan_span(sid(5), v.dists));
+  plans.push_back(plan_dists(sid(5), v.dists));
   plans.push_back(plan_span(sid(6), v.parents));
 }
 
@@ -615,13 +654,13 @@ class OracleSerializer {
     }
     const auto rows = read_pod<std::uint64_t>(in);
     require(rows <= n, "corrupt landmark row count");
-    t.fwd_.own(
+    t.fwd_ = DistColumn(
         read_rows<Distance>(in, rows, n, "landmark row has wrong length"));
     if (directed) {
       const auto rrows = read_pod<std::uint64_t>(in);
       require(rrows == rows, "corrupt reverse landmark row count");
-      t.rev_.own(read_rows<Distance>(in, rrows, n,
-                                     "reverse landmark row has wrong length"));
+      t.rev_ = DistColumn(read_rows<Distance>(
+          in, rrows, n, "reverse landmark row has wrong length"));
     }
     // Landmark parent rows: checked, then dropped (the tables derive tree
     // paths from the distance rows).
@@ -634,25 +673,25 @@ class OracleSerializer {
       require(t.subset_nodes_[i] < n, "subset node out of range");
       t.subset_index_[t.subset_nodes_[i]] = static_cast<NodeId>(i);
     }
-    t.to_lm_.own(read_vec<Distance>(in));
-    if (directed) t.from_lm_.own(read_vec<Distance>(in));
+    t.to_lm_ = DistColumn(read_vec<Distance>(in));
+    if (directed) t.from_lm_ = DistColumn(read_vec<Distance>(in));
     if (mode == LandmarkTables::Mode::kFull) {
       require(rows == t.landmark_nodes_.size(), "landmark row count mismatch");
     } else {
-      require(t.to_lm_.view.size() ==
+      require(t.to_lm_.size() ==
                   t.subset_nodes_.size() * t.landmark_nodes_.size(),
               "subset table has wrong length");
       if (directed) {
-        require(t.from_lm_.view.size() == t.to_lm_.view.size(),
+        require(t.from_lm_.size() == t.to_lm_.size(),
                 "subset from-landmark table has wrong length");
       }
     }
   }
 
-  // ---- Landmark tables, version-5 region sections -----------------------
+  // ---- Landmark tables, region-container sections -----------------------
   static void plan_tables(std::vector<SectionPlan>& plans,
                           const LandmarkTables& t) {
-    using S = v5::SectionId;
+    using S = region::SectionId;
     if (t.mode() == LandmarkTables::Mode::kNone) return;
     plans.push_back(plan_span(S::kTableLandmarks,
                               std::span<const NodeId>(t.landmark_nodes_)));
@@ -660,19 +699,19 @@ class OracleSerializer {
                               std::span<const NodeId>(t.subset_nodes_)));
     // Matrices a graph kind or mode lacks are empty, and save() drops
     // empty sections.
-    plans.push_back(plan_span(S::kTableDistRows, t.fwd_.view));
-    plans.push_back(plan_span(S::kTableRevRows, t.rev_.view));
-    plans.push_back(plan_span(S::kTableToLm, t.to_lm_.view));
-    plans.push_back(plan_span(S::kTableFromLm, t.from_lm_.view));
+    plans.push_back(plan_dists(S::kTableDistRows, t.fwd_.view()));
+    plans.push_back(plan_dists(S::kTableRevRows, t.rev_.view()));
+    plans.push_back(plan_dists(S::kTableToLm, t.to_lm_.view()));
+    plans.push_back(plan_dists(S::kTableFromLm, t.from_lm_.view()));
   }
 
-  static void load_v5_tables(const V5Reader& r, const graph::Graph& g,
+  static void load_region_tables(const RegionReader& r, const graph::Graph& g,
                              const std::shared_ptr<const void>& backing,
                              LandmarkTables& t) {
-    using S = v5::SectionId;
+    using S = region::SectionId;
     const auto n = g.num_nodes();
     const bool directed = g.directed();
-    // table_mode was range-checked in open_v5.
+    // table_mode was range-checked in open_region.
     t.mode_ = static_cast<LandmarkTables::Mode>(r.header->table_mode);
     t.directed_ = directed;
     if (t.mode_ == LandmarkTables::Mode::kNone) return;
@@ -685,21 +724,18 @@ class OracleSerializer {
     }
     const std::uint64_t k = t.landmark_nodes_.size();
     t.subset_index_.assign(n, kInvalidNode);
-    // A mapped open aliases each matrix; a heap open copies it.
-    const auto adopt = [&](LandmarkTables::Matrix& m,
-                           std::span<const Distance> section) {
-      if (backing != nullptr) {
-        m.view = section;
-      } else {
-        m.own(std::vector<Distance>(section.begin(), section.end()));
-      }
+    // A mapped open aliases each matrix; a heap open copies it. Either
+    // keeps the section's width.
+    const auto adopt = [&](DistColumn& m, DistView section) {
+      m = backing != nullptr ? DistColumn::borrow(section)
+                             : DistColumn::copy_of(section);
     };
     t.backing_ = backing;
     if (t.mode_ == LandmarkTables::Mode::kFull) {
       require(k <= n, "corrupt landmark row count");
-      const auto dist = r.span_of<Distance>(S::kTableDistRows);
+      const DistView dist = r.dists_of(S::kTableDistRows);
       require(dist.size() == k * n, "landmark row matrix has wrong length");
-      const auto rev = r.span_of<Distance>(S::kTableRevRows);
+      const DistView rev = r.dists_of(S::kTableRevRows);
       require(directed ? rev.size() == k * n : rev.empty(),
               "reverse landmark row matrix has wrong length");
       // A file written with landmark parents also carries
@@ -716,18 +752,18 @@ class OracleSerializer {
       t.subset_index_[t.subset_nodes_[i]] = static_cast<NodeId>(i);
     }
     const std::uint64_t s = t.subset_nodes_.size();
-    const auto to_lm = r.span_of<Distance>(S::kTableToLm);
+    const DistView to_lm = r.dists_of(S::kTableToLm);
     require(to_lm.size() == s * k, "subset table has wrong length");
-    const auto from_lm = r.span_of<Distance>(S::kTableFromLm);
+    const DistView from_lm = r.dists_of(S::kTableFromLm);
     require(directed ? from_lm.size() == to_lm.size() : from_lm.empty(),
             "subset from-landmark table has wrong length");
     adopt(t.to_lm_, to_lm);
     adopt(t.from_lm_, from_lm);
   }
 
-  // ---- Version-5 region writer -----------------------------------------
+  // ---- Region writer (version 6) -----------------------------------------
   static void save(const VicinityOracle& o, std::ostream& out) {
-    using S = v5::SectionId;
+    using S = region::SectionId;
     const graph::Graph& g = o.graph();
     const std::size_t families = o.families();
     std::vector<SectionPlan> plans;
@@ -754,23 +790,24 @@ class OracleSerializer {
     // an empty array.
     std::erase_if(plans, [](const SectionPlan& p) { return p.count == 0; });
 
-    std::vector<v5::SectionEntry> entries;
+    std::vector<region::SectionEntry> entries;
     entries.reserve(plans.size());
-    std::uint64_t cursor = v5::align_up(
-        v5::kSectionTableOffset + plans.size() * sizeof(v5::SectionEntry));
+    std::uint64_t cursor = region::align_up(
+        region::kSectionTableOffset +
+        plans.size() * sizeof(region::SectionEntry));
     for (const SectionPlan& p : plans) {
-      v5::SectionEntry e;
+      region::SectionEntry e;
       e.id = static_cast<std::uint32_t>(p.id);
       e.elem_size = p.elem_size;
       e.offset = cursor;
       e.count = p.count;
       e.bytes = p.count * p.elem_size;
       entries.push_back(e);
-      cursor = v5::align_up(cursor + e.bytes);
+      cursor = region::align_up(cursor + e.bytes);
     }
 
     const OracleOptions& opt = o.opt_;
-    v5::FileHeader h{};
+    region::FileHeader h{};
     std::memcpy(h.magic, kMagic, sizeof(kMagic));
     h.version_digits[0] = '0';
     h.version_digits[1] = '0' + kFormatVersion;
@@ -778,8 +815,8 @@ class OracleSerializer {
     h.table_mode = static_cast<std::uint8_t>(o.tables_.mode());
     h.directed_graph = g.directed() ? 1 : 0;
     h.weighted_graph = g.weighted() ? 1 : 0;
-    h.endian = v5::kEndianMarker;
-    h.header_bytes = sizeof(v5::FileHeader);
+    h.endian = region::kEndianMarker;
+    h.header_bytes = sizeof(region::FileHeader);
     h.section_count = static_cast<std::uint32_t>(entries.size());
     h.file_bytes = cursor;
     h.num_nodes = g.num_nodes();
@@ -796,8 +833,8 @@ class OracleSerializer {
 
     write_pod(out, h);
     for (const auto& e : entries) write_pod(out, e);
-    std::uint64_t pos = v5::kSectionTableOffset +
-                        entries.size() * sizeof(v5::SectionEntry);
+    std::uint64_t pos = region::kSectionTableOffset +
+                        entries.size() * sizeof(region::SectionEntry);
     for (std::size_t i = 0; i < plans.size(); ++i) {
       write_zeros(out, entries[i].offset - pos);
       plans[i].emit(out);
@@ -807,25 +844,25 @@ class OracleSerializer {
     if (!out) throw std::runtime_error("oracle index: write failed");
   }
 
-  // ---- Version-5 region loader ------------------------------------------
-  static VicinityOracle load_v5_body(const V5Reader& r, const graph::Graph& g,
+  // ---- Region loader (versions 5 and 6) ---------------------------------
+  static VicinityOracle load_region_body(const RegionReader& r,
+                                         const graph::Graph& g,
                                      std::shared_ptr<const void> backing,
                                      bool verify) {
-    const v5::FileHeader& h = *r.header;
+    const region::FileHeader& h = *r.header;
     check_backend(
-        Header{kFormatVersion, static_cast<BackendTag>(h.backend_tag)},
-        g);
-    check_v5_graph_shape(h, g);
+        Header{r.view.version(), static_cast<BackendTag>(h.backend_tag)}, g);
+    check_region_graph_shape(h, g);
     VicinityOracle o;
     o.g_ = &g;
-    o.opt_ = read_v5_options(h);
-    o.landmarks_ = read_v5_landmark_set(r, o.opt_, g);
+    o.opt_ = read_region_options(h);
+    o.landmarks_ = read_region_landmark_set(r, o.opt_, g);
     const std::size_t families = o.families();
     for (std::size_t f = 0; f < families; ++f) {
-      o.nearest_[f] = read_v5_nearest(r, nearest_dist_id(f),
+      o.nearest_[f] = read_region_nearest(r, nearest_dist_id(f),
                                       nearest_landmark_id(f), g.num_nodes());
     }
-    o.indexed_ = read_v5_indexed(r, g);
+    o.indexed_ = read_region_indexed(r, g);
     for (std::size_t f = 0; f < families; ++f) {
       VicinityStore& store = o.stores_[f];
       store = VicinityStore(g.num_nodes());
@@ -833,9 +870,9 @@ class OracleSerializer {
         const util::RoleGuard role(store.mutation_role());
         store.prepare(o.indexed_);
       }
-      adopt_v5_store(r, /*in_store=*/f == 1, backing, verify, store);
+      adopt_region_store(r, /*in_store=*/f == 1, backing, verify, store);
     }
-    load_v5_tables(r, g, backing, o.tables_);
+    load_region_tables(r, g, backing, o.tables_);
     o.build_stats_ = loaded_stats(o);
     return o;
   }
@@ -888,13 +925,13 @@ class OracleSerializer {
   }
 
  private:
-  static v5::SectionId nearest_dist_id(std::size_t f) {
-    return f == 0 ? v5::SectionId::kNearestOutDist
-                  : v5::SectionId::kNearestInDist;
+  static region::SectionId nearest_dist_id(std::size_t f) {
+    return f == 0 ? region::SectionId::kNearestOutDist
+                  : region::SectionId::kNearestInDist;
   }
-  static v5::SectionId nearest_landmark_id(std::size_t f) {
-    return f == 0 ? v5::SectionId::kNearestOutLandmark
-                  : v5::SectionId::kNearestInLandmark;
+  static region::SectionId nearest_landmark_id(std::size_t f) {
+    return f == 0 ? region::SectionId::kNearestOutLandmark
+                  : region::SectionId::kNearestInLandmark;
   }
 
   /// Mean vicinity/boundary/radius statistics over the families (averaged
@@ -927,15 +964,15 @@ class OracleSerializer {
 
 namespace {
 
-/// Reconstructs a version-5 region from a stream whose magic and version
+/// Reconstructs a region container from a stream whose magic and version
 /// digits were already consumed by read_version: re-prepends them so the
 /// absolute section offsets stay valid, then slurps the remainder into one
 /// heap buffer (operator new's alignment covers every element type).
-std::vector<std::byte> slurp_region(std::istream& in) {
+std::vector<std::byte> slurp_region(std::istream& in, int version) {
   std::vector<std::byte> buf(8);
   std::memcpy(buf.data(), kMagic, sizeof(kMagic));
   buf[6] = static_cast<std::byte>('0');
-  buf[7] = static_cast<std::byte>('0' + kFormatVersion);
+  buf[7] = static_cast<std::byte>('0' + version);
   constexpr std::size_t kChunk = std::size_t{1} << 22;
   std::size_t pos = buf.size();
   for (;;) {
@@ -963,33 +1000,37 @@ void save_oracle_file(const VicinityOracle& oracle, const std::string& path) {
 }
 
 VicinityOracle load_oracle(std::istream& in, const graph::Graph& g) {
-  require_current(read_version(in));
-  const auto buf = slurp_region(in);
-  const V5Reader r = open_v5(v5::RegionView(buf));
-  return OracleSerializer::load_v5_body(r, g, nullptr, /*verify=*/true);
+  const int version = read_version(in);
+  require_current(version);
+  const auto buf = slurp_region(in, version);
+  const RegionReader r = open_region(region::RegionView(buf, version));
+  return OracleSerializer::load_region_body(r, g, nullptr, /*verify=*/true);
 }
 
 VicinityOracle load_oracle_file(const std::string& path, const graph::Graph& g,
                                 const OpenOptions& opts) {
   std::ifstream f(path, std::ios::binary);
   if (!f) throw std::runtime_error("cannot open " + path);
-  require_current(read_version(f));
+  const int version = read_version(f);
+  require_current(version);
   f.close();
   auto mf = std::make_shared<util::MappedFile>(path);
-  const V5Reader r = open_v5(v5::RegionView(mf->bytes()));
+  const RegionReader r = open_region(region::RegionView(mf->bytes(), version));
   if (opts.mode == OpenMode::kHeap) {
-    return OracleSerializer::load_v5_body(r, g, nullptr, /*verify=*/true);
+    return OracleSerializer::load_region_body(r, g, nullptr, /*verify=*/true);
   }
-  return OracleSerializer::load_v5_body(r, g, std::move(mf), opts.verify);
+  return OracleSerializer::load_region_body(r, g, std::move(mf), opts.verify);
 }
 
 void upgrade_index(std::istream& legacy, const graph::Graph& g,
                    std::ostream& out) {
   const int version = read_version(legacy);
-  if (version == kFormatVersion) {
-    throw std::runtime_error("oracle index: format version " +
-                             std::to_string(version) +
-                             " is already current; nothing to upgrade");
+  if (version >= kMinRegionVersion) {
+    throw std::runtime_error(
+        "oracle index: format version " + std::to_string(version) +
+        " is already current (the loaders open region containers " +
+        std::to_string(kMinRegionVersion) + "-" +
+        std::to_string(kFormatVersion) + " directly); nothing to upgrade");
   }
   const Header h{version, read_tag(legacy, version)};
   save_oracle(OracleSerializer::load_body(legacy, g, h), out);
@@ -1011,15 +1052,16 @@ IndexFileInfo inspect_index_file(const std::string& path) {
   if (!f) throw std::runtime_error("cannot open " + path);
   IndexFileInfo info;
   info.version = read_version(f);
-  if (info.version != kFormatVersion) {
+  if (info.version < kMinRegionVersion) {
     // A legacy stream container: only upgrade_index reads past its tag.
     info.backend = to_string(read_tag(f, info.version));
     return info;
   }
   f.close();
   const util::MappedFile mf(path);
-  const V5Reader r = open_v5(v5::RegionView(mf.bytes()));
-  const v5::FileHeader& h = *r.header;
+  const RegionReader r =
+      open_region(region::RegionView(mf.bytes(), info.version));
+  const region::FileHeader& h = *r.header;
   info.backend = to_string(static_cast<BackendTag>(h.backend_tag));
   info.file_bytes = h.file_bytes;
   info.mappable = true;
@@ -1034,7 +1076,7 @@ IndexFileInfo inspect_index_file(const std::string& path) {
           : "?";
   info.table_mode = table_mode_name(h.table_mode);
   for (const auto& e : r.sections) {
-    info.sections.push_back({e.id, v5::section_name(e.id), e.elem_size,
+    info.sections.push_back({e.id, region::section_name(e.id), e.elem_size,
                              e.offset, e.count, e.bytes});
   }
   return info;

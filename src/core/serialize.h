@@ -7,19 +7,22 @@
 // directed graph, with a second vicinity family). The loaders open one
 // generation:
 //
-//  * Version 5 is a REGION container (core/index_format.h): fixed header,
-//    section table, 64-byte-aligned sections whose file bytes equal the
-//    in-memory arrays. Every save writes version 5, which loads either
-//    zero-copy via util::MappedFile — the oracle's spans alias the
-//    mapping, so a multi-GB index opens in milliseconds and server
-//    processes share one physical copy — or into owned heap storage
-//    (OpenMode::kHeap). Mutating a mapped oracle (apply_update)
-//    transparently copies on write.
+//  * Versions 5 and 6 are REGION containers (core/index_format.h): fixed
+//    header, section table, 64-byte-aligned sections whose file bytes equal
+//    the in-memory arrays. Every save writes version 6, whose distance
+//    sections hold one byte per entry when the column's values fit (four
+//    otherwise); version 5 is the same layout with every distance section
+//    four bytes wide, and opens as it is. Both load either zero-copy via
+//    util::MappedFile — the oracle's spans alias the mapping, so a
+//    multi-GB index opens in milliseconds and server processes share one
+//    physical copy — or into owned heap storage (OpenMode::kHeap), each
+//    column keeping its file width. Mutating a mapped oracle
+//    (apply_update) transparently copies on write.
 //  * Versions 2-4 are legacy STREAM containers: a length-prefixed field
 //    sequence. The loaders refuse them on the version digits, before any
 //    other field, with a versioned std::runtime_error that names
 //    `vicinity_cli index upgrade`. upgrade_index() is the only reader left
-//    for them; it writes the same index as version 5, including files whose
+//    for them; it writes the same index as version 6, including files whose
 //    store body is one of the retired per-node hash layouts.
 //
 // The writer takes the tag from the oracle's graph (directed() -> 1). The
@@ -42,7 +45,7 @@
 
 namespace vicinity::core {
 
-/// How load_oracle_file brings a VCNIDX05 container into memory.
+/// How load_oracle_file brings a VCNIDX05/06 container into memory.
 enum class OpenMode {
   kMapped,  ///< zero-copy mmap (the default)
   kHeap,    ///< copy into owned heap storage
@@ -64,7 +67,7 @@ void save_oracle(const VicinityOracle& oracle, std::ostream& out);
 void save_oracle_file(const VicinityOracle& oracle, const std::string& path);
 
 /// The graph must be the one the oracle was built on (shape-checked) and
-/// must outlive the returned oracle. Accepts version-5 files whose tag
+/// must outlive the returned oracle. Accepts version-5 and -6 files whose tag
 /// matches the graph: undirected on an undirected graph, directed on a
 /// directed one; a mismatch fails with a versioned "backend mismatch"
 /// runtime_error, and a version 2-4 file with the upgrade hint. The stream
@@ -75,10 +78,11 @@ VicinityOracle load_oracle_file(const std::string& path, const graph::Graph& g,
                                 const OpenOptions& opts = {});
 
 /// Converts a legacy VCNIDX02-04 stream container for `g` into the
-/// version-5 container a fresh save of the same index writes: the legacy
+/// version-6 container a fresh save of the same index writes: the legacy
 /// stream load (fully validated, graph shape- and tag-checked) followed by
-/// save_oracle(). Refuses a version-5 input — there is nothing to upgrade —
-/// and every other version with the loaders' errors.
+/// save_oracle(). Refuses a version-5 or -6 input — the loaders open both,
+/// so there is nothing to upgrade — and every other version with the
+/// loaders' errors.
 void upgrade_index(std::istream& legacy, const graph::Graph& g,
                    std::ostream& out);
 
@@ -103,12 +107,13 @@ struct IndexSectionInfo {
 };
 
 /// A legacy VCNIDX02-04 file reports only version and backend; every other
-/// field describes a version-5 region container.
+/// field describes a version-5 or -6 region container.
 struct IndexFileInfo {
   int version = 0;
   std::string backend;  ///< "vicinity" | "vicinity-directed"
   std::uint64_t file_bytes = 0;
-  bool mappable = false;  ///< version 5; false for a legacy stream container
+  /// Versions 5 and 6; false for a legacy stream container.
+  bool mappable = false;
   std::uint64_t num_nodes = 0;
   std::uint64_t num_arcs = 0;
   bool directed = false;

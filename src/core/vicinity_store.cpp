@@ -19,11 +19,14 @@ inline void prefetch_ahead(const NodeId* arr, std::size_t i, std::size_t n) {
 
 }  // namespace
 
-Distance merge_intersect_min(std::span<const NodeId> a_nodes,
-                             std::span<const Distance> a_dists,
-                             std::span<const NodeId> b_nodes,
-                             std::span<const Distance> b_dists) {
+namespace {
+
+template <typename A, typename B>
+Distance merge_min(std::span<const NodeId> a_nodes, const A* a_dists,
+                   std::span<const NodeId> b_nodes, const B* b_dists,
+                   NodeId* witness) {
   Distance best = kInfDistance;
+  NodeId w = kInvalidNode;
   const std::size_t na = a_nodes.size();
   const std::size_t nb = b_nodes.size();
   std::size_t i = 0, j = 0;
@@ -37,19 +40,25 @@ Distance merge_intersect_min(std::span<const NodeId> a_nodes,
     } else if (y < x) {
       ++j;
     } else {
-      best = std::min(best, dist_add(a_dists[i], b_dists[j]));
+      const Distance d = dist_add(decode(a_dists[i]), decode(b_dists[j]));
+      if (d < best) {
+        best = d;
+        w = x;
+      }
       ++i;
       ++j;
     }
   }
+  if (witness != nullptr) *witness = w;
   return best;
 }
 
-Distance gallop_intersect_min(std::span<const NodeId> a_nodes,
-                              std::span<const Distance> a_dists,
-                              std::span<const NodeId> b_nodes,
-                              std::span<const Distance> b_dists) {
+template <typename A, typename B>
+Distance gallop_min(std::span<const NodeId> a_nodes, const A* a_dists,
+                    std::span<const NodeId> b_nodes, const B* b_dists,
+                    NodeId* witness) {
   Distance best = kInfDistance;
+  NodeId w = kInvalidNode;
   const std::size_t na = a_nodes.size();
   const std::size_t nb = b_nodes.size();
   const NodeId* b = b_nodes.data();
@@ -70,25 +79,64 @@ Distance gallop_intersect_min(std::span<const NodeId> a_nodes,
       if (j >= nb) break;
     }
     if (b[j] == x) {
-      best = std::min(best, dist_add(a_dists[i], b_dists[j]));
+      const Distance d = dist_add(decode(a_dists[i]), decode(b_dists[j]));
+      if (d < best) {
+        best = d;
+        w = x;
+      }
       ++j;
     }
   }
+  if (witness != nullptr) *witness = w;
   return best;
 }
 
-Distance intersect_sorted_min(std::span<const NodeId> a_nodes,
-                              std::span<const Distance> a_dists,
+/// Runs kernel(a_data, b_data) with both distance arrays at their stored
+/// types: the one width dispatch of a call.
+template <typename Kernel>
+Distance with_widths(DistView a, DistView b, Kernel&& kernel) {
+  return a.visit([&](auto ad) {
+    return b.visit([&](auto bd) { return kernel(ad.data(), bd.data()); });
+  });
+}
+
+}  // namespace
+
+Distance merge_intersect_min(std::span<const NodeId> a_nodes,
+                             DistView a_dists,
+                             std::span<const NodeId> b_nodes,
+                             DistView b_dists, NodeId* witness) {
+  return with_widths(a_dists, b_dists, [&](const auto* ad, const auto* bd) {
+    return merge_min(a_nodes, ad, b_nodes, bd, witness);
+  });
+}
+
+Distance gallop_intersect_min(std::span<const NodeId> a_nodes,
+                              DistView a_dists,
                               std::span<const NodeId> b_nodes,
-                              std::span<const Distance> b_dists) {
-  if (a_nodes.empty() || b_nodes.empty()) return kInfDistance;
+                              DistView b_dists, NodeId* witness) {
+  return with_widths(a_dists, b_dists, [&](const auto* ad, const auto* bd) {
+    return gallop_min(a_nodes, ad, b_nodes, bd, witness);
+  });
+}
+
+Distance intersect_sorted_min(std::span<const NodeId> a_nodes,
+                              DistView a_dists,
+                              std::span<const NodeId> b_nodes,
+                              DistView b_dists, NodeId* witness) {
+  if (a_nodes.empty() || b_nodes.empty()) {
+    if (witness != nullptr) *witness = kInvalidNode;
+    return kInfDistance;
+  }
+  // Both kernels meet the common nodes in ascending order whichever side
+  // they iterate, so the witness does not depend on the choice.
   if (a_nodes.size() > b_nodes.size()) {
-    return intersect_sorted_min(b_nodes, b_dists, a_nodes, a_dists);
+    return intersect_sorted_min(b_nodes, b_dists, a_nodes, a_dists, witness);
   }
   if (b_nodes.size() / a_nodes.size() >= kGallopSkew) {
-    return gallop_intersect_min(a_nodes, a_dists, b_nodes, b_dists);
+    return gallop_intersect_min(a_nodes, a_dists, b_nodes, b_dists, witness);
   }
-  return merge_intersect_min(a_nodes, a_dists, b_nodes, b_dists);
+  return merge_intersect_min(a_nodes, a_dists, b_nodes, b_dists, witness);
 }
 
 }  // namespace detail
@@ -138,6 +186,9 @@ void VicinityStore::set(NodeId u, const Vicinity& v) {
   const std::uint64_t old_entries = p.len;
   const std::uint64_t old_boundary = p.boundary_len;
   const std::size_t n = v.members.size();
+  const bool narrow = std::ranges::all_of(v.members, [](const auto& m) {
+    return fits_narrow(m.dist);
+  });
 
   // Slice order: boundary group first, then interior, each ascending by
   // node — sorted once here, at build/repair time, so the query side only
@@ -157,45 +208,40 @@ void VicinityStore::set(NodeId u, const Vicinity& v) {
   std::sort(order.begin(), order.begin() + bcount, by_node);
   std::sort(order.begin() + bcount, order.end(), by_node);
 
-  NodeId* members;
-  Distance* dists;
-  NodeId* parents;
-  if (!p.staged && n <= p.cap && backing_ == nullptr) {
+  if (p.staged == nullptr && n <= p.cap && backing_ == nullptr &&
+      (narrow || !arena_dists_.narrow())) {
     // In-place replacement inside the existing arena region (the common
     // dynamic-repair case): no allocation. The cap - len slack left by a
     // shrink is dead arena space, so it counts toward the compaction
     // trigger (invariant: wasted_entries_ = fully dead regions + live
     // slots' slack); a later regrowth within cap takes the delta back.
     atomic_add(wasted_entries_, p.len - n);
-    members = arena_members_.data() + p.offset;
-    dists = arena_dists_.data() + p.offset;
-    parents = arena_parents_.data() + p.offset;
   } else {
     // Stage the slice in its slot-local sub-arena; pack() stitches the
     // staged slots back into one contiguous arena later. The abandoned
     // arena region becomes reclaimable waste — its slack portion is
-    // already counted, so only the live len is added here.
-    if (!p.staged) {
+    // already counted, so only the live len is added here. A slice whose
+    // distances need four bytes is staged too when the arena is byte-wide:
+    // the arena widens at the next pack(), never under concurrent set()s.
+    if (p.staged == nullptr) {
       if (p.cap > 0) atomic_add(wasted_entries_, p.len);
       p.cap = 0;
       atomic_add(staged_slots_, 1);
+      p.staged = std::make_unique<StagedSlice>();
     } else {
-      atomic_add(staged_entries_, std::uint64_t{0} - p.staged_members.size());
+      atomic_add(staged_entries_, std::uint64_t{0} - p.staged->members.size());
     }
-    p.staged = true;
-    p.staged_members.resize(n);
-    p.staged_dists.resize(n);
-    p.staged_parents.resize(n);
+    p.staged->members.resize(n);
+    p.staged->dists = DistColumn(n, narrow);
+    p.staged->parents.resize(n);
     atomic_add(staged_entries_, n);
-    members = p.staged_members.data();
-    dists = p.staged_dists.data();
-    parents = p.staged_parents.data();
   }
+  const MutableSlice s = mutable_slice(p);
   for (std::size_t i = 0; i < n; ++i) {
     const VicinityMember& m = v.members[order[i]];
-    members[i] = m.node;
-    dists[i] = m.dist;
-    parents[i] = m.parent;
+    s.members[i] = m.node;
+    s.dists->set(s.dist_offset + i, m.dist);
+    s.parents[i] = m.parent;
   }
   p.len = static_cast<std::uint32_t>(n);
   p.boundary_len = bcount;
@@ -208,15 +254,28 @@ void VicinityStore::set(NodeId u, const Vicinity& v) {
 Distance VicinityStore::intersect_min(const BoundaryView& iter, NodeId probe_u,
                                       std::uint32_t& lookups) const {
   lookups += static_cast<std::uint32_t>(iter.nodes.size());
+  return intersect_witness(iter, probe_u).first;
+}
+
+std::pair<Distance, NodeId> VicinityStore::intersect_witness(
+    const BoundaryView& iter, NodeId probe_u) const {
   const PerNode& p = slots_[slot_of_[probe_u]];
   const ConstSlice s = slice(p);
   const std::size_t blen = p.boundary_len;
   const std::size_t ilen = p.len - p.boundary_len;
+  NodeId wb = kInvalidNode;
+  NodeId wi = kInvalidNode;
   const Distance via_boundary = detail::intersect_sorted_min(
-      iter.nodes, iter.dists, {s.members, blen}, {s.dists, blen});
+      iter.nodes, iter.dists, {s.members, blen}, s.dists.subspan(0, blen), &wb);
   const Distance via_interior = detail::intersect_sorted_min(
-      iter.nodes, iter.dists, {s.members + blen, ilen}, {s.dists + blen, ilen});
-  return std::min(via_boundary, via_interior);
+      iter.nodes, iter.dists, {s.members + blen, ilen},
+      s.dists.subspan(blen, ilen), &wi);
+  // A node sits in one group only; equal minima go to the smaller id.
+  if (via_interior < via_boundary ||
+      (via_interior == via_boundary && wi < wb)) {
+    return {via_interior, wi};
+  }
+  return {via_boundary, wb};
 }
 
 double VicinityStore::intersect_cost(std::size_t iter_elems,
@@ -259,7 +318,7 @@ void VicinityStore::refresh_boundary_flag(NodeId u, NodeId member,
   // slice; both groups stay sorted. A slice still aliasing a read-only
   // mapping is copied into its slot-local staging buffers first
   // (copy-on-write); otherwise no allocation happens.
-  if (backing_ != nullptr && !p.staged) stage_packed_copy(p);
+  if (backing_ != nullptr && p.staged == nullptr) stage_packed_copy(p);
   const MutableSlice s = mutable_slice(p);
   const std::size_t bpos = lower_bound_idx(s.members, 0, p.boundary_len,
                                            member);
@@ -268,7 +327,8 @@ void VicinityStore::refresh_boundary_flag(NodeId u, NodeId member,
   const auto rotate3 = [&](std::size_t first, std::size_t middle,
                            std::size_t last) {
     std::rotate(s.members + first, s.members + middle, s.members + last);
-    std::rotate(s.dists + first, s.dists + middle, s.dists + last);
+    s.dists->rotate(s.dist_offset + first, s.dist_offset + middle,
+                    s.dist_offset + last);
     std::rotate(s.parents + first, s.parents + middle, s.parents + last);
   };
   if (on) {
@@ -288,17 +348,36 @@ void VicinityStore::refresh_boundary_flag(NodeId u, NodeId member,
 
 void VicinityStore::stage_packed_copy(PerNode& p) {
   const ConstSlice s = slice(p);  // reads the mapped region
-  p.staged_members.assign(s.members, s.members + p.len);
-  p.staged_dists.assign(s.dists, s.dists + p.len);
-  p.staged_parents.assign(s.parents, s.parents + p.len);
+  auto staged = std::make_unique<StagedSlice>();
+  staged->members.assign(s.members, s.members + p.len);
+  staged->dists = DistColumn::copy_of(s.dists);
+  staged->parents.assign(s.parents, s.parents + p.len);
+  p.staged = std::move(staged);
   // The abandoned mapped region is dead weight like any replaced arena
   // slice; the usual staging accounting makes pack_if_needed eventually
   // materialize a heavily-mutated mapped store outright.
   if (p.cap > 0) atomic_add(wasted_entries_, p.len);
   p.cap = 0;
-  p.staged = true;
   atomic_add(staged_slots_, 1);
   atomic_add(staged_entries_, p.len);
+}
+
+void VicinityStore::gather(std::vector<NodeId>& members, DistColumn& dists,
+                           std::vector<NodeId>& parents) const {
+  const bool narrow = std::ranges::all_of(
+      slots_, [&](const PerNode& p) { return fits_narrow(slice(p).dists); });
+  members.clear();
+  dists = DistColumn(0, narrow);
+  parents.clear();
+  members.reserve(total_entries_);
+  dists.reserve(total_entries_);
+  parents.reserve(total_entries_);
+  for (const PerNode& p : slots_) {
+    const ConstSlice s = slice(p);
+    members.insert(members.end(), s.members, s.members + p.len);
+    dists.append(s.dists);
+    parents.insert(parents.end(), s.parents, s.parents + p.len);
+  }
 }
 
 void VicinityStore::pack() {
@@ -307,23 +386,15 @@ void VicinityStore::pack() {
     return;  // already contiguous, hole-free, slack-free and owned
   }
   std::vector<NodeId> members;
-  std::vector<Distance> dists;
+  DistColumn dists;
   std::vector<NodeId> parents;
-  members.reserve(total_entries_);
-  dists.reserve(total_entries_);
-  parents.reserve(total_entries_);
+  gather(members, dists, parents);
+  std::uint64_t off = 0;
   for (PerNode& p : slots_) {
-    const ConstSlice s = slice(p);
-    const std::uint64_t off = members.size();
-    members.insert(members.end(), s.members, s.members + p.len);
-    dists.insert(dists.end(), s.dists, s.dists + p.len);
-    parents.insert(parents.end(), s.parents, s.parents + p.len);
     p.offset = off;
     p.cap = p.len;
-    p.staged = false;
-    std::vector<NodeId>().swap(p.staged_members);
-    std::vector<Distance>().swap(p.staged_dists);
-    std::vector<NodeId>().swap(p.staged_parents);
+    p.staged.reset();
+    off += p.len;
   }
   arena_members_ = std::move(members);
   arena_dists_ = std::move(dists);
@@ -331,7 +402,6 @@ void VicinityStore::pack() {
   // pack() IS materialization for a mapped store: every slice was just
   // copied into the owned arenas, so drop the external backing.
   mm_members_ = {};
-  mm_dists_ = {};
   mm_parents_ = {};
   backing_.reset();
   wasted_entries_ = 0;
@@ -350,19 +420,13 @@ VicinityStore::PackedBlob VicinityStore::export_packed() const {
   blob.nearest.reserve(slots_.size());
   blob.len.reserve(slots_.size());
   blob.boundary_len.reserve(slots_.size());
-  blob.members.reserve(total_entries_);
-  blob.dists.reserve(total_entries_);
-  blob.parents.reserve(total_entries_);
   for (const PerNode& p : slots_) {
-    const ConstSlice s = slice(p);
     blob.radius.push_back(p.radius);
     blob.nearest.push_back(p.nearest_landmark);
     blob.len.push_back(p.len);
     blob.boundary_len.push_back(p.boundary_len);
-    blob.members.insert(blob.members.end(), s.members, s.members + p.len);
-    blob.dists.insert(blob.dists.end(), s.dists, s.dists + p.len);
-    blob.parents.insert(blob.parents.end(), s.parents, s.parents + p.len);
   }
+  gather(blob.members, blob.dists, blob.parents);
   return blob;
 }
 
@@ -424,7 +488,7 @@ void VicinityStore::validate_and_index_packed(const PackedView& v,
     p.len = len;
     p.cap = len;
     p.boundary_len = blen;
-    p.staged = false;
+    p.staged.reset();
     p.radius = v.radius[slot];
     p.nearest_landmark = v.nearest[slot];
     off += len;
@@ -439,14 +503,13 @@ void VicinityStore::validate_and_index_packed(const PackedView& v,
 
 void VicinityStore::adopt_packed(PackedBlob&& blob) {
   const PackedView view{blob.radius, blob.nearest, blob.len,
-                        blob.boundary_len, blob.members, blob.dists,
+                        blob.boundary_len, blob.members, blob.dists.view(),
                         blob.parents};
   validate_and_index_packed(view, /*deep=*/true);
   arena_members_ = std::move(blob.members);
   arena_dists_ = std::move(blob.dists);
   arena_parents_ = std::move(blob.parents);
   mm_members_ = {};
-  mm_dists_ = {};
   mm_parents_ = {};
   backing_.reset();
 }
@@ -456,10 +519,9 @@ void VicinityStore::adopt_packed_view(const PackedView& view,
                                       bool deep_validate) {
   validate_and_index_packed(view, deep_validate);
   std::vector<NodeId>().swap(arena_members_);
-  std::vector<Distance>().swap(arena_dists_);
   std::vector<NodeId>().swap(arena_parents_);
+  arena_dists_ = DistColumn::borrow(view.dists);
   mm_members_ = view.members;
-  mm_dists_ = view.dists;
   mm_parents_ = view.parents;
   backing_ = std::move(backing);
 }
@@ -483,7 +545,9 @@ VicinityStore::PackedView VicinityStore::export_view(
     scratch.nearest.push_back(p.nearest_landmark);
     scratch.len.push_back(p.len);
     scratch.boundary_len.push_back(p.boundary_len);
-    if (contiguous && (p.staged || p.offset != expect)) contiguous = false;
+    if (contiguous && (p.staged != nullptr || p.offset != expect)) {
+      contiguous = false;
+    }
     expect += p.len;
   }
   const std::size_t arena_size =
@@ -493,45 +557,40 @@ VicinityStore::PackedView VicinityStore::export_view(
   if (contiguous && expect == arena_size) {
     if (backing_ != nullptr) {
       v.members = mm_members_;
-      v.dists = mm_dists_;
       v.parents = mm_parents_;
     } else {
       v.members = arena_members_;
-      v.dists = arena_dists_;
       v.parents = arena_parents_;
     }
+    v.dists = arena_dists_.view();
     return v;
   }
-  scratch.members.clear();
-  scratch.dists.clear();
-  scratch.parents.clear();
-  scratch.members.reserve(total_entries_);
-  scratch.dists.reserve(total_entries_);
-  scratch.parents.reserve(total_entries_);
-  for (const PerNode& p : slots_) {
-    const ConstSlice s = slice(p);
-    scratch.members.insert(scratch.members.end(), s.members,
-                           s.members + p.len);
-    scratch.dists.insert(scratch.dists.end(), s.dists, s.dists + p.len);
-    scratch.parents.insert(scratch.parents.end(), s.parents,
-                           s.parents + p.len);
-  }
+  gather(scratch.members, scratch.dists, scratch.parents);
   v.members = scratch.members;
-  v.dists = scratch.dists;
+  v.dists = scratch.dists.view();
   v.parents = scratch.parents;
   return v;
+}
+
+bool VicinityStore::narrow() const {
+  return arena_dists_.narrow() &&
+         std::ranges::all_of(slots_, [](const PerNode& p) {
+           return p.staged == nullptr || p.staged->dists.narrow();
+         });
 }
 
 std::uint64_t VicinityStore::memory_bytes() const {
   std::uint64_t bytes = slot_of_.size() * sizeof(NodeId);
   bytes += arena_members_.capacity() * sizeof(NodeId) +
-           arena_dists_.capacity() * sizeof(Distance) +
+           arena_dists_.heap_bytes() +
            arena_parents_.capacity() * sizeof(NodeId);
+  bytes += slots_.size() * sizeof(PerNode);
   for (const PerNode& p : slots_) {
-    bytes += sizeof(PerNode);
-    bytes += p.staged_members.capacity() * sizeof(NodeId) +
-             p.staged_dists.capacity() * sizeof(Distance) +
-             p.staged_parents.capacity() * sizeof(NodeId);
+    if (p.staged == nullptr) continue;
+    bytes += sizeof(StagedSlice) +
+             p.staged->members.capacity() * sizeof(NodeId) +
+             p.staged->dists.heap_bytes() +
+             p.staged->parents.capacity() * sizeof(NodeId);
   }
   return bytes;
 }

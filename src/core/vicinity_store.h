@@ -11,7 +11,9 @@
 // "more customized data structures" open (§5). This store answers that
 // with one shared arena holding every vicinity as a CSR-style slice: one
 // contiguous members[] array with parallel dists[]/parents[] arrays and a
-// per-node (offset, len, boundary_len) slot. Boundary members are grouped
+// per-node (offset, len, boundary_len) slot. The distances are a
+// core/dist_column.h column, one byte per entry when every value fits (the
+// unweighted small-world case). Boundary members are grouped
 // at the front of each slice (both groups sorted ascending by NodeId), so
 // boundary() is a zero-copy span, find() is a binary search, and
 // intersect_min() merge/gallops two sorted slices instead of issuing N
@@ -23,8 +25,10 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "core/dist_column.h"
 #include "core/vicinity_builder.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -51,19 +55,21 @@ namespace detail {
 
 /// Sorted-array intersection kernels (the query hot path; exposed for
 /// bench_micro and direct unit tests). All inputs are strictly-ascending
-/// NodeId arrays with parallel distances; the result is the minimum of
-/// dist_add(a_dist, b_dist) over common nodes, or kInfDistance when the
-/// arrays are disjoint.
+/// NodeId arrays with parallel distances at either width; the result is the
+/// minimum of dist_add(a_dist, b_dist) over common nodes, or kInfDistance
+/// when the arrays are disjoint. Each call dispatches once on the two
+/// widths. A non-null `witness` receives the smallest common node that
+/// attains the minimum (kInvalidNode when none does).
 Distance merge_intersect_min(std::span<const NodeId> a_nodes,
-                             std::span<const Distance> a_dists,
+                             DistView a_dists,
                              std::span<const NodeId> b_nodes,
-                             std::span<const Distance> b_dists);
+                             DistView b_dists, NodeId* witness = nullptr);
 
 /// Galloping (exponential-search) variant for |a| << |b|.
 Distance gallop_intersect_min(std::span<const NodeId> a_nodes,
-                              std::span<const Distance> a_dists,
+                              DistView a_dists,
                               std::span<const NodeId> b_nodes,
-                              std::span<const Distance> b_dists);
+                              DistView b_dists, NodeId* witness = nullptr);
 
 /// Size-ratio threshold above which intersect_sorted_min gallops the
 /// smaller side through the larger instead of merging.
@@ -72,9 +78,9 @@ inline constexpr std::size_t kGallopSkew = 8;
 /// Adaptive dispatch: iterates the smaller array, galloping when the skew
 /// exceeds kGallopSkew, merging otherwise.
 Distance intersect_sorted_min(std::span<const NodeId> a_nodes,
-                              std::span<const Distance> a_dists,
+                              DistView a_dists,
                               std::span<const NodeId> b_nodes,
-                              std::span<const Distance> b_dists);
+                              DistView b_dists, NodeId* witness = nullptr);
 
 }  // namespace detail
 
@@ -111,10 +117,11 @@ class VicinityStore {
   /// dynamic-update repair path; totals are adjusted by the delta.
   ///
   /// Thread-safety: concurrent set() calls for DISTINCT nodes are safe.
-  /// set() writes in place when the slice fits its arena region and
-  /// otherwise parks the slice in a slot-local staging buffer (a per-slot
-  /// sub-arena); pack() — not thread-safe — stitches the staged slices back
-  /// into one contiguous arena.
+  /// set() writes in place when the slice fits its arena region and its
+  /// distances fit the arena's width, and otherwise parks the slice in a
+  /// slot-local staging buffer (a per-slot sub-arena whose distance column
+  /// takes the width its own values need); pack() — not thread-safe —
+  /// stitches the staged slices back into one contiguous arena.
   void set(NodeId u, const Vicinity& v)
       VICINITY_REQUIRES_SHARED(mutation_role_);
 
@@ -142,14 +149,15 @@ class VicinityStore {
 
   struct BoundaryView {
     std::span<const NodeId> nodes;
-    std::span<const Distance> dists;
+    DistView dists;
   };
   /// ∂Γ(u) as parallel arrays sorted ascending by node. Requires has(u).
   /// Zero-copy: the spans alias the front of u's arena slice.
   BoundaryView boundary(NodeId u) const {
     const PerNode& p = slots_[slot_of_[u]];
     const ConstSlice s = slice(p);
-    return BoundaryView{{s.members, p.boundary_len}, {s.dists, p.boundary_len}};
+    return BoundaryView{{s.members, p.boundary_len},
+                        s.dists.subspan(0, p.boundary_len)};
   }
 
   /// All members of Γ(u) with entries, via callback: fn(node, entry), in
@@ -171,6 +179,12 @@ class VicinityStore {
   /// statistic.
   Distance intersect_min(const BoundaryView& iter, NodeId probe_u,
                          std::uint32_t& lookups) const;
+
+  /// intersect_min()'s minimum with its witness: the smallest node id among
+  /// the common members that attain it (kInvalidNode when there is none).
+  /// PATH joins the two parent chains at the witness.
+  std::pair<Distance, NodeId> intersect_witness(const BoundaryView& iter,
+                                                NodeId probe_u) const;
 
   /// Estimated cost of intersect_min with `iter_elems` iterated elements
   /// against Γ(probe_u) — the side-selection model: the kernel pays
@@ -211,7 +225,8 @@ class VicinityStore {
   // ---- Arena lifecycle ---------------------------------------------------
 
   /// Stitches every staged slice into one contiguous arena (slot order) and
-  /// reclaims holes left by replacements. Called by the oracle build after
+  /// reclaims holes left by replacements. The new arena's distances take the
+  /// narrowest width that holds every value. Called by the oracle build after
   /// the parallel construction loop and by compaction. NOT thread-safe —
   /// no concurrent set()/find() may run.
   void pack() VICINITY_REQUIRES(mutation_role_);
@@ -225,19 +240,20 @@ class VicinityStore {
   bool fully_packed() const { return staged_slots_ == 0; }
 
   /// Bulk import/export of the arena (the VCNIDX04 packed body and heap
-  /// VCNIDX05 loads: three blob reads + validation). Slices appear in slot
-  /// (prepare) order; each slice is its boundary group then its interior
-  /// group, both strictly ascending.
+  /// region-container loads: three blob reads + validation). Slices appear
+  /// in slot (prepare) order; each slice is its boundary group then its
+  /// interior group, both strictly ascending.
   struct PackedBlob {
     std::vector<Distance> radius;             ///< per slot
     std::vector<NodeId> nearest;              ///< per slot
     std::vector<std::uint32_t> len;           ///< per slot
     std::vector<std::uint32_t> boundary_len;  ///< per slot
     std::vector<NodeId> members;              ///< concatenated slices
-    std::vector<Distance> dists;
+    DistColumn dists;
     std::vector<NodeId> parents;
   };
-  /// Compact copy of the store contents (works from any packing state).
+  /// Compact copy of the store contents (works from any packing state), its
+  /// distances at the narrowest width that holds them.
   PackedBlob export_packed() const;
   /// Adopts `blob` wholesale after prepare(). Validates shape, ranges and
   /// per-group sort order against untrusted input, throwing
@@ -245,15 +261,15 @@ class VicinityStore {
   void adopt_packed(PackedBlob&& blob) VICINITY_REQUIRES(mutation_role_);
 
   /// Borrowed view of a packed store region — the spans alias external
-  /// storage (a mapped VCNIDX05 file or any caller-owned buffer) instead of
-  /// owned vectors.
+  /// storage (a mapped region container or any caller-owned buffer) instead
+  /// of owned vectors.
   struct PackedView {
     std::span<const Distance> radius;             ///< per slot
     std::span<const NodeId> nearest;              ///< per slot
     std::span<const std::uint32_t> len;           ///< per slot
     std::span<const std::uint32_t> boundary_len;  ///< per slot
     std::span<const NodeId> members;              ///< concatenated slices
-    std::span<const Distance> dists;
+    DistView dists;
     std::span<const NodeId> parents;
   };
 
@@ -276,7 +292,8 @@ class VicinityStore {
   /// Slot-table copy + arena view for serialization: fills `scratch`'s
   /// per-slot vectors (always copied; they are small) and returns arena
   /// spans that alias the live arenas when the store is contiguous in slot
-  /// order, falling back to a compact copy into `scratch` otherwise.
+  /// order, falling back to a compact copy into `scratch` (distances at the
+  /// narrowest width that holds them) otherwise.
   /// The view is valid while the store and `scratch` are alive and
   /// unmutated.
   PackedView export_view(PackedBlob& scratch) const;
@@ -285,69 +302,78 @@ class VicinityStore {
   /// adopted via adopt_packed_view and not yet copied on write).
   bool mapped() const { return backing_ != nullptr; }
 
+  /// True when every stored distance takes one byte: the arena's column and
+  /// every staged slice's.
+  bool narrow() const;
+
   std::size_t indexed_nodes() const { return slots_.size(); }
   /// Total Γ entries across indexed nodes (the paper's per-node ~α√n cost).
   std::uint64_t total_entries() const { return total_entries_; }
   std::uint64_t total_boundary_entries() const { return total_boundary_; }
-  /// Approximate heap bytes of the arenas, slots and slot index.
+  /// Approximate heap bytes of the arenas, slots and slot index, each
+  /// distance column at its stored width.
   std::uint64_t memory_bytes() const;
-  /// Bytes aliased from external storage (0 unless mapped()). File-backed
-  /// (shared through the page cache), so kept out of memory_bytes()'s heap
-  /// accounting.
+  /// Bytes aliased from external storage (0 unless mapped()), distances at
+  /// their stored width. File-backed (shared through the page cache), so
+  /// kept out of memory_bytes()'s heap accounting.
   std::uint64_t mapped_bytes() const {
     return mm_members_.size() * sizeof(NodeId) +
-           mm_dists_.size() * sizeof(Distance) +
+           arena_dists_.borrowed_bytes() +
            mm_parents_.size() * sizeof(NodeId);
   }
 
  private:
+  /// A slice parked outside the arena until the next pack().
+  struct StagedSlice {
+    std::vector<NodeId> members;
+    DistColumn dists;
+    std::vector<NodeId> parents;
+  };
   struct PerNode {
     // An arena region [offset, offset+cap) holding `len` = |Γ(u)| live
-    // entries, or (staged == true) slot-local staging vectors awaiting the
-    // next pack().
+    // entries, or (staged != nullptr) a staged slice.
     std::uint64_t offset = 0;
     std::uint32_t len = 0;
     std::uint32_t cap = 0;
     std::uint32_t boundary_len = 0;
     Distance radius = kInfDistance;
     NodeId nearest_landmark = kInvalidNode;
-    bool staged = false;
-    std::vector<NodeId> staged_members;
-    std::vector<Distance> staged_dists;
-    std::vector<NodeId> staged_parents;
+    std::unique_ptr<StagedSlice> staged;
   };
-  // Every indexed node pays for one slot (104 bytes on LP64 libstdc++).
-  static_assert(sizeof(PerNode) <= 112, "per-node slot outgrew its budget");
+  // Every indexed node pays for one slot (40 bytes on LP64).
+  static_assert(sizeof(PerNode) <= 40, "per-node slot outgrew its budget");
 
   struct ConstSlice {
     const NodeId* members;
-    const Distance* dists;
+    DistView dists;
     const NodeId* parents;
   };
+  /// A writable slice: its members and parents, and its distances as
+  /// entries [dist_offset, dist_offset + len) of `dists`.
   struct MutableSlice {
     NodeId* members;
-    Distance* dists;
+    DistColumn* dists;
+    std::size_t dist_offset;
     NodeId* parents;
   };
 
   ConstSlice slice(const PerNode& p) const {
-    if (p.staged) {
-      return ConstSlice{p.staged_members.data(), p.staged_dists.data(),
-                        p.staged_parents.data()};
+    if (p.staged != nullptr) {
+      return ConstSlice{p.staged->members.data(), p.staged->dists.view(),
+                        p.staged->parents.data()};
     }
+    const DistView dists = arena_dists_.view().subspan(p.offset, p.len);
     if (backing_ != nullptr) {
-      return ConstSlice{mm_members_.data() + p.offset,
-                        mm_dists_.data() + p.offset,
+      return ConstSlice{mm_members_.data() + p.offset, dists,
                         mm_parents_.data() + p.offset};
     }
-    return ConstSlice{arena_members_.data() + p.offset,
-                      arena_dists_.data() + p.offset,
+    return ConstSlice{arena_members_.data() + p.offset, dists,
                       arena_parents_.data() + p.offset};
   }
   MutableSlice mutable_slice(PerNode& p) {
-    if (p.staged) {
-      return MutableSlice{p.staged_members.data(), p.staged_dists.data(),
-                          p.staged_parents.data()};
+    if (p.staged != nullptr) {
+      return MutableSlice{p.staged->members.data(), &p.staged->dists, 0,
+                          p.staged->parents.data()};
     }
     if (backing_ != nullptr) {
       // Writing through the mapping is a contract violation; mutators must
@@ -355,10 +381,14 @@ class VicinityStore {
       throw std::logic_error(
           "VicinityStore: mutable slice over a read-only mapping");
     }
-    return MutableSlice{arena_members_.data() + p.offset,
-                        arena_dists_.data() + p.offset,
-                        arena_parents_.data() + p.offset};
+    return MutableSlice{arena_members_.data() + p.offset, &arena_dists_,
+                        p.offset, arena_parents_.data() + p.offset};
   }
+
+  /// Compacts every slice in slot order into `members`/`dists`/`parents`,
+  /// the distances at the narrowest width that holds them all.
+  void gather(std::vector<NodeId>& members, DistColumn& dists,
+              std::vector<NodeId>& parents) const;
 
   /// Copy-on-write step for a mapped slot: copies p's slice out of the
   /// read-only backing into its slot-local staging buffers so in-place
@@ -395,15 +425,14 @@ class VicinityStore {
   std::vector<NodeId> slot_of_;  ///< node -> slot or kInvalidNode
   std::vector<PerNode> slots_;
   // Packed arena (parallel arrays; SoA keeps parents off the intersection
-  // cache path).
+  // cache path). The distance column borrows the mapping in zero-copy mode.
   std::vector<NodeId> arena_members_;
-  std::vector<Distance> arena_dists_;
+  DistColumn arena_dists_;
   std::vector<NodeId> arena_parents_;
   // Zero-copy mode (adopt_packed_view): when backing_ is non-null the
   // arenas live in external read-only storage and the owned vectors above
   // are empty; pack() materializes and clears these.
   std::span<const NodeId> mm_members_;
-  std::span<const Distance> mm_dists_;
   std::span<const NodeId> mm_parents_;
   std::shared_ptr<const void> backing_;
   std::uint64_t wasted_entries_ = 0;  ///< dead arena entries (replaced slots)

@@ -1,6 +1,6 @@
 // Read-only memory-mapped file (RAII over POSIX mmap).
 //
-// The zero-copy substrate for VCNIDX05 index loading (core/serialize.h):
+// The zero-copy substrate for VCNIDX05/06 index loading (core/serialize.h):
 // the serializer hands a MappedFile to the region-view loader and the
 // oracle's spans alias the mapping for its whole lifetime, so opening a
 // multi-GB index is a handful of page-table operations instead of a full

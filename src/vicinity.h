@@ -42,6 +42,7 @@
 #include "baselines/tz_oracle.h"
 #include "cache/result_cache.h"
 #include "core/any_oracle.h"
+#include "core/dist_column.h"
 #include "core/dynamic.h"
 #include "core/index_format.h"
 #include "core/landmark_table.h"

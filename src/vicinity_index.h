@@ -45,7 +45,7 @@ class Index {
   static Index build(const graph::Graph& g,
                      const core::OracleOptions& options = {});
 
-  /// Loads a persisted VCNIDX05 index (either backend tag) against the
+  /// Loads a persisted VCNIDX05/06 index (either backend tag) against the
   /// graph it was built on. It is memory-mapped by default
   /// (core::OpenMode::kMapped) — pass {.mode = core::OpenMode::kHeap} to
   /// force an owned heap copy, or set opts.verify to deep-validate the

@@ -5,7 +5,7 @@
 // LB, or LB + 1 after an edge miss). Every such answer must equal
 // BFS/Dijkstra ground truth, and every PATH must be a real path of the
 // reported length, on RMAT, grid, weighted and directed graphs, under each
-// Fallback, for build() and build_for(), after heap and mapped VCNIDX05
+// Fallback, for build() and build_for(), after heap and mapped VCNIDX06
 // opens (including one with corrupt nearest landmarks), and after an
 // insert/delete stream. PATH must cover what DISTANCE covers: with full
 // tables on an unweighted graph, every pair the index answers exactly gets
@@ -310,15 +310,15 @@ TEST(DisjointResolutionTest, CorruptNearestLandmarksSkipTheCertificate) {
   std::ostringstream out(std::ios::binary);
   save_oracle(built, out);
   std::string bytes = out.str();
-  v5::FileHeader header;
+  region::FileHeader header;
   std::memcpy(&header, bytes.data(), sizeof(header));
   bool patched = false;
   for (std::uint32_t i = 0; i < header.section_count; ++i) {
-    v5::SectionEntry e;
-    std::memcpy(&e, bytes.data() + v5::kSectionTableOffset + i * sizeof(e),
+    region::SectionEntry e;
+    std::memcpy(&e, bytes.data() + region::kSectionTableOffset + i * sizeof(e),
                 sizeof(e));
     if (e.id != static_cast<std::uint32_t>(
-                    v5::SectionId::kNearestOutLandmark)) {
+                    region::SectionId::kNearestOutLandmark)) {
       continue;
     }
     for (std::uint64_t u = 0; u < e.count; ++u) {
@@ -370,22 +370,30 @@ TEST(DisjointResolutionTest, CorruptLandmarkRowsNeverLoop) {
       SCOPED_TRACE(std::string(directed ? "directed" : "undirected") +
                    (zeros ? " zero rows" : " random rows"));
       std::string bytes = out.str();
-      v5::FileHeader header;
+      region::FileHeader header;
       std::memcpy(&header, bytes.data(), sizeof(header));
       util::Rng noise(1783);
       for (std::uint32_t i = 0; i < header.section_count; ++i) {
-        v5::SectionEntry e;
-        std::memcpy(&e, bytes.data() + v5::kSectionTableOffset + i * sizeof(e),
+        region::SectionEntry e;
+        std::memcpy(&e,
+                    bytes.data() + region::kSectionTableOffset + i * sizeof(e),
                     sizeof(e));
-        if (e.id != static_cast<std::uint32_t>(v5::SectionId::kTableDistRows) &&
-            e.id != static_cast<std::uint32_t>(v5::SectionId::kTableRevRows)) {
+        using S = region::SectionId;
+        if (e.id != static_cast<std::uint32_t>(S::kTableDistRows) &&
+            e.id != static_cast<std::uint32_t>(S::kTableRevRows)) {
           continue;
         }
+        // Rows are byte-wide on this graph; write each entry at the width
+        // its section declares.
         for (std::uint64_t j = 0; j < e.count; ++j) {
           const auto d =
               zeros ? Distance{0} : static_cast<Distance>(noise.next_below(6));
-          std::memcpy(bytes.data() + e.offset + j * sizeof(Distance), &d,
-                      sizeof(d));
+          if (e.elem_size == 1) {
+            bytes[e.offset + j] = static_cast<char>(d);
+          } else {
+            std::memcpy(bytes.data() + e.offset + j * sizeof(Distance), &d,
+                        sizeof(d));
+          }
         }
       }
       const std::string path = ::testing::TempDir() +

@@ -160,23 +160,33 @@ TEST(LandmarkTableTest, MisuseThrows) {
 
 TEST(LandmarkTableTest, EntriesAndMemoryAccounting) {
   // Distances only: one row per landmark, plus a reverse row on directed
-  // graphs. Bytes are the entries plus the node -> landmark index.
+  // graphs. Bytes are the entries at their stored width (one byte on these
+  // small-diameter graphs) plus the node -> landmark index.
   const auto g = testing::random_connected(200, 800, 914);
   const auto lms = make_landmarks(g, 2.0, 915);
   const auto tables = LandmarkTables::build_full(g, lms);
   EXPECT_EQ(tables.entries(), lms.size() * g.num_nodes());
+  EXPECT_TRUE(tables.narrow());
   EXPECT_EQ(tables.memory_bytes(),
-            tables.entries() * sizeof(Distance) +
-                g.num_nodes() * sizeof(NodeId));
+            tables.entries() + g.num_nodes() * sizeof(NodeId));
 
   util::Rng grng(916);
   const auto dg = gen::erdos_renyi_directed(200, 1200, grng);
   const auto dlms = make_landmarks(dg, 2.0, 917);
   const auto dtables = LandmarkTables::build_full(dg, dlms);
   EXPECT_EQ(dtables.entries(), 2 * dlms.size() * dg.num_nodes());
+  EXPECT_TRUE(dtables.narrow());
   EXPECT_EQ(dtables.memory_bytes(),
-            dtables.entries() * sizeof(Distance) +
-                dg.num_nodes() * sizeof(NodeId));
+            dtables.entries() + dg.num_nodes() * sizeof(NodeId));
+
+  // A cycle of 600 has landmark rows reaching 300: four bytes per entry.
+  const auto cycle = testing::cycle_graph(600);
+  const auto clms = make_landmarks(cycle, 2.0, 918);
+  const auto ctables = LandmarkTables::build_full(cycle, clms);
+  EXPECT_FALSE(ctables.narrow());
+  EXPECT_EQ(ctables.memory_bytes(),
+            ctables.entries() * sizeof(Distance) +
+                cycle.num_nodes() * sizeof(NodeId));
 }
 
 }  // namespace

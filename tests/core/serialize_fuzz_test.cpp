@@ -4,15 +4,16 @@
 // allocation, bad_alloc, or out-of-bounds write. Covers both generations of
 // the container: VCNIDX02-04 length-prefixed streams (read from the
 // checked-in hash-layout goldens through upgrade_index, their only reader)
-// and the VCNIDX05 region container (what the writer emits and the loaders
-// open), the latter through the stream-slurp path, the memory-mapped file
-// path and inspect_index_file.
+// and the region container (VCNIDX06, what the writer emits, and VCNIDX05,
+// which the loaders also open), the latter through the stream-slurp path,
+// the memory-mapped file path and inspect_index_file.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iterator>
 #include <new>
 #include <sstream>
@@ -41,7 +42,7 @@ std::string golden_bytes(const char* name) {
 }
 
 // The VCNIDX02-04 stream cases read checked-in hash-layout VCNIDX04 files
-// (tests/data/golden/README.md): the writer emits only VCNIDX05, and only
+// (tests/data/golden/README.md): the writer emits only VCNIDX06, and only
 // upgrade_index reads a stream container. The hash-body layout is
 // byte-identical across versions 2-4, which the version-2/3 rewrites below
 // rely on.
@@ -50,8 +51,8 @@ Fixture make_fixture() {
           golden_bytes("flat_v04_undirected.idx")};
 }
 
-// The writer's VCNIDX05 region container: a FileHeader + section table +
-// 64-byte-aligned sections.
+// The writer's VCNIDX06 region container: a FileHeader + section table +
+// 64-byte-aligned sections, its distance sections byte-wide on this graph.
 Fixture make_packed_fixture() {
   Fixture f;
   f.g = testing::random_connected(200, 700, 1211);
@@ -71,7 +72,7 @@ Fixture make_directed_fixture() {
           golden_bytes("flat_v04_directed.idx")};
 }
 
-/// upgrade_index() over legacy stream bytes: the VCNIDX05 bytes it writes.
+/// upgrade_index() over legacy stream bytes: the VCNIDX06 bytes it writes.
 std::string upgrade(const std::string& legacy, const graph::Graph& g) {
   std::istringstream in(legacy, std::ios::binary);
   std::ostringstream out(std::ios::binary);
@@ -79,7 +80,7 @@ std::string upgrade(const std::string& legacy, const graph::Graph& g) {
   return out.str();
 }
 
-/// Loads VCNIDX05 bytes through the stream loader.
+/// Loads region-container bytes through the stream loader.
 VicinityOracle load_bytes(const std::string& bytes, const graph::Graph& g) {
   std::istringstream in(bytes, std::ios::binary);
   return load_oracle(in, g);
@@ -109,7 +110,7 @@ std::string as_version2(const std::string& v4) {
 // strategy(1).
 constexpr std::size_t kBackendByteOffset = 44;
 
-// ---- VCNIDX05 region-container surgery helpers --------------------------
+// ---- Region-container surgery helpers -----------------------------------
 
 template <typename T>
 void stamp(std::string& bytes, std::size_t off, T value) {
@@ -118,7 +119,7 @@ void stamp(std::string& bytes, std::size_t off, T value) {
 }
 
 constexpr std::size_t entry_off(std::size_t i) {
-  return v5::kSectionTableOffset + i * sizeof(v5::SectionEntry);
+  return region::kSectionTableOffset + i * sizeof(region::SectionEntry);
 }
 
 /// Writes `bytes` to a temp file named after the running test: ctest runs
@@ -255,7 +256,7 @@ TEST(SerializeFuzzTest, OldFormatVersionIsRejectedNotMisparsed) {
 
 TEST(SerializeFuzzTest, FutureAndGarbageVersionsAreRejected) {
   const Fixture f = make_fixture();
-  for (const char* version : {"06", "99", "12", "00"}) {
+  for (const char* version : {"06", "07", "99", "12", "00"}) {
     std::string mangled = f.bytes;
     mangled[6] = version[0];
     mangled[7] = version[1];
@@ -409,7 +410,8 @@ TEST(SerializeFuzzTest, V5BadEndianMarkerIsRejected) {
   // every multi-byte field after it would be misread.
   const Fixture f = make_packed_fixture();
   std::string mangled = f.bytes;
-  stamp<std::uint32_t>(mangled, offsetof(v5::FileHeader, endian), 0xdeadbeefu);
+  stamp<std::uint32_t>(mangled, offsetof(region::FileHeader, endian),
+                       0xdeadbeefu);
   expect_v5_rejected(mangled, f.g, "bad endian marker");
 }
 
@@ -420,7 +422,7 @@ TEST(SerializeFuzzTest, V5WrongFileBytesFieldIsRejected) {
   const Fixture f = make_packed_fixture();
   for (const std::int64_t delta : {-64, -1, +1, +4096}) {
     std::string mangled = f.bytes;
-    stamp<std::uint64_t>(mangled, offsetof(v5::FileHeader, file_bytes),
+    stamp<std::uint64_t>(mangled, offsetof(region::FileHeader, file_bytes),
                          f.bytes.size() + static_cast<std::uint64_t>(delta));
     expect_v5_rejected(mangled, f.g, "wrong file_bytes");
   }
@@ -432,7 +434,7 @@ TEST(SerializeFuzzTest, V5ZeroElemSizeSectionIsRejected) {
   const Fixture f = make_packed_fixture();
   std::string mangled = f.bytes;
   stamp<std::uint32_t>(
-      mangled, entry_off(0) + offsetof(v5::SectionEntry, elem_size), 0u);
+      mangled, entry_off(0) + offsetof(region::SectionEntry, elem_size), 0u);
   expect_v5_rejected(mangled, f.g, "zero elem_size");
 }
 
@@ -440,26 +442,99 @@ TEST(SerializeFuzzTest, V5MisalignedSectionOffsetIsRejected) {
   // Section payloads are 64-byte aligned by construction; a misaligned
   // offset would hand the oracle spans whose element pointers violate
   // alignof(T) — UB under UBSan. The loader must refuse it up front with
-  // the versioned error.
+  // the versioned error (the writer's container is version 6).
   const Fixture f = make_packed_fixture();
   std::string mangled = f.bytes;
   std::uint64_t off = 0;
   std::memcpy(&off,
-              mangled.data() + entry_off(0) + offsetof(v5::SectionEntry,
+              mangled.data() + entry_off(0) + offsetof(region::SectionEntry,
                                                        offset),
               sizeof(off));
   stamp<std::uint64_t>(mangled,
-                       entry_off(0) + offsetof(v5::SectionEntry, offset),
+                       entry_off(0) + offsetof(region::SectionEntry, offset),
                        off + 4);
   std::istringstream in(mangled, std::ios::binary);
   try {
     (void)load_oracle(in, f.g);
     FAIL() << "misaligned section loaded";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("version 5"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("version 6"), std::string::npos)
         << e.what();
   }
   expect_v5_rejected(mangled, f.g, "misaligned section offset");
+}
+
+/// Index of the first section-table entry with id `id`.
+std::size_t entry_of(const std::string& bytes, region::SectionId id) {
+  region::FileHeader h;
+  std::memcpy(&h, bytes.data(), sizeof(h));
+  for (std::size_t i = 0; i < h.section_count; ++i) {
+    std::uint32_t got = 0;
+    std::memcpy(&got, bytes.data() + entry_off(i), sizeof(got));
+    if (got == static_cast<std::uint32_t>(id)) return i;
+  }
+  throw std::runtime_error("no such section");
+}
+
+/// `load` must throw a runtime_error whose message holds every `needle`.
+template <typename Load>
+void expect_error_naming(Load load, std::initializer_list<const char*> needles,
+                         const char* label) {
+  try {
+    load();
+    ADD_FAILURE() << label << ": loaded";
+  } catch (const std::runtime_error& e) {
+    for (const char* needle : needles) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << label << ": " << e.what();
+    }
+  }
+}
+
+/// The same error through the stream loader and the mapped loader.
+void expect_region_error(const std::string& bytes, const graph::Graph& g,
+                         std::initializer_list<const char*> needles,
+                         const char* label) {
+  expect_error_naming([&] { (void)load_bytes(bytes, g); }, needles, label);
+  const auto p = write_temp(bytes);
+  expect_error_naming([&] { (void)load_oracle_file(p.string(), g); }, needles,
+                      label);
+  std::filesystem::remove(p);
+}
+
+TEST(SerializeFuzzTest, DistanceSectionWidthsAreChecked) {
+  // A distance section is one or four bytes per entry. Any other element
+  // size, a byte-wide section under a version-5 header (version 5 has no
+  // byte-wide encoding) and a byte length that disagrees with the count
+  // are each refused with the versioned error, never read.
+  const Fixture f = make_packed_fixture();
+  for (const auto id : {region::SectionId::kOutStoreDists,
+                        region::SectionId::kTableDistRows}) {
+    const std::size_t i = entry_of(f.bytes, id);
+    region::SectionEntry e;
+    std::memcpy(&e, f.bytes.data() + entry_off(i), sizeof(e));
+    ASSERT_EQ(e.elem_size, 1u);
+
+    std::string two = f.bytes;
+    e.elem_size = 2;
+    e.count /= 2;
+    e.bytes = e.count * 2;
+    stamp(two, entry_off(i), e);
+    expect_region_error(two, f.g, {"version 6", "unexpected element size"},
+                        "elem_size 2");
+
+    std::string v5 = f.bytes;
+    v5[7] = '5';
+    expect_region_error(v5, f.g, {"version 5", "byte-wide"},
+                        "byte-wide under a v5 header");
+
+    std::string long_bytes = f.bytes;
+    std::memcpy(&e, f.bytes.data() + entry_off(i), sizeof(e));
+    ++e.bytes;
+    stamp(long_bytes, entry_off(i), e);
+    expect_region_error(long_bytes, f.g, {"version 6", "byte length mismatch"},
+                        "byte length != count");
+  }
 }
 
 TEST(SerializeFuzzTest, V5OutOfRangeSectionOffsetIsRejected) {
@@ -468,7 +543,7 @@ TEST(SerializeFuzzTest, V5OutOfRangeSectionOffsetIsRejected) {
   // Far past EOF but still 64-byte aligned, so only the range check can
   // catch it.
   stamp<std::uint64_t>(mangled,
-                       entry_off(0) + offsetof(v5::SectionEntry, offset),
+                       entry_off(0) + offsetof(region::SectionEntry, offset),
                        std::uint64_t{1} << 40);
   expect_v5_rejected(mangled, f.g, "out-of-range section offset");
 }
@@ -479,7 +554,7 @@ TEST(SerializeFuzzTest, V5SectionCountOverflowIsRejected) {
   const Fixture f = make_packed_fixture();
   std::string mangled = f.bytes;
   stamp<std::uint64_t>(mangled,
-                       entry_off(0) + offsetof(v5::SectionEntry, count),
+                       entry_off(0) + offsetof(region::SectionEntry, count),
                        std::uint64_t{1} << 62);
   expect_v5_rejected(mangled, f.g, "section count overflow");
 }
@@ -491,11 +566,11 @@ TEST(SerializeFuzzTest, V5OverlappingSectionsAreRejected) {
   std::string mangled = f.bytes;
   std::uint64_t first_off = 0;
   std::memcpy(&first_off,
-              mangled.data() + entry_off(0) + offsetof(v5::SectionEntry,
+              mangled.data() + entry_off(0) + offsetof(region::SectionEntry,
                                                        offset),
               sizeof(first_off));
   stamp<std::uint64_t>(mangled,
-                       entry_off(1) + offsetof(v5::SectionEntry, offset),
+                       entry_off(1) + offsetof(region::SectionEntry, offset),
                        first_off);
   expect_v5_rejected(mangled, f.g, "overlapping sections");
 }
@@ -505,9 +580,11 @@ TEST(SerializeFuzzTest, V5DuplicateSectionIdIsRejected) {
   std::string mangled = f.bytes;
   std::uint32_t first_id = 0;
   std::memcpy(&first_id,
-              mangled.data() + entry_off(0) + offsetof(v5::SectionEntry, id),
+              mangled.data() + entry_off(0) +
+                  offsetof(region::SectionEntry, id),
               sizeof(first_id));
-  stamp<std::uint32_t>(mangled, entry_off(1) + offsetof(v5::SectionEntry, id),
+  stamp<std::uint32_t>(mangled,
+                       entry_off(1) + offsetof(region::SectionEntry, id),
                        first_id);
   expect_v5_rejected(mangled, f.g, "duplicate section id");
 }
@@ -519,7 +596,7 @@ TEST(SerializeFuzzTest, V5MappedTruncationThrowsAtEveryCutPoint) {
   const Fixture f = make_packed_fixture();
   ASSERT_GT(f.bytes.size(), 1024u);
   const std::size_t table_end =
-      v5::kSectionTableOffset + 20 * sizeof(v5::SectionEntry);
+      region::kSectionTableOffset + 20 * sizeof(region::SectionEntry);
   for (std::size_t cut = 0; cut < f.bytes.size();
        cut += (cut < table_end ? 7 : 4099)) {
     const auto p = write_temp(f.bytes.substr(0, cut));
@@ -572,7 +649,7 @@ TEST(SerializeFuzzTest, InspectCorruptionNeverEscalates) {
     std::filesystem::remove(p);
   }
   std::string huge = bytes;
-  stamp<std::uint32_t>(huge, offsetof(v5::FileHeader, section_count),
+  stamp<std::uint32_t>(huge, offsetof(region::FileHeader, section_count),
                        0xFFFFFFFFu);
   const auto p = write_temp(huge);
   EXPECT_THROW((void)inspect_index_file(p.string()), std::runtime_error);
@@ -604,7 +681,7 @@ TEST(SerializeFuzzTest, MappedOpenOfStreamContainerIsRejected) {
 TEST(SerializeFuzzTest, WrongBackendTagFailsWithVersionedError) {
   // An undirected file retagged as directed disagrees with its undirected
   // graph and must be refused — by upgrade_index for the version-4 stream,
-  // by load_oracle for the version-5 container — with an error naming the
+  // by load_oracle for the version-6 container — with an error naming the
   // format version and both backends, not misparsed as a directed body.
   const Fixture f = make_fixture();
   const Fixture v5 = make_packed_fixture();
@@ -623,7 +700,7 @@ TEST(SerializeFuzzTest, WrongBackendTagFailsWithVersionedError) {
     } catch (const std::runtime_error& e) {
       const std::string what = e.what();
       EXPECT_NE(what.find("backend mismatch"), std::string::npos) << what;
-      EXPECT_NE(what.find(legacy ? "format version 4" : "format version 5"),
+      EXPECT_NE(what.find(legacy ? "format version 4" : "format version 6"),
                 std::string::npos)
           << what;
       EXPECT_NE(what.find("vicinity-directed"), std::string::npos) << what;

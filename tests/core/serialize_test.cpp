@@ -109,14 +109,14 @@ TEST(SerializeTest, FileHelpers) {
 }
 
 TEST(SerializeTest, AllStoreBackendsRoundTrip) {
-  // The packed arena is the one store layout and VCNIDX05 the one format
+  // The packed arena is the one store layout and VCNIDX06 the one format
   // the writer emits: a round trip must keep the store fully packed and the
   // answers bit-identical.
   const auto g = testing::random_connected(400, 1600, 419);
   auto oracle = VicinityOracle::build(g, opts());
   std::stringstream buf;
   save_oracle(oracle, buf);
-  EXPECT_EQ(buf.str().substr(0, 8), "VCNIDX05");
+  EXPECT_EQ(buf.str().substr(0, 8), "VCNIDX06");
   auto loaded = load_oracle(buf, g);
   EXPECT_EQ(loaded.options().backend, StoreBackend::kPacked);
   EXPECT_EQ(loaded.store().total_entries(), oracle.store().total_entries());

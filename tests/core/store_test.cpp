@@ -392,7 +392,7 @@ TEST(PackedStoreTest, AdoptRejectsMemberInBothGroups) {
   blob.len = {2};
   blob.boundary_len = {1};
   blob.members = {5, 5};  // boundary group {5}, interior group {5}
-  blob.dists = {1, 2};
+  blob.dists = DistColumn(std::vector<Distance>{1, 2});
   blob.parents = {0, 0};
   try {
     store.adopt_packed(std::move(blob));
@@ -437,6 +437,7 @@ TEST(PackedStoreTest, IntersectionKernelsAgreeWithHashProbes) {
   // intersect_min(∂Γ(s), t) against a brute-force scan of the builder's
   // members: min over boundary members b of Γ(s) that are also in Γ(t) of
   // d(s,b) + d(b,t), with one counted probe per iterated member.
+  // intersect_witness() names the smallest b attaining it.
   const auto g = testing::random_connected(500, 2200, 146);
   VicinityStore packed(g.num_nodes());
   const util::RoleGuard packed_role(packed.mutation_role());
@@ -454,12 +455,17 @@ TEST(PackedStoreTest, IntersectionKernelsAgreeWithHashProbes) {
     for (std::size_t ti = 0; ti < nodes.size(); ++ti) {
       if (si == ti) continue;
       Distance expect = kInfDistance;
+      NodeId expect_witness = kInvalidNode;
       std::uint32_t expect_lookups = 0;
       for (const VicinityMember& b : built[si].members) {
         if (!b.on_boundary) continue;
         ++expect_lookups;
         if (const VicinityMember* m = member_of(built[ti], b.node)) {
-          expect = std::min(expect, dist_add(b.dist, m->dist));
+          const Distance d = dist_add(b.dist, m->dist);
+          if (d < expect || (d == expect && b.node < expect_witness)) {
+            expect = d;
+            expect_witness = b.node;
+          }
         }
       }
       std::uint32_t lookups = 0;
@@ -467,12 +473,17 @@ TEST(PackedStoreTest, IntersectionKernelsAgreeWithHashProbes) {
           packed.intersect_min(packed.boundary(nodes[si]), nodes[ti], lookups);
       ASSERT_EQ(got, expect) << nodes[si] << "->" << nodes[ti];
       ASSERT_EQ(lookups, expect_lookups);
+      const auto [wd, w] =
+          packed.intersect_witness(packed.boundary(nodes[si]), nodes[ti]);
+      ASSERT_EQ(wd, expect) << nodes[si] << "->" << nodes[ti];
+      ASSERT_EQ(w, expect_witness) << nodes[si] << "->" << nodes[ti];
     }
   }
 }
 
 TEST(PackedStoreTest, SortedIntersectionKernelVariantsAgree) {
-  // merge vs gallop vs adaptive over skewed synthetic arrays.
+  // merge vs gallop vs adaptive over skewed synthetic arrays, with each
+  // side's distances four bytes or one byte wide.
   util::Rng rng(147);
   for (int rep = 0; rep < 30; ++rep) {
     const std::size_t na = 1 + rng.next_below(40);
@@ -493,17 +504,36 @@ TEST(PackedStoreTest, SortedIntersectionKernelVariantsAgree) {
     for (auto& d : bd) d = 1 + static_cast<Distance>(rng.next_below(6));
 
     Distance ref = kInfDistance;
+    NodeId ref_witness = kInvalidNode;  // the first (smallest) minimal node
     for (std::size_t i = 0; i < na; ++i) {
       const auto it = std::lower_bound(bn.begin(), bn.end(), an[i]);
       if (it != bn.end() && *it == an[i]) {
         const auto j = static_cast<std::size_t>(it - bn.begin());
-        ref = std::min(ref, dist_add(ad[i], bd[j]));
+        if (dist_add(ad[i], bd[j]) < ref) {
+          ref = dist_add(ad[i], bd[j]);
+          ref_witness = an[i];
+        }
       }
     }
-    EXPECT_EQ(detail::merge_intersect_min(an, ad, bn, bd), ref);
-    EXPECT_EQ(detail::gallop_intersect_min(an, ad, bn, bd), ref);
-    EXPECT_EQ(detail::intersect_sorted_min(an, ad, bn, bd), ref);
-    EXPECT_EQ(detail::intersect_sorted_min(bn, bd, an, ad), ref);
+    const DistColumn a_narrow(ad), b_narrow(bd);
+    ASSERT_TRUE(a_narrow.narrow() && b_narrow.narrow());
+    for (const DistView a : {DistView(std::span<const Distance>(ad)),
+                             a_narrow.view()}) {
+      for (const DistView b : {DistView(std::span<const Distance>(bd)),
+                               b_narrow.view()}) {
+        EXPECT_EQ(detail::merge_intersect_min(an, a, bn, b), ref);
+        EXPECT_EQ(detail::gallop_intersect_min(an, a, bn, b), ref);
+        EXPECT_EQ(detail::intersect_sorted_min(an, a, bn, b), ref);
+        EXPECT_EQ(detail::intersect_sorted_min(bn, b, an, a), ref);
+        for (const bool swap : {false, true}) {
+          NodeId w = 0;
+          EXPECT_EQ(swap ? detail::intersect_sorted_min(bn, b, an, a, &w)
+                         : detail::intersect_sorted_min(an, a, bn, b, &w),
+                    ref);
+          EXPECT_EQ(w, ref_witness);
+        }
+      }
+    }
   }
 }
 
