@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
 
   // 2. Online phase: a fresh process would start here — load the index and
   //    stand up the engine (shared-immutable oracle + one context per lane).
-  //    VCNIDX06 containers open two ways: kHeap deserializes everything into
+  //    VCNIDX07 containers open two ways: kHeap deserializes everything into
   //    owned buffers (what every pre-v5 reader did), the default kMapped
   //    points the oracle's spans straight at the mmapped file. Time both to
   //    show the zero-copy win.

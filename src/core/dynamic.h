@@ -109,8 +109,8 @@ void collect_candidates(const graph::Graph& g,
 
 /// The two repair flavors one edge mutation induces on a vicinity family.
 struct AffectedSets {
-  /// Vicinities whose member set, stored distances, or parents can change:
-  /// rebuild via the ordinary truncated-search builder. Sorted ascending.
+  /// Vicinities whose member set or stored distances can change: rebuild
+  /// via the ordinary truncated-search builder. Sorted ascending.
   std::vector<NodeId> rebuild;
   /// Vicinities where only the boundary flag of one member-endpoint can
   /// change (the mutated edge's other end lies outside): (origin, member)

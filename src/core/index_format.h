@@ -1,15 +1,13 @@
-// VCNIDX06 on-disk layout: the directly-mappable index container.
+// VCNIDX07 on-disk layout: the directly-mappable index container.
 //
 // Versions 2-4 were stream containers — a load is a long sequence of
 // length-prefixed reads copied field by field into freshly allocated
-// vectors; only core::upgrade_index still reads them. Versions 5 and 6 are
+// vectors; only core::upgrade_index still reads them. Versions 5-7 are
 // *region* containers: a fixed 128-byte header, a section table, and
-// 64-byte-aligned sections whose in-file bytes are
-// byte-identical to the in-memory representation (little-endian, the
-// natural layout of NodeId/Distance/std::uint32_t arrays). An open is then
-// mmap + structural validation, with the oracle's spans aliasing the
-// mapping — no copy, near-instant restart, and the page cache shares one
-// physical copy across server processes.
+// 64-byte-aligned sections whose bytes are the in-memory arrays
+// (little-endian NodeId/Distance/std::uint32_t). An open is mmap +
+// structural validation, the oracle's spans aliasing the mapping: no copy,
+// near-instant restart, one page-cache copy across server processes.
 //
 // Version 6 is version 5's layout with one change: the six distance
 // sections (store_dists, in_store_dists, table_dist_rows, table_rev_rows,
@@ -17,15 +15,17 @@
 // section (core/dist_column.h). The writer stores a column one byte per
 // entry when each finite value it holds is at most 254, the byte 255
 // standing for kInfDistance, and four bytes (Distance) otherwise — weighted
-// and long-diameter graphs keep four. The writer emits only version 6. The
-// reader opens version 6 and version 5, the latter as all four-byte (no
-// upgrade needed), and refuses any other distance elem_size and a byte-wide
-// section under a version-5 header. Every other section keeps its type.
+// and long-diameter graphs keep four. Version 7 is version 6 without the
+// vicinity parent sections (ids 22 and 38, reserved like 51): PATH derives
+// parents. The writer emits only version 7; the reader opens 7, 6 and 5
+// (the last as all four-byte), never reads a parent section, and refuses
+// any other distance elem_size and a byte-wide section under a version-5
+// header. Every other section keeps its type.
 //
 // Layout (all offsets absolute from byte 0 of the file):
 //
 //   [0, 128)                FileHeader (includes the 9-byte legacy
-//                           "VCNIDX" + "06" + tag prefix, so every
+//                           "VCNIDX" + "07" + tag prefix, so every
 //                           loader reads the version from the same bytes)
 //   [128, 128 + 32·k)       SectionEntry table, k = header.section_count
 //   [align64(...), ...)     sections, each 64-byte aligned, in table order
@@ -50,7 +50,7 @@ namespace vicinity::core::region {
 /// Written as a native std::uint32_t; a reader on a byte-order other than
 /// the writer's sees the swapped value and rejects the file instead of
 /// silently misreading every array.
-/// The same in versions 5 and 6.
+/// The same in versions 5-7.
 inline constexpr std::uint32_t kEndianMarker = 0x35584E56u;  // "VNX5" LE
 
 /// Every section offset is a multiple of this (cache-line alignment, and
@@ -73,17 +73,17 @@ enum class SectionId : std::uint32_t {
   kIndexedNodes = 6,        ///< NodeId[indexed]
   kGraphCsr = 7,            ///< reserved: embedded graph (not yet written)
   // Packed vicinity store (the out-store on directed graphs). The slot
-  // arrays are per indexed node in prepare() order; the three arenas are
-  // the concatenated slices (boundary group then interior group, both
-  // strictly ascending by node id). "Dist[...]" below is a distance column:
-  // uint8 (255 = infinity) or Distance entries, per the section's elem_size.
+  // arrays are per indexed node in prepare() order; the arenas are the
+  // concatenated slices (boundary group then interior group, both strictly
+  // ascending by node id). "Dist[...]" below is a distance column: uint8
+  // (255 = infinity) or Distance entries, per the section's elem_size.
   kOutStoreRadius = 16,       ///< Distance[slots]
   kOutStoreNearest = 17,      ///< NodeId[slots]
   kOutStoreLen = 18,          ///< uint32[slots]
   kOutStoreBoundaryLen = 19,  ///< uint32[slots]
   kOutStoreMembers = 20,      ///< NodeId[total entries]
   kOutStoreDists = 21,        ///< Dist[total entries]
-  kOutStoreParents = 22,      ///< NodeId[total entries]
+  kOutStoreParents = 22,      ///< NodeId[total entries], v5-6; never read
   // In-store of an index on a directed graph (same shapes as the out-store
   // sections).
   kInStoreRadius = 32,
@@ -157,7 +157,7 @@ static_assert(std::is_trivially_copyable_v<SectionEntry>);
 /// version check serves every container.
 struct FileHeader {
   char magic[6];               ///< "VCNIDX"
-  char version_digits[2];      ///< "06" ("05" in version-5 files)
+  char version_digits[2];      ///< "07" ("05"/"06" in older files)
   std::uint8_t backend_tag;    ///< 0 undirected, 1 directed
   std::uint8_t table_mode;     ///< LandmarkTables::Mode
   std::uint8_t directed_graph;

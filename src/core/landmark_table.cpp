@@ -1,6 +1,7 @@
 #include "core/landmark_table.h"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 
 #include "algo/bfs.h"
@@ -38,24 +39,32 @@ LandmarkTables LandmarkTables::build_full(const graph::Graph& g,
   t.index_landmarks(landmarks, g.num_nodes());
   const std::size_t k = t.landmark_nodes_.size();
   const std::size_t n = g.num_nodes();
-  std::vector<Distance> fwd(k * n);
-  std::vector<Distance> rev(g.directed() ? k * n : 0);
-
-  // Each landmark fills its own row.
-  auto work = [&](std::uint64_t i) {
-    const NodeId l = t.landmark_nodes_[i];
-    std::ranges::copy(sssp(g, l, /*reverse=*/false), fwd.begin() + i * n);
-    if (g.directed()) {
-      std::ranges::copy(sssp(g, l, /*reverse=*/true), rev.begin() + i * n);
+  // Each landmark fills its own row. A matrix is filled byte-wide, so a
+  // small-world build never holds a four-byte copy, and filled again four
+  // bytes wide if a row does not fit.
+  const auto matrix = [&](bool reverse) {
+    for (bool narrow = true;; narrow = false) {
+      DistColumn m(k * n, narrow);
+      std::atomic<bool> too_wide{false};
+      auto work = [&](std::uint64_t i) {
+        if (too_wide) return;
+        const auto row = sssp(g, t.landmark_nodes_[i], reverse);
+        if (narrow && !fits_narrow(DistView(row))) {
+          too_wide = true;
+          return;
+        }
+        for (std::size_t j = 0; j < n; ++j) m.set(i * n + j, row[j]);
+      };
+      if (pool && pool->thread_count() > 1) {
+        pool->parallel_for(k, work);
+      } else {
+        for (std::uint64_t i = 0; i < k; ++i) work(i);
+      }
+      if (!too_wide) return m;
     }
   };
-  if (pool && pool->thread_count() > 1) {
-    pool->parallel_for(k, work);
-  } else {
-    for (std::uint64_t i = 0; i < k; ++i) work(i);
-  }
-  t.fwd_ = DistColumn(std::move(fwd));
-  t.rev_ = DistColumn(std::move(rev));
+  t.fwd_ = matrix(/*reverse=*/false);
+  if (g.directed()) t.rev_ = matrix(/*reverse=*/true);
   return t;
 }
 
@@ -257,9 +266,14 @@ std::uint64_t LandmarkTables::entries() const {
 }
 
 std::uint64_t LandmarkTables::memory_bytes() const {
-  return fwd_.view().bytes() + rev_.view().bytes() + to_lm_.view().bytes() +
-         from_lm_.view().bytes() + landmark_index_.size() * sizeof(NodeId) +
+  return fwd_.heap_bytes() + rev_.heap_bytes() + to_lm_.heap_bytes() +
+         from_lm_.heap_bytes() + landmark_index_.size() * sizeof(NodeId) +
          subset_index_.size() * sizeof(NodeId);
+}
+
+std::uint64_t LandmarkTables::mapped_bytes() const {
+  return fwd_.borrowed_bytes() + rev_.borrowed_bytes() +
+         to_lm_.borrowed_bytes() + from_lm_.borrowed_bytes();
 }
 
 }  // namespace vicinity::core

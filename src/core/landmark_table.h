@@ -50,8 +50,8 @@ class LandmarkTables {
   LandmarkTables(const LandmarkTables&) = delete;
   LandmarkTables& operator=(const LandmarkTables&) = delete;
 
-  /// Full mode: one SSSP per landmark (two on directed graphs). `pool` may
-  /// be null.
+  /// Full mode: one SSSP per landmark and direction (a matrix that needs
+  /// four bytes repeats them). `pool` may be null.
   static LandmarkTables build_full(const graph::Graph& g,
                                    const LandmarkSet& landmarks,
                                    util::ThreadPool* pool = nullptr);
@@ -122,9 +122,11 @@ class LandmarkTables {
   }
 
   std::uint64_t entries() const;
-  /// The matrices at their stored widths (mapped ones included) plus the
-  /// index arrays.
+  /// Heap bytes: the owned matrices at their stored widths plus the index
+  /// arrays. Matrices that alias a mapped file count in mapped_bytes().
   std::uint64_t memory_bytes() const;
+  /// Bytes of the matrices aliased from a mapped file (0 unless mapped()).
+  std::uint64_t mapped_bytes() const;
   /// True when every non-empty matrix holds one byte per entry.
   bool narrow() const {
     return std::ranges::all_of(

@@ -88,8 +88,10 @@ VicinityOracle VicinityOracle::build_impl(const graph::Graph& g,
     store.prepare(o.indexed_);
   }
 
-  // Vicinity construction: embarrassingly parallel over indexed nodes.
-  // Size statistics average over the families; radii are the out side's.
+  // Vicinity construction, parallel over indexed nodes in batches that
+  // pack() appends as each finishes: a worker's malloc arena keeps what it
+  // frees below glibc's trim threshold, so staging the whole index at once
+  // would leave it resident. Sizes average over families; radii: out side.
   const unsigned threads =
       options.build_threads == 0
           ? std::max(1u, std::thread::hardware_concurrency())
@@ -97,7 +99,15 @@ VicinityOracle VicinityOracle::build_impl(const graph::Graph& g,
   const double share = 1.0 / static_cast<double>(families);
   util::Mutex stats_mu;
   OracleBuildStats stats;
-  auto build_range = [&](std::size_t lo, std::size_t hi) {
+  std::unique_ptr<util::ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
+  const unsigned chunks = pool ? threads : 1;
+  std::vector<VicinityBuilder> builders;  // per chunk and family, reused
+  builders.reserve(chunks * families);
+  for (unsigned c = 0; c < chunks * families; ++c) {
+    builders.emplace_back(g, direction(c % families));
+  }
+  auto build_range = [&](std::size_t lo, std::size_t hi, unsigned chunk) {
     OracleBuildStats local;
     for (std::size_t f = 0; f < families; ++f) {
       // Each worker writes disjoint pre-sized slots: a shared hold on the
@@ -105,7 +115,7 @@ VicinityOracle VicinityOracle::build_impl(const graph::Graph& g,
       VicinityStore& store = o.stores_[f];
       const util::SharedRoleGuard role(store.mutation_role());
       const NearestLandmarkInfo& nearest = o.nearest_[f];
-      VicinityBuilder builder(g, direction(f));
+      VicinityBuilder& builder = builders[chunk * families + f];
       for (std::size_t i = lo; i < hi; ++i) {
         const NodeId u = o.indexed_[i];
         const Vicinity v =
@@ -136,23 +146,27 @@ VicinityOracle VicinityOracle::build_impl(const graph::Graph& g,
     stats.max_radius = std::max(stats.max_radius, local.max_radius);
     stats.construction_arcs_scanned += local.construction_arcs_scanned;
   };
-  if (threads > 1 && o.indexed_.size() > 64) {
-    util::ThreadPool pool(threads);
-    pool.parallel_for_ranges(
-        o.indexed_.size(), threads,
-        [&](std::uint64_t lo, std::uint64_t hi, unsigned) {
-          build_range(lo, hi);
-        });
-  } else {
-    build_range(0, o.indexed_.size());
+  const auto pack_all = [&] {
+    for (std::size_t f = 0; f < families; ++f) {
+      const util::RoleGuard role(o.stores_[f].mutation_role());
+      o.stores_[f].pack();
+    }
+  };
+  const std::size_t batch = std::max<std::size_t>(1024, o.indexed_.size() / 16);
+  for (std::size_t b = 0; b < o.indexed_.size(); b += batch) {
+    const std::size_t e = std::min(o.indexed_.size(), b + batch);
+    if (pool && e - b > 64) {
+      pool->parallel_for_ranges(
+          e - b, chunks,
+          [&](std::uint64_t lo, std::uint64_t hi, unsigned chunk) {
+            build_range(b + lo, b + hi, chunk);
+          });
+    } else {
+      build_range(b, e, 0);
+    }
+    pack_all();
   }
-  // The parallel loop parked every slice in its slot-local sub-arena;
-  // stitch them into one contiguous arena per family now.
-  for (std::size_t f = 0; f < families; ++f) {
-    VicinityStore& store = o.stores_[f];
-    const util::RoleGuard role(store.mutation_role());
-    store.pack();
-  }
+  pack_all();  // trims the arenas' reserved headroom
 
   // Landmark tables (forward and, on directed graphs, backward rows).
   // Full-index oracles need full rows; subset oracles pick the cheaper
@@ -160,8 +174,6 @@ VicinityOracle VicinityOracle::build_impl(const graph::Graph& g,
   if (options.store_landmark_tables) {
     const bool full_rows =
         full_index || o.landmarks_.size() <= o.indexed_.size();
-    std::unique_ptr<util::ThreadPool> pool;
-    if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
     o.tables_ = full_rows ? LandmarkTables::build_full(g, o.landmarks_,
                                                        pool.get())
                           : LandmarkTables::build_subset(
@@ -606,28 +618,6 @@ QueryResult VicinityOracle::fallback_distance_impl(NodeId s, NodeId t,
   return r;
 }
 
-bool VicinityOracle::chase_parents(Direction d, NodeId origin, NodeId from,
-                                   std::vector<NodeId>& out) const {
-  const VicinityStore& vicinities = store(d);
-  NodeId cur = from;
-  out.push_back(cur);
-  // Arena data from a default (structural-only) mmap open is untrusted, so
-  // the walk is bounded: an out-of-range parent or a cycle longer than n
-  // aborts instead of walking wild (the caller degrades to a search).
-  const std::uint64_t limit = g_->num_nodes();
-  std::uint64_t steps = 0;
-  while (cur != origin) {
-    const ProbeResult e = vicinities.find(origin, cur);
-    if (!e.found || e.parent == kInvalidNode || e.parent == cur ||
-        e.parent >= limit || ++steps > limit) {
-      return false;  // chain left the stored vicinity (weighted corner case)
-    }
-    cur = e.parent;
-    out.push_back(cur);
-  }
-  return true;
-}
-
 PathResult VicinityOracle::fallback_path(NodeId s, NodeId t,
                                          QueryContext& ctx) const {
   PathResult p;
@@ -687,7 +677,7 @@ PathResult VicinityOracle::path(NodeId s, NodeId t, QueryContext& ctx) const {
   if (have_s) {
     if (const ProbeResult e = out.find(s, t)) {
       std::vector<NodeId> rev;
-      if (chase_parents(Direction::kOut, s, t, rev)) {
+      if (out.walk_tree(*g_, Direction::kOut, s, t, rev)) {
         std::reverse(rev.begin(), rev.end());
         return PathResult{e.dist, std::move(rev),
                           QueryMethod::kTargetInSourceVicinity, true};
@@ -697,8 +687,7 @@ PathResult VicinityOracle::path(NodeId s, NodeId t, QueryContext& ctx) const {
   if (have_t) {
     if (const ProbeResult e = in.find(t, s)) {
       std::vector<NodeId> walk;
-      if (chase_parents(Direction::kIn, t, s, walk)) {
-        // chase produced s..t already (parents point toward t).
+      if (in.walk_tree(*g_, Direction::kIn, t, s, walk)) {  // reads s..t
         return PathResult{e.dist, std::move(walk),
                           QueryMethod::kSourceInTargetVicinity, true};
       }
@@ -713,8 +702,8 @@ PathResult VicinityOracle::path(NodeId s, NodeId t, QueryContext& ctx) const {
     if (witness != kInvalidNode) {
       std::vector<NodeId> left;  // w..s -> reversed to s..w
       std::vector<NodeId> right; // w..t
-      if (chase_parents(Direction::kOut, s, witness, left) &&
-          chase_parents(Direction::kIn, t, witness, right)) {
+      if (out.walk_tree(*g_, Direction::kOut, s, witness, left) &&
+          in.walk_tree(*g_, Direction::kIn, t, witness, right)) {
         std::reverse(left.begin(), left.end());
         left.insert(left.end(), right.begin() + 1, right.end());
         return PathResult{best, std::move(left),
@@ -735,25 +724,27 @@ PathResult VicinityOracle::disjoint_path(NodeId s, NodeId t) const {
                    tables_.mode() != LandmarkTables::Mode::kFull)) {
     return {};
   }
+  const VicinityStore& out = stores_[0];
+  const VicinityStore& in = store(Direction::kIn);
   std::vector<NodeId> left;   // s..x, or s..ℓ
   std::vector<NodeId> right;  // y..t, or ℓ..t
   bool ok = false;
   if (r.method == QueryMethod::kCrossingEdge) {
-    ok = chase_parents(Direction::kOut, s, w.x, left) &&
-         chase_parents(Direction::kIn, t, w.y, right);
+    ok = out.walk_tree(*g_, Direction::kOut, s, w.x, left) &&
+         in.walk_tree(*g_, Direction::kIn, t, w.y, right);
     std::reverse(left.begin(), left.end());
   } else if (w.via == Direction::kOut) {
     const NodeId l = nearest_[0].landmark[s];
-    ok = chase_parents(Direction::kOut, s, l, left) &&
+    ok = out.walk_tree(*g_, Direction::kOut, s, l, left) &&
          tables_.walk_tree(*g_, Direction::kOut, l, t, right);
     std::reverse(left.begin(), left.end());
     std::reverse(right.begin(), right.end());
   } else {
     const NodeId l = nearest_[side(Direction::kIn)].landmark[t];
     ok = tables_.walk_tree(*g_, Direction::kIn, l, s, left) &&
-         chase_parents(Direction::kIn, t, l, right);
+         in.walk_tree(*g_, Direction::kIn, t, l, right);
   }
-  // A corrupt mapped index can break either walk: keep the search then.
+  // A corrupt mapped index can break any walk: keep the search then.
   if (!ok) return {};
   // The crossing arc joins x to y; a certificate's two pieces share ℓ.
   const bool shared = r.method == QueryMethod::kLandmarkCertificate;

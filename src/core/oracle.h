@@ -32,13 +32,13 @@
 //   (8) fallback (exact bidirectional search, landmark upper bound, or
 //       none)
 //
-// Path retrieval follows the same order. Vicinity answers chase the parent
-// pointers stored with each member. A landmark endpoint, and a pair that
-// step (7) certifies, walks a landmark's shortest-path tree, which the
-// tables do not store: LandmarkTables::walk_tree derives each step from
-// the landmark's distance row and the current graph. So every pair the
-// index answers exactly also gets its path without a search, from full
-// tables, on either graph kind.
+// Path retrieval follows the same order and stores no parents: vicinity
+// answers walk a tree VicinityStore::walk_tree derives from the members'
+// distances and the current graph, and a landmark endpoint, or a pair step
+// (7) certifies, walks one LandmarkTables::walk_tree derives from the
+// landmark's row. So every pair the index answers exactly also gets its
+// path without a search, from full tables, on either graph kind (unless a
+// weighted shortest path leaves the vicinity: then the search runs).
 //
 // Build modes: build() indexes every node (a deployable index);
 // build_for() indexes a query subset, reproducing the paper's §2.3
@@ -159,24 +159,18 @@ class VicinityOracle {
   /// worker pool go through QueryEngine::run_batch (core/query_engine.h).
   QueryResult distance(NodeId s, NodeId t, QueryContext& ctx) const;
 
-  /// Shortest-path retrieval (§3.1 path extension): parent chains inside
-  /// the stored vicinities, and landmark trees derived from the rows. Same
-  /// contract as distance().
+  /// Shortest-path retrieval (§3.1 path extension): vicinity and landmark
+  /// trees derived from the stored distances. Same contract as distance().
   PathResult path(NodeId s, NodeId t, QueryContext& ctx) const;
 
-  /// Applies one edge (arc, on directed graphs) insertion/deletion to `g` —
-  /// which must be the exact graph object this oracle was built on — and
-  /// incrementally repairs the index (core/dynamic.h): each family's
-  /// nearest-landmark field is relaxed or re-swept, only the vicinities
-  /// containing an endpoint of the edge are rebuilt (the exact affected
-  /// set; Γ_out via a backward candidate search, Γ_in via a forward one),
-  /// and landmark rows are refreshed. When the affected set exceeds
-  /// options().update_rebuild_fraction of the indexed vicinities, every
-  /// vicinity is rebuilt instead (landmarks kept); either way the
-  /// post-update index answers every query exactly as a from-scratch
-  /// build() would. Requires a full index (build(), not build_for()). Not
-  /// safe against in-flight queries — long-lived servers fence updates
-  /// through QueryEngine::apply_update.
+  /// Applies one edge (arc, on directed graphs) insertion/deletion to `g`,
+  /// the graph this oracle was built on, and repairs the index
+  /// (core/dynamic.h): each family's nearest-landmark field is relaxed or
+  /// re-swept, the vicinities the edge is local to are rebuilt (every one
+  /// past options().update_rebuild_fraction), and landmark rows are
+  /// refreshed; the index then answers exactly as a fresh build() would.
+  /// Requires a full index (build()). Not safe against in-flight queries —
+  /// servers fence updates through QueryEngine::apply_update.
   UpdateStats apply_update(graph::Graph& g, const GraphUpdate& update);
 
   /// Fraction of sampled indexed pairs answerable without fallback — the
@@ -204,11 +198,10 @@ class VicinityOracle {
   const LandmarkTables& tables() const { return tables_; }
   const OracleBuildStats& build_stats() const { return build_stats_; }
   const std::vector<NodeId>& indexed_nodes() const { return indexed_; }
-  bool is_indexed(NodeId u) const { return stores_[0].has(u); }
 
-  /// Vicinity entries of both families on directed graphs; bytes count
+  /// Vicinity entries of both families on directed graphs; heap bytes of
   /// every store, the landmark tables, each nearest-landmark field and the
-  /// landmark bitmap.
+  /// landmark bitmap (a mapped file's count in their mapped_bytes()).
   OracleMemoryStats memory_stats() const;
 
   VicinityOracle(VicinityOracle&&) noexcept;
@@ -286,17 +279,11 @@ class VicinityOracle {
                                      std::uint32_t lookups,
                                      QueryContext* ctx) const;
 
-  /// Appends `from`..origin walking parent pointers inside direction d's
-  /// vicinity of `origin` (Γ_in parents are successors toward the origin,
-  /// so that walk emits the forward path); false when the chain leaves the
-  /// stored vicinity (possible only on weighted graphs).
-  bool chase_parents(Direction d, NodeId origin, NodeId from,
-                     std::vector<NodeId>& out) const;
-
   /// PATH for an indexed pair whose step (5) missed, from
-  /// resolve_disjoint's witness: the two vicinity chains joined by the
-  /// crossing arc, or one chain and the walk of the certifying landmark's
-  /// tree. Empty path when the pair is not certified or a chain is broken.
+  /// resolve_disjoint's witness: the two vicinity walks joined by the
+  /// crossing arc, or one vicinity walk and the walk of the certifying
+  /// landmark's tree. Empty path when the pair is not certified or a walk
+  /// fails.
   PathResult disjoint_path(NodeId s, NodeId t) const;
 
   PathResult fallback_path(NodeId s, NodeId t, QueryContext& ctx) const;

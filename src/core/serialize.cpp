@@ -21,10 +21,10 @@ namespace vicinity::core {
 namespace {
 
 // Container header: 6-byte magic + 2 ASCII-digit format version + (since
-// version 3) one backend-tag byte. Versions 5 and 6 are the region container
-// of core/index_format.h (fixed header + section table + 64-byte-aligned
-// sections), which loads zero-copy via mmap; the loaders open both, and the
-// writer emits version 6, whose distance sections may be byte-wide.
+// version 3) one backend-tag byte. Versions 5-7 are the region container of
+// core/index_format.h (fixed header + section table + 64-byte-aligned
+// sections), which loads zero-copy via mmap; the loaders open all three,
+// and the writer emits version 7 (no vicinity parent sections).
 // Versions 2-4 are legacy stream containers that only upgrade_index() reads.
 // Version 2 added
 // OracleOptions::update_rebuild_fraction (dynamic updates); version 3 added
@@ -35,7 +35,7 @@ namespace {
 // Version-1 files predate the options field and are rejected up front with
 // a versioned error rather than misparsed.
 constexpr char kMagic[6] = {'V', 'C', 'N', 'I', 'D', 'X'};
-constexpr int kFormatVersion = 6;     // the version written
+constexpr int kFormatVersion = 7;     // the version written
 constexpr int kMinRegionVersion = 5;  // oldest version the loaders open
 constexpr int kMinFormatVersion = 2;  // oldest version upgrade_index reads
 constexpr int kMinPackedVersion = 4;
@@ -115,7 +115,7 @@ struct Header {
   BackendTag tag;
 };
 
-/// Reads the magic and the two version digits. Versions outside 2-6 are
+/// Reads the magic and the two version digits. Versions outside 2-7 are
 /// refused here; the caller decides what a legacy version 2-4 means.
 int read_version(std::istream& in) {
   char header[8];
@@ -267,9 +267,10 @@ void read_store_slot(std::istream& in, std::uint64_t n, NodeId u,
   v.members.reserve(members.size());
   for (const MemberRecord& rec : members) {
     require(rec.node < n, "vicinity member out of range");
+    // The stored parent is checked, then dropped: PATH derives parents.
     require(rec.parent < n || rec.parent == kInvalidNode,
             "vicinity parent out of range");
-    VicinityMember m{rec.node, rec.dist, rec.parent, (rec.flags & 1) != 0,
+    VicinityMember m{rec.node, rec.dist, (rec.flags & 1) != 0,
                      (rec.flags & 2) != 0};
     if (m.in_ball) ++v.ball_size;
     if (m.on_boundary) ++v.boundary_size;
@@ -282,7 +283,8 @@ void read_store_slot(std::istream& in, std::uint64_t n, NodeId u,
 }
 
 /// Packed-arena store body (version-4 stream files, store byte 2): the slot
-/// table and the three parallel arena blobs in prepare() order.
+/// table and the three parallel arena blobs in prepare() order. The parent
+/// blob is checked, then dropped: PATH derives parents.
 void read_packed_store(std::istream& in, VicinityStore& store) {
   VicinityStore::PackedBlob blob;
   blob.radius = read_vec<Distance>(in);
@@ -291,15 +293,17 @@ void read_packed_store(std::istream& in, VicinityStore& store) {
   blob.boundary_len = read_vec<std::uint32_t>(in);
   blob.members = read_vec<NodeId>(in);
   blob.dists = DistColumn(read_vec<Distance>(in));
-  blob.parents = read_vec<NodeId>(in);
+  require(read_vec<NodeId>(in).size() == blob.members.size(),
+          "packed store: arena blob length mismatch");
   const util::RoleGuard role(store.mutation_role());
   store.adopt_packed(std::move(blob));  // validates the untrusted blobs
 }
 
-LandmarkSet read_landmark_set(std::istream& in, const OracleOptions& opt,
-                              const graph::Graph& g) {
+// Either container's landmark, nearest-landmark and indexed-node arrays.
+LandmarkSet checked_landmarks(std::vector<NodeId> nodes,
+                              const OracleOptions& opt, const graph::Graph& g) {
   LandmarkSet landmarks;
-  landmarks.nodes = read_vec<NodeId>(in);
+  landmarks.nodes = std::move(nodes);
   landmarks.alpha = opt.alpha;
   landmarks.strategy = opt.strategy;
   landmarks.member.resize(g.num_nodes());
@@ -310,20 +314,19 @@ LandmarkSet read_landmark_set(std::istream& in, const OracleOptions& opt,
   return landmarks;
 }
 
-NearestLandmarkInfo read_nearest(std::istream& in, std::uint64_t n) {
-  NearestLandmarkInfo info;
-  info.dist = read_vec<Distance>(in);
-  info.landmark = read_vec<NodeId>(in);
-  require(info.dist.size() == n && info.landmark.size() == n,
+NearestLandmarkInfo checked_nearest(std::vector<Distance> dist,
+                                    std::vector<NodeId> landmark,
+                                    std::uint64_t n) {
+  require(dist.size() == n && landmark.size() == n,
           "nearest-landmark arrays have wrong length");
-  for (const NodeId l : info.landmark) {
+  for (const NodeId l : landmark) {
     require(l < n || l == kInvalidNode, "nearest landmark out of range");
   }
-  return info;
+  return {std::move(dist), std::move(landmark)};
 }
 
-std::vector<NodeId> read_indexed(std::istream& in, const graph::Graph& g) {
-  auto indexed = read_vec<NodeId>(in);
+std::vector<NodeId> checked_indexed(std::vector<NodeId> indexed,
+                                    const graph::Graph& g) {
   util::BitVector seen(g.num_nodes());
   for (const NodeId u : indexed) {
     require(u < g.num_nodes(), "indexed node out of range");
@@ -333,7 +336,7 @@ std::vector<NodeId> read_indexed(std::istream& in, const graph::Graph& g) {
   return indexed;
 }
 
-// ---- VCNIDX05/06 region container (core/index_format.h) ------------------
+// ---- VCNIDX05-07 region container (core/index_format.h) ------------------
 
 [[noreturn]] void section_fail(int version, const region::SectionEntry& e,
                                const char* why) {
@@ -370,7 +373,7 @@ struct RegionReader {
                             region::section_name(e->id));
   }
 
-  /// A distance section: four bytes per entry, or (version 6) one.
+  /// A distance section: four bytes per entry, or (version 6 on) one.
   DistView dists_of(region::SectionId id) const {
     const region::SectionEntry* e = find(id);
     if (e == nullptr) return {};
@@ -493,49 +496,11 @@ OracleOptions read_region_options(const region::FileHeader& h) {
   return opt;
 }
 
-LandmarkSet read_region_landmark_set(const RegionReader& r,
-                                     const OracleOptions& opt,
-                                 const graph::Graph& g) {
-  const auto nodes = r.span_of<NodeId>(region::SectionId::kLandmarkNodes);
-  LandmarkSet landmarks;
-  landmarks.nodes.assign(nodes.begin(), nodes.end());
-  landmarks.alpha = opt.alpha;
-  landmarks.strategy = opt.strategy;
-  landmarks.member.resize(g.num_nodes());
-  for (const NodeId l : landmarks.nodes) {
-    require(l < g.num_nodes(), "landmark id out of range");
-    landmarks.member.set(l);
-  }
-  return landmarks;
-}
-
-NearestLandmarkInfo read_region_nearest(const RegionReader& r,
-                                        region::SectionId dist_id,
-                                    region::SectionId lm_id, std::uint64_t n) {
-  const auto dist = r.span_of<Distance>(dist_id);
-  const auto lm = r.span_of<NodeId>(lm_id);
-  require(dist.size() == n && lm.size() == n,
-          "nearest-landmark arrays have wrong length");
-  NearestLandmarkInfo info;
-  info.dist.assign(dist.begin(), dist.end());
-  info.landmark.assign(lm.begin(), lm.end());
-  for (const NodeId l : info.landmark) {
-    require(l < n || l == kInvalidNode, "nearest landmark out of range");
-  }
-  return info;
-}
-
-std::vector<NodeId> read_region_indexed(const RegionReader& r,
-                                    const graph::Graph& g) {
-  const auto span = r.span_of<NodeId>(region::SectionId::kIndexedNodes);
-  std::vector<NodeId> indexed(span.begin(), span.end());
-  util::BitVector seen(g.num_nodes());
-  for (const NodeId u : indexed) {
-    require(u < g.num_nodes(), "indexed node out of range");
-    require(!seen.get(u), "duplicate indexed node");
-    seen.set(u);
-  }
-  return indexed;
+/// A copy of section `id` (empty when the section is missing).
+template <typename T>
+std::vector<T> section_copy(const RegionReader& r, region::SectionId id) {
+  const auto span = r.span_of<T>(id);
+  return {span.begin(), span.end()};
 }
 
 /// Hands the store sections to the store: zero-copy (adopt_packed_view)
@@ -556,7 +521,6 @@ void adopt_region_store(const RegionReader& r, bool in_store,
   v.boundary_len = r.span_of<std::uint32_t>(sid(3));
   v.members = r.span_of<NodeId>(sid(4));
   v.dists = r.dists_of(sid(5));
-  v.parents = r.span_of<NodeId>(sid(6));
   const util::RoleGuard role(store.mutation_role());
   if (backing != nullptr) {
     store.adopt_packed_view(v, backing, verify);
@@ -569,7 +533,6 @@ void adopt_region_store(const RegionReader& r, bool in_store,
   blob.boundary_len.assign(v.boundary_len.begin(), v.boundary_len.end());
   blob.members.assign(v.members.begin(), v.members.end());
   blob.dists = DistColumn::copy_of(v.dists);
-  blob.parents.assign(v.parents.begin(), v.parents.end());
   store.adopt_packed(std::move(blob));  // always deep-validates
 }
 
@@ -615,7 +578,6 @@ void plan_store(std::vector<SectionPlan>& plans,
   plans.push_back(plan_span(sid(3), v.boundary_len));
   plans.push_back(plan_span(sid(4), v.members));
   plans.push_back(plan_dists(sid(5), v.dists));
-  plans.push_back(plan_span(sid(6), v.parents));
 }
 
 void write_zeros(std::ostream& out, std::uint64_t count) {
@@ -723,7 +685,6 @@ class OracleSerializer {
       t.landmark_index_[t.landmark_nodes_[i]] = static_cast<NodeId>(i);
     }
     const std::uint64_t k = t.landmark_nodes_.size();
-    t.subset_index_.assign(n, kInvalidNode);
     // A mapped open aliases each matrix; a heap open copies it. Either
     // keeps the section's width.
     const auto adopt = [&](DistColumn& m, DistView section) {
@@ -747,6 +708,7 @@ class OracleSerializer {
     // kSubset.
     const auto subset = r.span_of<NodeId>(S::kTableSubsetNodes);
     t.subset_nodes_.assign(subset.begin(), subset.end());
+    t.subset_index_.assign(n, kInvalidNode);
     for (std::size_t i = 0; i < t.subset_nodes_.size(); ++i) {
       require(t.subset_nodes_[i] < n, "subset node out of range");
       t.subset_index_[t.subset_nodes_[i]] = static_cast<NodeId>(i);
@@ -761,7 +723,7 @@ class OracleSerializer {
     adopt(t.from_lm_, from_lm);
   }
 
-  // ---- Region writer (version 6) -----------------------------------------
+  // ---- Region writer (version 7) -----------------------------------------
   static void save(const VicinityOracle& o, std::ostream& out) {
     using S = region::SectionId;
     const graph::Graph& g = o.graph();
@@ -844,7 +806,7 @@ class OracleSerializer {
     if (!out) throw std::runtime_error("oracle index: write failed");
   }
 
-  // ---- Region loader (versions 5 and 6) ---------------------------------
+  // ---- Region loader (versions 5-7) --------------------------------------
   static VicinityOracle load_region_body(const RegionReader& r,
                                          const graph::Graph& g,
                                      std::shared_ptr<const void> backing,
@@ -856,13 +818,17 @@ class OracleSerializer {
     VicinityOracle o;
     o.g_ = &g;
     o.opt_ = read_region_options(h);
-    o.landmarks_ = read_region_landmark_set(r, o.opt_, g);
+    using S = region::SectionId;
+    o.landmarks_ = checked_landmarks(section_copy<NodeId>(r, S::kLandmarkNodes),
+                                     o.opt_, g);
     const std::size_t families = o.families();
     for (std::size_t f = 0; f < families; ++f) {
-      o.nearest_[f] = read_region_nearest(r, nearest_dist_id(f),
-                                      nearest_landmark_id(f), g.num_nodes());
+      o.nearest_[f] =
+          checked_nearest(section_copy<Distance>(r, nearest_dist_id(f)),
+                          section_copy<NodeId>(r, nearest_landmark_id(f)),
+                          g.num_nodes());
     }
-    o.indexed_ = read_region_indexed(r, g);
+    o.indexed_ = checked_indexed(section_copy<NodeId>(r, S::kIndexedNodes), g);
     for (std::size_t f = 0; f < families; ++f) {
       VicinityStore& store = o.stores_[f];
       store = VicinityStore(g.num_nodes());
@@ -886,13 +852,14 @@ class OracleSerializer {
     o.g_ = &g;
     bool packed_body = false;
     o.opt_ = read_options(in, h.version, packed_body);
-    o.landmarks_ = read_landmark_set(in, o.opt_, g);
+    o.landmarks_ = checked_landmarks(read_vec<NodeId>(in), o.opt_, g);
     const std::size_t families = o.families();
     for (std::size_t f = 0; f < families; ++f) {
-      o.nearest_[f] = read_nearest(in, g.num_nodes());
+      auto dist = read_vec<Distance>(in);  // the field's first array
+      o.nearest_[f] =
+          checked_nearest(std::move(dist), read_vec<NodeId>(in), g.num_nodes());
     }
-
-    o.indexed_ = read_indexed(in, g);
+    o.indexed_ = checked_indexed(read_vec<NodeId>(in), g);
     for (std::size_t f = 0; f < families; ++f) {
       VicinityStore& store = o.stores_[f];
       store = VicinityStore(g.num_nodes());

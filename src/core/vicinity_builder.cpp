@@ -8,7 +8,6 @@ VicinityBuilder::VicinityBuilder(const graph::Graph& g, Direction direction)
     : g_(g),
       direction_(direction),
       dist_(g.num_nodes()),
-      parent_(g.num_nodes()),
       in_gamma_(g.num_nodes()),
       candidate_(g.num_nodes()) {}
 
@@ -36,10 +35,8 @@ Vicinity VicinityBuilder::build_unweighted(NodeId u, Distance radius,
   v.nearest_landmark = lm;
 
   dist_.reset();
-  parent_.reset();
   queue_.clear();
   dist_.set(u, 0);
-  parent_.set(u, u);
   queue_.push_back(u);
   // Expanding every node at distance < radius discovers exactly
   // Γ(u) = { v : d(u,v) <= radius } (each level-r node has a level-(r-1)
@@ -55,7 +52,6 @@ Vicinity VicinityBuilder::build_unweighted(NodeId u, Distance radius,
     for (const NodeId y : nbrs) {
       if (!dist_.is_set(y)) {
         dist_.set(y, dx + 1);
-        parent_.set(y, x);
         queue_.push_back(y);
       }
     }
@@ -65,7 +61,7 @@ Vicinity VicinityBuilder::build_unweighted(NodeId u, Distance radius,
   for (const NodeId x : queue_) {
     const Distance dx = dist_.get(x);
     const bool ball = dx < radius;
-    v.members.push_back(VicinityMember{x, dx, parent_.get(x), ball, false});
+    v.members.push_back(VicinityMember{x, dx, ball, false});
     if (ball) ++v.ball_size;
   }
   return v;
@@ -79,13 +75,11 @@ Vicinity VicinityBuilder::build_weighted(NodeId u, Distance radius,
   v.nearest_landmark = lm;
 
   dist_.reset();
-  parent_.reset();
   candidate_.reset();
   heap_.clear();
   auto cmp = [](const auto& a, const auto& b) { return a.first > b.first; };
 
   dist_.set(u, 0);
-  parent_.set(u, u);
   heap_.emplace_back(0, u);
   candidate_.insert(u);
   std::size_t candidates_total = 1;
@@ -108,11 +102,11 @@ Vicinity VicinityBuilder::build_weighted(NodeId u, Distance radius,
     if (!in_ball) ball_complete = true;  // keys are non-decreasing
     if (in_ball) {
       ++candidates_settled;  // every ball node is a candidate (set below or at u)
-      v.members.push_back(VicinityMember{x, dx, parent_.get(x), true, false});
+      v.members.push_back(VicinityMember{x, dx, true, false});
       ++v.ball_size;
     } else if (candidate_.contains(x)) {
       ++candidates_settled;
-      v.members.push_back(VicinityMember{x, dx, parent_.get(x), false, false});
+      v.members.push_back(VicinityMember{x, dx, false, false});
     }
 
     if (ball_complete && candidates_settled == candidates_total) break;
@@ -141,7 +135,6 @@ Vicinity VicinityBuilder::build_weighted(NodeId u, Distance radius,
       const Distance dy = dist_add(dx, wts[i]);
       if (dy < dist_.get_or(y, kInfDistance)) {
         dist_.set(y, dy);
-        parent_.set(y, x);
         heap_.emplace_back(dy, y);
         std::push_heap(heap_.begin(), heap_.end(), cmp);
       }

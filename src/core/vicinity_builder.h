@@ -27,7 +27,6 @@ namespace vicinity::core {
 struct VicinityMember {
   NodeId node;
   Distance dist;      ///< exact d(u, node) (directed: along Direction)
-  NodeId parent;      ///< predecessor on a shortest path from u (u for the origin)
   bool in_ball;       ///< dist < radius
   bool on_boundary;   ///< member with a neighbor outside Γ(u)
 };
@@ -64,7 +63,6 @@ class VicinityBuilder {
   const graph::Graph& g_;
   Direction direction_;
   util::StampedArray<Distance> dist_;
-  util::StampedArray<NodeId> parent_;
   util::StampedSet in_gamma_;
   std::vector<NodeId> queue_;
   std::vector<std::pair<Distance, NodeId>> heap_;

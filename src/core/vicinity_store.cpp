@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -233,7 +234,6 @@ void VicinityStore::set(NodeId u, const Vicinity& v) {
     }
     p.staged->members.resize(n);
     p.staged->dists = DistColumn(n, narrow);
-    p.staged->parents.resize(n);
     atomic_add(staged_entries_, n);
   }
   const MutableSlice s = mutable_slice(p);
@@ -241,7 +241,6 @@ void VicinityStore::set(NodeId u, const Vicinity& v) {
     const VicinityMember& m = v.members[order[i]];
     s.members[i] = m.node;
     s.dists->set(s.dist_offset + i, m.dist);
-    s.parents[i] = m.parent;
   }
   p.len = static_cast<std::uint32_t>(n);
   p.boundary_len = bcount;
@@ -276,6 +275,83 @@ std::pair<Distance, NodeId> VicinityStore::intersect_witness(
     return {via_interior, wi};
   }
   return {via_boundary, wb};
+}
+
+bool VicinityStore::walk_tree(const graph::Graph& g, Direction dir, NodeId u,
+                              NodeId from, std::vector<NodeId>& out) const {
+  const PerNode& p = slots_[slot_of_[u]];
+  const ConstSlice s = slice(p);
+  // A mapped slice is untrusted: no id past n indexes the graph, the walk
+  // stops after n steps, and it ends at the first member at distance 0.
+  const std::size_t n = g.num_nodes();
+  std::size_t i = index_of(p, s, from);
+  for (std::size_t steps = 0; i < p.len && steps < n; ++steps) {
+    const NodeId cur = s.members[i];
+    if (cur >= n) return false;
+    out.push_back(cur);
+    if (s.dists[i] == 0) return cur == u;
+    i = parent_index(p, s, i, g, dir);
+  }
+  return false;
+}
+
+std::size_t VicinityStore::parent_index(const PerNode& p, const ConstSlice& s,
+                                        std::size_t i, const graph::Graph& g,
+                                        Direction dir) {
+  const NodeId w = s.members[i];
+  const Distance dw = s.dists[i];
+  if (dw == 0 || dw == kInfDistance) return p.len;
+  const std::size_t n = g.num_nodes();
+  const bool weighted = g.weighted();
+  const bool out = dir == Direction::kOut;
+  // An unweighted parent sits at dw - 1 < radius: a ball member, and ball
+  // members are always interior. A weighted parent is any closer member.
+  const std::size_t lo = weighted ? 0 : p.boundary_len;
+  const auto candidate = [&](std::size_t k) {
+    return s.members[k] < n &&
+           (weighted ? s.dists[k] < dw : s.dists[k] == dw - 1);
+  };
+  const auto tight = [&](std::size_t k, Weight wt) {
+    return s.dists[k] < dw && dist_add(s.dists[k], wt) == dw;
+  };
+  const auto ups = out ? g.in_neighbors(w) : g.neighbors(w);
+  // The cheaper side checks adjacency. Each of w's upstream arcs costs a
+  // binary search of the candidate range, each candidate's downstream arc
+  // one comparison; the candidates' arcs are counted only until they cost
+  // more.
+  const std::uint64_t up_cost = ups.size() * (1 + std::bit_width(p.len - lo));
+  std::uint64_t down_arcs = 0;
+  for (std::size_t k = lo; k < p.len && down_arcs <= up_cost; ++k) {
+    if (!candidate(k)) continue;
+    down_arcs += out ? g.degree(s.members[k]) : g.in_degree(s.members[k]);
+  }
+  if (down_arcs <= up_cost) {
+    // Scan each candidate's downstream arcs for w.
+    for (std::size_t k = lo; k < p.len; ++k) {
+      if (!candidate(k)) continue;
+      const NodeId x = s.members[k];
+      const auto downs = out ? g.neighbors(x) : g.in_neighbors(x);
+      const auto wts = weighted ? (out ? g.weights(x) : g.in_weights(x))
+                                : std::span<const Weight>{};
+      for (std::size_t j = 0; j < downs.size(); ++j) {
+        if (downs[j] == w && tight(k, weighted ? wts[j] : Weight{1})) return k;
+      }
+    }
+    return p.len;
+  }
+  // Binary-search each of w's upstream neighbours among the candidates.
+  const auto up_weights = weighted ? (out ? g.in_weights(w) : g.weights(w))
+                                   : std::span<const Weight>{};
+  for (std::size_t j = 0; j < ups.size(); ++j) {
+    const NodeId y = ups[j];
+    const std::size_t k = weighted ? index_of(p, s, y)
+                                   : lower_bound_idx(s.members, lo, p.len, y);
+    if (k < p.len && s.members[k] == y &&
+        tight(k, weighted ? up_weights[j] : Weight{1})) {
+      return k;
+    }
+  }
+  return p.len;
 }
 
 double VicinityStore::intersect_cost(std::size_t iter_elems,
@@ -329,7 +405,6 @@ void VicinityStore::refresh_boundary_flag(NodeId u, NodeId member,
     std::rotate(s.members + first, s.members + middle, s.members + last);
     s.dists->rotate(s.dist_offset + first, s.dist_offset + middle,
                     s.dist_offset + last);
-    std::rotate(s.parents + first, s.parents + middle, s.parents + last);
   };
   if (on) {
     const std::size_t ipos =
@@ -351,7 +426,6 @@ void VicinityStore::stage_packed_copy(PerNode& p) {
   auto staged = std::make_unique<StagedSlice>();
   staged->members.assign(s.members, s.members + p.len);
   staged->dists = DistColumn::copy_of(s.dists);
-  staged->parents.assign(s.parents, s.parents + p.len);
   p.staged = std::move(staged);
   // The abandoned mapped region is dead weight like any replaced arena
   // slice; the usual staging accounting makes pack_if_needed eventually
@@ -362,33 +436,65 @@ void VicinityStore::stage_packed_copy(PerNode& p) {
   atomic_add(staged_entries_, p.len);
 }
 
-void VicinityStore::gather(std::vector<NodeId>& members, DistColumn& dists,
-                           std::vector<NodeId>& parents) const {
+void VicinityStore::gather(std::vector<NodeId>& members,
+                           DistColumn& dists) const {
   const bool narrow = std::ranges::all_of(
       slots_, [&](const PerNode& p) { return fits_narrow(slice(p).dists); });
   members.clear();
   dists = DistColumn(0, narrow);
-  parents.clear();
   members.reserve(total_entries_);
   dists.reserve(total_entries_);
-  parents.reserve(total_entries_);
   for (const PerNode& p : slots_) {
     const ConstSlice s = slice(p);
     members.insert(members.end(), s.members, s.members + p.len);
     dists.append(s.dists);
-    parents.insert(parents.end(), s.parents, s.parents + p.len);
   }
 }
 
 void VicinityStore::pack() {
-  if (staged_slots_ == 0 && arena_members_.size() == total_entries_ &&
-      backing_ == nullptr) {
+  if (staged_slots_ == 0 && backing_ == nullptr &&
+      arena_members_.size() == total_entries_ &&
+      arena_members_.capacity() == total_entries_) {
     return;  // already contiguous, hole-free, slack-free and owned
   }
-  std::vector<NodeId> members;
-  DistColumn dists;
-  std::vector<NodeId> parents;
-  gather(members, dists, parents);
+  // A batched build's staged slices all follow the arena's: append them.
+  // Anything else, or nothing staged, gathers an arena of exact size.
+  const auto staged = [](const PerNode& p) { return p.staged != nullptr; };
+  const auto first = std::ranges::find_if(slots_, staged);
+  const bool append =
+      first != slots_.end() && backing_ == nullptr && wasted_entries_ == 0 &&
+      arena_members_.size() + staged_entries_ == total_entries_ &&
+      std::all_of(first, slots_.end(), [&](const PerNode& p) {
+        return p.staged == nullptr
+                   ? p.len == 0
+                   : p.staged->dists.narrow() || !arena_dists_.narrow();
+      });
+  if (append) {
+    // Slots past the last staged one are unbuilt: grow the arena once to
+    // their projected share (mean slice so far, plus a quarter) instead of
+    // at every doubling. The batch that fills the last slot sizes it exactly.
+    const auto built = static_cast<std::uint64_t>(
+        slots_.rend() - std::find_if(slots_.rbegin(), slots_.rend(), staged));
+    if (arena_members_.capacity() < total_entries_) {
+      std::uint64_t want = total_entries_ * slots_.size() / built;
+      if (built < slots_.size()) want += want / 4;
+      arena_members_.reserve(want);
+      arena_dists_.reserve(want);
+    }
+    for (auto it = first; it != slots_.end(); ++it) {
+      if (it->staged == nullptr) continue;
+      const ConstSlice s = slice(*it);
+      arena_members_.insert(arena_members_.end(), s.members,
+                            s.members + it->len);
+      arena_dists_.append(s.dists);
+    }
+  } else {
+    std::vector<NodeId> members;
+    DistColumn dists;
+    gather(members, dists);
+    arena_members_ = std::move(members);
+    arena_dists_ = std::move(dists);
+  }
   std::uint64_t off = 0;
   for (PerNode& p : slots_) {
     p.offset = off;
@@ -396,13 +502,9 @@ void VicinityStore::pack() {
     p.staged.reset();
     off += p.len;
   }
-  arena_members_ = std::move(members);
-  arena_dists_ = std::move(dists);
-  arena_parents_ = std::move(parents);
   // pack() IS materialization for a mapped store: every slice was just
   // copied into the owned arenas, so drop the external backing.
   mm_members_ = {};
-  mm_parents_ = {};
   backing_.reset();
   wasted_entries_ = 0;
   staged_entries_ = 0;
@@ -412,22 +514,6 @@ void VicinityStore::pack() {
 void VicinityStore::pack_if_needed() {
   const std::uint64_t loose = wasted_entries_ + staged_entries_;
   if (loose > std::max<std::uint64_t>(1024, total_entries_ / 4)) pack();
-}
-
-VicinityStore::PackedBlob VicinityStore::export_packed() const {
-  PackedBlob blob;
-  blob.radius.reserve(slots_.size());
-  blob.nearest.reserve(slots_.size());
-  blob.len.reserve(slots_.size());
-  blob.boundary_len.reserve(slots_.size());
-  for (const PerNode& p : slots_) {
-    blob.radius.push_back(p.radius);
-    blob.nearest.push_back(p.nearest_landmark);
-    blob.len.push_back(p.len);
-    blob.boundary_len.push_back(p.boundary_len);
-  }
-  gather(blob.members, blob.dists, blob.parents);
-  return blob;
 }
 
 void VicinityStore::validate_and_index_packed(const PackedView& v,
@@ -443,8 +529,7 @@ void VicinityStore::validate_and_index_packed(const PackedView& v,
   }
   std::uint64_t total = 0;
   for (const std::uint32_t len : v.len) total += len;
-  if (v.members.size() != total || v.dists.size() != total ||
-      v.parents.size() != total) {
+  if (v.members.size() != total || v.dists.size() != total) {
     fail("arena blob length mismatch");
   }
   const auto n = static_cast<NodeId>(slot_of_.size());
@@ -460,12 +545,10 @@ void VicinityStore::validate_and_index_packed(const PackedView& v,
     }
     if (deep) {
       // Both groups must be strictly ascending (binary search + merge rely
-      // on it), with ids/parents in range.
+      // on it), with ids in range.
       for (std::uint32_t i = 0; i < len; ++i) {
         const NodeId m = v.members[off + i];
-        const NodeId par = v.parents[off + i];
         if (m >= n) fail("member out of range");
-        if (par >= n && par != kInvalidNode) fail("parent out of range");
         if (i != 0 && i != blen && v.members[off + i - 1] >= m) {
           fail("slice group not strictly sorted");
         }
@@ -503,14 +586,11 @@ void VicinityStore::validate_and_index_packed(const PackedView& v,
 
 void VicinityStore::adopt_packed(PackedBlob&& blob) {
   const PackedView view{blob.radius, blob.nearest, blob.len,
-                        blob.boundary_len, blob.members, blob.dists.view(),
-                        blob.parents};
+                        blob.boundary_len, blob.members, blob.dists.view()};
   validate_and_index_packed(view, /*deep=*/true);
   arena_members_ = std::move(blob.members);
   arena_dists_ = std::move(blob.dists);
-  arena_parents_ = std::move(blob.parents);
   mm_members_ = {};
-  mm_parents_ = {};
   backing_.reset();
 }
 
@@ -519,10 +599,8 @@ void VicinityStore::adopt_packed_view(const PackedView& view,
                                       bool deep_validate) {
   validate_and_index_packed(view, deep_validate);
   std::vector<NodeId>().swap(arena_members_);
-  std::vector<NodeId>().swap(arena_parents_);
   arena_dists_ = DistColumn::borrow(view.dists);
   mm_members_ = view.members;
-  mm_parents_ = view.parents;
   backing_ = std::move(backing);
 }
 
@@ -553,22 +631,16 @@ VicinityStore::PackedView VicinityStore::export_view(
   const std::size_t arena_size =
       backing_ != nullptr ? mm_members_.size() : arena_members_.size();
   PackedView v{scratch.radius, scratch.nearest, scratch.len,
-               scratch.boundary_len, {}, {}, {}};
+               scratch.boundary_len, {}, {}};
   if (contiguous && expect == arena_size) {
-    if (backing_ != nullptr) {
-      v.members = mm_members_;
-      v.parents = mm_parents_;
-    } else {
-      v.members = arena_members_;
-      v.parents = arena_parents_;
-    }
+    v.members = backing_ != nullptr ? mm_members_
+                                    : std::span<const NodeId>(arena_members_);
     v.dists = arena_dists_.view();
     return v;
   }
-  gather(scratch.members, scratch.dists, scratch.parents);
+  gather(scratch.members, scratch.dists);
   v.members = scratch.members;
   v.dists = scratch.dists.view();
-  v.parents = scratch.parents;
   return v;
 }
 
@@ -582,15 +654,13 @@ bool VicinityStore::narrow() const {
 std::uint64_t VicinityStore::memory_bytes() const {
   std::uint64_t bytes = slot_of_.size() * sizeof(NodeId);
   bytes += arena_members_.capacity() * sizeof(NodeId) +
-           arena_dists_.heap_bytes() +
-           arena_parents_.capacity() * sizeof(NodeId);
+           arena_dists_.heap_bytes();
   bytes += slots_.size() * sizeof(PerNode);
   for (const PerNode& p : slots_) {
     if (p.staged == nullptr) continue;
     bytes += sizeof(StagedSlice) +
              p.staged->members.capacity() * sizeof(NodeId) +
-             p.staged->dists.heap_bytes() +
-             p.staged->parents.capacity() * sizeof(NodeId);
+             p.staged->dists.heap_bytes();
   }
   return bytes;
 }

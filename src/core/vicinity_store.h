@@ -1,24 +1,20 @@
 // Per-node vicinity storage (paper §3.1 data structure).
 //
-// For each indexed node u the store keeps:
-//   * a membership structure  v -> (d(u,v), parent)  — the paper's central
-//     data structure;
-//   * the boundary ∂Γ(u) as parallel (node, distance) arrays so
-//     Algorithm 1's loop is a linear scan;
-//   * metadata (radius, nearest landmark, sizes).
+// For each indexed node u the store keeps the membership map v -> d(u,v)
+// (the paper's central data structure), the boundary ∂Γ(u) as parallel
+// (node, distance) arrays so Algorithm 1's loop is a linear scan, and
+// metadata (radius, nearest landmark, sizes). No parents are stored:
+// walk_tree() derives PATH's steps.
 //
 // The paper keeps each vicinity in a GNU-STL hash table (§3.2) and leaves
 // "more customized data structures" open (§5). This store answers that
 // with one shared arena holding every vicinity as a CSR-style slice: one
-// contiguous members[] array with parallel dists[]/parents[] arrays and a
-// per-node (offset, len, boundary_len) slot. The distances are a
-// core/dist_column.h column, one byte per entry when every value fits (the
-// unweighted small-world case). Boundary members are grouped
-// at the front of each slice (both groups sorted ascending by NodeId), so
-// boundary() is a zero-copy span, find() is a binary search, and
-// intersect_min() merge/gallops two sorted slices instead of issuing N
-// dependent hash probes. bench_ablation_hash times the paper's hash-table
-// probe loop against this kernel.
+// members[] array, a parallel dists[] column (core/dist_column.h, one byte
+// per entry when every value fits) and a per-node (offset, len,
+// boundary_len) slot. Boundary members lead each slice (both groups sorted
+// by NodeId), so boundary() is a zero-copy span, find() a binary search,
+// and intersect_min() merge/gallops two sorted slices instead of issuing N
+// dependent hash probes (bench_ablation_hash times the two).
 #pragma once
 
 #include <cstdint>
@@ -38,15 +34,11 @@ namespace vicinity::core {
 
 struct StoredEntry {
   Distance dist = kInfDistance;
-  NodeId parent = kInvalidNode;
 };
 
-/// Value-semantics probe result (the store keeps entries as parallel
-/// arrays, so there is no StoredEntry object to point at).
-/// found == false leaves dist/parent at their sentinels.
+/// Value-semantics probe result; found == false leaves dist at its sentinel.
 struct ProbeResult {
   Distance dist = kInfDistance;
-  NodeId parent = kInvalidNode;
   bool found = false;
   explicit operator bool() const { return found; }
 };
@@ -90,17 +82,12 @@ class VicinityStore {
   explicit VicinityStore(NodeId num_nodes);
 
   /// The store's mutation capability (a phantom role, util/mutex.h): no
-  /// runtime lock exists — mutation phases are synchronized by program
-  /// structure (build/repair loops run, then one thread packs) — but every
-  /// mutating caller must state its mode so Clang's thread-safety analysis
-  /// can check the discipline. Hold SHARED (util::SharedRoleGuard) for the
-  /// per-slot writes that are safe concurrently on distinct nodes — set(),
-  /// refresh_boundary_flag(), set_nearest_landmark() — and EXCLUSIVE
-  /// (util::RoleGuard) for the structural operations that tolerate no
-  /// concurrent mutator: prepare(), pack(), pack_if_needed(),
-  /// adopt_packed(). The read-only query path (find/boundary/intersect_min)
-  /// is unconstrained; fencing reads against mutation phases is the
-  /// caller's contract (QueryEngine's epoch lock).
+  /// runtime lock exists, but every mutating caller states its mode for
+  /// Clang's thread-safety analysis. SHARED (util::SharedRoleGuard) for the
+  /// per-slot writes safe on distinct nodes — set(), refresh_boundary_flag(),
+  /// set_nearest_landmark() — and EXCLUSIVE (util::RoleGuard) for prepare(),
+  /// pack(), pack_if_needed() and adopt_packed(). Queries are unconstrained;
+  /// fencing them against mutation is the caller's (QueryEngine's epoch lock).
   util::ExclusiveRole& mutation_role() const
       VICINITY_RETURN_CAPABILITY(mutation_role_) {
     return mutation_role_;
@@ -112,16 +99,11 @@ class VicinityStore {
   void prepare(std::span<const NodeId> nodes)
       VICINITY_REQUIRES(mutation_role_);
 
-  /// Fills u's slot from a built vicinity (v.origin must equal u). Calling
-  /// set() again for the same node replaces the previous vicinity — the
-  /// dynamic-update repair path; totals are adjusted by the delta.
-  ///
-  /// Thread-safety: concurrent set() calls for DISTINCT nodes are safe.
-  /// set() writes in place when the slice fits its arena region and its
-  /// distances fit the arena's width, and otherwise parks the slice in a
-  /// slot-local staging buffer (a per-slot sub-arena whose distance column
-  /// takes the width its own values need); pack() — not thread-safe —
-  /// stitches the staged slices back into one contiguous arena.
+  /// Fills u's slot from a built vicinity (v.origin must equal u), replacing
+  /// any previous one (the repair path). Concurrent set() calls for
+  /// DISTINCT nodes are safe: a slice that fits its arena region and width
+  /// is written in place, any other is parked in slot-local staging (its
+  /// column at its own width) until pack() stitches it into the arena.
   void set(NodeId u, const Vicinity& v)
       VICINITY_REQUIRES_SHARED(mutation_role_);
 
@@ -139,12 +121,9 @@ class VicinityStore {
     }
     const PerNode& p = slots_[slot_of_[u]];
     const ConstSlice s = slice(p);
-    std::size_t i = lower_bound_idx(s.members, 0, p.boundary_len, v);
-    if (i >= p.boundary_len || s.members[i] != v) {
-      i = lower_bound_idx(s.members, p.boundary_len, p.len, v);
-      if (i >= p.len || s.members[i] != v) return ProbeResult{};
-    }
-    return ProbeResult{s.dists[i], s.parents[i], true};
+    const std::size_t i = index_of(p, s, v);
+    if (i == p.len) return ProbeResult{};
+    return ProbeResult{s.dists[i], true};
   }
 
   struct BoundaryView {
@@ -167,7 +146,7 @@ class VicinityStore {
     const PerNode& p = slots_[slot_of_[u]];
     const ConstSlice s = slice(p);
     for (std::uint32_t i = 0; i < p.len; ++i) {
-      fn(s.members[i], StoredEntry{s.dists[i], s.parents[i]});
+      fn(s.members[i], StoredEntry{s.dists[i]});
     }
   }
 
@@ -182,9 +161,19 @@ class VicinityStore {
 
   /// intersect_min()'s minimum with its witness: the smallest node id among
   /// the common members that attain it (kInvalidNode when there is none).
-  /// PATH joins the two parent chains at the witness.
+  /// PATH joins the two vicinities' tree walks at the witness.
   std::pair<Distance, NodeId> intersect_witness(const BoundaryView& iter,
                                                 NodeId probe_u) const;
+
+  /// Appends `from`..u along a shortest-path tree of Γ(u) (this store grown
+  /// along `dir`) derived from the stored distances and the current graph:
+  /// w's parent is a member x with d(u,x) + w(x,w) = d(u,w) and an arc
+  /// x -> w (kOut) or w -> x (kIn), with no scratch memory. kOut walks read
+  /// u -> from backwards, kIn walks from -> u. False, leaving a partial
+  /// walk, when `from` is no member or no step stays in Γ(u) (a weighted
+  /// shortest path, or a corrupt mapped slice). Requires has(u).
+  bool walk_tree(const graph::Graph& g, Direction dir, NodeId u, NodeId from,
+                 std::vector<NodeId>& out) const;
 
   /// Estimated cost of intersect_min with `iter_elems` iterated elements
   /// against Γ(probe_u) — the side-selection model: the kernel pays
@@ -224,11 +213,10 @@ class VicinityStore {
 
   // ---- Arena lifecycle ---------------------------------------------------
 
-  /// Stitches every staged slice into one contiguous arena (slot order) and
-  /// reclaims holes left by replacements. The new arena's distances take the
-  /// narrowest width that holds every value. Called by the oracle build after
-  /// the parallel construction loop and by compaction. NOT thread-safe —
-  /// no concurrent set()/find() may run.
+  /// Stitches every staged slice into one contiguous, slack-free arena
+  /// (slot order; a build's batches are appended) and reclaims holes left
+  /// by replacements, its distances at the narrowest width that holds them.
+  /// NOT thread-safe: no concurrent set()/find() may run.
   void pack() VICINITY_REQUIRES(mutation_role_);
 
   /// pack() when the wasted + staged entries exceed a quarter of the live
@@ -239,10 +227,10 @@ class VicinityStore {
   /// True when every slice lives in the arena (no staged slots).
   bool fully_packed() const { return staged_slots_ == 0; }
 
-  /// Bulk import/export of the arena (the VCNIDX04 packed body and heap
-  /// region-container loads: three blob reads + validation). Slices appear
-  /// in slot (prepare) order; each slice is its boundary group then its
-  /// interior group, both strictly ascending.
+  /// An owned packed store (VCNIDX04 bodies and heap opens import one,
+  /// export_view's scratch holds one). Slices appear in slot (prepare)
+  /// order, each its boundary group then its interior group, both strictly
+  /// ascending.
   struct PackedBlob {
     std::vector<Distance> radius;             ///< per slot
     std::vector<NodeId> nearest;              ///< per slot
@@ -250,11 +238,7 @@ class VicinityStore {
     std::vector<std::uint32_t> boundary_len;  ///< per slot
     std::vector<NodeId> members;              ///< concatenated slices
     DistColumn dists;
-    std::vector<NodeId> parents;
   };
-  /// Compact copy of the store contents (works from any packing state), its
-  /// distances at the narrowest width that holds them.
-  PackedBlob export_packed() const;
   /// Adopts `blob` wholesale after prepare(). Validates shape, ranges and
   /// per-group sort order against untrusted input, throwing
   /// std::runtime_error on any violation.
@@ -270,36 +254,26 @@ class VicinityStore {
     std::span<const std::uint32_t> boundary_len;  ///< per slot
     std::span<const NodeId> members;              ///< concatenated slices
     DistView dists;
-    std::span<const NodeId> parents;
   };
 
-  /// Adopts `view` zero-copy after prepare(): slices keep reading from the
-  /// external storage (kept alive by `backing`) until the first mutation.
-  /// Mutation transparently copies on write — set() stages the replacement
-  /// slice slot-locally, refresh_boundary_flag() copies the touched slice
-  /// before rotating, and pack() materializes everything into owned arenas
-  /// and drops `backing` — so apply_update works unchanged on a mapped
-  /// store. Structural validation (slot-table shape, slice lengths, nearest
-  /// ids) always runs; `deep_validate` adds the O(total entries)
-  /// member/parent range + per-group sort + disjointness scan that
-  /// adopt_packed always performs — skipping it is what makes an mmap open
-  /// O(slots), and the query kernels only compare arena values, so corrupt
-  /// members yield wrong answers, not UB.
+  /// Adopts `view` zero-copy after prepare(): slices read the external
+  /// storage (kept alive by `backing`) until mutation copies on write (set()
+  /// stages, refresh_boundary_flag() copies the slice, pack() materializes
+  /// all and drops `backing`). Structural validation always runs;
+  /// `deep_validate` adds adopt_packed's O(total entries) member range,
+  /// sort and disjointness scan. Skipping it keeps an mmap open O(slots),
+  /// and corrupt members yield wrong answers, not UB.
   void adopt_packed_view(const PackedView& view,
                          std::shared_ptr<const void> backing,
                          bool deep_validate) VICINITY_REQUIRES(mutation_role_);
 
   /// Slot-table copy + arena view for serialization: fills `scratch`'s
-  /// per-slot vectors (always copied; they are small) and returns arena
-  /// spans that alias the live arenas when the store is contiguous in slot
-  /// order, falling back to a compact copy into `scratch` (distances at the
-  /// narrowest width that holds them) otherwise.
-  /// The view is valid while the store and `scratch` are alive and
-  /// unmutated.
+  /// per-slot vectors and aliases the live arenas when they are contiguous
+  /// in slot order, else a compact copy in `scratch` (narrowest width).
+  /// Valid while the store and `scratch` are alive and unmutated.
   PackedView export_view(PackedBlob& scratch) const;
 
-  /// True when the arenas alias external read-only storage (a mapped file
-  /// adopted via adopt_packed_view and not yet copied on write).
+  /// True when the arenas alias a mapped file not yet copied on write.
   bool mapped() const { return backing_ != nullptr; }
 
   /// True when every stored distance takes one byte: the arena's column and
@@ -317,9 +291,7 @@ class VicinityStore {
   /// their stored width. File-backed (shared through the page cache), so
   /// kept out of memory_bytes()'s heap accounting.
   std::uint64_t mapped_bytes() const {
-    return mm_members_.size() * sizeof(NodeId) +
-           arena_dists_.borrowed_bytes() +
-           mm_parents_.size() * sizeof(NodeId);
+    return mm_members_.size() * sizeof(NodeId) + arena_dists_.borrowed_bytes();
   }
 
  private:
@@ -327,7 +299,6 @@ class VicinityStore {
   struct StagedSlice {
     std::vector<NodeId> members;
     DistColumn dists;
-    std::vector<NodeId> parents;
   };
   struct PerNode {
     // An arena region [offset, offset+cap) holding `len` = |Γ(u)| live
@@ -346,34 +317,28 @@ class VicinityStore {
   struct ConstSlice {
     const NodeId* members;
     DistView dists;
-    const NodeId* parents;
   };
-  /// A writable slice: its members and parents, and its distances as
-  /// entries [dist_offset, dist_offset + len) of `dists`.
+  /// A writable slice: its members, and its distances as entries
+  /// [dist_offset, dist_offset + len) of `dists`.
   struct MutableSlice {
     NodeId* members;
     DistColumn* dists;
     std::size_t dist_offset;
-    NodeId* parents;
   };
 
   ConstSlice slice(const PerNode& p) const {
     if (p.staged != nullptr) {
-      return ConstSlice{p.staged->members.data(), p.staged->dists.view(),
-                        p.staged->parents.data()};
+      return ConstSlice{p.staged->members.data(), p.staged->dists.view()};
     }
     const DistView dists = arena_dists_.view().subspan(p.offset, p.len);
     if (backing_ != nullptr) {
-      return ConstSlice{mm_members_.data() + p.offset, dists,
-                        mm_parents_.data() + p.offset};
+      return ConstSlice{mm_members_.data() + p.offset, dists};
     }
-    return ConstSlice{arena_members_.data() + p.offset, dists,
-                      arena_parents_.data() + p.offset};
+    return ConstSlice{arena_members_.data() + p.offset, dists};
   }
   MutableSlice mutable_slice(PerNode& p) {
     if (p.staged != nullptr) {
-      return MutableSlice{p.staged->members.data(), &p.staged->dists, 0,
-                          p.staged->parents.data()};
+      return MutableSlice{p.staged->members.data(), &p.staged->dists, 0};
     }
     if (backing_ != nullptr) {
       // Writing through the mapping is a contract violation; mutators must
@@ -382,13 +347,26 @@ class VicinityStore {
           "VicinityStore: mutable slice over a read-only mapping");
     }
     return MutableSlice{arena_members_.data() + p.offset, &arena_dists_,
-                        p.offset, arena_parents_.data() + p.offset};
+                        p.offset};
   }
 
-  /// Compacts every slice in slot order into `members`/`dists`/`parents`,
-  /// the distances at the narrowest width that holds them all.
-  void gather(std::vector<NodeId>& members, DistColumn& dists,
-              std::vector<NodeId>& parents) const;
+  /// Compacts every slice in slot order into `members`/`dists`, the
+  /// distances at the narrowest width that holds them all.
+  void gather(std::vector<NodeId>& members, DistColumn& dists) const;
+
+  /// Slice index of member v of p's slice, or p.len when v is absent.
+  static std::size_t index_of(const PerNode& p, const ConstSlice& s,
+                              NodeId v) {
+    std::size_t i = lower_bound_idx(s.members, 0, p.boundary_len, v);
+    if (i < p.boundary_len && s.members[i] == v) return i;
+    i = lower_bound_idx(s.members, p.boundary_len, p.len, v);
+    return i < p.len && s.members[i] == v ? i : p.len;
+  }
+
+  /// walk_tree's step: the slice index of entry i's parent, p.len if none.
+  static std::size_t parent_index(const PerNode& p, const ConstSlice& s,
+                                  std::size_t i, const graph::Graph& g,
+                                  Direction dir);
 
   /// Copy-on-write step for a mapped slot: copies p's slice out of the
   /// read-only backing into its slot-local staging buffers so in-place
@@ -413,8 +391,8 @@ class VicinityStore {
 
   /// Shared validation + slot indexing behind adopt_packed and
   /// adopt_packed_view: checks the slot table against the arena lengths
-  /// (always) and, when `deep`, every member/parent id plus the per-group
-  /// sort and group disjointness; then rewrites slots_ and the totals.
+  /// (always) and, when `deep`, every member id plus the per-group sort and
+  /// group disjointness; then rewrites slots_ and the totals.
   /// Leaves the arena storage untouched — the callers install it.
   void validate_and_index_packed(const PackedView& v, bool deep);
 
@@ -424,16 +402,14 @@ class VicinityStore {
 
   std::vector<NodeId> slot_of_;  ///< node -> slot or kInvalidNode
   std::vector<PerNode> slots_;
-  // Packed arena (parallel arrays; SoA keeps parents off the intersection
-  // cache path). The distance column borrows the mapping in zero-copy mode.
+  // Packed arena (parallel arrays). The distance column borrows the mapping
+  // in zero-copy mode.
   std::vector<NodeId> arena_members_;
   DistColumn arena_dists_;
-  std::vector<NodeId> arena_parents_;
   // Zero-copy mode (adopt_packed_view): when backing_ is non-null the
   // arenas live in external read-only storage and the owned vectors above
   // are empty; pack() materializes and clears these.
   std::span<const NodeId> mm_members_;
-  std::span<const NodeId> mm_parents_;
   std::shared_ptr<const void> backing_;
   std::uint64_t wasted_entries_ = 0;  ///< dead arena entries (replaced slots)
   std::uint64_t staged_entries_ = 0;  ///< entries parked in staging buffers

@@ -28,7 +28,7 @@
 //
 // --graph is required (the binary container from `vicinity_cli gen` /
 // graph::save_binary_file). With --index the persisted index is opened —
-// a VCNIDX05/06 container memory-maps in milliseconds, so a daemon restart
+// a VCNIDX05-07 container memory-maps in milliseconds, so a daemon restart
 // costs roughly an mmap, not a rebuild; a legacy VCNIDX02-04 file is a
 // fatal error until `vicinity_cli index upgrade` converts it — otherwise
 // the oracle is built in-process first (minutes on large graphs; prefer

@@ -5,7 +5,7 @@
 // LB, or LB + 1 after an edge miss). Every such answer must equal
 // BFS/Dijkstra ground truth, and every PATH must be a real path of the
 // reported length, on RMAT, grid, weighted and directed graphs, under each
-// Fallback, for build() and build_for(), after heap and mapped VCNIDX06
+// Fallback, for build() and build_for(), after heap and mapped VCNIDX07
 // opens (including one with corrupt nearest landmarks), and after an
 // insert/delete stream. PATH must cover what DISTANCE covers: with full
 // tables on an unweighted graph, every pair the index answers exactly gets

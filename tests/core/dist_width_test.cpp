@@ -12,11 +12,13 @@
 
 #include "algo/bfs.h"
 #include "algo/path.h"
+#include "core/landmark_table.h"
 #include "core/oracle.h"
 #include "core/query_engine.h"
 #include "core/serialize.h"
 #include "graph/builder.h"
 #include "test_support.h"
+#include "util/thread_pool.h"
 
 namespace vicinity::core {
 namespace {
@@ -94,6 +96,42 @@ TEST(DistWidthTest, SmallWorldGraphIsByteWide) {
             oracle.tables().entries() + g.num_nodes() * sizeof(NodeId));
   expect_bfs_exact(oracle, g);
   expect_reopens_alike(oracle, g);
+}
+
+TEST(DistWidthTest, DirectedRowMatricesTakeTheirWidthsApart) {
+  // A directed 300-cycle plus hub arcs 0 -> v: every node is at most 151
+  // hops from landmarks 0 and 150 (a byte-wide forward matrix), but node 1
+  // reaches 0 only around the cycle, 299 hops (a four-byte reverse
+  // matrix, refilled after its byte-wide pass fails). Serial and pooled
+  // builds agree with BFS.
+  constexpr NodeId kN = 300;
+  graph::GraphBuilder b(kN, /*directed=*/true);
+  for (NodeId v = 0; v < kN; ++v) b.add_edge(v, (v + 1) % kN);
+  for (NodeId v = 2; v < kN; ++v) b.add_edge(0, v);
+  const auto g = b.build();
+  LandmarkSet landmarks;
+  landmarks.nodes = {0, 150};
+  landmarks.member.resize(kN);
+  for (const NodeId l : landmarks.nodes) landmarks.member.set(l);
+  util::ThreadPool pool(2);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "serial" : "pool");
+    const auto t = LandmarkTables::build_full(g, landmarks, p);
+    const std::uint64_t entries = landmarks.size() * kN;
+    EXPECT_FALSE(t.narrow());
+    // One byte per forward entry, four per reverse entry, and the index.
+    EXPECT_EQ(t.memory_bytes(), entries + entries * sizeof(Distance) +
+                                    kN * sizeof(NodeId));
+    for (const NodeId l : landmarks.nodes) {
+      const auto from = algo::bfs(g, l).dist;
+      const auto to = algo::bfs_reverse(g, l).dist;
+      for (NodeId v = 0; v < kN; ++v) {
+        ASSERT_EQ(t.dist_from_landmark(l, v), from[v]) << l << "->" << v;
+        ASSERT_EQ(t.dist_to_landmark(v, l), to[v]) << v << "->" << l;
+      }
+    }
+    EXPECT_EQ(t.dist_to_landmark(1, 0), 299u);
+  }
 }
 
 TEST(DistWidthTest, DeleteWidensTheRowMatrix) {

@@ -4,12 +4,15 @@
 // VCNIDX02-04 writer (see tests/data/golden/README.md for the exact
 // generation parameters) and pin the legacy stream decode paths: the
 // loaders refuse them, and upgrade_index() must convert each into the
-// VCNIDX06 bytes of the same index. The packed_v06_* fixtures pin the
+// VCNIDX07 bytes of the same index. The packed_v07_* fixtures pin the
 // region writer byte for byte, byte-wide distance columns included (and
-// four-byte ones on the weighted graph). The packed_v05_* fixtures pin the
-// all-four-byte version 5 the loaders still open: they answer exactly like
-// a byte-wide build, and the two that carry the landmark parent rows an
-// older writer emitted answer like their *_noparents twins. The second half
+// four-byte ones on the weighted graph); each is its packed_v06_*
+// counterpart without the vicinity parent sections. The packed_v06_* and
+// packed_v05_* fixtures (the latter all four-byte) carry those sections,
+// which no reader touches: both versions still open and answer every pair
+// and path exactly like a fresh build, and the two v05 files that carry
+// the landmark parent rows an older writer emitted answer like their
+// *_noparents twins. The second half
 // of the suite proves the two open modes — zero-copy mmap and owned heap
 // buffers — are observationally indistinguishable, including after
 // COW-triggering updates.
@@ -139,7 +142,7 @@ std::string file_bytes(const std::string& path) {
   return std::string(std::istreambuf_iterator<char>(f), {});
 }
 
-/// upgrade_index() over a stream golden: the VCNIDX06 bytes it writes.
+/// upgrade_index() over a stream golden: the VCNIDX07 bytes it writes.
 std::string upgraded(const char* name, const graph::Graph& g) {
   std::ifstream in(golden(name), std::ios::binary);
   std::ostringstream out(std::ios::binary);
@@ -165,23 +168,27 @@ bool is_distance_section(std::uint32_t id) {
   return false;
 }
 
-/// Rewrites VCNIDX06 bytes as the VCNIDX05 container of the same index:
-/// every byte-wide distance section widened to four bytes (255 becomes
-/// kInfDistance), the sections laid out again in table order, and the
-/// version digits set to 05 — what the version-5 writer emitted.
-std::string as_v5(const std::string& v6) {
+/// Lays `bytes`' sections out again in table order, keeping those `keep`
+/// accepts and passing each payload through `widen` when it is a
+/// byte-wide distance section, and sets the version digit — what a writer
+/// of that version emits for the same index.
+template <typename Keep>
+std::string relayout(const std::string& bytes, char version, Keep keep,
+                     bool widen) {
   region::FileHeader h;
-  std::memcpy(&h, v6.data(), sizeof(h));
+  std::memcpy(&h, bytes.data(), sizeof(h));
   std::vector<region::SectionEntry> table(h.section_count);
-  std::memcpy(table.data(), v6.data() + region::kSectionTableOffset,
+  std::memcpy(table.data(), bytes.data() + region::kSectionTableOffset,
               table.size() * sizeof(region::SectionEntry));
+  std::erase_if(table, [&](const region::SectionEntry& e) { return !keep(e); });
+  h.section_count = static_cast<std::uint32_t>(table.size());
   std::string out(region::align_up(region::kSectionTableOffset +
                                    table.size() *
                                        sizeof(region::SectionEntry)),
                   '\0');
   for (region::SectionEntry& e : table) {
-    std::string payload = v6.substr(e.offset, e.bytes);
-    if (is_distance_section(e.id) && e.elem_size == 1) {
+    std::string payload = bytes.substr(e.offset, e.bytes);
+    if (widen && is_distance_section(e.id) && e.elem_size == 1) {
       std::string wide(payload.size() * sizeof(Distance), '\0');
       for (std::size_t i = 0; i < payload.size(); ++i) {
         const Distance d = from_narrow(static_cast<std::uint8_t>(payload[i]));
@@ -195,12 +202,35 @@ std::string as_v5(const std::string& v6) {
     out += payload;
     out.resize(region::align_up(out.size()), '\0');
   }
-  h.version_digits[1] = '5';
+  h.version_digits[1] = version;
   h.file_bytes = out.size();
   std::memcpy(out.data(), &h, sizeof(h));
   std::memcpy(out.data() + region::kSectionTableOffset, table.data(),
               table.size() * sizeof(region::SectionEntry));
   return out;
+}
+
+/// Rewrites region bytes as the VCNIDX05 container of the same index:
+/// every byte-wide distance section widened to four bytes (255 becomes
+/// kInfDistance) and the version digits set to 05. From VCNIDX06 bytes
+/// this is what the version-5 writer emitted; from VCNIDX07 bytes it is a
+/// version-5 file without the parent sections, which no reader reads.
+std::string as_v5(const std::string& bytes) {
+  return relayout(bytes, '5', [](const region::SectionEntry&) { return true; },
+                  /*widen=*/true);
+}
+
+/// Rewrites VCNIDX06 bytes as VCNIDX07: the vicinity parent sections
+/// dropped, everything else kept byte for byte.
+std::string as_v7(const std::string& v6) {
+  using S = region::SectionId;
+  return relayout(
+      v6, '7',
+      [](const region::SectionEntry& e) {
+        return e.id != static_cast<std::uint32_t>(S::kOutStoreParents) &&
+               e.id != static_cast<std::uint32_t>(S::kInStoreParents);
+      },
+      /*widen=*/false);
 }
 
 /// Copies the edges of `base` with weights drawn from [lo, lo + span).
@@ -268,14 +298,14 @@ TEST(GoldenCompatTest, FlatGoldensAcrossVersionsAnswerIdentically) {
 
 TEST(GoldenCompatTest, PackedV04GoldenLoadsAndSurvivesV5RoundTrip) {
   // A packed VCNIDX04 stream decodes through the legacy blob reader and
-  // upgrades to exactly the VCNIDX06 golden of the same index: the reader
+  // upgrades to exactly the VCNIDX07 golden of the same index: the reader
   // picks each distance column's width from its values. The stream carries
-  // landmark parent rows; the reader checks and drops them. It maps with
-  // BFS-exact answers and landmark-endpoint paths.
+  // vicinity and landmark parents; the reader checks and drops them. It
+  // maps with BFS-exact answers and landmark-endpoint paths.
   const auto g = testing::random_connected(140, 460, 9111);
   const std::string bytes = upgraded("packed_v04_undirected.idx", g);
-  EXPECT_TRUE(bytes == file_bytes(golden("packed_v06_undirected.idx")))
-      << "packed_v04_undirected.idx does not upgrade to the v6 golden";
+  EXPECT_TRUE(bytes == file_bytes(golden("packed_v07_undirected.idx")))
+      << "packed_v04_undirected.idx does not upgrade to the v7 golden";
 
   const auto tmp = std::filesystem::temp_directory_path() /
                    "vicinity_golden_roundtrip.idx";
@@ -288,11 +318,11 @@ TEST(GoldenCompatTest, PackedV04GoldenLoadsAndSurvivesV5RoundTrip) {
 
 TEST(GoldenCompatTest, PackedV04DirectedGoldenLoadsAndSurvivesV5RoundTrip) {
   // This fixture was written without landmark parents; it upgrades to the
-  // directed v6 golden byte for byte.
+  // directed v7 golden byte for byte.
   const auto g = testing::random_connected_directed(160, 1100, 9121);
   const std::string bytes = upgraded("packed_v04_directed.idx", g);
-  EXPECT_TRUE(bytes == file_bytes(golden("packed_v06_directed.idx")))
-      << "packed_v04_directed.idx does not upgrade to the v6 golden";
+  EXPECT_TRUE(bytes == file_bytes(golden("packed_v07_directed.idx")))
+      << "packed_v04_directed.idx does not upgrade to the v7 golden";
 
   const auto tmp = std::filesystem::temp_directory_path() /
                    "vicinity_golden_roundtrip_dir.idx";
@@ -307,12 +337,12 @@ TEST(GoldenCompatTest, PackedV04DirectedGoldenLoadsAndSurvivesV5RoundTrip) {
 TEST(GoldenCompatTest, FlatV04DirectedGoldenLoadsAndSurvivesV5RoundTrip) {
   // The directed hash-body stream: out- and in-vicinity records interleave
   // per slot, a layout no other fixture pins. Both stores convert fully
-  // packed, the reader drops the stream's landmark parent rows, and the
-  // upgrade is exactly the VCNIDX06 golden of the same index.
+  // packed, the reader drops the stream's vicinity and landmark parents,
+  // and the upgrade is exactly the VCNIDX07 golden of the same index.
   const auto g = testing::random_connected_directed(160, 1100, 9121);
   const std::string bytes = upgraded("flat_v04_directed.idx", g);
-  EXPECT_TRUE(bytes == file_bytes(golden("packed_v06_directed.idx")))
-      << "flat_v04_directed.idx does not upgrade to the v6 golden";
+  EXPECT_TRUE(bytes == file_bytes(golden("packed_v07_directed.idx")))
+      << "flat_v04_directed.idx does not upgrade to the v7 golden";
 
   const auto tmp = std::filesystem::temp_directory_path() /
                    "vicinity_golden_flat_roundtrip_dir.idx";
@@ -366,7 +396,7 @@ void expect_upgrade_hint(Load load, int version, const std::string& label) {
 }
 
 TEST(GoldenCompatTest, StreamGoldensAreRefusedWithTheUpgradeHint) {
-  // The loaders open only VCNIDX05-06. Each refuses a stream golden on its
+  // The loaders open only VCNIDX05-07. Each refuses a stream golden on its
   // version digits, before the tag or the graph shape: against the wrong
   // graph the error is still the upgrade hint. inspect_index_file reports
   // the file as a legacy container.
@@ -402,12 +432,13 @@ TEST(GoldenCompatTest, StreamGoldensAreRefusedWithTheUpgradeHint) {
 }
 
 TEST(GoldenCompatTest, UpgradeRefusesCurrentVersionAndWrongGraph) {
-  // upgrade_index only converts legacy files: a region container (VCNIDX05
-  // or 06, which the loaders open directly) is refused before anything is
-  // written, and a legacy file keeps its graph-shape and backend checks.
+  // upgrade_index only converts legacy files: a region container (VCNIDX05,
+  // 06 or 07, which the loaders open directly) is refused before anything
+  // is written, and a legacy file keeps its graph-shape and backend checks.
   const auto g = testing::random_connected(140, 460, 9111);
   for (const char* name :
-       {"packed_v05_undirected.idx", "packed_v06_undirected.idx"}) {
+       {"packed_v05_undirected.idx", "packed_v06_undirected.idx",
+        "packed_v07_undirected.idx"}) {
     std::ostringstream out(std::ios::binary);
     try {
       std::ifstream in(golden(name), std::ios::binary);
@@ -437,7 +468,7 @@ TEST(GoldenCompatTest, InspectReportsTheV5GoldenHeaders) {
   };
   // The *_noparents goldens lack only table_parent_rows; the v06 goldens
   // carry the same sections, the distance ones byte-wide on unweighted
-  // graphs.
+  // graphs; the v07 goldens lack the vicinity parent sections too.
   const Expect cases[] = {
       {"packed_v05_undirected.idx", testing::random_connected(140, 460, 9111),
        14, 5, 4},
@@ -452,6 +483,11 @@ TEST(GoldenCompatTest, InspectReportsTheV5GoldenHeaders) {
       {"packed_v06_directed.idx",
        testing::random_connected_directed(160, 1100, 9121), 23, 6, 1},
       {"packed_v06_weighted.idx", weighted_golden_graph(), 13, 6, 4},
+      {"packed_v07_undirected.idx", testing::random_connected(140, 460, 9111),
+       12, 7, 1},
+      {"packed_v07_directed.idx",
+       testing::random_connected_directed(160, 1100, 9121), 21, 7, 1},
+      {"packed_v07_weighted.idx", weighted_golden_graph(), 12, 7, 4},
   };
   for (const Expect& c : cases) {
     const std::string path = golden(c.name);
@@ -478,6 +514,12 @@ TEST(GoldenCompatTest, InspectReportsTheV5GoldenHeaders) {
       EXPECT_EQ(sec.bytes, sec.count * sec.elem_size) << c.name;
     }
     EXPECT_EQ(dist_sections, c.g.directed() ? 4u : 2u) << c.name;
+    const auto parents = std::ranges::count_if(
+        info.sections, [](const IndexSectionInfo& sec) {
+          return sec.name == "store_parents" || sec.name == "in_store_parents";
+        });
+    EXPECT_EQ(parents, c.version < 7 ? (c.g.directed() ? 2 : 1) : 0)
+        << c.name;
   }
 }
 
@@ -488,9 +530,12 @@ TEST(GoldenCompatTest, PackedV05GoldensOpenBothWaysAndMatchTheWriter) {
   // from derived trees, answering exactly like its *_noparents twin, and
   // every v5 file opens with four-byte columns. Fresh builds of the
   // recorded graph and options at build_threads 1 and 4 must serialize to
-  // the v06 golden's bytes (the parallel build is deterministic), hold
-  // byte-wide columns, and answer like the v5 twin; the twin's bytes are
-  // exactly the v06 golden with its distance sections widened.
+  // the v07 golden's bytes (the parallel build is deterministic) and hold
+  // byte-wide columns. Every v05 and v06 file carries vicinity parents,
+  // which no reader touches: each opens mapped and on the heap and answers
+  // every pair and path exactly like the fresh build. The twin's bytes are
+  // exactly the v06 golden with its distance sections widened, and the v07
+  // golden is the v06 golden without its parent sections.
   OracleOptions opt;
   opt.alpha = 3.0;
   opt.fallback = Fallback::kBidirectionalBfs;
@@ -500,15 +545,16 @@ TEST(GoldenCompatTest, PackedV05GoldensOpenBothWaysAndMatchTheWriter) {
     const char* name;
     const char* twin;
     const char* v6;
+    const char* v7;
     graph::Graph g;
     std::uint64_t seed;
   };
   const Case cases[] = {
       {"packed_v05_undirected.idx", "packed_v05_undirected_noparents.idx",
-       "packed_v06_undirected.idx", testing::random_connected(140, 460, 9111),
-       9112},
+       "packed_v06_undirected.idx", "packed_v07_undirected.idx",
+       testing::random_connected(140, 460, 9111), 9112},
       {"packed_v05_directed.idx", "packed_v05_directed_noparents.idx",
-       "packed_v06_directed.idx",
+       "packed_v06_directed.idx", "packed_v07_directed.idx",
        testing::random_connected_directed(160, 1100, 9121), 9122},
   };
   for (const Case& c : cases) {
@@ -528,6 +574,8 @@ TEST(GoldenCompatTest, PackedV05GoldensOpenBothWaysAndMatchTheWriter) {
     expect_landmark_paths(heap, c.g);
     EXPECT_TRUE(as_v5(file_bytes(golden(c.v6))) == file_bytes(golden(c.twin)))
         << c.v6 << " widened differs from " << c.twin;
+    EXPECT_TRUE(as_v7(file_bytes(golden(c.v6))) == file_bytes(golden(c.v7)))
+        << c.v6 << " without parents differs from " << c.v7;
     opt.seed = c.seed;
     for (const unsigned threads : {1u, 4u}) {
       opt.build_threads = threads;
@@ -535,18 +583,27 @@ TEST(GoldenCompatTest, PackedV05GoldensOpenBothWaysAndMatchTheWriter) {
       EXPECT_TRUE(all_narrow(built));
       std::ostringstream out(std::ios::binary);
       save_oracle(built, out);
-      EXPECT_TRUE(out.str() == file_bytes(golden(c.v6)))
+      EXPECT_TRUE(out.str() == file_bytes(golden(c.v7)))
           << "fresh build (build_threads " << threads << ") differs from "
-          << c.v6;
-      if (threads == 1) expect_all_pairs_identical(built, twin, c.g);
+          << c.v7;
+      if (threads != 1) continue;
+      for (const char* file : {c.name, c.twin, c.v6}) {
+        SCOPED_TRACE(file);
+        expect_all_pairs_identical(built, load_oracle_file(golden(file), c.g),
+                                   c.g);
+        expect_all_pairs_identical(
+            built, load_oracle_file(golden(file), c.g, heap_opts), c.g);
+      }
     }
   }
 }
 
 TEST(GoldenCompatTest, WeightedV06GoldenKeepsFourByteColumns) {
   // Edge weights of 200-999 put every distance column past a byte: a fresh
-  // build keeps four bytes throughout and serializes to the weighted v06
-  // golden, which opens mapped and on the heap with Dijkstra-exact answers.
+  // build keeps four bytes throughout and serializes to the weighted v07
+  // golden, the v06 one without its parent section. Both open mapped and
+  // on the heap with Dijkstra-exact answers, every pair and path exactly
+  // like the fresh build.
   const auto g = weighted_golden_graph();
   OracleOptions opt;
   opt.alpha = 3.0;
@@ -556,21 +613,28 @@ TEST(GoldenCompatTest, WeightedV06GoldenKeepsFourByteColumns) {
   EXPECT_TRUE(all_wide(built));
   std::ostringstream out(std::ios::binary);
   save_oracle(built, out);
-  EXPECT_TRUE(out.str() == file_bytes(golden("packed_v06_weighted.idx")))
-      << "fresh build differs from packed_v06_weighted.idx";
+  EXPECT_TRUE(out.str() == file_bytes(golden("packed_v07_weighted.idx")))
+      << "fresh build differs from packed_v07_weighted.idx";
+  EXPECT_TRUE(as_v7(file_bytes(golden("packed_v06_weighted.idx"))) ==
+              file_bytes(golden("packed_v07_weighted.idx")))
+      << "packed_v06_weighted.idx without parents differs from the v7 golden";
 
   OpenOptions heap_opts;
   heap_opts.mode = OpenMode::kHeap;
-  const auto mapped = load_oracle_file(golden("packed_v06_weighted.idx"), g);
-  const auto heap =
-      load_oracle_file(golden("packed_v06_weighted.idx"), g, heap_opts);
-  EXPECT_TRUE(mapped.store().mapped());
-  EXPECT_TRUE(all_wide(mapped));
-  EXPECT_TRUE(all_wide(heap));
-  expect_matches_reference(mapped, g, 9134, 200);
-  expect_matches_reference(heap, g, 9135, 200);
-  expect_all_pairs_identical(built, mapped, g);
-  expect_landmark_paths(mapped, g);
+  for (const char* name :
+       {"packed_v06_weighted.idx", "packed_v07_weighted.idx"}) {
+    SCOPED_TRACE(name);
+    const auto mapped = load_oracle_file(golden(name), g);
+    const auto heap = load_oracle_file(golden(name), g, heap_opts);
+    EXPECT_TRUE(mapped.store().mapped());
+    EXPECT_TRUE(all_wide(mapped));
+    EXPECT_TRUE(all_wide(heap));
+    expect_matches_reference(mapped, g, 9134, 200);
+    expect_matches_reference(heap, g, 9135, 200);
+    expect_all_pairs_identical(built, mapped, g);
+    expect_all_pairs_identical(built, heap, g);
+    expect_landmark_paths(mapped, g);
+  }
 }
 
 TEST(GoldenCompatTest, ByteWideBuildsAnswerLikeFourByteLoads) {

@@ -44,7 +44,7 @@ using MatrixParam =
 constexpr std::size_t kStoreByteOffset = 44;
 
 /// The stream golden with its store byte and query options rewritten,
-/// converted by upgrade_index and loaded from the VCNIDX06 bytes.
+/// converted by upgrade_index and loaded from the VCNIDX07 bytes.
 VicinityOracle load_stream_golden(const graph::Graph& g, Source source,
                                   bool boundary, bool smaller,
                                   Fallback fallback) {

@@ -4,7 +4,7 @@
 // allocation, bad_alloc, or out-of-bounds write. Covers both generations of
 // the container: VCNIDX02-04 length-prefixed streams (read from the
 // checked-in hash-layout goldens through upgrade_index, their only reader)
-// and the region container (VCNIDX06, what the writer emits, and VCNIDX05,
+// and the region container (VCNIDX07, what the writer emits, and VCNIDX05,
 // which the loaders also open), the latter through the stream-slurp path,
 // the memory-mapped file path and inspect_index_file.
 #include <gtest/gtest.h>
@@ -42,7 +42,7 @@ std::string golden_bytes(const char* name) {
 }
 
 // The VCNIDX02-04 stream cases read checked-in hash-layout VCNIDX04 files
-// (tests/data/golden/README.md): the writer emits only VCNIDX06, and only
+// (tests/data/golden/README.md): the writer emits only VCNIDX07, and only
 // upgrade_index reads a stream container. The hash-body layout is
 // byte-identical across versions 2-4, which the version-2/3 rewrites below
 // rely on.
@@ -51,7 +51,7 @@ Fixture make_fixture() {
           golden_bytes("flat_v04_undirected.idx")};
 }
 
-// The writer's VCNIDX06 region container: a FileHeader + section table +
+// The writer's VCNIDX07 region container: a FileHeader + section table +
 // 64-byte-aligned sections, its distance sections byte-wide on this graph.
 Fixture make_packed_fixture() {
   Fixture f;
@@ -72,7 +72,7 @@ Fixture make_directed_fixture() {
           golden_bytes("flat_v04_directed.idx")};
 }
 
-/// upgrade_index() over legacy stream bytes: the VCNIDX06 bytes it writes.
+/// upgrade_index() over legacy stream bytes: the VCNIDX07 bytes it writes.
 std::string upgrade(const std::string& legacy, const graph::Graph& g) {
   std::istringstream in(legacy, std::ios::binary);
   std::ostringstream out(std::ios::binary);
@@ -256,7 +256,7 @@ TEST(SerializeFuzzTest, OldFormatVersionIsRejectedNotMisparsed) {
 
 TEST(SerializeFuzzTest, FutureAndGarbageVersionsAreRejected) {
   const Fixture f = make_fixture();
-  for (const char* version : {"06", "07", "99", "12", "00"}) {
+  for (const char* version : {"06", "07", "08", "99", "12", "00"}) {
     std::string mangled = f.bytes;
     mangled[6] = version[0];
     mangled[7] = version[1];
@@ -442,7 +442,7 @@ TEST(SerializeFuzzTest, V5MisalignedSectionOffsetIsRejected) {
   // Section payloads are 64-byte aligned by construction; a misaligned
   // offset would hand the oracle spans whose element pointers violate
   // alignof(T) — UB under UBSan. The loader must refuse it up front with
-  // the versioned error (the writer's container is version 6).
+  // the versioned error (the writer's container is version 7).
   const Fixture f = make_packed_fixture();
   std::string mangled = f.bytes;
   std::uint64_t off = 0;
@@ -458,7 +458,7 @@ TEST(SerializeFuzzTest, V5MisalignedSectionOffsetIsRejected) {
     (void)load_oracle(in, f.g);
     FAIL() << "misaligned section loaded";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("version 6"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("version 7"), std::string::npos)
         << e.what();
   }
   expect_v5_rejected(mangled, f.g, "misaligned section offset");
@@ -520,7 +520,7 @@ TEST(SerializeFuzzTest, DistanceSectionWidthsAreChecked) {
     e.count /= 2;
     e.bytes = e.count * 2;
     stamp(two, entry_off(i), e);
-    expect_region_error(two, f.g, {"version 6", "unexpected element size"},
+    expect_region_error(two, f.g, {"version 7", "unexpected element size"},
                         "elem_size 2");
 
     std::string v5 = f.bytes;
@@ -532,7 +532,7 @@ TEST(SerializeFuzzTest, DistanceSectionWidthsAreChecked) {
     std::memcpy(&e, f.bytes.data() + entry_off(i), sizeof(e));
     ++e.bytes;
     stamp(long_bytes, entry_off(i), e);
-    expect_region_error(long_bytes, f.g, {"version 6", "byte length mismatch"},
+    expect_region_error(long_bytes, f.g, {"version 7", "byte length mismatch"},
                         "byte length != count");
   }
 }
@@ -681,7 +681,7 @@ TEST(SerializeFuzzTest, MappedOpenOfStreamContainerIsRejected) {
 TEST(SerializeFuzzTest, WrongBackendTagFailsWithVersionedError) {
   // An undirected file retagged as directed disagrees with its undirected
   // graph and must be refused — by upgrade_index for the version-4 stream,
-  // by load_oracle for the version-6 container — with an error naming the
+  // by load_oracle for the version-7 container — with an error naming the
   // format version and both backends, not misparsed as a directed body.
   const Fixture f = make_fixture();
   const Fixture v5 = make_packed_fixture();
@@ -700,7 +700,7 @@ TEST(SerializeFuzzTest, WrongBackendTagFailsWithVersionedError) {
     } catch (const std::runtime_error& e) {
       const std::string what = e.what();
       EXPECT_NE(what.find("backend mismatch"), std::string::npos) << what;
-      EXPECT_NE(what.find(legacy ? "format version 4" : "format version 6"),
+      EXPECT_NE(what.find(legacy ? "format version 4" : "format version 7"),
                 std::string::npos)
           << what;
       EXPECT_NE(what.find("vicinity-directed"), std::string::npos) << what;

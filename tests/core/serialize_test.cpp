@@ -109,14 +109,14 @@ TEST(SerializeTest, FileHelpers) {
 }
 
 TEST(SerializeTest, AllStoreBackendsRoundTrip) {
-  // The packed arena is the one store layout and VCNIDX06 the one format
+  // The packed arena is the one store layout and VCNIDX07 the one format
   // the writer emits: a round trip must keep the store fully packed and the
   // answers bit-identical.
   const auto g = testing::random_connected(400, 1600, 419);
   auto oracle = VicinityOracle::build(g, opts());
   std::stringstream buf;
   save_oracle(oracle, buf);
-  EXPECT_EQ(buf.str().substr(0, 8), "VCNIDX06");
+  EXPECT_EQ(buf.str().substr(0, 8), "VCNIDX07");
   auto loaded = load_oracle(buf, g);
   EXPECT_EQ(loaded.options().backend, StoreBackend::kPacked);
   EXPECT_EQ(loaded.store().total_entries(), oracle.store().total_entries());
@@ -231,6 +231,45 @@ TEST(SerializeTest, DirectedSubsetOracleRoundTrips) {
     const auto y = loaded.distance(s, t, b);
     ASSERT_EQ(x.dist, y.dist) << s << "->" << t;
     ASSERT_EQ(x.method, y.method);
+  }
+}
+
+TEST(SerializeTest, MappedOpenCountsHeapAndFileBytesApart) {
+  // memory_stats().bytes counts heap bytes only. A mapped open leaves its
+  // vicinity arenas and landmark matrices in the file, reported by the
+  // stores' and the tables' mapped_bytes(); together they add up to a
+  // heap open's bytes, on either graph kind. A fresh build (its arenas
+  // appended batch by batch) holds exactly the heap open's bytes.
+  OracleOptions o;
+  o.alpha = 2.0;
+  o.seed = 6;
+  const graph::Graph graphs[] = {
+      testing::random_connected(3000, 12000, 5),
+      testing::random_connected_directed(2000, 12000, 7),
+  };
+  for (const graph::Graph& g : graphs) {
+    SCOPED_TRACE(g.directed() ? "directed" : "undirected");
+    const std::string path = ::testing::TempDir() + "/memory_split.idx";
+    const auto built = VicinityOracle::build(g, o);
+    save_oracle_file(built, path);
+    const auto mapped = load_oracle_file(path, g);
+    OpenOptions heap_opts;
+    heap_opts.mode = OpenMode::kHeap;
+    const auto heap = load_oracle_file(path, g, heap_opts);
+    ASSERT_TRUE(mapped.tables().mapped());
+    std::uint64_t file_bytes = mapped.tables().mapped_bytes();
+    for (const Direction d : {Direction::kOut, Direction::kIn}) {
+      if (d == Direction::kIn && !g.directed()) break;
+      EXPECT_GT(mapped.store(d).mapped_bytes(), 0u);
+      EXPECT_EQ(heap.store(d).mapped_bytes(), 0u);
+      file_bytes += mapped.store(d).mapped_bytes();
+    }
+    EXPECT_GT(mapped.tables().mapped_bytes(), 0u);
+    EXPECT_EQ(heap.tables().mapped_bytes(), 0u);
+    EXPECT_EQ(built.memory_stats().bytes, heap.memory_stats().bytes);
+    EXPECT_LT(mapped.memory_stats().bytes, heap.memory_stats().bytes);
+    EXPECT_EQ(mapped.memory_stats().bytes + file_bytes,
+              heap.memory_stats().bytes);
   }
 }
 

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
+#include "algo/path.h"
 #include "core/landmarks.h"
 #include "test_support.h"
 #include "util/mutex.h"
@@ -19,6 +21,17 @@ namespace {
 // StoreBackend parameter (one value) so their test names stay stable.
 std::string backend_name(const ::testing::TestParamInfo<StoreBackend>&) {
   return "Packed";
+}
+
+/// Length of Γ(u)'s derived walk from member x (VicinityStore::walk_tree),
+/// checked to be a real path from u to x; kInfDistance when there is none.
+Distance walk_length(const VicinityStore& store, const graph::Graph& g,
+                     NodeId u, NodeId x) {
+  std::vector<NodeId> walk;
+  if (!store.walk_tree(g, Direction::kOut, u, x, walk)) return kInfDistance;
+  std::reverse(walk.begin(), walk.end());
+  EXPECT_TRUE(algo::is_valid_path(g, walk, u, x)) << u << " walks " << x;
+  return algo::path_length(g, walk);
 }
 
 class StoreTest : public ::testing::TestWithParam<StoreBackend> {
@@ -44,7 +57,9 @@ TEST_P(StoreTest, FindReturnsStoredEntries) {
     const ProbeResult e = store.find(0, m.node);
     ASSERT_TRUE(e.found);
     EXPECT_EQ(e.dist, m.dist);
-    EXPECT_EQ(e.parent, m.parent);
+    // The derived parent step: each member walks back to the origin along
+    // a shortest path of its stored length.
+    EXPECT_EQ(walk_length(store, g, 0, m.node), m.dist) << m.node;
   }
   // Non-members probe as absent.
   std::size_t missing = 0;
@@ -142,7 +157,7 @@ TEST_P(StoreTest, StoringInvalidNodeMemberIsCheckedError) {
   const std::vector<NodeId> nodes = {0};
   store.prepare(nodes);
   Vicinity v = make_vicinity(g, 0, 2);
-  v.members.push_back(VicinityMember{kInvalidNode, 1, 0, true, false});
+  v.members.push_back(VicinityMember{kInvalidNode, 1, true, false});
   EXPECT_THROW(store.set(0, v), std::invalid_argument);
 }
 
@@ -241,7 +256,7 @@ TEST(StoreBackendTest, BackendsAgreeProbeForProbe) {
       ASSERT_EQ(c.found, m != nullptr) << u << " probes " << x;
       if (m != nullptr) {
         EXPECT_EQ(c.dist, m->dist);
-        EXPECT_EQ(c.parent, m->parent);
+        EXPECT_EQ(walk_length(packed, g, u, x), m->dist) << u << " walks " << x;
       }
     }
     // The boundary view is exactly the on_boundary members, by node.
@@ -331,6 +346,17 @@ TEST(PackedStoreTest, InPlaceReplacementDoesNotFragment) {
   EXPECT_EQ(store.vicinity_size(1), v.members.size());
 }
 
+/// An owned copy of the store's packed contents, as adopt_packed takes it.
+VicinityStore::PackedBlob packed_copy(const VicinityStore& store) {
+  VicinityStore::PackedBlob blob;
+  const VicinityStore::PackedView v = store.export_view(blob);
+  std::vector<NodeId> members(v.members.begin(), v.members.end());
+  DistColumn dists = DistColumn::copy_of(v.dists);
+  blob.members = std::move(members);
+  blob.dists = std::move(dists);
+  return blob;
+}
+
 TEST(PackedStoreTest, AdoptExportRoundTripAndValidation) {
   const auto g = testing::random_connected(250, 900, 145);
   VicinityStore store(g.num_nodes());
@@ -341,7 +367,7 @@ TEST(PackedStoreTest, AdoptExportRoundTripAndValidation) {
   for (const NodeId u : nodes) store.set(u, builder.build(u, 2, kInvalidNode));
   store.pack();
 
-  auto blob = store.export_packed();
+  auto blob = packed_copy(store);
   VicinityStore copy(g.num_nodes());
   const util::RoleGuard copy_role(copy.mutation_role());
   copy.prepare(nodes);
@@ -354,20 +380,23 @@ TEST(PackedStoreTest, AdoptExportRoundTripAndValidation) {
       ASSERT_EQ(a.found, b.found);
       if (a.found) {
         EXPECT_EQ(a.dist, b.dist);
-        EXPECT_EQ(a.parent, b.parent);
+        std::vector<NodeId> wa, wb;
+        ASSERT_TRUE(store.walk_tree(g, Direction::kOut, u, x, wa));
+        ASSERT_TRUE(copy.walk_tree(g, Direction::kOut, u, x, wb));
+        EXPECT_EQ(wa, wb);
       }
     }
   }
 
   // Corrupt blobs are rejected, not installed.
-  auto bad = store.export_packed();
+  auto bad = packed_copy(store);
   bad.members.pop_back();
   VicinityStore reject(g.num_nodes());
   const util::RoleGuard reject_role(reject.mutation_role());
   reject.prepare(nodes);
   EXPECT_THROW(reject.adopt_packed(std::move(bad)), std::runtime_error);
 
-  auto unsorted = store.export_packed();
+  auto unsorted = packed_copy(store);
   if (unsorted.members.size() >= 2 && unsorted.boundary_len[0] >= 2) {
     std::swap(unsorted.members[0], unsorted.members[1]);
     VicinityStore reject2(g.num_nodes());
@@ -393,7 +422,6 @@ TEST(PackedStoreTest, AdoptRejectsMemberInBothGroups) {
   blob.boundary_len = {1};
   blob.members = {5, 5};  // boundary group {5}, interior group {5}
   blob.dists = DistColumn(std::vector<Distance>{1, 2});
-  blob.parents = {0, 0};
   try {
     store.adopt_packed(std::move(blob));
     FAIL() << "duplicate member across groups loaded";

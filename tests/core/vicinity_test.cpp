@@ -1,17 +1,22 @@
 // Definition 1 conformance: the built vicinity must equal B(u) ∪ N(B(u))
-// with exact distances, in-vicinity parents and a correct boundary, across
-// unweighted/weighted and undirected/directed graphs.
+// with exact distances and a correct boundary, and its stored distances
+// must yield in-vicinity shortest-path trees (VicinityStore::walk_tree),
+// across unweighted/weighted and undirected/directed graphs.
 #include "core/vicinity_builder.h"
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "algo/bfs.h"
 #include "algo/dijkstra.h"
+#include "algo/path.h"
+#include "core/vicinity_store.h"
 #include "graph/transform.h"
 #include "test_support.h"
+#include "util/mutex.h"
 
 namespace vicinity::core {
 namespace {
@@ -54,6 +59,37 @@ RefVicinity reference(const graph::Graph& g, NodeId u, Distance r,
   return ref;
 }
 
+/// Stores `v` and walks the derived tree from every member to the origin.
+/// Each walk that succeeds steps along arcs of g and is a shortest path of
+/// the member's stored length. Every unweighted member has a walk, and so
+/// does every weighted ball member (its shortest paths stay in the ball);
+/// only a weighted shell member whose shortest paths all leave Γ may have
+/// none. Returns the number of members without a walk.
+std::size_t check_derived_walks(const graph::Graph& g, const Vicinity& v,
+                                Direction dir) {
+  VicinityStore store(g.num_nodes());
+  const util::RoleGuard role(store.mutation_role());
+  store.prepare(std::vector<NodeId>{v.origin});
+  store.set(v.origin, v);
+  std::size_t missing = 0;
+  for (const auto& m : v.members) {
+    std::vector<NodeId> walk;
+    if (!store.walk_tree(g, dir, v.origin, m.node, walk)) {
+      EXPECT_TRUE(g.weighted() && !m.in_ball) << "no walk from " << m.node;
+      ++missing;
+      continue;
+    }
+    // A kOut walk reads origin -> member backwards; a kIn walk reads
+    // member -> origin forwards.
+    if (dir == Direction::kOut) std::reverse(walk.begin(), walk.end());
+    const NodeId from = dir == Direction::kOut ? v.origin : m.node;
+    const NodeId to = dir == Direction::kOut ? m.node : v.origin;
+    EXPECT_TRUE(algo::is_valid_path(g, walk, from, to)) << m.node;
+    EXPECT_EQ(algo::path_length(g, walk), m.dist) << m.node;
+  }
+  return missing;
+}
+
 void check_against_reference(const graph::Graph& g, NodeId u, Distance r,
                              Direction dir = Direction::kOut) {
   VicinityBuilder builder(g, dir);
@@ -77,12 +113,8 @@ void check_against_reference(const graph::Graph& g, NodeId u, Distance r,
     EXPECT_EQ(m.dist, dist[m.node]) << "dist mismatch at " << m.node;
     if (m.in_ball) got_ball.insert(m.node);
     if (m.on_boundary) got_boundary.insert(m.node);
-    // Parent is a member (path-retrieval invariant) except for the origin.
-    if (m.node != u) {
-      EXPECT_TRUE(ref.gamma.count(m.parent) || g.weighted())
-          << "parent " << m.parent << " of " << m.node;
-    }
   }
+  check_derived_walks(g, v, dir);
   EXPECT_EQ(got_ball, ref.ball);
   EXPECT_EQ(got_boundary, ref.boundary);
   EXPECT_EQ(v.ball_size, ref.ball.size());
@@ -196,22 +228,22 @@ TEST(VicinityBuilderTest, ParentsChaseBackToOrigin) {
   const auto g = testing::random_connected(400, 1600, 130);
   VicinityBuilder builder(g);
   const Vicinity v = builder.build(7, 3, kInvalidNode);
-  // Walk each member's parent chain; it must terminate at the origin within
-  // |Γ| steps with strictly decreasing distances.
-  std::map<NodeId, const VicinityMember*> index;
-  for (const auto& m : v.members) index[m.node] = &m;
-  for (const auto& m : v.members) {
-    NodeId cur = m.node;
-    std::size_t steps = 0;
-    while (cur != 7) {
-      ASSERT_TRUE(index.count(cur)) << "chain left Γ at " << cur;
-      const auto* cm = index[cur];
-      ASSERT_TRUE(index.count(cm->parent));
-      ASSERT_LT(index[cm->parent]->dist, cm->dist);
-      cur = cm->parent;
-      ASSERT_LT(++steps, v.members.size() + 1);
-    }
-  }
+  // Every member's derived walk reaches the origin along arcs, a shortest
+  // path of the member's stored length.
+  EXPECT_EQ(check_derived_walks(g, v, Direction::kOut), 0u);
+  // WeightedShellDistancesExactDespiteDetours' graph: w's shortest path
+  // runs through b, which is no member, so only w has no walk.
+  graph::GraphBuilder b(5);
+  b.add_edge(0, 1, 1);   // u-a
+  b.add_edge(1, 4, 10);  // a-w
+  b.add_edge(0, 2, 4);   // u-c
+  b.add_edge(2, 3, 1);   // c-b
+  b.add_edge(3, 4, 1);   // b-w
+  const auto wg = b.build(true);
+  VicinityBuilder wbuilder(wg);
+  EXPECT_EQ(check_derived_walks(wg, wbuilder.build(0, 2, kInvalidNode),
+                                Direction::kOut),
+            1u);
 }
 
 TEST(VicinityBuilderTest, ArcsScannedPositiveAndBounded) {
